@@ -63,67 +63,95 @@ class LatencyHistogram {
     UpdateMax(other.max_micros_.load(std::memory_order_relaxed));
   }
 
-  int64_t Count() const {
-    int64_t total = 0;
-    for (int i = 0; i < kNumCounts; ++i) {
-      total += counts_[i].load(std::memory_order_relaxed);
+  /// One copy of the bucket counts, taken with a single pass over the
+  /// atomics. Every figure a reader reports (count, percentiles, cumulative
+  /// buckets) must come from one copy: re-reading the live buckets per
+  /// figure lets concurrent RecordMicros calls land in between, so e.g. a
+  /// rendered `_count` would disagree with its `+Inf` bucket.
+  struct Counts {
+    std::vector<int64_t> buckets;  ///< kNumCounts slots
+    int64_t total_micros = 0;
+    int64_t min_micros = 0;
+    int64_t max_micros = 0;
+
+    int64_t Count() const {
+      int64_t total = 0;
+      for (const int64_t c : buckets) total += c;
+      return total;
     }
-    return total;
+
+    /// Value (µs) at or below which `percentile` [0,100] of observations
+    /// fall; returns the highest value equivalent to the containing bucket.
+    int64_t PercentileMicros(double percentile) const {
+      const int64_t total = Count();
+      if (total == 0) return 0;
+      int64_t target = static_cast<int64_t>(percentile / 100.0 *
+                                                static_cast<double>(total) +
+                                            0.5);
+      if (target < 1) target = 1;
+      if (target > total) target = total;
+      int64_t seen = 0;
+      for (int i = 0; i < kNumCounts; ++i) {
+        seen += buckets[i];
+        if (seen >= target) return HighestEquivalent(i);
+      }
+      return HighestEquivalent(kNumCounts - 1);
+    }
+
+    /// Number of observations with value <= `micros` (cumulative bucket
+    /// count; the containing bucket is counted whole, consistent with the
+    /// bucket quantization of PercentileMicros). Feeds Prometheus-style
+    /// cumulative `le` histogram rendering (obs/promtext.h).
+    int64_t CountAtOrBelowMicros(int64_t micros) const {
+      if (micros < 0) return 0;
+      const int limit = CountsIndex(micros);
+      int64_t seen = 0;
+      for (int i = 0; i <= limit && i < kNumCounts; ++i) seen += buckets[i];
+      return seen;
+    }
+
+    HistogramSummary Summarize() const {
+      HistogramSummary s;
+      s.count = Count();
+      if (s.count == 0) return s;
+      constexpr double kUs = 1e-6;
+      s.total_seconds = static_cast<double>(total_micros) * kUs;
+      s.min_seconds = static_cast<double>(min_micros) * kUs;
+      s.max_seconds = static_cast<double>(max_micros) * kUs;
+      s.p50_seconds = static_cast<double>(PercentileMicros(50)) * kUs;
+      s.p95_seconds = static_cast<double>(PercentileMicros(95)) * kUs;
+      s.p99_seconds = static_cast<double>(PercentileMicros(99)) * kUs;
+      return s;
+    }
+  };
+
+  Counts Load() const {
+    Counts c;
+    c.buckets.resize(kNumCounts);
+    for (int i = 0; i < kNumCounts; ++i) {
+      c.buckets[i] = counts_[i].load(std::memory_order_relaxed);
+    }
+    c.total_micros = total_micros_.load(std::memory_order_relaxed);
+    c.min_micros = min_micros_.load(std::memory_order_relaxed);
+    c.max_micros = max_micros_.load(std::memory_order_relaxed);
+    return c;
   }
+
+  int64_t Count() const { return Load().Count(); }
 
   int64_t TotalMicros() const {
     return total_micros_.load(std::memory_order_relaxed);
   }
 
-  /// Value (µs) at or below which `percentile` [0,100] of observations
-  /// fall; returns the highest value equivalent to the containing bucket.
   int64_t PercentileMicros(double percentile) const {
-    const int64_t total = Count();
-    if (total == 0) return 0;
-    int64_t target = static_cast<int64_t>(percentile / 100.0 *
-                                              static_cast<double>(total) +
-                                          0.5);
-    if (target < 1) target = 1;
-    if (target > total) target = total;
-    int64_t seen = 0;
-    for (int i = 0; i < kNumCounts; ++i) {
-      seen += counts_[i].load(std::memory_order_relaxed);
-      if (seen >= target) return HighestEquivalent(i);
-    }
-    return HighestEquivalent(kNumCounts - 1);
+    return Load().PercentileMicros(percentile);
   }
 
-  /// Number of observations with value <= `micros` (cumulative bucket
-  /// count; the containing bucket is counted whole, consistent with the
-  /// bucket quantization of PercentileMicros). Feeds Prometheus-style
-  /// cumulative `le` histogram rendering (obs/promtext.h).
   int64_t CountAtOrBelowMicros(int64_t micros) const {
-    if (micros < 0) return 0;
-    const int limit = CountsIndex(micros);
-    int64_t seen = 0;
-    for (int i = 0; i <= limit && i < kNumCounts; ++i) {
-      seen += counts_[i].load(std::memory_order_relaxed);
-    }
-    return seen;
+    return Load().CountAtOrBelowMicros(micros);
   }
 
-  HistogramSummary Summarize() const {
-    HistogramSummary s;
-    s.count = Count();
-    if (s.count == 0) return s;
-    constexpr double kUs = 1e-6;
-    s.total_seconds = static_cast<double>(TotalMicros()) * kUs;
-    s.min_seconds = static_cast<double>(
-                        min_micros_.load(std::memory_order_relaxed)) *
-                    kUs;
-    s.max_seconds = static_cast<double>(
-                        max_micros_.load(std::memory_order_relaxed)) *
-                    kUs;
-    s.p50_seconds = static_cast<double>(PercentileMicros(50)) * kUs;
-    s.p95_seconds = static_cast<double>(PercentileMicros(95)) * kUs;
-    s.p99_seconds = static_cast<double>(PercentileMicros(99)) * kUs;
-    return s;
-  }
+  HistogramSummary Summarize() const { return Load().Summarize(); }
 
   void Reset() {
     for (int i = 0; i < kNumCounts; ++i) {

@@ -10,6 +10,21 @@ namespace {
 constexpr size_t kProbeWindow = 32;
 }  // namespace
 
+uint64_t JoinHashTable::EntryBytes(size_t rows) {
+  return rows * sizeof(Entry);
+}
+
+size_t JoinHashTable::BucketCount(size_t entries) {
+  if (entries == 0) return 0;
+  size_t num_buckets = 16;
+  while (num_buckets < entries * 2) num_buckets <<= 1;
+  return num_buckets;
+}
+
+uint64_t JoinHashTable::BucketBytes(size_t entries) {
+  return BucketCount(entries) * sizeof(uint32_t);
+}
+
 Status JoinHashTable::ExtractEntries(
     const RecordBatch& batch, uint32_t batch_index,
     std::vector<std::vector<Entry>>* out) const {
@@ -46,7 +61,7 @@ Status JoinHashTable::ExtractEntries(
 Status JoinHashTable::AddBatch(RecordBatch batch) {
   if (finalized_) return Status::Internal("AddBatch after Finalize");
   if (batch.num_rows() == 0) return Status::OK();
-  reservation_.Grow(batch.ByteSize() + batch.num_rows() * sizeof(Entry));
+  reservation_.Grow(batch.ByteSize() + EntryBytes(batch.num_rows()));
   const uint32_t batch_index = static_cast<uint32_t>(batches_.size());
   if (shards_.size() == 1) {
     // Streaming fast path: append straight into the single shard.
@@ -95,7 +110,7 @@ Status JoinHashTable::AddBatchesParallel(std::vector<RecordBatch> batches,
   size_t added = 0;
   for (RecordBatch& b : batches) {
     if (b.num_rows() == 0) continue;
-    reservation_.Grow(b.ByteSize() + b.num_rows() * sizeof(Entry));
+    reservation_.Grow(b.ByteSize() + EntryBytes(b.num_rows()));
     batches_.push_back(std::move(b));
     ++added;
   }
@@ -157,8 +172,7 @@ void JoinHashTable::FinalizeShard(uint32_t shard) {
     s.max_chain_length = 0;
     return;
   }
-  size_t num_buckets = 16;
-  while (num_buckets < s.entries.size() * 2) num_buckets <<= 1;
+  const size_t num_buckets = BucketCount(s.entries.size());
   s.buckets.assign(num_buckets, kNil);
   s.bucket_mask = num_buckets - 1;
   for (uint32_t e = 0; e < s.entries.size(); ++e) {

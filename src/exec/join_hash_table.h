@@ -43,9 +43,13 @@ class JoinHashTable {
   /// every added batch. `num_shards` key-space partitions the entry and
   /// bucket storage (1 = the classic single-partition table); shard choice
   /// never changes probe results, only which internal arrays hold them.
-  explicit JoinHashTable(size_t key_column, uint32_t num_shards = 1)
+  /// `governor` is charged for what the table holds (null: nobody, for
+  /// owners that charge the table's footprint themselves).
+  explicit JoinHashTable(size_t key_column, uint32_t num_shards = 1,
+                         MemoryGovernor* governor = MemoryGovernor::Current())
       : key_column_(key_column),
-        shards_(num_shards == 0 ? 1 : num_shards) {}
+        shards_(num_shards == 0 ? 1 : num_shards),
+        reservation_(governor) {}
 
   /// Adds a batch (takes ownership). Must not be called after Finalize.
   Status AddBatch(RecordBatch batch);
@@ -72,6 +76,20 @@ class JoinHashTable {
   /// shard exactly once, then MarkFinalized.
   void FinalizeShard(uint32_t shard);
   void MarkFinalized();
+
+  /// The shard a key lands in for a `num_shards`-shard table. Exposed so a
+  /// partitioned operator (GraceHashJoin) can route rows to exactly the
+  /// shard the table will put them in.
+  static uint32_t ShardOfKey(int64_t key, uint32_t num_shards) {
+    return ShardFor(HashInt64(static_cast<uint64_t>(key), kProbeSeed),
+                    num_shards);
+  }
+
+  /// Bytes the table holds for `rows` entries beyond the batches themselves.
+  static uint64_t EntryBytes(size_t rows);
+  /// Bytes of the bucket directory Finalize builds over `entries` entries of
+  /// one shard.
+  static uint64_t BucketBytes(size_t entries);
 
   bool finalized() const { return finalized_; }
   size_t num_rows() const {
@@ -171,9 +189,14 @@ class JoinHashTable {
   /// Shard selection from the hash's high 32 bits (the bucket index uses
   /// the low bits, so the two choices stay independent); the multiply-shift
   /// maps [0, 2^32) uniformly onto [0, num_shards) without a division.
-  uint32_t ShardOf(uint64_t h) const {
-    return static_cast<uint32_t>(((h >> 32) * shards_.size()) >> 32);
+  static uint32_t ShardFor(uint64_t h, size_t num_shards) {
+    return static_cast<uint32_t>(((h >> 32) * num_shards) >> 32);
   }
+  uint32_t ShardOf(uint64_t h) const { return ShardFor(h, shards_.size()); }
+
+  /// Bucket-directory size for one shard: the power of two >= 2x its
+  /// entries, at least 16; none for an empty shard.
+  static size_t BucketCount(size_t entries);
 
   /// Appends one batch's entries to the per-shard vectors of `out` (sized
   /// num_shards); `batch_index` is the batch's index in batches_.
@@ -189,9 +212,9 @@ class JoinHashTable {
   std::vector<Shard> shards_;
   bool finalized_ = false;
   /// Charges retained batches + entries (and, at finalize, the bucket
-  /// directories) against the thread-local MemoryGovernor captured at
-  /// construction; released wholesale on destruction. Grown only from the
-  /// single-writer build path, never from shard-parallel workers.
+  /// directories) against the governor given at construction; released
+  /// wholesale on destruction. Grown only from the single-writer build path,
+  /// never from shard-parallel workers.
   MemoryReservation reservation_;
 };
 

@@ -53,6 +53,7 @@ class SpillArea {
   /// Appends a batch (serialized through the write throttle).
   Status Append(FileId id, const RecordBatch& batch) {
     std::vector<uint8_t> bytes = batch.Serialize();
+    const uint64_t batch_bytes = batch.ByteSize();
     write_bucket_.Acquire(bytes.size());
     if (metrics_ != nullptr) {
       metrics_->Add(metric::kSpillBytesWritten,
@@ -62,7 +63,10 @@ class SpillArea {
     if (id >= files_.size()) {
       return Status::InvalidArgument("bad spill file id");
     }
-    files_[id].chunks.push_back(std::move(bytes));
+    File& file = files_[id];
+    file.chunks.push_back(std::move(bytes));
+    file.size.rows += batch.num_rows();
+    file.size.batch_bytes += batch_bytes;
     return Status::OK();
   }
 
@@ -98,19 +102,19 @@ class SpillArea {
   /// Releases a file's storage.
   void Drop(FileId id) {
     std::lock_guard<std::mutex> lock(mu_);
-    if (id < files_.size()) files_[id].chunks.clear();
+    if (id < files_.size()) files_[id] = File{};
   }
 
-  /// Serialized bytes currently held by one file (the grace join's
-  /// recursive-repartition decisions key off this).
-  int64_t FileBytes(FileId id) const {
+  /// What a file holds once read back: its rows and their in-memory batch
+  /// bytes (RecordBatch::ByteSize). The grace join sizes the hash table a
+  /// spilled partition needs from this.
+  struct FileSize {
+    size_t rows = 0;
+    uint64_t batch_bytes = 0;
+  };
+  FileSize SizeOf(FileId id) const {
     std::lock_guard<std::mutex> lock(mu_);
-    if (id >= files_.size()) return 0;
-    int64_t total = 0;
-    for (const auto& c : files_[id].chunks) {
-      total += static_cast<int64_t>(c.size());
-    }
-    return total;
+    return id < files_.size() ? files_[id].size : FileSize{};
   }
 
   int64_t bytes_on_disk() const {
@@ -125,6 +129,7 @@ class SpillArea {
  private:
   struct File {
     std::vector<std::vector<uint8_t>> chunks;
+    FileSize size;
   };
 
   TokenBucket write_bucket_;

@@ -10,7 +10,6 @@
 
 #include "common/hash.h"
 #include "exec/grace_join.h"
-#include "exec/join_prober.h"
 #include "exec/partitioned_appender.h"
 #include "hybrid/algorithms.h"
 #include "hybrid/driver_common.h"
@@ -376,41 +375,29 @@ Result<QueryResult> RunDbSideJoin(EngineContext* ctx,
       // strategy decision, so they agree on which exchange tags are used.
       std::vector<RecordBatch> build_batches;
       std::vector<RecordBatch> probe_batches;
-      SchemaPtr build_schema;
-      SchemaPtr probe_schema;
-      std::string build_alias;
-      std::string probe_alias;
-      size_t build_key = 0;
-      size_t probe_key = 0;
+      const driver::JoinSide t_side = driver::DbJoinSide(prepared);
+      const driver::JoinSide l_side = driver::HdfsJoinSide(prepared);
+      driver::JoinSide build = t_side;
+      driver::JoinSide probe_side = l_side;
       switch (strategy) {
         case DbJoinStrategy::kBroadcastDb: {
           std::vector<RecordBatch> t_all;
           Status b = BroadcastAmongDb(ctx, i, tags.db_shuffle_t, t_prime,
-                                      prepared.db_proj_schema, &t_all);
+                                      t_side.schema, &t_all);
           if (!b.ok() && st.ok()) st = b;
           build_batches = std::move(t_all);
           probe_batches = std::move(l_received);
-          build_schema = prepared.db_proj_schema;
-          probe_schema = prepared.hdfs_out_schema;
-          build_alias = query.db.alias;
-          probe_alias = query.hdfs.alias;
-          build_key = prepared.db_key_idx;
-          probe_key = prepared.hdfs_key_idx;
           break;
         }
         case DbJoinStrategy::kBroadcastHdfs: {
           std::vector<RecordBatch> l_all;
           Status b = BroadcastAmongDb(ctx, i, tags.db_shuffle_l, l_received,
-                                      prepared.hdfs_out_schema, &l_all);
+                                      l_side.schema, &l_all);
           if (!b.ok() && st.ok()) st = b;
           build_batches = std::move(l_all);
           probe_batches = std::move(t_prime);
-          build_schema = prepared.hdfs_out_schema;
-          probe_schema = prepared.db_proj_schema;
-          build_alias = query.hdfs.alias;
-          probe_alias = query.db.alias;
-          build_key = prepared.hdfs_key_idx;
-          probe_key = prepared.db_key_idx;
+          build = l_side;
+          probe_side = t_side;
           break;
         }
         case DbJoinStrategy::kRepartition: {
@@ -421,95 +408,53 @@ Result<QueryResult> RunDbSideJoin(EngineContext* ctx,
           // the plain DbPartition exchange. With an empty hot set both calls
           // degenerate to the historical repartition byte-for-byte.
           Status rt = RepartitionAmongDb(ctx, i, tags.db_shuffle_t, t_prime,
-                                         prepared.db_proj_schema,
-                                         prepared.db_key_idx, &hot,
+                                         t_side.schema, t_side.key, &hot,
                                          HotRouteMode::kBroadcast, &t_part);
           Status rl = RepartitionAmongDb(ctx, i, tags.db_shuffle_l,
-                                         l_received,
-                                         prepared.hdfs_out_schema,
-                                         prepared.hdfs_key_idx, &hot,
+                                         l_received, l_side.schema,
+                                         l_side.key, &hot,
                                          HotRouteMode::kKeepLocal, &l_part);
           if (!rt.ok() && st.ok()) st = rt;
           if (!rl.ok() && st.ok()) st = rl;
           if (build_db_side) {
             build_batches = std::move(t_part);
             probe_batches = std::move(l_part);
-            build_schema = prepared.db_proj_schema;
-            probe_schema = prepared.hdfs_out_schema;
-            build_alias = query.db.alias;
-            probe_alias = query.hdfs.alias;
-            build_key = prepared.db_key_idx;
-            probe_key = prepared.hdfs_key_idx;
           } else {
             build_batches = std::move(l_part);
             probe_batches = std::move(t_part);
-            build_schema = prepared.hdfs_out_schema;
-            probe_schema = prepared.db_proj_schema;
-            build_alias = query.hdfs.alias;
-            probe_alias = query.db.alias;
-            build_key = prepared.hdfs_key_idx;
-            probe_key = prepared.db_key_idx;
+            build = l_side;
+            probe_side = t_side;
           }
           break;
         }
       }
 
-      // Local hash join + aggregation, morsel-parallel on both phases: the
-      // build side goes through the partitioned parallel build (key-space
-      // shards on the shared exec pool), the probe side through per-thread
-      // probers with thread-local partial aggregates. Under a memory budget
-      // (static knob or the query's governor) the local join runs as a
-      // Grace join over a per-worker spill area instead, so a build side
-      // that exceeds the budget spills partitions rather than erroring.
+      // Local hash join + aggregation through the one join operator, under
+      // the query's memory budget: a build side that exceeds it spills
+      // partitions to a per-worker spill area rather than erroring. Both
+      // phases are morsel-parallel — the resident table builds on the
+      // shared exec pool, the probe runs on per-thread probers with
+      // thread-local partial aggregates.
       HashAggregator agg(query.agg);
-      const JenConfig& jen_config = ctx->config().jen;
-      const uint64_t grace_budget =
-          jen_config.join_memory_budget_bytes > 0
-              ? jen_config.join_memory_budget_bytes
-              : report.governor()->budget();
-      if (st.ok() && grace_budget > 0) {
+      if (st.ok()) {
         trace::Span join_span(&ctx->tracer(), trace::span::kDbJoin,
                               trace::span::kCatJoin);
-        SpillArea spill(jen_config.spill_write_bps,
-                        jen_config.spill_read_bps, &ctx->metrics());
-        GraceJoinOptions grace_options;
-        grace_options.memory_budget_bytes = grace_budget;
-        grace_options.num_partitions = jen_config.grace_partitions;
-        GraceHashJoin grace(build_schema, build_alias, build_key,
-                            probe_schema, probe_alias, probe_key,
-                            query.post_join_predicate, &agg, &ctx->metrics(),
-                            &spill, grace_options);
+        SpillArea spill(ctx->config().jen.spill_write_bps,
+                        ctx->config().jen.spill_read_bps, &ctx->metrics());
+        GraceHashJoin join(build.schema, build.alias, build.key,
+                           probe_side.schema, probe_side.alias,
+                           probe_side.key, query.post_join_predicate, &agg,
+                           &ctx->metrics(), &spill);
         for (RecordBatch& batch : build_batches) {
-          st = grace.AddBuild(std::move(batch));
+          st = join.AddBuild(std::move(batch));
           if (!st.ok()) break;
         }
-        if (st.ok()) st = grace.FinishBuild();
+        if (st.ok()) st = driver::FinishJoinBuild(ctx, &join);
         if (st.ok()) {
-          for (const RecordBatch& batch : probe_batches) {
-            st = grace.AddProbe(batch);
-            if (!st.ok()) break;
-          }
-        }
-        if (st.ok()) st = grace.Finish();
-      } else if (st.ok()) {
-        trace::Span join_span(&ctx->tracer(), trace::span::kDbJoin,
-                              trace::span::kCatJoin);
-        JoinHashTable table(build_key, driver::HashTableShards(ctx));
-        st = table.AddBatchesParallel(std::move(build_batches),
-                                      ctx->exec_pool());
-        driver::FinalizeAndRecordHashTable(ctx, self, &table,
-                                           ctx->exec_pool());
-        if (st.ok()) {
-          driver::ParallelProbe probe(ctx, self, &table, build_schema,
-                                      build_alias, probe_schema, probe_alias,
-                                      probe_key, query.post_join_predicate,
-                                      &agg);
+          driver::ParallelProbe probe(ctx, self, &join, &agg);
           for (RecordBatch& batch : probe_batches) {
-            Status p = probe.Feed(std::move(batch));
-            if (!p.ok()) {
-              st = p;
-              break;
-            }
+            st = probe.Feed(std::move(batch));
+            if (!st.ok()) break;
           }
           const Status fin = probe.Finish();  // joins probe threads
           if (st.ok()) st = fin;

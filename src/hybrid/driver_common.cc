@@ -3,6 +3,7 @@
 #include <memory>
 
 #include "exec/spill.h"
+#include "hybrid/algorithms.h"
 #include "jen/worker.h"
 #include "obs/event_log.h"
 #include "obs/query_registry.h"
@@ -348,92 +349,61 @@ uint32_t HashTableShards(EngineContext* ctx) {
   return threads == 1 ? 1 : 2 * threads;
 }
 
-void FinalizeAndRecordHashTable(EngineContext* ctx, NodeId node,
-                                JoinHashTable* table, ThreadPool* pool) {
-  {
-    trace::Span span(&ctx->tracer(), trace::span::kHtFinalize,
-                     trace::span::kCatJoin, node);
-    span.set_bytes(static_cast<int64_t>(table->num_rows()));
-    if (pool != nullptr && table->num_shards() > 1) {
-      trace::Tracer* tracer = &ctx->tracer();
-      Status st = pool->ParallelFor(
-          0, table->num_shards(), 1, [&](size_t s) {
-            trace::ThreadScope scope(node, trace::InternedRole("build", s));
-            trace::Span shard_span(tracer, trace::span::kHtFinalizeShard,
-                                   trace::span::kCatJoin, node);
-            const auto shard = static_cast<uint32_t>(s);
-            shard_span.set_bytes(
-                static_cast<int64_t>(table->shard_rows(shard)));
-            table->FinalizeShard(shard);
-            return Status::OK();
-          });
-      (void)st;  // FinalizeShard cannot fail
-      table->MarkFinalized();
-    } else {
-      table->Finalize();
-    }
-  }
-  Metrics& m = ctx->metrics();
-  m.Add(metric::kJoinHtRows, static_cast<int64_t>(table->num_rows()));
-  m.Max(metric::kJoinHtMaxChain,
-        static_cast<int64_t>(table->max_chain_length()));
-  m.Max(metric::kJoinHtLoadFactorPct,
-        static_cast<int64_t>(table->load_factor() * 100.0));
-  if (table->num_shards() > 1) {
-    // Shard-skew visibility: histogram values are row counts, not micros.
-    // Record() (vs GetHistogram()->RecordMicros()) also lands the values in
-    // the calling node's scoped slice for the query profile.
-    for (uint32_t s = 0; s < table->num_shards(); ++s) {
-      const auto rows = static_cast<int64_t>(table->shard_rows(s));
-      m.Record(metric::kJoinBuildShardRows, rows);
-      m.Max(metric::kJoinBuildShardRowsMax, rows);
-    }
-  }
+JoinSide DbJoinSide(const PreparedQuery& prepared) {
+  return {prepared.db_proj_schema, prepared.query.db.alias,
+          prepared.db_key_idx};
+}
+
+JoinSide HdfsJoinSide(const PreparedQuery& prepared) {
+  return {prepared.hdfs_out_schema, prepared.query.hdfs.alias,
+          prepared.hdfs_key_idx};
+}
+
+Status FinishJoinBuild(EngineContext* ctx, GraceHashJoin* join) {
+  trace::Span span(&ctx->tracer(), trace::span::kHtFinalize,
+                   trace::span::kCatJoin);
+  return join->FinishBuild(ctx->exec_pool());
 }
 
 ParallelProbe::ParallelProbe(EngineContext* ctx, NodeId node,
-                             const JoinHashTable* build,
-                             SchemaPtr build_schema, std::string build_alias,
-                             SchemaPtr probe_schema, std::string probe_alias,
-                             size_t probe_key_column,
-                             PredicatePtr post_join_predicate,
-                             HashAggregator* agg, const char* probe_span)
-    : ctx_(ctx), agg_(agg) {
+                             GraceHashJoin* join, HashAggregator* agg,
+                             const char* probe_span)
+    : ctx_(ctx), node_(node), join_(join), agg_(agg), probe_span_(probe_span) {
   const uint32_t threads = ctx->exec_threads();
-  probers_.reserve(threads);
   for (uint32_t t = 0; t < threads; ++t) {
-    // Single-threaded: the one prober aggregates straight into the target.
+    // Single-threaded: the one probe thread aggregates straight into agg.
     HashAggregator* sink = agg;
     if (threads > 1) {
       partials_.push_back(std::make_unique<HashAggregator>(agg->spec()));
       sink = partials_.back().get();
     }
-    probers_.push_back(std::make_unique<JoinProber>(
-        build, build_schema, build_alias, probe_schema, probe_alias,
-        probe_key_column, post_join_predicate, sink, &ctx->metrics()));
+    threads_.push_back(join->MakeProbeThread(sink));
   }
-  trace::Tracer* tracer = &ctx->tracer();
-  pipe_ = std::make_unique<BatchMorselPipe>(
-      threads,
-      [this, tracer, probe_span, node](uint32_t t, RecordBatch&& batch) {
-        if (probe_span == nullptr) return probers_[t]->ProbeBatch(batch);
-        trace::Span span(tracer, probe_span, trace::span::kCatJoin, node);
-        span.set_bytes(static_cast<int64_t>(batch.num_rows()));
-        return probers_[t]->ProbeBatch(batch);
-      },
-      node, "probe");
+}
+
+Status ParallelProbe::Feed(RecordBatch&& batch) {
+  if (pipe_ == nullptr) {
+    pipe_ = std::make_unique<BatchMorselPipe>(
+        static_cast<uint32_t>(threads_.size()),
+        [this](uint32_t t, RecordBatch&& b) { return Probe(t, b); }, node_,
+        "probe");
+  }
+  return pipe_->Feed(std::move(batch));
+}
+
+Status ParallelProbe::Probe(uint32_t thread, const RecordBatch& batch) {
+  if (probe_span_ == nullptr) return threads_[thread]->Probe(batch);
+  trace::Span span(&ctx_->tracer(), probe_span_, trace::span::kCatJoin, node_);
+  span.set_bytes(static_cast<int64_t>(batch.num_rows()));
+  return threads_[thread]->Probe(batch);
 }
 
 Status ParallelProbe::Finish() {
-  HJ_RETURN_IF_ERROR(pipe_->Finish());
-  // Workers are joined: the probers and partials are exclusively ours now.
-  for (auto& prober : probers_) {
-    HJ_RETURN_IF_ERROR(prober->Flush());
-  }
-  for (auto& partial : partials_) {
-    HJ_RETURN_IF_ERROR(agg_->Merge(*partial));
-  }
-  return Status::OK();
+  if (pipe_ != nullptr) HJ_RETURN_IF_ERROR(pipe_->Finish());
+  // Workers are joined: the probe threads and partials are ours now.
+  for (auto& thread : threads_) HJ_RETURN_IF_ERROR(thread->Flush());
+  for (auto& partial : partials_) HJ_RETURN_IF_ERROR(agg_->Merge(*partial));
+  return join_->Finish();
 }
 
 void RecordBloomStats(EngineContext* ctx, const BloomFilter& bloom) {

@@ -14,7 +14,7 @@
 #include "common/query_scope.h"
 #include "common/stopwatch.h"
 #include "exec/aggregator.h"
-#include "exec/join_prober.h"
+#include "exec/grace_join.h"
 #include "exec/memory_governor.h"
 #include "exec/morsel.h"
 #include "hybrid/context.h"
@@ -24,6 +24,9 @@
 #include "obs/metric_scope.h"
 
 namespace hybridjoin {
+
+struct PreparedQuery;
+
 namespace driver {
 
 class ReportBuilder;
@@ -233,54 +236,67 @@ Result<std::vector<RecordBatch>> FilterBatchesByBloom(
     const BloomFilter& bloom);
 
 /// Shard count for a morsel-parallel hash-table build: 1 when the context
-/// runs single-threaded (the historical layout), else 2x the exec threads so
-/// the shard ParallelFor load-balances around key skew. Probe results are
-/// byte-identical for any shard count (see exec/join_hash_table.h).
+/// runs single-threaded, else 2x the exec threads so the shard ParallelFor
+/// load-balances around key skew. Probe results are byte-identical for any
+/// shard count (see exec/join_hash_table.h). The join drivers do not use it:
+/// their GraceHashJoin shards by its partition count.
 uint32_t HashTableShards(EngineContext* ctx);
 
-/// Finalizes a join hash table inside a join.ht_finalize span and records
-/// its build shape (row count, load factor, max chain length) under the
-/// join.ht_* counters, plus per-shard row counts under join.build_shard_rows
-/// when the table is sharded. With a pool and a multi-shard table the shards
-/// finalize concurrently (ParallelFor; lanes traced "build/<s>" with one
-/// join.ht_finalize_shard span each); otherwise serially.
-void FinalizeAndRecordHashTable(EngineContext* ctx, NodeId node,
-                                JoinHashTable* table,
-                                ThreadPool* pool = nullptr);
+/// One input of a hash join: its schema, alias and join-key column.
+struct JoinSide {
+  SchemaPtr schema;
+  std::string alias;
+  size_t key = 0;
+};
+/// T' as prepared (DB side) and L' as prepared (HDFS side).
+JoinSide DbJoinSide(const PreparedQuery& prepared);
+JoinSide HdfsJoinSide(const PreparedQuery& prepared);
 
-/// Morsel-parallel probe + partial aggregation. ctx->exec_threads() probe
-/// threads (traced "probe/<t>") each own a JoinProber feeding a thread-local
-/// HashAggregator; Feed() routes probe batches to them through a bounded
-/// queue. Finish() flushes every prober and merges the thread-local partials
-/// into the target aggregator — every aggregate op is commutative and
-/// partials are sorted by group key, so the result is independent of which
-/// thread probed which batch. With exec_threads() == 1 there are no extra
-/// threads: Feed() probes inline into the target aggregator, reproducing
-/// the historical single-threaded pipeline exactly.
+/// Freezes the join's build inside a join.ht_finalize span, extracting and
+/// finalizing its resident table on the context's exec pool.
+Status FinishJoinBuild(EngineContext* ctx, GraceHashJoin* join);
+
+/// Morsel-parallel probe + partial aggregation over a built GraceHashJoin.
+/// ctx->exec_threads() probe threads each own a GraceHashJoin::ProbeThread
+/// feeding a thread-local HashAggregator partial. Batches reach them two
+/// ways: Feed() hands one producer's batches through a bounded queue to pipe
+/// threads (traced "probe/<t>"), and Probe(t, batch) probes inline on a
+/// caller-owned thread t (the JEN scan's process threads). Finish() merges
+/// the partials into the target aggregator — every aggregate op is
+/// commutative and partials are sorted by group key, so the result is
+/// independent of which thread probed which batch — and then joins the
+/// spilled partitions. With exec_threads() == 1 there are no extra threads:
+/// the one probe thread aggregates straight into the target, reproducing the
+/// single-threaded pipeline exactly.
 class ParallelProbe {
  public:
-  /// Mirrors JoinProber's ctor; `agg` receives the merged partials. When
-  /// `probe_span` is non-null every ProbeBatch call is wrapped in a span of
+  /// `join` must be built; `agg` is the aggregator it was constructed with.
+  /// When `probe_span` is non-null every probe call is wrapped in a span of
   /// that name (e.g. trace::span::kJenProbe) under the kCatJoin category.
-  ParallelProbe(EngineContext* ctx, NodeId node, const JoinHashTable* build,
-                SchemaPtr build_schema, std::string build_alias,
-                SchemaPtr probe_schema, std::string probe_alias,
-                size_t probe_key_column, PredicatePtr post_join_predicate,
+  ParallelProbe(EngineContext* ctx, NodeId node, GraceHashJoin* join,
                 HashAggregator* agg, const char* probe_span = nullptr);
 
   /// Routes one probe batch to a probe thread (inline when exec_threads==1).
-  Status Feed(RecordBatch&& batch) { return pipe_->Feed(std::move(batch)); }
+  /// Single producer.
+  Status Feed(RecordBatch&& batch);
 
-  /// Joins the probe threads, flushes every prober, merges thread-local
-  /// partials into the target aggregator. Call exactly once.
+  /// Probes on the calling thread as probe thread `thread`; one caller
+  /// thread per index.
+  Status Probe(uint32_t thread, const RecordBatch& batch);
+
+  /// Joins the probe threads, flushes them, merges the partials, then
+  /// finishes the join (its spilled partition pairs). Call exactly once.
   Status Finish();
 
  private:
   EngineContext* ctx_;
+  NodeId node_;
+  GraceHashJoin* join_;
   HashAggregator* agg_;
+  const char* probe_span_;
   std::vector<std::unique_ptr<HashAggregator>> partials_;
-  std::vector<std::unique_ptr<JoinProber>> probers_;
-  std::unique_ptr<BatchMorselPipe> pipe_;
+  std::vector<std::unique_ptr<GraceHashJoin::ProbeThread>> threads_;
+  std::unique_ptr<BatchMorselPipe> pipe_;  ///< created by the first Feed
 };
 
 /// Records a combined/global Bloom filter's fill fraction and realized-FPR

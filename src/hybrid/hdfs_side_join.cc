@@ -9,7 +9,6 @@
 #include <vector>
 
 #include "exec/grace_join.h"
-#include "exec/join_prober.h"
 #include "exec/partitioned_appender.h"
 #include "hybrid/algorithms.h"
 #include "hybrid/driver_common.h"
@@ -129,138 +128,47 @@ Result<QueryResult> RunBroadcastJoin(EngineContext* ctx,
       driver::NodeProfileScope profile_scope(ctx, NodeId::Hdfs(w), tags);
       trace::Span driver_span(&ctx->tracer(), trace::span::kDriverJenWorker,
                               trace::span::kCatDriver);
+      // Build side is the (small) database table, received straight into
+      // the join; an oversized broadcast side spills instead of erroring.
       const JenConfig& jen_config = ctx->config().jen;
-      // Memory-governed path: when a budget exists (static knob or the
-      // query's governor), T' builds through a Grace join so an oversized
-      // broadcast side spills instead of erroring; scan process threads
-      // then probe through spill-aware ProbeThreads.
-      const uint64_t grace_budget =
-          jen_config.join_memory_budget_bytes > 0
-              ? jen_config.join_memory_budget_bytes
-              : report.governor()->budget();
-      const bool use_grace = grace_budget > 0;
+      const driver::JoinSide t_side = driver::DbJoinSide(prepared);
+      const driver::JoinSide l_side = driver::HdfsJoinSide(prepared);
       HashAggregator agg(query.agg);
-      const uint32_t exec_threads = ctx->exec_threads();
-      std::vector<std::unique_ptr<HashAggregator>> partials;
-      if (use_grace) {
-        SpillArea spill(jen_config.spill_write_bps,
-                        jen_config.spill_read_bps, &ctx->metrics());
-        GraceJoinOptions grace_options;
-        grace_options.memory_budget_bytes = grace_budget;
-        grace_options.num_partitions = jen_config.grace_partitions;
-        GraceHashJoin grace(prepared.db_proj_schema, query.db.alias,
-                            prepared.db_key_idx, prepared.hdfs_out_schema,
-                            query.hdfs.alias, prepared.hdfs_key_idx,
-                            query.post_join_predicate, &agg, &ctx->metrics(),
-                            &spill, grace_options);
-        Status st;
-        {
-          trace::Span build_span(&ctx->tracer(), trace::span::kJenBuild,
-                                 trace::span::kCatJoin);
-          StreamReceiver db_stream(&net, NodeId::Hdfs(w), tags.db_data, m);
-          while (auto msg = db_stream.Next()) {
-            auto batch = RecordBatch::Deserialize(*msg->payload,
-                                                  prepared.db_proj_schema);
-            if (!batch.ok()) {
-              if (st.ok()) st = batch.status();
-              continue;
-            }
-            Status a = grace.AddBuild(std::move(batch).value());
-            if (!a.ok() && st.ok()) st = a;
-          }
-          if (st.ok()) st = db_stream.status();
-          if (st.ok()) st = grace.FinishBuild();
-        }
-        if (w == ctx->coordinator().designated_worker()) {
-          report.Mark("jen_hash_built");
-        }
-        std::vector<std::unique_ptr<GraceHashJoin::ProbeThread>> probes;
-        if (st.ok()) {
-          for (uint32_t t = 0; t < exec_threads; ++t) {
-            HashAggregator* sink = &agg;
-            if (exec_threads > 1) {
-              partials.push_back(std::make_unique<HashAggregator>(query.agg));
-              sink = partials.back().get();
-            }
-            probes.push_back(grace.MakeProbeThread(sink));
-          }
-          const ScanTask task = MakeScanTask(prepared, w, nullptr);
-          st = ctx->jen_worker(w)->ScanBlocksParallel(
-              task, [&](uint32_t t) -> ScanConsumer {
-                GraceHashJoin::ProbeThread* probe = probes[t].get();
-                return [&, probe](RecordBatch&& batch) {
-                  trace::Span probe_span(&ctx->tracer(),
-                                         trace::span::kJenProbe,
-                                         trace::span::kCatJoin);
-                  return probe->Probe(batch);
-                };
-              });
-        }
-        // Scan threads are joined: flush per-thread spill buffers and
-        // probers, merge partials, then join the spilled pairs.
-        for (auto& probe : probes) {
-          if (st.ok()) st = probe->Flush();
-        }
-        for (auto& partial : partials) {
-          if (st.ok()) st = agg.Merge(*partial);
-        }
-        if (st.ok()) st = grace.Finish();
-        errors.Record(st);
-      } else {
-        JoinHashTable table(prepared.db_key_idx,
-                            driver::HashTableShards(ctx));
-        {
-          trace::Span build_span(&ctx->tracer(), trace::span::kJenBuild,
-                                 trace::span::kCatJoin);
-          errors.Record(ReceiveIntoHashTable(&net, NodeId::Hdfs(w),
-                                             tags.db_data, m,
-                                             prepared.db_proj_schema,
-                                             &table));
-          driver::FinalizeAndRecordHashTable(ctx, NodeId::Hdfs(w), &table,
-                                             ctx->exec_pool());
-        }
-        if (w == ctx->coordinator().designated_worker()) {
-          report.Mark("jen_hash_built");
-        }
-
-        // Build side is the (small) database table; probe with L during the
-        // scan so network wait, scan and join overlap. Each scan process
-        // thread owns a JoinProber and (when parallel) a thread-local
-        // partial aggregate, merged after the scan — commutative ops +
-        // key-sorted partials keep the result independent of the morsel
-        // split.
-        std::vector<std::unique_ptr<JoinProber>> probers;
-        for (uint32_t t = 0; t < exec_threads; ++t) {
-          HashAggregator* sink = &agg;
-          if (exec_threads > 1) {
-            partials.push_back(std::make_unique<HashAggregator>(query.agg));
-            sink = partials.back().get();
-          }
-          probers.push_back(std::make_unique<JoinProber>(
-              &table, prepared.db_proj_schema, query.db.alias,
-              prepared.hdfs_out_schema, query.hdfs.alias,
-              prepared.hdfs_key_idx, query.post_join_predicate, sink,
-              &ctx->metrics()));
-        }
+      SpillArea spill(jen_config.spill_write_bps, jen_config.spill_read_bps,
+                      &ctx->metrics());
+      GraceHashJoin join(t_side.schema, t_side.alias, t_side.key,
+                         l_side.schema, l_side.alias, l_side.key,
+                         query.post_join_predicate, &agg, &ctx->metrics(),
+                         &spill);
+      Status st;
+      {
+        trace::Span build_span(&ctx->tracer(), trace::span::kJenBuild,
+                               trace::span::kCatJoin);
+        st = ReceiveEach(&net, NodeId::Hdfs(w), tags.db_data, m,
+                         t_side.schema, [&](RecordBatch&& batch) {
+                           return join.AddBuild(std::move(batch));
+                         });
+        if (st.ok()) st = driver::FinishJoinBuild(ctx, &join);
+      }
+      if (w == ctx->coordinator().designated_worker()) {
+        report.Mark("jen_hash_built");
+      }
+      // Probe with L during the scan so network wait, scan and join
+      // overlap: each scan process thread is one of the probe's threads.
+      if (st.ok()) {
+        driver::ParallelProbe probe(ctx, NodeId::Hdfs(w), &join, &agg,
+                                    trace::span::kJenProbe);
         const ScanTask task = MakeScanTask(prepared, w, nullptr);
-        Status st = ctx->jen_worker(w)->ScanBlocksParallel(
+        st = ctx->jen_worker(w)->ScanBlocksParallel(
             task, [&](uint32_t t) -> ScanConsumer {
-              JoinProber* prober = probers[t].get();
-              return [&, prober](RecordBatch&& batch) {
-                trace::Span probe_span(&ctx->tracer(),
-                                       trace::span::kJenProbe,
-                                       trace::span::kCatJoin);
-                return prober->ProbeBatch(batch);
+              return [&, t](RecordBatch&& batch) {
+                return probe.Probe(t, batch);
               };
             });
-        for (auto& prober : probers) {
-          if (st.ok()) st = prober->Flush();
-        }
-        for (auto& partial : partials) {
-          if (st.ok()) st = agg.Merge(*partial);
-        }
-        errors.Record(st);
+        const Status fin = probe.Finish();
+        if (st.ok()) st = fin;
       }
+      errors.Record(st);
       if (w == ctx->coordinator().designated_worker()) {
         report.Mark("jen_scan_probe_done");
       }
@@ -299,10 +207,6 @@ Result<QueryResult> RunRepartitionFamilyJoin(EngineContext* ctx,
   if (semijoin && options.build_on_db_data) {
     return Status::InvalidArgument(
         "exact semijoin needs the hash table on the HDFS side");
-  }
-  if (semijoin && ctx->config().jen.join_memory_budget_bytes > 0) {
-    return Status::InvalidArgument(
-        "exact semijoin is not supported with a join-memory budget");
   }
   const HybridQuery& query = prepared.query;
   const uint32_t m = ctx->num_db_workers();
@@ -615,37 +519,30 @@ Result<QueryResult> RunRepartitionFamilyJoin(EngineContext* ctx,
       }
 
       // Receive threads drain the shuffled L' as it arrives (Figure 7,
-      // right side) — into the join hash table by default (the paper's
-      // choice: the shuffle completes with the scan, long before any
-      // database record can arrive), into a memory-bounded Grace join
-      // when a budget is configured (§4.4 future work), or into a plain
-      // buffer for the build-on-DB-data ablation.
+      // right side) straight into the join's build — the paper's choice:
+      // the shuffle completes with the scan, long before any database
+      // record can arrive. The build-on-DB-data ablation buffers L' instead
+      // and builds on the database records, which only arrive after BF_H.
       const JenConfig& jen_config = ctx->config().jen;
-      // The semijoin variant needs an exact-membership table over L', which
-      // the partitioned grace build cannot answer; with only a governor
-      // budget it runs the plain table and overcommits (never wrong, just
-      // unbudgeted), while the static knob keeps its historical hard error
-      // above.
-      const uint64_t grace_budget =
-          jen_config.join_memory_budget_bytes > 0
-              ? jen_config.join_memory_budget_bytes
-              : report.governor()->budget();
-      const bool use_grace =
-          !options.build_on_db_data && !semijoin && grace_budget > 0;
+      const driver::JoinSide l_side = driver::HdfsJoinSide(prepared);
+      const driver::JoinSide t_side = driver::DbJoinSide(prepared);
+      const bool build_l = !options.build_on_db_data;
+      const driver::JoinSide& build = build_l ? l_side : t_side;
+      const driver::JoinSide& probe_side = build_l ? t_side : l_side;
       HashAggregator agg(query.agg);
       SpillArea spill(jen_config.spill_write_bps, jen_config.spill_read_bps,
                       &ctx->metrics());
-      GraceJoinOptions grace_options;
-      grace_options.memory_budget_bytes = grace_budget;
-      grace_options.num_partitions = jen_config.grace_partitions;
-      GraceHashJoin grace(prepared.hdfs_out_schema, query.hdfs.alias,
-                          prepared.hdfs_key_idx, prepared.db_proj_schema,
-                          query.db.alias, prepared.db_key_idx,
-                          query.post_join_predicate, &agg, &ctx->metrics(),
-                          &spill, grace_options);
-      JoinHashTable l_table(prepared.hdfs_key_idx,
-                            driver::HashTableShards(ctx));
-      std::vector<RecordBatch> l_buffer;
+      GraceHashJoin join(build.schema, build.alias, build.key,
+                         probe_side.schema, probe_side.alias, probe_side.key,
+                         query.post_join_predicate, &agg, &ctx->metrics(),
+                         &spill);
+      std::vector<RecordBatch> l_buffer;  // the ablation's probe side
+      // L' rows for the build (or the ablation's buffer).
+      auto take_l = [&](RecordBatch&& batch) -> Status {
+        if (build_l) return join.AddBuild(std::move(batch));
+        l_buffer.push_back(std::move(batch));
+        return Status::OK();
+      };
       Status receive_status;
       const uint64_t query_id = QueryScope::Current();
       std::thread receiver([&, query_id] {
@@ -654,32 +551,8 @@ Result<QueryResult> RunRepartitionFamilyJoin(EngineContext* ctx,
         trace::ThreadScope receive_scope(self, "jen_receive");
         trace::Span build_span(&ctx->tracer(), trace::span::kJenBuild,
                                trace::span::kCatJoin);
-        if (use_grace) {
-          StreamReceiver shuffle_stream(&net, self, tags.shuffle, n);
-          while (auto msg = shuffle_stream.Next()) {
-            auto batch = RecordBatch::Deserialize(*msg->payload,
-                                                  prepared.hdfs_out_schema);
-            if (!batch.ok()) {
-              receive_status = batch.status();
-              continue;
-            }
-            Status a = grace.AddBuild(std::move(batch).value());
-            if (!a.ok() && receive_status.ok()) receive_status = a;
-          }
-          if (receive_status.ok()) receive_status = shuffle_stream.status();
-        } else if (options.build_on_db_data) {
-          auto received = ReceiveAllBatches(&net, self, tags.shuffle, n,
-                                            prepared.hdfs_out_schema);
-          if (received.ok()) {
-            l_buffer = std::move(received).value();
-          } else {
-            receive_status = received.status();
-          }
-        } else {
-          receive_status =
-              ReceiveIntoHashTable(&net, self, tags.shuffle, n,
-                                   prepared.hdfs_out_schema, &l_table);
-        }
+        receive_status =
+            ReceiveEach(&net, self, tags.shuffle, n, l_side.schema, take_l);
       });
 
       // Scan + filter + BF_DB + projection, shuffling L' with the agreed
@@ -803,16 +676,7 @@ Result<QueryResult> RunRepartitionFamilyJoin(EngineContext* ctx,
         for (auto& thread_batches : hot_parked) {
           for (RecordBatch& batch : thread_batches) {
             hot_probe_rows += static_cast<int64_t>(batch.num_rows());
-            if (!st.ok()) continue;
-            if (use_grace) {
-              Status a = grace.AddBuild(std::move(batch));
-              if (!a.ok()) st = a;
-            } else if (options.build_on_db_data) {
-              l_buffer.push_back(std::move(batch));
-            } else {
-              Status a = l_table.AddBatch(std::move(batch));
-              if (!a.ok()) st = a;
-            }
+            if (st.ok()) st = take_l(std::move(batch));
           }
           thread_batches.clear();
         }
@@ -822,159 +686,83 @@ Result<QueryResult> RunRepartitionFamilyJoin(EngineContext* ctx,
         }
       }
 
-      if (use_grace) {
-        // Grace/hybrid hash join: resident partitions were built during
-        // the shuffle; spilled ones are joined pairwise at the end.
-        if (st.ok()) st = grace.FinishBuild();
-        if (w == designated) report.Mark("jen_hash_built");
-        // Spill-aware morsel probe: each worker thread owns a
-        // GraceHashJoin::ProbeThread (per-partition probers over the shared
-        // frozen tables plus thread-local spill buffers) feeding a
-        // thread-local partial aggregate. Morsels whose partition spilled
-        // divert to the partition's probe spill file instead of probing.
-        const uint32_t exec_threads = ctx->exec_threads();
-        std::vector<std::unique_ptr<HashAggregator>> grace_partials;
-        std::vector<std::unique_ptr<GraceHashJoin::ProbeThread>> grace_probes;
-        std::unique_ptr<BatchMorselPipe> pipe;
-        if (st.ok()) {
-          for (uint32_t t = 0; t < exec_threads; ++t) {
-            HashAggregator* sink = &agg;
-            if (exec_threads > 1) {
-              grace_partials.push_back(
-                  std::make_unique<HashAggregator>(query.agg));
-              sink = grace_partials.back().get();
-            }
-            grace_probes.push_back(grace.MakeProbeThread(sink));
+      // Paper's plan: the join over L' probes with the arriving database
+      // records (buffered by the network while we were building). The
+      // ablation builds on those records and probes with the buffered L'.
+      if (!build_l) {
+        const Status built =
+            ReceiveEach(&net, self, tags.db_data, m, t_side.schema,
+                        [&](RecordBatch&& batch) {
+                          return join.AddBuild(std::move(batch));
+                        });
+        if (st.ok()) st = built;
+      }
+      if (st.ok()) st = driver::FinishJoinBuild(ctx, &join);
+      if (w == designated) report.Mark("jen_hash_built");
+      if (semijoin) {
+        // Answer each DB worker's key list with a membership bitmap over
+        // this worker's shuffled L' keys — exact for resident partitions,
+        // "present" for spilled ones, whose extra T'' rows the join drops.
+        // Replying to all m lists is a protocol obligation, even after an
+        // earlier error (an all-zero bitmap then suffices to unblock the
+        // sender).
+        for (uint32_t j = 0; j < m; ++j) {
+          auto msg = net.Recv(self, tags.bloom_h_local);
+          if (!msg.ok()) {
+            if (st.ok()) st = msg.status();
+            break;
           }
-          pipe = std::make_unique<BatchMorselPipe>(
-              exec_threads,
-              [&](uint32_t t, RecordBatch&& batch) -> Status {
-                trace::Span probe_span(&ctx->tracer(),
-                                       trace::span::kJenProbe,
-                                       trace::span::kCatJoin);
-                return grace_probes[t]->Probe(batch);
-              },
-              self, "probe");
-        }
-        StreamReceiver db_stream(&net, self, tags.db_data, m);
-        while (auto msg = db_stream.Next()) {
-          if (!st.ok()) continue;  // keep draining to honor the protocol
-          auto batch = RecordBatch::Deserialize(*msg->payload,
-                                                prepared.db_proj_schema);
-          if (batch.ok()) {
-            Status p = pipe->Feed(std::move(batch).value());
-            if (!p.ok()) st = p;
-          } else {
-            st = batch.status();
-          }
-        }
-        if (st.ok()) st = db_stream.status();
-        if (pipe != nullptr) {
-          const Status fin = pipe->Finish();  // joins probe threads
-          if (st.ok()) st = fin;
-        }
-        // Probe threads joined: flush spill buffers + probers, merge the
-        // partials, then join the spilled partition pairs.
-        for (auto& probe : grace_probes) {
-          if (st.ok()) st = probe->Flush();
-        }
-        for (auto& partial : grace_partials) {
-          if (st.ok()) st = agg.Merge(*partial);
-        }
-        if (st.ok()) st = grace.Finish();
-      } else if (!options.build_on_db_data) {
-        // Paper's plan: hash table over L', probe with arriving database
-        // records (buffered by the network while we were building).
-        driver::FinalizeAndRecordHashTable(ctx, self, &l_table,
-                                           ctx->exec_pool());
-        if (w == designated) report.Mark("jen_hash_built");
-        if (semijoin) {
-          // Answer each DB worker's key list with an exact membership
-          // bitmap over this worker's shuffled L' keys. Replying to all m
-          // lists is a protocol obligation, even after an earlier error
-          // (an all-zero bitmap then suffices to unblock the sender).
-          for (uint32_t j = 0; j < m; ++j) {
-            auto msg = net.Recv(self, tags.bloom_h_local);
-            if (!msg.ok()) {
-              if (st.ok()) st = msg.status();
-              break;
+          if (msg->eos || msg->payload == nullptr) {
+            if (st.ok()) {
+              st = Status::Internal("expected semijoin key list");
             }
-            if (msg->eos || msg->payload == nullptr) {
-              if (st.ok()) {
-                st = Status::Internal("expected semijoin key list");
+            continue;
+          }
+          BinaryReader r(*msg->payload);
+          std::vector<uint8_t> bitmap;
+          auto count = r.GetVarint();
+          if (count.ok()) {
+            bitmap.assign((*count + 7) / 8, 0);
+            for (uint64_t k = 0; k < *count; ++k) {
+              auto key = r.GetI64();
+              if (!key.ok()) {
+                if (st.ok()) st = key.status();
+                break;
               }
-              continue;
-            }
-            BinaryReader r(*msg->payload);
-            std::vector<uint8_t> bitmap;
-            auto count = r.GetVarint();
-            if (count.ok()) {
-              bitmap.assign((*count + 7) / 8, 0);
-              for (uint64_t k = 0; k < *count; ++k) {
-                auto key = r.GetI64();
-                if (!key.ok()) {
-                  if (st.ok()) st = key.status();
-                  break;
-                }
-                if (st.ok() && l_table.Contains(*key)) {
-                  bitmap[k / 8] |= static_cast<uint8_t>(1u << (k % 8));
-                }
+              if (st.ok() && join.Contains(*key)) {
+                bitmap[k / 8] |= static_cast<uint8_t>(1u << (k % 8));
               }
-            } else if (st.ok()) {
-              st = count.status();
             }
-            Status sent = SendWithRetry(&net, self, msg->from,
-                                        tags.bloom_h_global,
-                                        std::move(bitmap));
-            if (!sent.ok() && st.ok()) st = sent;
+          } else if (st.ok()) {
+            st = count.status();
           }
+          Status sent = SendWithRetry(&net, self, msg->from,
+                                      tags.bloom_h_global,
+                                      std::move(bitmap));
+          if (!sent.ok() && st.ok()) st = sent;
         }
-        driver::ParallelProbe probe(
-            ctx, self, &l_table, prepared.hdfs_out_schema, query.hdfs.alias,
-            prepared.db_proj_schema, query.db.alias, prepared.db_key_idx,
-            query.post_join_predicate, &agg, trace::span::kJenProbe);
-        StreamReceiver db_stream(&net, self, tags.db_data, m);
-        while (auto msg = db_stream.Next()) {
-          if (!st.ok()) continue;  // keep draining to honor the protocol
-          auto batch = RecordBatch::Deserialize(*msg->payload,
-                                                prepared.db_proj_schema);
-          if (batch.ok()) {
-            Status p = probe.Feed(std::move(batch).value());
-            if (!p.ok()) st = p;
-          } else {
-            st = batch.status();
-          }
-        }
-        if (st.ok()) st = db_stream.status();
-        {
-          const Status fin = probe.Finish();  // joins probe threads
-          if (st.ok()) st = fin;
-        }
+      }
+      std::optional<driver::ParallelProbe> probe;
+      if (st.ok()) {
+        probe.emplace(ctx, self, &join, &agg, trace::span::kJenProbe);
+      }
+      auto feed = [&](RecordBatch&& batch) {
+        return probe ? probe->Feed(std::move(batch)) : Status::OK();
+      };
+      if (build_l) {
+        // Drained even after an error, to honor the protocol.
+        const Status received = ReceiveEach(&net, self, tags.db_data, m,
+                                            t_side.schema, feed);
+        if (st.ok()) st = received;
       } else {
-        // Ablation: build on the database records (which only start to
-        // arrive after BF_H — all of L' sits buffered meanwhile).
-        JoinHashTable db_table(prepared.db_key_idx,
-                               driver::HashTableShards(ctx));
-        Status build_status = ReceiveIntoHashTable(
-            &net, self, tags.db_data, m, prepared.db_proj_schema, &db_table);
-        if (st.ok()) st = build_status;
-        driver::FinalizeAndRecordHashTable(ctx, self, &db_table,
-                                           ctx->exec_pool());
-        if (w == designated) report.Mark("jen_hash_built");
-        driver::ParallelProbe probe(
-            ctx, self, &db_table, prepared.db_proj_schema, query.db.alias,
-            prepared.hdfs_out_schema, query.hdfs.alias,
-            prepared.hdfs_key_idx, query.post_join_predicate, &agg,
-            trace::span::kJenProbe);
         for (RecordBatch& batch : l_buffer) {
           if (!st.ok()) break;
-          Status p = probe.Feed(std::move(batch));
-          if (!p.ok()) st = p;
+          st = feed(std::move(batch));
         }
-        {
-          const Status fin = probe.Finish();  // joins probe threads
-          if (st.ok()) st = fin;
-        }
+      }
+      if (probe) {
+        const Status fin = probe->Finish();  // joins probe threads
+        if (st.ok()) st = fin;
       }
       errors.Record(st);
       if (w == designated) report.Mark("jen_probe_done");

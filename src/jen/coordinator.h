@@ -30,11 +30,6 @@ struct JenConfig {
   bool chunk_skipping = true;       ///< columnar min/max pruning
   /// Bytes charged for looking at a block footer when the block is skipped.
   uint64_t footer_read_bytes = 256;
-  /// Memory budget for the local join's resident build side, in bytes.
-  /// 0 keeps the paper's all-in-memory join; > 0 enables the Grace/hybrid
-  /// hash join with spilling (the paper's §4.4 future work).
-  uint64_t join_memory_budget_bytes = 0;
-  uint32_t grace_partitions = 16;
   /// Spill disk bandwidths (bytes/sec; 0 = unthrottled).
   uint64_t spill_write_bps = 0;
   uint64_t spill_read_bps = 0;

@@ -139,31 +139,30 @@ Status BatchSender::Finish(const std::vector<NodeId>& dests) {
   return status();
 }
 
+Status ReceiveEach(Network* network, NodeId self, uint64_t tag,
+                   uint32_t expected_senders, const SchemaPtr& schema,
+                   const std::function<Status(RecordBatch&&)>& fn) {
+  Status st;
+  StreamReceiver receiver(network, self, tag, expected_senders);
+  while (auto msg = receiver.Next()) {
+    if (!st.ok()) continue;  // keep draining to honor the protocol
+    auto batch = RecordBatch::Deserialize(*msg->payload, schema);
+    st = batch.ok() ? fn(std::move(batch).value()) : batch.status();
+  }
+  return st.ok() ? receiver.status() : st;
+}
+
 Result<std::vector<RecordBatch>> ReceiveAllBatches(Network* network,
                                                    NodeId self, uint64_t tag,
                                                    uint32_t expected_senders,
                                                    const SchemaPtr& schema) {
   std::vector<RecordBatch> out;
-  StreamReceiver receiver(network, self, tag, expected_senders);
-  while (auto msg = receiver.Next()) {
-    HJ_ASSIGN_OR_RETURN(RecordBatch batch,
-                        RecordBatch::Deserialize(*msg->payload, schema));
-    out.push_back(std::move(batch));
-  }
-  HJ_RETURN_IF_ERROR(receiver.status());
+  HJ_RETURN_IF_ERROR(ReceiveEach(network, self, tag, expected_senders, schema,
+                                 [&](RecordBatch&& batch) {
+                                   out.push_back(std::move(batch));
+                                   return Status::OK();
+                                 }));
   return out;
-}
-
-Status ReceiveIntoHashTable(Network* network, NodeId self, uint64_t tag,
-                            uint32_t expected_senders,
-                            const SchemaPtr& schema, JoinHashTable* table) {
-  StreamReceiver receiver(network, self, tag, expected_senders);
-  while (auto msg = receiver.Next()) {
-    HJ_ASSIGN_OR_RETURN(RecordBatch batch,
-                        RecordBatch::Deserialize(*msg->payload, schema));
-    HJ_RETURN_IF_ERROR(table->AddBatch(std::move(batch)));
-  }
-  return receiver.status();
 }
 
 void SendBloom(Network* network, NodeId from, NodeId to, uint64_t tag,

@@ -7,6 +7,7 @@
 #define HYBRIDJOIN_JEN_EXCHANGE_H_
 
 #include <atomic>
+#include <functional>
 #include <memory>
 #include <mutex>
 #include <thread>
@@ -15,7 +16,6 @@
 #include "bloom/bloom_filter.h"
 #include "common/blocking_queue.h"
 #include "exec/heavy_hitters.h"
-#include "exec/join_hash_table.h"
 #include "exec/memory_governor.h"
 #include "exec/partitioned_appender.h"
 #include "expr/predicate.h"
@@ -172,18 +172,21 @@ class BatchSender {
   std::atomic<bool> failed_{false};
 };
 
+/// Drains the `expected_senders` streams on (self, tag), handing every
+/// batch to `fn` as it arrives — the paper's receive threads that build the
+/// join as shuffled data arrives. After the first error (a bad payload or a
+/// failing `fn`) the rest of the stream is still drained, so no message is
+/// left behind, but `fn` is no longer called. Returns that first error, or
+/// the stream's own status.
+Status ReceiveEach(Network* network, NodeId self, uint64_t tag,
+                   uint32_t expected_senders, const SchemaPtr& schema,
+                   const std::function<Status(RecordBatch&&)>& fn);
+
 /// Receives every batch from `expected_senders` streams on (self, tag).
 Result<std::vector<RecordBatch>> ReceiveAllBatches(Network* network,
                                                    NodeId self, uint64_t tag,
                                                    uint32_t expected_senders,
                                                    const SchemaPtr& schema);
-
-/// Receives batches directly into a hash table (the paper's receive threads
-/// that build the join hash table as shuffled data arrives). Does not
-/// finalize the table.
-Status ReceiveIntoHashTable(Network* network, NodeId self, uint64_t tag,
-                            uint32_t expected_senders,
-                            const SchemaPtr& schema, JoinHashTable* table);
 
 /// Bloom filter transfer (metered under the bloom.* counters).
 void SendBloom(Network* network, NodeId from, NodeId to, uint64_t tag,

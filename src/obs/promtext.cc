@@ -193,11 +193,13 @@ std::string RenderPrometheus(Metrics& metrics) {
     out += "# TYPE " + pname + (gauge ? " gauge\n" : " counter\n");
     out += pname + " " + FormatNumber(static_cast<double>(value)) + "\n";
   }
-  // HistogramSnapshot() lists the non-empty histograms; the bucket counts
-  // come from the live LatencyHistogram handles (stable for the registry's
-  // lifetime).
+  // HistogramSnapshot() lists the non-empty histograms. Every figure of one
+  // histogram comes from a single Counts copy of its live buckets, so the
+  // `le` buckets, `+Inf` and `_count` agree even while Record calls race
+  // the render.
   for (const auto& [name, summary] : metrics.HistogramSnapshot()) {
-    const LatencyHistogram* hist = metrics.GetHistogram(name);
+    const LatencyHistogram::Counts counts = metrics.GetHistogram(name)->Load();
+    const std::string count = FormatNumber(static_cast<double>(counts.Count()));
     const std::string pname = PrometheusName(name);
     out += "# HELP " + pname + " Engine histogram " + name + "\n";
     out += "# TYPE " + pname + " histogram\n";
@@ -205,14 +207,14 @@ std::string RenderPrometheus(Metrics& metrics) {
       const int64_t micros = static_cast<int64_t>(bound * 1e6);
       out += pname + "_bucket{le=\"" + FormatNumber(bound) + "\"} " +
              FormatNumber(static_cast<double>(
-                 hist->CountAtOrBelowMicros(micros))) +
+                 counts.CountAtOrBelowMicros(micros))) +
              "\n";
     }
-    out += pname + "_bucket{le=\"+Inf\"} " +
-           FormatNumber(static_cast<double>(summary.count)) + "\n";
-    out += pname + "_sum " + FormatNumber(summary.total_seconds) + "\n";
-    out += pname + "_count " +
-           FormatNumber(static_cast<double>(summary.count)) + "\n";
+    out += pname + "_bucket{le=\"+Inf\"} " + count + "\n";
+    out += pname + "_sum " +
+           FormatNumber(static_cast<double>(counts.total_micros) * 1e-6) +
+           "\n";
+    out += pname + "_count " + count + "\n";
   }
   return out;
 }

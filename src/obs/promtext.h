@@ -4,7 +4,7 @@
 // '_' and prefixing "hj_"; monotonic counters gain the conventional
 // "_total" suffix and TYPE counter, known last-value/maximum series render
 // as TYPE gauge, and every LatencyHistogram renders as a TYPE histogram
-// with cumulative `le` buckets (from LatencyHistogram::CountAtOrBelowMicros
+// with cumulative `le` buckets (from one LatencyHistogram::Counts copy
 // at fixed bounds), the mandatory +Inf bucket, and _sum/_count in seconds.
 
 #ifndef HYBRIDJOIN_OBS_PROMTEXT_H_

@@ -170,8 +170,6 @@ inline constexpr char kJenShuffle[] = "jen.shuffle";
 inline constexpr char kJenBuild[] = "jen.build";
 inline constexpr char kJenProbe[] = "jen.probe";
 inline constexpr char kHtFinalize[] = "join.ht_finalize";
-/// One shard's bucket-directory build within a parallel finalize.
-inline constexpr char kHtFinalizeShard[] = "join.ht_finalize_shard";
 inline constexpr char kJenAggregate[] = "jen.aggregate";
 // EDW side.
 inline constexpr char kDbScan[] = "edw.scan";

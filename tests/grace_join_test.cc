@@ -7,7 +7,9 @@
 #include "common/random.h"
 #include "common/stopwatch.h"
 #include "exec/grace_join.h"
+#include "hybrid/reference.h"
 #include "hybrid/warehouse.h"
+#include "testing/differential.h"
 #include "workload/loader.h"
 
 namespace hybridjoin {
@@ -324,8 +326,7 @@ TEST(GraceJoinTest, ZigzagWithSpillBudgetMatchesUnlimited) {
     config.db.num_workers = 2;
     config.jen_workers = 3;
     config.bloom.expected_keys = wc.num_join_keys;
-    config.jen.join_memory_budget_bytes = budget;
-    config.jen.grace_partitions = 8;
+    config.query_memory_budget_bytes = budget;
     HybridWarehouse hw(config);
     HJ_CHECK_OK(LoadWorkload(&hw, *workload));
     auto result = hw.Execute(workload->MakeQuery(), JoinAlgorithm::kZigzag);
@@ -349,6 +350,74 @@ TEST(GraceJoinTest, ZigzagWithSpillBudgetMatchesUnlimited) {
     EXPECT_EQ(spilled.column(0).i64()[r], unlimited.column(0).i64()[r]);
     EXPECT_EQ(spilled.column(1).i64()[r], unlimited.column(1).i64()[r]);
   }
+}
+
+// One operator, one accounting: a budget that does not bind changes nothing,
+// so the budgeted run reports the unbudgeted run's peak. The peak also holds
+// in-flight exchange payloads, whose timing varies, so each side takes the
+// largest peak of a few runs.
+TEST(GraceJoinTest, NonBindingBudgetReportsUnbudgetedPeak) {
+  WorkloadConfig wc;
+  wc.num_join_keys = 512;
+  wc.t_rows = 8000;
+  wc.l_rows = 40000;
+  auto workload = Workload::Generate(wc, {0.3, 0.4, 0.5, 0.5});
+  ASSERT_TRUE(workload.ok());
+
+  auto max_peak = [&](uint64_t budget) {
+    SimulationConfig config;
+    config.db.num_workers = 2;
+    config.jen_workers = 3;
+    config.bloom.expected_keys = wc.num_join_keys;
+    config.query_memory_budget_bytes = budget;
+    HybridWarehouse hw(config);
+    HJ_CHECK_OK(LoadWorkload(&hw, *workload));
+    int64_t peak = 0;
+    for (int i = 0; i < 3; ++i) {
+      auto result = hw.Execute(workload->MakeQuery(), JoinAlgorithm::kZigzag);
+      HJ_CHECK(result.ok()) << result.status();
+      EXPECT_EQ(result->report.Counter(metric::kSpilledPartitions), 0);
+      const auto* row = result->report.profile.FindCounter(
+          "driver", metric::kJoinMemPeakBytes);
+      HJ_CHECK(row != nullptr);
+      peak = std::max(peak, row->total);
+    }
+    return peak;
+  };
+
+  const int64_t unbudgeted = max_peak(0);
+  ASSERT_GT(unbudgeted, 0);
+  const int64_t budgeted = max_peak(4 * static_cast<uint64_t>(unbudgeted));
+  EXPECT_GE(budgeted, unbudgeted * 9 / 10);
+  EXPECT_LE(budgeted, unbudgeted * 11 / 10);
+}
+
+// The exact-semijoin zigzag runs under the query budget like every other
+// variant: a budget far below its build spills, and the result stays exact.
+TEST(GraceJoinTest, ExactSemijoinZigzagSpillsUnderBudget) {
+  WorkloadConfig wc;
+  wc.num_join_keys = 512;
+  wc.t_rows = 8000;
+  wc.l_rows = 40000;
+  auto workload = Workload::Generate(wc, {0.3, 0.4, 0.5, 0.5});
+  ASSERT_TRUE(workload.ok());
+  const HybridQuery query = workload->MakeQuery();
+  auto expected =
+      RunReferenceJoin({workload->t_rows()}, workload->l_batches(), query);
+  ASSERT_TRUE(expected.ok()) << expected.status();
+
+  SimulationConfig config;
+  config.db.num_workers = 2;
+  config.jen_workers = 3;
+  config.bloom.expected_keys = wc.num_join_keys;
+  config.query_memory_budget_bytes = 64 * 1024;
+  HybridWarehouse hw(config);
+  HJ_CHECK_OK(LoadWorkload(&hw, *workload));
+  auto result = testing_support::RunVariant(&hw, query, "zigzag_semijoin");
+  ASSERT_TRUE(result.ok()) << result.status();
+  EXPECT_GT(result->report.Counter(metric::kSpilledPartitions), 0);
+  const auto diff = testing_support::CompareBatches(*expected, result->rows);
+  EXPECT_FALSE(diff.has_value()) << *diff;
 }
 
 }  // namespace

@@ -11,6 +11,7 @@
 #include <set>
 #include <thread>
 
+#include "exec/join_hash_table.h"
 #include "hdfs/table_writer.h"
 #include "hybrid/warehouse.h"
 #include "jen/exchange.h"
@@ -505,7 +506,7 @@ TEST_F(JenFixture, BatchSenderDeliversAndEos) {
   EXPECT_TRUE(none->empty());
 }
 
-TEST_F(JenFixture, ReceiveIntoHashTableBuilds) {
+TEST_F(JenFixture, ReceiveEachBuildsHashTable) {
   auto schema = Schema::Make({{"k", DataType::kInt32}});
   RecordBatch b(schema);
   for (int32_t i = 0; i < 5; ++i) b.AppendRow({Value(i)});
@@ -513,12 +514,45 @@ TEST_F(JenFixture, ReceiveIntoHashTableBuilds) {
   network_->Send(NodeId::Hdfs(1), NodeId::Hdfs(0), tag, b.Serialize());
   network_->SendEos(NodeId::Hdfs(1), NodeId::Hdfs(0), tag);
   JoinHashTable table(0);
-  ASSERT_TRUE(ReceiveIntoHashTable(network_.get(), NodeId::Hdfs(0), tag, 1,
-                                   schema, &table)
+  ASSERT_TRUE(ReceiveEach(network_.get(), NodeId::Hdfs(0), tag, 1, schema,
+                          [&](RecordBatch&& batch) {
+                            return table.AddBatch(std::move(batch));
+                          })
                   .ok());
   table.Finalize();
   EXPECT_EQ(table.num_rows(), 5u);
   EXPECT_TRUE(table.Contains(3));
+}
+
+TEST_F(JenFixture, ReceiveEachDrainsPastAnError) {
+  auto schema = Schema::Make({{"k", DataType::kInt32}});
+  RecordBatch b(schema);
+  b.AppendRow({Value(int32_t{1})});
+  const uint64_t tag = network_->AllocateTagBlock();
+  for (int i = 0; i < 3; ++i) {
+    network_->Send(NodeId::Hdfs(1), NodeId::Hdfs(0), tag, b.Serialize());
+  }
+  network_->SendEos(NodeId::Hdfs(1), NodeId::Hdfs(0), tag);
+  RecordBatch marker(schema);
+  marker.AppendRow({Value(int32_t{99})});
+  network_->Send(NodeId::Hdfs(1), NodeId::Hdfs(0), tag, marker.Serialize());
+  int calls = 0;
+  const Status st =
+      ReceiveEach(network_.get(), NodeId::Hdfs(0), tag, 1, schema,
+                  [&](RecordBatch&&) {
+                    ++calls;
+                    return Status::Internal("consumer failed");
+                  });
+  EXPECT_FALSE(st.ok());
+  EXPECT_EQ(calls, 1);  // no calls after the first error...
+  // ...but the stream was drained through its EOS: the next message on the
+  // channel is the marker sent after it.
+  auto next = network_->Recv(NodeId::Hdfs(0), tag);
+  ASSERT_TRUE(next.ok());
+  ASSERT_NE(next->payload, nullptr);
+  auto batch = RecordBatch::Deserialize(*next->payload, schema);
+  ASSERT_TRUE(batch.ok());
+  EXPECT_EQ(batch->column(0).i32()[0], 99);
 }
 
 TEST_F(JenFixture, BloomTransfer) {
