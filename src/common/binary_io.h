@@ -129,6 +129,9 @@ class BinaryReader {
   }
 
   Status GetRaw(void* out, size_t n) {
+    // An empty read may come with null pointers on both sides (an empty
+    // vector's data()), which memcpy must not see.
+    if (n == 0) return Status::OK();
     HJ_RETURN_IF_ERROR(Need(n));
     std::memcpy(out, data_ + pos_, n);
     pos_ += n;

@@ -53,6 +53,15 @@ class Result {
     return ok() ? *value_ : std::move(fallback);
   }
 
+  /// Moves the value out; on error keeps it in `*first_error` (see
+  /// Status::Update) and returns `fallback` — for protocol steps that must
+  /// carry on after an error.
+  T ValueOr(Status* first_error, T fallback = T()) && {
+    if (ok()) return std::move(*value_);
+    first_error->Update(status_);
+    return fallback;
+  }
+
  private:
   std::optional<T> value_;
   Status status_;

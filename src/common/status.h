@@ -95,6 +95,11 @@ class Status {
   }
 
   bool ok() const { return rep_ == nullptr; }
+
+  /// Keeps the first error: adopts `other` only while this status is OK.
+  void Update(const Status& other) {
+    if (ok() && !other.ok()) *this = other;
+  }
   StatusCode code() const { return rep_ ? rep_->code : StatusCode::kOk; }
   const std::string& message() const {
     static const std::string kEmpty;

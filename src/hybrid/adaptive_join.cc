@@ -7,8 +7,10 @@
 // the Bloom-build scan, fresh seeded block samples from the JEN side) to DB
 // worker 0 on a fault-exempt control tag, re-runs the §5.5 cost model there
 // with the observed values, and broadcasts a stay-or-pivot decision to all
-// nodes. The chosen driver then resumes from the carried prefix state
-// (driver::AdaptiveCarry) instead of re-reading it.
+// nodes. Prefix and chosen driver are two rounds of one driver::Execution:
+// the driver resumes from the prefix's state (driver::PrefixState: the
+// global BF_DB and the per-worker sketches) instead of re-reading it, under
+// the same query id, governor and channel tags.
 //
 // Placement of the decision point: after the Bloom combine but before any
 // side materializes or moves data. Staying on the initial pick therefore
@@ -18,7 +20,6 @@
 // built first.
 
 #include <algorithm>
-#include <thread>
 #include <vector>
 
 #include "common/binary_io.h"
@@ -33,7 +34,6 @@
 namespace hybridjoin {
 
 using driver::ReportBuilder;
-using driver::StatusCollector;
 using driver::Tags;
 
 namespace {
@@ -57,7 +57,6 @@ struct JenSample {
 Status SampleWorkerBlocks(EngineContext* ctx, const PreparedQuery& prepared,
                           uint32_t worker, const AdaptiveConfig& acfg,
                           uint32_t max_keys, uint64_t seed, JenSample* out) {
-  const HybridQuery& query = prepared.query;
   const auto& assigned = prepared.scan_plan.per_worker[worker];
   // The fraction cap bounds the sampler's decode work relative to the scan
   // it precedes (see AdaptiveConfig::hdfs_sample_max_fraction); a worker
@@ -68,21 +67,6 @@ Status SampleWorkerBlocks(EngineContext* ctx, const PreparedQuery& prepared,
       std::min(acfg.hdfs_sample_blocks, fraction_cap);
   if (assigned.empty() || sample_blocks == 0) return Status::OK();
 
-  // Materialize predicate + projection columns (the estimator's idiom).
-  std::vector<std::string> needed = query.hdfs.projection;
-  if (query.hdfs.predicate != nullptr) {
-    query.hdfs.predicate->CollectColumns(&needed);
-  }
-  std::vector<size_t> materialize;
-  for (const auto& name : needed) {
-    HJ_ASSIGN_OR_RETURN(size_t i,
-                        prepared.scan_plan.meta.schema->IndexOf(name));
-    materialize.push_back(i);
-  }
-  std::sort(materialize.begin(), materialize.end());
-  materialize.erase(std::unique(materialize.begin(), materialize.end()),
-                    materialize.end());
-
   const uint32_t picks =
       std::min<uint32_t>(sample_blocks, static_cast<uint32_t>(assigned.size()));
   uint64_t rng = HashInt64(seed, worker + 1);
@@ -92,29 +76,11 @@ Status SampleWorkerBlocks(EngineContext* ctx, const PreparedQuery& prepared,
     HJ_ASSIGN_OR_RETURN(std::shared_ptr<const StoredBlock> stored,
                         ctx->datanode(assignment.replica.node)
                             ->Fetch(assignment.info.block_id));
-    Result<RecordBatch> decoded =
-        stored->format == HdfsFormat::kText
-            ? DecodeText(stored->text->data(), stored->text->size(),
-                         prepared.scan_plan.meta.schema, materialize)
-            : DecodeColumnarBlock(*stored->columnar,
-                                  prepared.scan_plan.meta.schema,
-                                  materialize);
-    HJ_RETURN_IF_ERROR(decoded.status());
-    const RecordBatch& sample = decoded.value();
-    std::vector<uint32_t> sel(sample.num_rows());
-    for (uint32_t i = 0; i < sel.size(); ++i) sel[i] = i;
-    if (query.hdfs.predicate != nullptr) {
-      HJ_RETURN_IF_ERROR(query.hdfs.predicate->Filter(sample, &sel));
-    }
-    out->rows_sampled += sample.num_rows();
-    out->rows_after_pred += sel.size();
-    if (sel.empty()) continue;
-    std::vector<size_t> proj_idx;
-    for (const auto& name : query.hdfs.projection) {
-      HJ_ASSIGN_OR_RETURN(size_t i, sample.schema()->IndexOf(name));
-      proj_idx.push_back(i);
-    }
-    const RecordBatch projected = sample.Project(proj_idx).Gather(sel);
+    HJ_ASSIGN_OR_RETURN(BlockSample sample, SampleHdfsBlock(prepared, *stored));
+    out->rows_sampled += sample.rows.num_rows();
+    out->rows_after_pred += sample.selected.size();
+    if (sample.selected.empty()) continue;
+    const RecordBatch projected = sample.projected.Gather(sample.selected);
     out->projected_bytes += projected.ByteSize();
     const ColumnVector& key = projected.column(prepared.hdfs_key_idx);
     for (uint32_t r = 0; r < projected.num_rows(); ++r) {
@@ -137,308 +103,258 @@ Result<QueryResult> RunAdaptiveJoin(EngineContext* ctx,
   const uint32_t m = ctx->num_db_workers();
   const uint32_t n = ctx->num_jen_workers();
   Network& net = ctx->network();
-  const Tags tags = Tags::Allocate(&net);
   const AdaptiveConfig& acfg = ctx->config().adaptive;
   const uint64_t hdfs_total_rows = prepared.scan_plan.meta.num_rows;
 
-  ReportBuilder report(ctx, advice->algorithm, memory_budget_bytes);
-  StatusCollector errors;
+  driver::Execution exec(ctx, advice->algorithm, memory_budget_bytes);
+  const Tags& tags = exec.tags();
+  ReportBuilder& report = exec.report();
 
-  // Carried prefix state: written by the prefix threads, handed to the
-  // chosen driver. `sketches` is fed whenever the skew shuffle *could*
-  // engage in any candidate driver (their own gates decide whether the hot
-  // set is actually used — an unused sketch costs one Add per row).
-  BloomFilter global_bloom(prepared.bloom_params);
-  const bool feed_sketch = ctx->config().skew.enabled && (m > 1 || n > 1);
-  std::vector<HeavyHitterSketch> sketches(
+  // The prefix state the chosen driver resumes from. The sketches are fed
+  // whenever the skew shuffle *could* engage in any candidate driver (their
+  // own gates decide whether the hot set is actually used — an unused
+  // sketch costs one Add per row).
+  driver::PrefixState prefix{BloomFilter(prepared.bloom_params), {}};
+  prefix.sketches.assign(
       m, HeavyHitterSketch(ctx->config().skew.sketch_capacity));
+  const driver::BloomPrefixOptions bloom_options{
+      .feed_sketch = ctx->config().skew.enabled && (m > 1 || n > 1),
+      .built_mark = "bf_db_built"};
 
-  // Worker 0's coordinator block fills this in; the join() below publishes
+  // Worker 0's coordinator block fills this in; RunWorkers' join publishes
   // it to the driver thread.
   Advice decided = *advice;
 
-  std::vector<std::thread> threads;
-  threads.reserve(m + n);
-
   // --- DB workers: the shared prefix (steps 1-2 of every figure). ---
-  for (uint32_t i = 0; i < m; ++i) {
-    threads.emplace_back([&, i] {
-      QueryScope query_scope(report.query_id());
-      MemoryGovernor::Scope governor_scope(report.governor());
-      const NodeId self = NodeId::Db(i);
-      trace::ThreadScope thread_scope(self, "db_worker");
-      driver::NodeProfileScope profile_scope(ctx, self, tags);
-      trace::Span driver_span(&ctx->tracer(), trace::span::kDriverDbWorker,
-                              trace::span::kCatDriver);
-      Status st;
+  auto db_worker = [&](uint32_t i) -> Status {
+    const NodeId self = NodeId::Db(i);
+    Status st;
 
-      // Build + combine BF_DB. The build scan visits every qualifying row,
-      // so the count below is the *exact* observed build-side cardinality —
-      // strictly better input than the estimator's one-batch sample.
-      bool used_index = false;
-      uint64_t qualifying_rows = 0;
-      auto local = ctx->db().worker(i)->BuildLocalBloom(
-          query.db.table, query.db.predicate, query.db.join_key,
-          prepared.bloom_params, &used_index,
-          feed_sketch ? &sketches[i] : nullptr, &qualifying_rows);
-      BloomFilter local_bf = local.ok() ? std::move(local).value()
-                                        : BloomFilter(prepared.bloom_params);
-      if (!local.ok()) st = local.status();
-      auto global = driver::CombineBloomAtDbWorker0(ctx, i, local_bf, tags);
-      if (global.ok()) {
-        if (i == 0) {
-          driver::RecordBloomStats(ctx, global.value());
-          global_bloom = std::move(global).value();
-          report.Mark("bf_db_built");
-        }
-      } else if (st.ok()) {
-        st = global.status();
-      }
+    // Build + combine BF_DB. The build scan visits every qualifying row,
+    // so its count is the *exact* observed build-side cardinality —
+    // strictly better input than the estimator's one-batch sample.
+    driver::BloomPrefix bloom_prefix = driver::RunDbBloomPrefix(
+        &exec, prepared, i, /*carried=*/nullptr, bloom_options, &st);
+    const uint64_t qualifying_rows = bloom_prefix.qualifying_rows;
+    if (i == 0) prefix.global_bloom = std::move(bloom_prefix.bloom);
+    prefix.sketches[i] = std::move(bloom_prefix.sketch);
 
-      // Projected-row-width sample: one seeded random stored batch, for
-      // converting the exact row count into bytes.
-      uint64_t sample_bytes = 0;
-      uint64_t sample_rows = 0;
-      {
-        auto sampled = ctx->db().worker(i)->SampleStoredBatch(
-            query.db.table, HashInt64(acfg.sample_seed, i + 0xdb));
-        if (sampled.ok() && sampled->num_rows() > 0) {
-          std::vector<size_t> idx;
-          bool resolved = true;
-          for (const auto& name : query.db.projection) {
-            auto col = sampled->schema()->IndexOf(name);
-            if (!col.ok()) {
-              resolved = false;
-              break;
-            }
-            idx.push_back(col.value());
-          }
-          if (resolved) {
-            const RecordBatch projected = sampled->Project(idx);
-            sample_bytes = projected.ByteSize();
-            sample_rows = projected.num_rows();
-          }
-        }
-      }
-
-      // Ship the observed stats — unconditionally, zeros included, so the
-      // coordinator's m+n receives always complete even after an error.
-      {
-        BinaryWriter w;
-        w.PutU8(kDbStats);
-        w.PutU64(qualifying_rows);
-        w.PutU64(sample_bytes);
-        w.PutU64(sample_rows);
-        net.SendControl(self, NodeId::Db(0), tags.adapt_stats, w.Release());
-      }
-
-      // --- Coordinator (worker 0): collect, re-optimize, broadcast. ---
-      if (i == 0) {
-        QueryEstimates observed = est;
-        uint64_t db_rows_total = 0;
-        double db_sample_bytes = 0;
-        double db_sample_rows = 0;
-        uint64_t l_sampled = 0;
-        uint64_t l_pass = 0;
-        uint64_t l_bytes = 0;
-        uint64_t keys_total = 0;
-        uint64_t keys_pass = 0;
-        for (uint32_t j = 0; j < m + n; ++j) {
-          auto msg = net.Recv(self, tags.adapt_stats);
-          if (!msg.ok()) {
-            // Fall through to the broadcast below with whatever arrived —
-            // a missing stats message must never deadlock the query.
-            if (st.ok()) st = msg.status();
+    // Projected-row-width sample: one seeded random stored batch, for
+    // converting the exact row count into bytes.
+    uint64_t sample_bytes = 0;
+    uint64_t sample_rows = 0;
+    {
+      auto sampled = ctx->db().worker(i)->SampleStoredBatch(
+          query.db.table, HashInt64(acfg.sample_seed, i + 0xdb));
+      if (sampled.ok() && sampled->num_rows() > 0) {
+        std::vector<size_t> idx;
+        bool resolved = true;
+        for (const auto& name : query.db.projection) {
+          auto col = sampled->schema()->IndexOf(name);
+          if (!col.ok()) {
+            resolved = false;
             break;
           }
-          if (msg->eos || msg->payload == nullptr) continue;
-          BinaryReader r(*msg->payload);
-          auto kind = r.GetU8();
-          if (!kind.ok()) continue;
-          if (kind.value() == kDbStats) {
-            auto rows = r.GetU64();
-            auto bytes = r.GetU64();
-            auto sampled = r.GetU64();
-            if (rows.ok() && bytes.ok() && sampled.ok()) {
-              db_rows_total += rows.value();
-              db_sample_bytes += static_cast<double>(bytes.value());
-              db_sample_rows += static_cast<double>(sampled.value());
-            }
-          } else if (kind.value() == kJenStats) {
-            auto rows = r.GetU64();
-            auto pass = r.GetU64();
-            auto bytes = r.GetU64();
-            auto num_keys = r.GetU32();
-            if (rows.ok() && pass.ok() && bytes.ok() && num_keys.ok()) {
-              l_sampled += rows.value();
-              l_pass += pass.value();
-              l_bytes += bytes.value();
-              for (uint32_t k = 0; k < num_keys.value(); ++k) {
-                auto key = r.GetI64();
-                if (!key.ok()) break;
-                ++keys_total;
-                if (global_bloom.MayContain(key.value())) ++keys_pass;
-              }
+          idx.push_back(col.value());
+        }
+        if (resolved) {
+          const RecordBatch projected = sampled->Project(idx);
+          sample_bytes = projected.ByteSize();
+          sample_rows = projected.num_rows();
+        }
+      }
+    }
+
+    // Ship the observed stats — unconditionally, zeros included, so the
+    // coordinator's m+n receives always complete even after an error.
+    {
+      BinaryWriter w;
+      w.PutU8(kDbStats);
+      w.PutU64(qualifying_rows);
+      w.PutU64(sample_bytes);
+      w.PutU64(sample_rows);
+      net.SendControl(self, NodeId::Db(0), tags.adapt_stats, w.Release());
+    }
+
+    // --- Coordinator (worker 0): collect, re-optimize, broadcast. ---
+    if (i == 0) {
+      QueryEstimates observed = est;
+      uint64_t db_rows_total = 0;
+      double db_sample_bytes = 0;
+      double db_sample_rows = 0;
+      uint64_t l_sampled = 0;
+      uint64_t l_pass = 0;
+      uint64_t l_bytes = 0;
+      uint64_t keys_total = 0;
+      uint64_t keys_pass = 0;
+      for (uint32_t j = 0; j < m + n; ++j) {
+        auto msg = net.Recv(self, tags.adapt_stats);
+        if (!msg.ok()) {
+          // Fall through to the broadcast below with whatever arrived —
+          // a missing stats message must never deadlock the query.
+          st.Update(msg.status());
+          break;
+        }
+        if (msg->eos || msg->payload == nullptr) continue;
+        BinaryReader r(*msg->payload);
+        auto kind = r.GetU8();
+        if (!kind.ok()) continue;
+        if (kind.value() == kDbStats) {
+          auto rows = r.GetU64();
+          auto bytes = r.GetU64();
+          auto sampled = r.GetU64();
+          if (rows.ok() && bytes.ok() && sampled.ok()) {
+            db_rows_total += rows.value();
+            db_sample_bytes += static_cast<double>(bytes.value());
+            db_sample_rows += static_cast<double>(sampled.value());
+          }
+        } else if (kind.value() == kJenStats) {
+          auto rows = r.GetU64();
+          auto pass = r.GetU64();
+          auto bytes = r.GetU64();
+          auto num_keys = r.GetU32();
+          if (rows.ok() && pass.ok() && bytes.ok() && num_keys.ok()) {
+            l_sampled += rows.value();
+            l_pass += pass.value();
+            l_bytes += bytes.value();
+            for (uint32_t k = 0; k < num_keys.value(); ++k) {
+              auto key = r.GetI64();
+              if (!key.ok()) break;
+              ++keys_total;
+              if (prefix.global_bloom.MayContain(key.value())) ++keys_pass;
             }
           }
         }
-
-        // Observed T': exact row count x sampled projected row width.
-        if (db_sample_rows > 0) {
-          observed.db_filtered_bytes = static_cast<uint64_t>(
-              static_cast<double>(db_rows_total) *
-              (db_sample_bytes / db_sample_rows));
-        }
-        // Observed L': fresh multi-block selectivity x catalog row count x
-        // observed projected row width.
-        if (l_sampled > 0) {
-          const double sel = static_cast<double>(l_pass) /
-                             static_cast<double>(l_sampled);
-          const double row_bytes =
-              l_pass > 0 ? static_cast<double>(l_bytes) /
-                               static_cast<double>(l_pass)
-                         : 0.0;
-          observed.hdfs_filtered_bytes = static_cast<uint64_t>(
-              sel * static_cast<double>(hdfs_total_rows) * row_bytes);
-        }
-        // Observed join-key pruning: the sampled keys against the filter
-        // that will actually do the pruning.
-        if (keys_total > 0) {
-          observed.hdfs_joinkey_selectivity =
-              static_cast<double>(keys_pass) /
-              static_cast<double>(keys_total);
-        }
-
-        const Advice verdict =
-            DecidePivot(*ctx, *advice, observed, acfg.pivot_threshold);
-        Metrics& metrics = ctx->metrics();
-        metrics.Max(metric::kAdvisorEstimatedDbBytes,
-                    static_cast<int64_t>(est.db_filtered_bytes));
-        metrics.Max(metric::kAdvisorObservedDbBytes,
-                    static_cast<int64_t>(observed.db_filtered_bytes));
-        metrics.Max(metric::kAdvisorEstimatedHdfsBytes,
-                    static_cast<int64_t>(est.hdfs_filtered_bytes));
-        metrics.Max(metric::kAdvisorObservedHdfsBytes,
-                    static_cast<int64_t>(observed.hdfs_filtered_bytes));
-        report.Mark("adapt_decision");
-        if (verdict.pivoted) {
-          metrics.Max(metric::kAdvisorPivoted, 1);
-          report.Mark(std::string("pivot_to_") +
-                      JoinAlgorithmName(verdict.final_algorithm));
-        }
-        if (obs::EventLog::Global().enabled()) {
-          auto fields = obs::JsonValue::Object();
-          fields.Set("pivoted", obs::JsonValue::Bool(verdict.pivoted));
-          fields.Set("final_algorithm",
-                     obs::JsonValue::Str(
-                         JoinAlgorithmName(verdict.final_algorithm)));
-          fields.Set("estimated_db_bytes",
-                     obs::JsonValue::Int(
-                         static_cast<int64_t>(est.db_filtered_bytes)));
-          fields.Set("observed_db_bytes",
-                     obs::JsonValue::Int(static_cast<int64_t>(
-                         observed.db_filtered_bytes)));
-          fields.Set("estimated_hdfs_bytes",
-                     obs::JsonValue::Int(
-                         static_cast<int64_t>(est.hdfs_filtered_bytes)));
-          fields.Set("observed_hdfs_bytes",
-                     obs::JsonValue::Int(static_cast<int64_t>(
-                         observed.hdfs_filtered_bytes)));
-          obs::EventLog::Global().Emit("pivot_decision", report.query_id(),
-                                       std::move(fields));
-        }
-        decided = verdict;
-
-        BinaryWriter w;
-        w.PutU8(static_cast<uint8_t>(verdict.final_algorithm));
-        w.PutU8(verdict.pivoted ? 1 : 0);
-        auto payload =
-            std::make_shared<const std::vector<uint8_t>>(w.Release());
-        for (uint32_t j = 0; j < m; ++j) {
-          net.SendControl(self, NodeId::Db(j), tags.adapt_decision, payload);
-        }
-        for (uint32_t w2 = 0; w2 < n; ++w2) {
-          net.SendControl(self, NodeId::Hdfs(w2), tags.adapt_decision,
-                          payload);
-        }
       }
 
-      // Every node blocks for the decision: nobody races ahead of the plan.
-      auto decision = net.Recv(self, tags.adapt_decision);
-      if (!decision.ok() && st.ok()) st = decision.status();
-      errors.Record(st);
-    });
-  }
+      // Observed T': exact row count x sampled projected row width.
+      if (db_sample_rows > 0) {
+        observed.db_filtered_bytes = static_cast<uint64_t>(
+            static_cast<double>(db_rows_total) *
+            (db_sample_bytes / db_sample_rows));
+      }
+      // Observed L': fresh multi-block selectivity x catalog row count x
+      // observed projected row width.
+      if (l_sampled > 0) {
+        const double sel = static_cast<double>(l_pass) /
+                           static_cast<double>(l_sampled);
+        const double row_bytes =
+            l_pass > 0 ? static_cast<double>(l_bytes) /
+                             static_cast<double>(l_pass)
+                       : 0.0;
+        observed.hdfs_filtered_bytes = static_cast<uint64_t>(
+            sel * static_cast<double>(hdfs_total_rows) * row_bytes);
+      }
+      // Observed join-key pruning: the sampled keys against the filter
+      // that will actually do the pruning.
+      if (keys_total > 0) {
+        observed.hdfs_joinkey_selectivity =
+            static_cast<double>(keys_pass) /
+            static_cast<double>(keys_total);
+      }
+
+      const Advice verdict =
+          DecidePivot(*ctx, *advice, observed, acfg.pivot_threshold);
+      Metrics& metrics = ctx->metrics();
+      metrics.Max(metric::kAdvisorEstimatedDbBytes,
+                  static_cast<int64_t>(est.db_filtered_bytes));
+      metrics.Max(metric::kAdvisorObservedDbBytes,
+                  static_cast<int64_t>(observed.db_filtered_bytes));
+      metrics.Max(metric::kAdvisorEstimatedHdfsBytes,
+                  static_cast<int64_t>(est.hdfs_filtered_bytes));
+      metrics.Max(metric::kAdvisorObservedHdfsBytes,
+                  static_cast<int64_t>(observed.hdfs_filtered_bytes));
+      report.Mark("adapt_decision");
+      if (verdict.pivoted) {
+        metrics.Max(metric::kAdvisorPivoted, 1);
+        report.Mark(std::string("pivot_to_") +
+                    JoinAlgorithmName(verdict.final_algorithm));
+      }
+      if (obs::EventLog::Global().enabled()) {
+        auto fields = obs::JsonValue::Object();
+        fields.Set("pivoted", obs::JsonValue::Bool(verdict.pivoted));
+        fields.Set("final_algorithm",
+                   obs::JsonValue::Str(
+                       JoinAlgorithmName(verdict.final_algorithm)));
+        fields.Set("estimated_db_bytes",
+                   obs::JsonValue::Int(
+                       static_cast<int64_t>(est.db_filtered_bytes)));
+        fields.Set("observed_db_bytes",
+                   obs::JsonValue::Int(static_cast<int64_t>(
+                       observed.db_filtered_bytes)));
+        fields.Set("estimated_hdfs_bytes",
+                   obs::JsonValue::Int(
+                       static_cast<int64_t>(est.hdfs_filtered_bytes)));
+        fields.Set("observed_hdfs_bytes",
+                   obs::JsonValue::Int(static_cast<int64_t>(
+                       observed.hdfs_filtered_bytes)));
+        obs::EventLog::Global().Emit("pivot_decision", report.query_id(),
+                                     std::move(fields));
+      }
+      decided = verdict;
+
+      BinaryWriter w;
+      w.PutU8(static_cast<uint8_t>(verdict.final_algorithm));
+      w.PutU8(verdict.pivoted ? 1 : 0);
+      auto payload =
+          std::make_shared<const std::vector<uint8_t>>(w.Release());
+      for (uint32_t j = 0; j < m; ++j) {
+        net.SendControl(self, NodeId::Db(j), tags.adapt_decision, payload);
+      }
+      for (uint32_t w2 = 0; w2 < n; ++w2) {
+        net.SendControl(self, NodeId::Hdfs(w2), tags.adapt_decision,
+                        payload);
+      }
+    }
+
+    // Every node blocks for the decision: nobody races ahead of the plan.
+    st.Update(net.Recv(self, tags.adapt_decision).status());
+    return st;
+  };
 
   // --- JEN workers: seeded block re-sample, then wait for the verdict. ---
-  for (uint32_t w = 0; w < n; ++w) {
-    threads.emplace_back([&, w] {
-      QueryScope query_scope(report.query_id());
-      MemoryGovernor::Scope governor_scope(report.governor());
-      const NodeId self = NodeId::Hdfs(w);
-      trace::ThreadScope thread_scope(self, "jen_worker");
-      driver::NodeProfileScope profile_scope(ctx, self, tags);
-      trace::Span driver_span(&ctx->tracer(), trace::span::kDriverJenWorker,
-                              trace::span::kCatDriver);
-      JenSample sample;
-      Status st = SampleWorkerBlocks(ctx, prepared, w, acfg,
-                                     acfg.sample_keys, acfg.sample_seed,
-                                     &sample);
-      BinaryWriter writer;
-      writer.PutU8(kJenStats);
-      writer.PutU64(sample.rows_sampled);
-      writer.PutU64(sample.rows_after_pred);
-      writer.PutU64(sample.projected_bytes);
-      writer.PutU32(static_cast<uint32_t>(sample.keys.size()));
-      for (int64_t key : sample.keys) writer.PutI64(key);
-      net.SendControl(self, NodeId::Db(0), tags.adapt_stats,
-                      writer.Release());
+  auto jen_worker = [&](uint32_t w) -> Status {
+    const NodeId self = NodeId::Hdfs(w);
+    JenSample sample;
+    Status st = SampleWorkerBlocks(ctx, prepared, w, acfg, acfg.sample_keys,
+                                   acfg.sample_seed, &sample);
+    BinaryWriter writer;
+    writer.PutU8(kJenStats);
+    writer.PutU64(sample.rows_sampled);
+    writer.PutU64(sample.rows_after_pred);
+    writer.PutU64(sample.projected_bytes);
+    writer.PutU32(static_cast<uint32_t>(sample.keys.size()));
+    for (int64_t key : sample.keys) writer.PutI64(key);
+    net.SendControl(self, NodeId::Db(0), tags.adapt_stats, writer.Release());
 
-      auto decision = net.Recv(self, tags.adapt_decision);
-      if (!decision.ok() && st.ok()) st = decision.status();
-      errors.Record(st);
-    });
-  }
+    st.Update(net.Recv(self, tags.adapt_decision).status());
+    return st;
+  };
 
-  for (auto& t : threads) t.join();
-  report.CollectProfiles(tags, m + n);
-  // The prefix snapshots above captured this query's scoped slices
-  // cumulatively; drop them so the chosen driver's end-of-query snapshots
-  // are pure deltas and AssembleProfile's per-node sums stay exact (no
-  // worker thread is live at this barrier, so the clear races with nobody).
-  ctx->metrics().ClearScoped(report.query_id());
-  HJ_RETURN_IF_ERROR(errors.First());
-
+  HJ_RETURN_IF_ERROR(exec.RunWorkers(db_worker, jen_worker));
   *advice = decided;
   report.SetAlgorithm(decided.final_algorithm);
 
-  driver::AdaptiveCarry carry;
-  carry.report = &report;
-  carry.global_bloom = &global_bloom;
-  carry.sketches = &sketches;
-
   // The carried state is buffered across the handoff on the query's
   // governor (the Bloom filter dominates; the sketches are a few KiB).
-  const uint64_t carried_bytes = global_bloom.ByteSize();
+  const uint64_t carried_bytes = prefix.global_bloom.ByteSize();
   report.governor()->Reserve(carried_bytes);
-  Result<QueryResult> result = [&]() -> Result<QueryResult> {
+  Result<RecordBatch> rows = [&]() -> Result<RecordBatch> {
     switch (decided.final_algorithm) {
       case JoinAlgorithm::kBroadcast:
-        return RunBroadcastJoin(ctx, prepared, memory_budget_bytes, &carry);
+        return driver::RunBroadcastOn(&exec, prepared);
       case JoinAlgorithm::kDbSide:
       case JoinAlgorithm::kDbSideBloom:
-        return RunDbSideJoin(ctx, prepared, /*use_bloom=*/true,
-                             memory_budget_bytes, &carry);
+        return driver::RunDbSideOn(&exec, prepared, /*use_bloom=*/true,
+                                   &prefix);
       default:
-        return RunRepartitionFamilyJoin(ctx, prepared, /*use_db_bloom=*/true,
-                                        /*zigzag=*/true, JoinDriverOptions{},
-                                        memory_budget_bytes, &carry);
+        return driver::RunRepartitionFamilyOn(
+            &exec, prepared, /*use_db_bloom=*/true, /*zigzag=*/true,
+            JoinDriverOptions{}, &prefix);
     }
   }();
   report.governor()->Release(carried_bytes);
-  HJ_RETURN_IF_ERROR(result.status());
-  result->report = report.Finish();
-  return result;
+  return exec.Finish(std::move(rows));
 }
 
 }  // namespace hybridjoin

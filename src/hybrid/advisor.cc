@@ -138,6 +138,46 @@ Advice DecidePivot(const EngineContext& ctx, const Advice& initial,
   return advice;
 }
 
+Result<BlockSample> SampleHdfsBlock(const PreparedQuery& prepared,
+                                    const StoredBlock& stored) {
+  const HybridQuery& query = prepared.query;
+  const SchemaPtr& schema = prepared.scan_plan.meta.schema;
+  BlockSample sample;
+  std::vector<std::string> needed = query.hdfs.projection;
+  if (query.hdfs.predicate != nullptr) {
+    query.hdfs.predicate->CollectColumns(&needed);
+  }
+  for (const auto& name : needed) {
+    HJ_ASSIGN_OR_RETURN(size_t i, schema->IndexOf(name));
+    sample.columns.push_back(i);
+  }
+  std::sort(sample.columns.begin(), sample.columns.end());
+  sample.columns.erase(
+      std::unique(sample.columns.begin(), sample.columns.end()),
+      sample.columns.end());
+  HJ_ASSIGN_OR_RETURN(
+      sample.rows,
+      stored.format == HdfsFormat::kText
+          ? DecodeText(stored.text->data(), stored.text->size(), schema,
+                       sample.columns)
+          : DecodeColumnarBlock(*stored.columnar, schema, sample.columns));
+  sample.selected.resize(sample.rows.num_rows());
+  for (uint32_t i = 0; i < sample.selected.size(); ++i) {
+    sample.selected[i] = i;
+  }
+  if (query.hdfs.predicate != nullptr) {
+    HJ_RETURN_IF_ERROR(
+        query.hdfs.predicate->Filter(sample.rows, &sample.selected));
+  }
+  std::vector<size_t> projection;
+  for (const auto& name : query.hdfs.projection) {
+    HJ_ASSIGN_OR_RETURN(size_t i, sample.rows.schema()->IndexOf(name));
+    projection.push_back(i);
+  }
+  sample.projected = sample.rows.Project(projection);
+  return sample;
+}
+
 Result<QueryEstimates> EstimateQuery(EngineContext* ctx,
                                      const HybridQuery& query) {
   HJ_ASSIGN_OR_RETURN(PreparedQuery prepared, PrepareQuery(ctx, query));
@@ -188,44 +228,12 @@ Result<QueryEstimates> EstimateQuery(EngineContext* ctx,
     HJ_ASSIGN_OR_RETURN(
         std::shared_ptr<const StoredBlock> stored,
         ctx->datanode(b.replicas.front().node)->Fetch(b.block_id));
-    // Materialize predicate + projection columns.
-    std::vector<std::string> needed = query.hdfs.projection;
-    if (query.hdfs.predicate != nullptr) {
-      query.hdfs.predicate->CollectColumns(&needed);
-    }
-    std::vector<size_t> materialize;
-    for (const auto& name : needed) {
-      HJ_ASSIGN_OR_RETURN(size_t i,
-                          prepared.scan_plan.meta.schema->IndexOf(name));
-      materialize.push_back(i);
-    }
-    std::sort(materialize.begin(), materialize.end());
-    materialize.erase(std::unique(materialize.begin(), materialize.end()),
-                      materialize.end());
-    Result<RecordBatch> decoded =
-        stored->format == HdfsFormat::kText
-            ? DecodeText(stored->text->data(), stored->text->size(),
-                         prepared.scan_plan.meta.schema, materialize)
-            : DecodeColumnarBlock(*stored->columnar,
-                                  prepared.scan_plan.meta.schema,
-                                  materialize);
-    HJ_RETURN_IF_ERROR(decoded.status());
-    const RecordBatch& sample = decoded.value();
-    std::vector<uint32_t> sel(sample.num_rows());
-    for (uint32_t i = 0; i < sel.size(); ++i) sel[i] = i;
-    if (query.hdfs.predicate != nullptr) {
-      HJ_RETURN_IF_ERROR(query.hdfs.predicate->Filter(sample, &sel));
-    }
-    hdfs_sel = sample.num_rows() == 0
+    HJ_ASSIGN_OR_RETURN(BlockSample block, SampleHdfsBlock(prepared, *stored));
+    hdfs_sel = block.rows.num_rows() == 0
                    ? 1.0
-                   : static_cast<double>(sel.size()) /
-                         static_cast<double>(sample.num_rows());
-    std::vector<size_t> proj_idx;
-    for (const auto& name : query.hdfs.projection) {
-      HJ_ASSIGN_OR_RETURN(size_t i, sample.schema()->IndexOf(name));
-      proj_idx.push_back(i);
-    }
-    const RecordBatch projected = sample.Project(proj_idx);
+                   : static_cast<double>(block.selected.size()) /
+                         static_cast<double>(block.rows.num_rows());
+    const RecordBatch& projected = block.projected;
     if (projected.num_rows() > 0) {
       hdfs_row_bytes = static_cast<double>(projected.ByteSize()) /
                        static_cast<double>(projected.num_rows());
@@ -233,7 +241,7 @@ Result<QueryEstimates> EstimateQuery(EngineContext* ctx,
     // Columnar scans only read the materialized chunks.
     if (stored->format == HdfsFormat::kColumnar) {
       uint64_t chunk_bytes = 0;
-      for (size_t idx : materialize) {
+      for (size_t idx : block.columns) {
         chunk_bytes += stored->columnar->chunks[idx].ByteSize();
       }
       const double fraction = static_cast<double>(chunk_bytes) /

@@ -1,6 +1,9 @@
 // The join drivers — one entry point per algorithm of §3, plus a prepared
 // query shared by all of them. These are the functions HybridWarehouse
-// dispatches to.
+// dispatches to. Each opens one driver::Execution (hybrid/driver_common.h:
+// query id, governor, channel tags, worker threads), runs its algorithm on
+// it and finishes the report; RunAdaptiveJoin runs the shared prefix and
+// the chosen algorithm as two rounds of one Execution.
 
 #ifndef HYBRIDJOIN_HYBRID_ALGORITHMS_H_
 #define HYBRIDJOIN_HYBRID_ALGORITHMS_H_
@@ -14,9 +17,7 @@
 
 namespace hybridjoin {
 
-namespace driver {
-struct AdaptiveCarry;  // hybrid/driver_common.h
-}  // namespace driver
+struct StoredBlock;  // hdfs/format.h
 
 /// A validated query with every name resolved against real schemas, so the
 /// multi-threaded drivers cannot hit user errors mid-flight.
@@ -35,24 +36,32 @@ struct PreparedQuery {
 Result<PreparedQuery> PrepareQuery(EngineContext* ctx,
                                    const HybridQuery& query);
 
+/// One stored block of the HDFS table as the estimators sample it
+/// (EstimateQuery, the adaptive re-sample): the columns the HDFS predicate
+/// and projection need, decoded.
+struct BlockSample {
+  std::vector<size_t> columns;     ///< decoded table columns, ascending
+  RecordBatch rows;                ///< the decoded block
+  std::vector<uint32_t> selected;  ///< rows passing the HDFS predicate
+  RecordBatch projected;           ///< every row, projected like L'
+};
+Result<BlockSample> SampleHdfsBlock(const PreparedQuery& prepared,
+                                    const StoredBlock& stored);
+
 /// §3.1 — fetch filtered HDFS data into the database and join there,
 /// optionally pruning with a DB Bloom filter first. `memory_budget_bytes`
 /// seeds the execution's MemoryGovernor (0 falls back to
 /// SimulationConfig::query_memory_budget_bytes; 0 there = unlimited) — the
-/// same knob on every driver below. A non-null `carry` resumes from the
-/// adaptive layer's shared prefix (see driver::AdaptiveCarry) — same knob
-/// on every driver below.
+/// same knob on every driver below.
 Result<QueryResult> RunDbSideJoin(EngineContext* ctx,
                                   const PreparedQuery& prepared,
                                   bool use_bloom,
-                                  uint64_t memory_budget_bytes = 0,
-                                  const driver::AdaptiveCarry* carry = nullptr);
+                                  uint64_t memory_budget_bytes = 0);
 
 /// §3.2 — broadcast T' to every JEN worker, join and aggregate on HDFS.
-Result<QueryResult> RunBroadcastJoin(
-    EngineContext* ctx, const PreparedQuery& prepared,
-    uint64_t memory_budget_bytes = 0,
-    const driver::AdaptiveCarry* carry = nullptr);
+Result<QueryResult> RunBroadcastJoin(EngineContext* ctx,
+                                     const PreparedQuery& prepared,
+                                     uint64_t memory_budget_bytes = 0);
 
 /// How the zigzag join's *second* (HDFS -> DB) pruning step is realized.
 enum class SecondFilterKind {
@@ -85,8 +94,7 @@ struct JoinDriverOptions {
 Result<QueryResult> RunRepartitionFamilyJoin(
     EngineContext* ctx, const PreparedQuery& prepared, bool use_db_bloom,
     bool zigzag, const JoinDriverOptions& options = {},
-    uint64_t memory_budget_bytes = 0,
-    const driver::AdaptiveCarry* carry = nullptr);
+    uint64_t memory_budget_bytes = 0);
 
 /// Dispatch by algorithm enum (prepares internally).
 Result<QueryResult> RunJoin(EngineContext* ctx, const HybridQuery& query,
@@ -99,8 +107,9 @@ Result<QueryResult> RunJoin(EngineContext* ctx, const HybridQuery& query,
 /// the observed statistics to DB worker 0 on a fault-exempt control tag,
 /// re-runs the §5.5 cost model there (DecidePivot against `advice`'s
 /// initial pick with AdaptiveConfig::pivot_threshold hysteresis) and
-/// broadcasts the stay-or-pivot decision to every node before dispatching
-/// the winning driver with the prefix state carried over. On return
+/// broadcasts the stay-or-pivot decision to every node before running the
+/// winning driver on the same Execution, resuming from the prefix state
+/// (driver::PrefixState). On return
 /// `*advice` additionally holds the observed costs and the pivot verdict.
 Result<QueryResult> RunAdaptiveJoin(EngineContext* ctx,
                                     const HybridQuery& query,

@@ -2,8 +2,6 @@
 
 #include <memory>
 
-#include "exec/spill.h"
-#include "hybrid/algorithms.h"
 #include "jen/worker.h"
 #include "obs/event_log.h"
 #include "obs/query_registry.h"
@@ -12,53 +10,16 @@
 namespace hybridjoin {
 namespace driver {
 
-Tags Tags::Allocate(Network* network) {
-  const uint64_t base = network->AllocateTagBlock(21);
-  Tags t;
-  t.bloom_local = base + 0;
-  t.bloom_global = base + 1;
-  t.bloom_to_jen = base + 2;
-  t.shuffle = base + 3;
-  t.db_data = base + 4;
-  t.bloom_h_local = base + 5;
-  t.bloom_h_global = base + 6;
-  t.agg = base + 7;
-  t.result = base + 8;
-  t.l_data = base + 9;
-  t.control = base + 10;
-  t.counts = base + 11;
-  t.strategy = base + 12;
-  t.db_shuffle_t = base + 13;
-  t.db_shuffle_l = base + 14;
-  t.profile = base + 15;
-  t.sketch_local = base + 16;
-  t.hot_global = base + 17;
-  t.hot_to_jen = base + 18;
-  t.adapt_stats = base + 19;
-  t.adapt_decision = base + 20;
-  return t;
-}
-
-NodeProfileScope::~NodeProfileScope() {
-  const int64_t wall_us = stopwatch_.ElapsedMicros();
-  Metrics& m = ctx_->metrics();
-  if (node_.cluster == ClusterId::kHdfs) {
-    // Feeds the jen.worker_wall_us histogram even with tracing disabled.
-    m.Record(metric::kJenWorkerWallUs, wall_us);
-  }
-  // The query-wide memory high-water mark, recorded into this node's slice
-  // (and the global store) before the snapshot below captures it. Max, not
-  // Add: every worker reports the same per-query governor. Skipped at zero
-  // so governor-less runs don't grow a dead gauge.
-  if (MemoryGovernor* governor = MemoryGovernor::Current()) {
-    const auto peak = static_cast<int64_t>(governor->peak());
-    if (peak > 0) m.Max(metric::kJoinMemPeakBytes, peak);
-  }
-  const obs::NodeProfileSnapshot snap =
-      obs::SnapshotNodeProfile(&m, node_, wall_us);
-  ctx_->network().SendControl(node_, NodeId::Db(0), tag_,
-                              obs::SerializeNodeProfile(snap));
-}
+WorkerThread::WorkerThread(NodeId node, const char* role,
+                           std::function<void()> fn)
+    : thread_([node, role, fn = std::move(fn),
+               query_id = QueryScope::Current(),
+               governor = MemoryGovernor::Current()] {
+        QueryScope query_scope(query_id);
+        MemoryGovernor::Scope governor_scope(governor);
+        trace::ThreadScope thread_scope(node, role);
+        fn();
+      }) {}
 
 ReportBuilder::ReportBuilder(EngineContext* ctx, JoinAlgorithm algorithm,
                              uint64_t memory_budget_bytes)
@@ -113,7 +74,7 @@ ReportBuilder::~ReportBuilder() {
     ctx_->metrics().Add(metric::kServerGovernorLeakedBytes,
                         static_cast<int64_t>(leaked));
   }
-  // This query's scoped slices were consumed by the NodeProfileScope
+  // This query's scoped slices were consumed by the workers' profile
   // snapshots; drop them without touching other in-flight queries' slices.
   ctx_->metrics().ClearScoped(query_id_);
   ctx_->EndExecution();
@@ -198,29 +159,128 @@ ExecutionReport ReportBuilder::Finish() {
   return report;
 }
 
+Execution::Execution(EngineContext* ctx, JoinAlgorithm algorithm,
+                     uint64_t memory_budget_bytes)
+    : ctx_(ctx),
+      tags_(Tags::Allocate(&ctx->network())),
+      report_(ctx, algorithm, memory_budget_bytes) {}
+
+Execution::~Execution() {
+  ctx_->network().ReleaseTagBlock(tags_.base, Tags::kWidth);
+}
+
+Status Execution::RunWorkers(const WorkerFn& db_worker,
+                             const WorkerFn& jen_worker) {
+  const uint32_t m = ctx_->num_db_workers();
+  const uint32_t n = ctx_->num_jen_workers();
+  {
+    std::vector<WorkerThread> threads;
+    threads.reserve(m + n);
+    auto spawn = [&](NodeId node, const char* role, const char* span,
+                     const WorkerFn& fn) {
+      threads.emplace_back(node, role, [this, node, span, &fn] {
+        Stopwatch wall;
+        {
+          trace::Span driver_span(&ctx_->tracer(), span,
+                                  trace::span::kCatDriver);
+          const Status st = fn(node.index);
+          std::lock_guard<std::mutex> lock(mu_);
+          first_error_.Update(st);
+        }
+        SendProfile(node, wall.ElapsedMicros());
+      });
+    };
+    for (uint32_t i = 0; i < m; ++i) {
+      spawn(NodeId::Db(i), "db_worker", trace::span::kDriverDbWorker,
+            db_worker);
+    }
+    for (uint32_t w = 0; w < n; ++w) {
+      spawn(NodeId::Hdfs(w), "jen_worker", trace::span::kDriverJenWorker,
+            jen_worker);
+    }
+  }  // joins every worker
+  report_.CollectProfiles(tags_, m + n);
+  // The snapshots above captured this query's scoped slices cumulatively;
+  // drop them so a later round's snapshots are pure deltas and
+  // AssembleProfile's per-node sums stay exact (no worker is live here).
+  ctx_->metrics().ClearScoped(report_.query_id());
+  std::lock_guard<std::mutex> lock(mu_);
+  return first_error_;
+}
+
+void Execution::SendProfile(NodeId node, int64_t wall_us) {
+  Metrics& m = ctx_->metrics();
+  if (node.cluster == ClusterId::kHdfs) {
+    // Feeds the jen.worker_wall_us histogram even with tracing disabled.
+    m.Record(metric::kJenWorkerWallUs, wall_us);
+  }
+  // The query-wide memory high-water mark, recorded into this node's slice
+  // (and the global store) before the snapshot below captures it. Max, not
+  // Add: every worker reports the same per-query governor. Skipped at zero
+  // so runs that never charged the governor don't grow a dead gauge.
+  const auto peak = static_cast<int64_t>(report_.governor()->peak());
+  if (peak > 0) m.Max(metric::kJoinMemPeakBytes, peak);
+  const obs::NodeProfileSnapshot snap =
+      obs::SnapshotNodeProfile(&m, node, wall_us);
+  ctx_->network().SendControl(node, NodeId::Db(0), tags_.profile,
+                              obs::SerializeNodeProfile(snap));
+}
+
+Result<QueryResult> Execution::Finish(Result<RecordBatch> rows) {
+  HJ_RETURN_IF_ERROR(rows.status());
+  QueryResult result;
+  result.rows = std::move(rows).value();
+  result.report = report_.Finish();
+  return result;
+}
+
+Status CombineBloom(EngineContext* ctx, NodeId self, NodeId coordinator,
+                    uint32_t senders, const BloomFilter& local,
+                    uint64_t local_tag, const std::vector<NodeId>& targets,
+                    uint64_t global_tag) {
+  Network& net = ctx->network();
+  SendBloom(&net, self, coordinator, local_tag, local, &ctx->metrics());
+  if (!(self == coordinator)) return Status::OK();
+  Status st;
+  BloomFilter global(local.params());
+  for (uint32_t i = 0; i < senders && st.ok(); ++i) {
+    Result<BloomFilter> received = RecvBloom(&net, self, local_tag);
+    st = received.ok() ? global.UnionWith(received.value())
+                       : received.status();
+  }
+  // The union's fill and realized-FPR estimate, as bloom.* gauges.
+  ctx->metrics().Max(metric::kBloomFillPct,
+                     static_cast<int64_t>(global.FillRatio() * 100.0));
+  ctx->metrics().Max(metric::kBloomEstFprPpm,
+                     static_cast<int64_t>(global.EstimatedFpr() * 1e6));
+  for (NodeId target : targets) {
+    SendBloom(&net, self, target, global_tag, global, &ctx->metrics());
+  }
+  return st;
+}
+
 Result<BloomFilter> CombineBloomAtDbWorker0(EngineContext* ctx,
                                             uint32_t worker,
                                             const BloomFilter& local,
                                             const Tags& tags) {
-  Network& net = ctx->network();
   const NodeId self = NodeId::Db(worker);
-  SendBloom(&net, self, NodeId::Db(0), tags.bloom_local, local,
-            &ctx->metrics());
-  if (worker == 0) {
-    BloomFilter global(local.params());
-    for (uint32_t i = 0; i < ctx->num_db_workers(); ++i) {
-      HJ_ASSIGN_OR_RETURN(BloomFilter received,
-                          RecvBloom(&net, self, tags.bloom_local));
-      HJ_RETURN_IF_ERROR(global.UnionWith(received));
-    }
-    for (uint32_t i = 0; i < ctx->num_db_workers(); ++i) {
-      SendBloom(&net, self, NodeId::Db(i), tags.bloom_global, global,
-                &ctx->metrics());
-    }
-  }
-  return RecvBloom(&net, self, tags.bloom_global);
+  HJ_RETURN_IF_ERROR(CombineBloom(
+      ctx, self, NodeId::Db(0), ctx->num_db_workers(), local, tags.bloom_local,
+      AllNodes(ctx, ClusterId::kDb), tags.bloom_global));
+  return RecvBloom(&ctx->network(), self, tags.bloom_global);
 }
 
+
+namespace {
+
+/// The skew-aware shuffle's coordinator step, mirroring the Bloom combine:
+/// every DB worker ships its local heavy-hitter sketch to worker 0, which
+/// merges them, picks the hot set for an exchange over `route_workers`
+/// destinations (PickHotKeys with the SkewConfig knobs, recording the
+/// shuffle.hot_keys gauge) and redistributes it; every caller returns with
+/// the same global hot set. The single coordinator decision is what makes
+/// the hybrid route safe: all senders agree on exactly which keys are hot,
+/// so every (build, probe) row pair meets on exactly one worker.
 Result<HotKeySet> CombineHotKeysAtDbWorker0(EngineContext* ctx,
                                             uint32_t worker,
                                             const HeavyHitterSketch& local,
@@ -229,13 +289,15 @@ Result<HotKeySet> CombineHotKeysAtDbWorker0(EngineContext* ctx,
   Network& net = ctx->network();
   const NodeId self = NodeId::Db(worker);
   SendSketch(&net, self, NodeId::Db(0), tags.sketch_local, local);
+  Status st;
   if (worker == 0) {
     const SkewConfig& skew = ctx->config().skew;
     HeavyHitterSketch merged(local.capacity());
-    for (uint32_t i = 0; i < ctx->num_db_workers(); ++i) {
-      HJ_ASSIGN_OR_RETURN(HeavyHitterSketch received,
-                          RecvSketch(&net, self, tags.sketch_local));
-      merged.Merge(received);
+    for (uint32_t i = 0; i < ctx->num_db_workers() && st.ok(); ++i) {
+      Result<HeavyHitterSketch> received =
+          RecvSketch(&net, self, tags.sketch_local);
+      if (received.ok()) merged.Merge(received.value());
+      st = received.status();
     }
     const HotKeySet hot = PickHotKeys(merged, route_workers,
                                       skew.hot_multiplier, skew.max_hot_keys);
@@ -257,71 +319,124 @@ Result<HotKeySet> CombineHotKeysAtDbWorker0(EngineContext* ctx,
       SendHotKeys(&net, self, NodeId::Db(i), tags.hot_global, hot);
     }
   }
-  return RecvHotKeys(&net, self, tags.hot_global);
+  Result<HotKeySet> hot = RecvHotKeys(&net, self, tags.hot_global);
+  HJ_RETURN_IF_ERROR(st);
+  return hot;
+}
+
+}  // namespace
+
+BloomPrefix RunDbBloomPrefix(Execution* exec, const PreparedQuery& prepared,
+                             uint32_t worker, const PrefixState* carried,
+                             const BloomPrefixOptions& options,
+                             Status* status) {
+  EngineContext* ctx = exec->ctx();
+  Network& net = ctx->network();
+  const Tags& tags = exec->tags();
+  const HybridQuery& query = prepared.query;
+  const NodeId self = NodeId::Db(worker);
+  BloomPrefix out{BloomFilter(),
+                  HeavyHitterSketch(ctx->config().skew.sketch_capacity),
+                  HotKeySet(), 0};
+  const char* mark = options.built_mark;
+  if (carried != nullptr) {
+    out.bloom = carried->global_bloom;
+    out.sketch = carried->sketches[worker];
+    mark = "bf_db_carried";
+  } else {
+    bool used_index = false;
+    HeavyHitterSketch* sketch = options.feed_sketch ? &out.sketch : nullptr;
+    Result<BloomFilter> local = ctx->db().worker(worker)->BuildLocalBloom(
+        query.db.table, query.db.predicate, query.db.join_key,
+        prepared.bloom_params, &used_index, sketch, &out.qualifying_rows);
+    status->Update(local.status());
+    out.bloom = local.ok() ? std::move(local).value()
+                           : BloomFilter(prepared.bloom_params);
+    Result<BloomFilter> global =
+        CombineBloomAtDbWorker0(ctx, worker, out.bloom, tags);
+    out.bloom = std::move(global).ValueOr(status, std::move(out.bloom));
+  }
+  for (uint32_t w : options.forward_to) {
+    SendBloom(&net, self, NodeId::Hdfs(w), tags.bloom_to_jen, out.bloom,
+              &ctx->metrics());
+  }
+  if (worker == 0) exec->report().Mark(mark);
+  if (options.route_workers > 0) {
+    // The route width is the caller's exchange's, which a carried prefix
+    // could not know, so the hot set is agreed here even when resuming.
+    out.hot = CombineHotKeysAtDbWorker0(ctx, worker, out.sketch,
+                                        options.route_workers, tags)
+                  .ValueOr(status);
+    for (uint32_t w : options.forward_to) {
+      SendHotKeys(&net, self, NodeId::Hdfs(w), tags.hot_to_jen, out.hot);
+    }
+    if (worker == 0 && !out.hot.empty()) exec->report().Mark("hot_set_sent");
+  }
+  return out;
+}
+
+Status MergeAggregates(EngineContext* ctx, NodeId self, NodeId coordinator,
+                       uint32_t senders, const HashAggregator& partial,
+                       uint64_t tag, RecordBatch* final_rows) {
+  Network& net = ctx->network();
+  net.SendControl(self, coordinator, tag, partial.Partial().Serialize());
+  if (!(self == coordinator)) return Status::OK();
+  Status st;
+  HashAggregator final_agg(partial.spec());
+  const SchemaPtr partial_schema = partial.spec().ResultSchema();
+  for (uint32_t i = 0; i < senders; ++i) {
+    Result<Message> msg = net.Recv(self, tag);
+    if (!msg.ok()) {
+      st.Update(msg.status());
+      break;
+    }
+    if (msg->eos || msg->payload == nullptr) {
+      st.Update(Status::Internal("expected partial aggregate, got EOS"));
+      continue;
+    }
+    Result<RecordBatch> batch =
+        RecordBatch::Deserialize(*msg->payload, partial_schema);
+    st.Update(batch.ok() ? final_agg.Merge(batch.value()) : batch.status());
+  }
+  *final_rows = final_agg.Finish();
+  return st;
 }
 
 Status JenAggregateAndReturn(EngineContext* ctx, uint32_t jen_worker,
-                             HashAggregator* partial, const Tags& tags) {
-  Network& net = ctx->network();
+                             const HashAggregator& partial,
+                             const Tags& tags) {
   const NodeId self = NodeId::Hdfs(jen_worker);
-  const uint32_t designated = ctx->coordinator().designated_worker();
-  const SchemaPtr partial_schema = partial->spec().ResultSchema();
-
-  net.SendControl(self, NodeId::Hdfs(designated), tags.agg,
-                  partial->Partial().Serialize());
-  if (jen_worker != designated) return Status::OK();
-
-  HashAggregator final_agg(partial->spec());
-  for (uint32_t i = 0; i < ctx->num_jen_workers(); ++i) {
-    HJ_ASSIGN_OR_RETURN(Message msg, net.Recv(self, tags.agg));
-    if (msg.eos || msg.payload == nullptr) {
-      return Status::Internal("expected partial aggregate, got EOS");
-    }
-    HJ_ASSIGN_OR_RETURN(
-        RecordBatch batch,
-        RecordBatch::Deserialize(*msg.payload, partial_schema));
-    HJ_RETURN_IF_ERROR(final_agg.Merge(batch));
+  const NodeId designated =
+      NodeId::Hdfs(ctx->coordinator().designated_worker());
+  RecordBatch rows;
+  const Status st = MergeAggregates(ctx, self, designated,
+                                    ctx->num_jen_workers(), partial,
+                                    tags.agg, &rows);
+  if (self == designated) {
+    ctx->network().SendControl(self, NodeId::Db(0), tags.result,
+                               rows.Serialize());
   }
-  net.SendControl(self, NodeId::Db(0), tags.result,
-                  final_agg.Finish().Serialize());
-  return Status::OK();
+  return st;
 }
 
-Result<RecordBatch> DbReceiveResult(EngineContext* ctx, const AggSpec& agg,
-                                    const Tags& tags) {
+Status DbReceiveResult(EngineContext* ctx, const AggSpec& agg,
+                       const Tags& tags, RecordBatch* rows) {
   HJ_ASSIGN_OR_RETURN(Message msg,
                       ctx->network().Recv(NodeId::Db(0), tags.result));
   if (msg.eos || msg.payload == nullptr) {
     return Status::Internal("expected final result, got EOS");
   }
-  return RecordBatch::Deserialize(*msg.payload, agg.ResultSchema());
+  HJ_ASSIGN_OR_RETURN(*rows,
+                      RecordBatch::Deserialize(*msg.payload,
+                                               agg.ResultSchema()));
+  return Status::OK();
 }
 
-std::vector<uint32_t> OwnerOfJenWorkers(EngineContext* ctx) {
-  const auto groups =
-      ctx->coordinator().GroupWorkersForDb(ctx->num_db_workers());
-  std::vector<uint32_t> owner(ctx->num_jen_workers(), 0);
-  for (uint32_t g = 0; g < groups.size(); ++g) {
-    for (uint32_t w : groups[g]) owner[w] = g;
-  }
-  return owner;
-}
-
-std::vector<NodeId> AllJenNodes(EngineContext* ctx) {
+std::vector<NodeId> AllNodes(EngineContext* ctx, ClusterId cluster) {
+  const uint32_t count = cluster == ClusterId::kDb ? ctx->num_db_workers()
+                                                   : ctx->num_jen_workers();
   std::vector<NodeId> nodes;
-  nodes.reserve(ctx->num_jen_workers());
-  for (uint32_t i = 0; i < ctx->num_jen_workers(); ++i) {
-    nodes.push_back(NodeId::Hdfs(i));
-  }
-  return nodes;
-}
-
-std::vector<NodeId> AllDbNodes(EngineContext* ctx) {
-  std::vector<NodeId> nodes;
-  nodes.reserve(ctx->num_db_workers());
-  for (uint32_t i = 0; i < ctx->num_db_workers(); ++i) {
-    nodes.push_back(NodeId::Db(i));
-  }
+  for (uint32_t i = 0; i < count; ++i) nodes.push_back({cluster, i});
   return nodes;
 }
 
@@ -329,6 +444,16 @@ std::vector<uint32_t> AllRows(size_t n) {
   std::vector<uint32_t> sel(n);
   for (uint32_t i = 0; i < n; ++i) sel[i] = i;
   return sel;
+}
+
+std::vector<RecordBatch> ScanDbTable(EngineContext* ctx,
+                                     const HybridQuery& query,
+                                     uint32_t worker, Status* status) {
+  return ctx->db()
+      .worker(worker)
+      ->ScanFilterProject(query.db.table, query.db.predicate,
+                          query.db.projection, &ctx->metrics())
+      .ValueOr(status);
 }
 
 Result<std::vector<RecordBatch>> FilterBatchesByBloom(
@@ -349,15 +474,35 @@ uint32_t HashTableShards(EngineContext* ctx) {
   return threads == 1 ? 1 : 2 * threads;
 }
 
-JoinSide DbJoinSide(const PreparedQuery& prepared) {
-  return {prepared.db_proj_schema, prepared.query.db.alias,
-          prepared.db_key_idx};
-}
+struct LocalJoin::Side {
+  SchemaPtr schema;
+  std::string alias;
+  size_t key;
 
-JoinSide HdfsJoinSide(const PreparedQuery& prepared) {
-  return {prepared.hdfs_out_schema, prepared.query.hdfs.alias,
-          prepared.hdfs_key_idx};
-}
+  /// T' (`db`) or L' as prepared.
+  static Side Of(const PreparedQuery& prepared, bool db) {
+    if (db) {
+      return {prepared.db_proj_schema, prepared.query.db.alias,
+              prepared.db_key_idx};
+    }
+    return {prepared.hdfs_out_schema, prepared.query.hdfs.alias,
+            prepared.hdfs_key_idx};
+  }
+};
+
+LocalJoin::LocalJoin(EngineContext* ctx, const PreparedQuery& prepared,
+                     bool build_db)
+    : LocalJoin(ctx, prepared.query, Side::Of(prepared, build_db),
+                Side::Of(prepared, !build_db)) {}
+
+LocalJoin::LocalJoin(EngineContext* ctx, const HybridQuery& query,
+                     const Side& build, const Side& probe)
+    : agg(query.agg),
+      spill(ctx->config().jen.spill_write_bps,
+            ctx->config().jen.spill_read_bps, &ctx->metrics()),
+      join(build.schema, build.alias, build.key, probe.schema, probe.alias,
+           probe.key, query.post_join_predicate, &agg, &ctx->metrics(),
+           &spill) {}
 
 Status FinishJoinBuild(EngineContext* ctx, GraceHashJoin* join) {
   trace::Span span(&ctx->tracer(), trace::span::kHtFinalize,
@@ -404,14 +549,6 @@ Status ParallelProbe::Finish() {
   for (auto& thread : threads_) HJ_RETURN_IF_ERROR(thread->Flush());
   for (auto& partial : partials_) HJ_RETURN_IF_ERROR(agg_->Merge(*partial));
   return join_->Finish();
-}
-
-void RecordBloomStats(EngineContext* ctx, const BloomFilter& bloom) {
-  Metrics& m = ctx->metrics();
-  m.Max(metric::kBloomFillPct,
-        static_cast<int64_t>(bloom.FillRatio() * 100.0));
-  m.Max(metric::kBloomEstFprPpm,
-        static_cast<int64_t>(bloom.EstimatedFpr() * 1e6));
 }
 
 }  // namespace driver

@@ -245,4 +245,25 @@ uint64_t Network::AllocateTagBlock(uint64_t width) {
   return next_tag_.fetch_add(width, std::memory_order_relaxed);
 }
 
+void Network::ReleaseTagBlock(uint64_t base, uint64_t width) {
+  auto in_block = [base, width](uint64_t tag) {
+    return tag >= base && tag - base < width;
+  };
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    std::erase_if(channels_, [&](const auto& entry) {
+      return in_block(entry.first.second);
+    });
+  }
+  std::lock_guard<std::mutex> lock(seq_mu_);
+  std::erase_if(stream_seq_, [&](const auto& entry) {
+    return in_block(std::get<2>(entry.first));
+  });
+}
+
+size_t Network::num_channels() const {
+  std::lock_guard<std::mutex> lock(mu_);
+  return channels_.size();
+}
+
 }  // namespace hybridjoin

@@ -199,6 +199,14 @@ class Network {
   /// tags out of it so concurrent queries never collide.
   uint64_t AllocateTagBlock(uint64_t width = 64);
 
+  /// Frees the channels and sequence counters of the tags [base, base +
+  /// width), with any messages still queued on them. Call only once every
+  /// sender and receiver on those tags is done.
+  void ReleaseTagBlock(uint64_t base, uint64_t width);
+
+  /// Number of live channels (one per destination and tag in use).
+  size_t num_channels() const;
+
  private:
   /// A channel plus the receiver-side dedup state for duplicated
   /// deliveries: the set of already-delivered sequence numbers per sender.
@@ -224,7 +232,7 @@ class Network {
   std::vector<std::unique_ptr<TokenBucket>> hdfs_nics_;
   TokenBucket cross_switch_;
 
-  std::mutex mu_;
+  mutable std::mutex mu_;
   std::map<std::pair<NodeId, uint64_t>, std::unique_ptr<ChannelState>>
       channels_;
   std::mutex seq_mu_;

@@ -13,7 +13,7 @@
 //      (SnapshotNodeProfile), serializes it (SerializeNodeProfile) and
 //      SendControl()s it to DB worker 0 on the query's profile tag — the
 //      same unthrottled, fault-exempt control plane the plan decisions use
-//      (driver::NodeProfileScope does this automatically).
+//      (driver::Execution::RunWorkers does this for every worker).
 //   3. After joining the worker threads the driver drains one message per
 //      worker and hands the snapshots to obs::AssembleProfile.
 

@@ -132,8 +132,10 @@ void MetricsHttpServer::ListenLoop() {
       if (n <= 0) break;
       sent += static_cast<size_t>(n);
     }
-    ::close(client);
+    // Count before closing: the client reads until EOF, and may read the
+    // counter as soon as it sees it.
     requests_.fetch_add(1, std::memory_order_relaxed);
+    ::close(client);
   }
 }
 

@@ -18,6 +18,8 @@
 #include "common/stopwatch.h"
 #include "common/thread_pool.h"
 #include "common/token_bucket.h"
+#include "exec/aggregator.h"
+#include "types/record_batch.h"
 
 namespace hybridjoin {
 namespace {
@@ -154,6 +156,23 @@ TEST(BinaryIoTest, TruncatedStringIsError) {
   w.PutVarint(100);  // declared length 100, no bytes follow
   BinaryReader r(w.buffer());
   EXPECT_FALSE(r.GetString().ok());
+}
+
+TEST(BinaryIoTest, EmptyReadsTouchNoMemory) {
+  // Zero-byte reads come with null pointers on both sides (an empty
+  // vector's data()); under -fsanitize=undefined a memcpy of them aborts.
+  const std::vector<uint8_t> empty;
+  BinaryReader r(empty);
+  EXPECT_TRUE(r.GetRaw(nullptr, 0).ok());
+
+  // The engine's case: a worker whose partial aggregate has no groups.
+  const AggSpec spec = AggSpec::CountStar("g", /*extract_group=*/false);
+  const HashAggregator partial(spec);
+  auto batch =
+      RecordBatch::Deserialize(partial.Partial().Serialize(),
+                               spec.ResultSchema());
+  ASSERT_TRUE(batch.ok()) << batch.status();
+  EXPECT_EQ(batch->num_rows(), 0u);
 }
 
 // ------------------------------- Hashing ----------------------------------

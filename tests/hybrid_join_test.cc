@@ -130,5 +130,53 @@ TEST(HybridJoinReport, CountersArePopulated) {
             repartition->report.Counter(metric::kDbTuplesSent));
 }
 
+// Every execution releases its channel tags: after any query — static,
+// adaptive or failed — the network holds exactly the channels it held
+// before, so a long-running server does not accumulate them per query.
+TEST(HybridJoinChannels, EveryQueryReleasesItsChannels) {
+  WorkloadConfig wc;
+  wc.num_join_keys = 256;
+  wc.t_rows = 4000;
+  wc.l_rows = 20000;
+  auto workload = Workload::Generate(wc, {0.2, 0.4, 0.5, 0.5});
+  ASSERT_TRUE(workload.ok());
+  const HybridQuery query = workload->MakeQuery();
+  LoadOptions load;
+  load.hdfs.rows_per_block = 2048;
+
+  SimulationConfig config;
+  config.db.num_workers = 2;
+  config.jen_workers = 3;
+  config.bloom.expected_keys = wc.num_join_keys;
+  {
+    HybridWarehouse hw(config);
+    ASSERT_TRUE(LoadWorkload(&hw, *workload, load).ok());
+    const Network& net = hw.context().network();
+    const size_t before = net.num_channels();
+    for (JoinAlgorithm algorithm :
+         {JoinAlgorithm::kDbSide, JoinAlgorithm::kDbSideBloom,
+          JoinAlgorithm::kBroadcast, JoinAlgorithm::kRepartition,
+          JoinAlgorithm::kRepartitionBloom, JoinAlgorithm::kZigzag}) {
+      SCOPED_TRACE(JoinAlgorithmName(algorithm));
+      ASSERT_TRUE(hw.Execute(query, algorithm).ok());
+      EXPECT_EQ(net.num_channels(), before);
+    }
+    ASSERT_TRUE(hw.context().config().adaptive.enabled);
+    ASSERT_TRUE(hw.ExecuteAuto(query).ok());
+    EXPECT_EQ(net.num_channels(), before) << "adaptive";
+  }
+
+  // A query that fails: the lossy profile drops data-plane messages for
+  // good, and a bounded recv wait turns any lost handshake into an error.
+  config.fault = FaultProfile::Lossy(/*seed=*/7);
+  config.net.recv_timeout_ms = 2000;
+  HybridWarehouse lossy(config);
+  ASSERT_TRUE(LoadWorkload(&lossy, *workload, load).ok());
+  const Network& net = lossy.context().network();
+  const size_t before = net.num_channels();
+  EXPECT_FALSE(lossy.Execute(query, JoinAlgorithm::kRepartition).ok());
+  EXPECT_EQ(net.num_channels(), before) << "failed query";
+}
+
 }  // namespace
 }  // namespace hybridjoin

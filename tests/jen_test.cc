@@ -615,7 +615,7 @@ TEST(JenWorkerWall, EveryWorkerFeedsWallHistogramAtEndOfQuery) {
   ASSERT_TRUE(result.ok()) << result.status();
 
   // Each of the 4 JEN worker threads records its end-of-query wall time —
-  // with tracing disabled too, since NodeProfileScope records it directly.
+  // with tracing disabled too, since the worker runtime records it directly.
   const auto hists = hw.context().metrics().HistogramSnapshot();
   ASSERT_EQ(hists.count(metric::kJenWorkerWallUs), 1u);
   const HistogramSummary& wall = hists.at(metric::kJenWorkerWallUs);

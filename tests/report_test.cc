@@ -51,14 +51,21 @@ TEST(DriverCommonTest, TagsAreDistinct) {
   Network net(NetworkConfig{}, 2, 2, &metrics);
   const driver::Tags a = driver::Tags::Allocate(&net);
   const driver::Tags b = driver::Tags::Allocate(&net);
-  const uint64_t a_tags[] = {a.bloom_local, a.bloom_global, a.bloom_to_jen,
-                             a.shuffle,     a.db_data,      a.bloom_h_local,
-                             a.bloom_h_global, a.agg,       a.result,
-                             a.l_data,      a.control,      a.counts,
-                             a.strategy,    a.db_shuffle_t, a.db_shuffle_l};
+  const uint64_t a_tags[] = {
+      a.bloom_local,  a.bloom_global,  a.bloom_to_jen, a.shuffle,
+      a.db_data,      a.bloom_h_local, a.bloom_h_global, a.agg,
+      a.result,       a.l_data,        a.control,      a.counts,
+      a.strategy,     a.db_shuffle_t,  a.db_shuffle_l, a.profile,
+      a.sketch_local, a.hot_global,    a.hot_to_jen,   a.adapt_stats,
+      a.adapt_decision};
   std::set<uint64_t> unique(std::begin(a_tags), std::end(a_tags));
   EXPECT_EQ(unique.size(), std::size(a_tags));
+  // Every tag lies in the block, and the block is exactly kWidth wide.
+  EXPECT_EQ(unique.size(), driver::Tags::kWidth);
+  EXPECT_EQ(*unique.begin(), a.base);
+  EXPECT_EQ(*unique.rbegin(), a.base + driver::Tags::kWidth - 1);
   EXPECT_GT(b.bloom_local, a.db_shuffle_l);  // disjoint blocks
+  EXPECT_GE(b.base, a.base + driver::Tags::kWidth);
 }
 
 TEST(DriverCommonTest, CombineBloomProducesGlobalUnionEverywhere) {
