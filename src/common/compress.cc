@@ -12,6 +12,9 @@ constexpr size_t kMinMatch = 4;
 constexpr size_t kMaxOffset = 1 << 16;
 constexpr size_t kHashBits = 14;
 constexpr size_t kHashSize = 1 << kHashBits;
+// Largest original size a stream may declare. The columnar writer's chunks
+// are a few MB at most; anything beyond this is a corrupt header.
+constexpr uint64_t kMaxDecompressedSize = uint64_t{1} << 30;
 
 inline uint32_t Load32(const uint8_t* p) {
   uint32_t v;
@@ -89,15 +92,21 @@ std::vector<uint8_t> LzCompress(const uint8_t* data, size_t n) {
 Result<std::vector<uint8_t>> LzDecompress(const uint8_t* data, size_t n) {
   BinaryReader in(data, n);
   HJ_ASSIGN_OR_RETURN(uint64_t original_size, in.GetVarint());
+  if (original_size > kMaxDecompressedSize) {
+    return Status::IOError("lz: declared size too large");
+  }
+  // The declared size is untrusted: the output grows one token at a time,
+  // and only by bytes the stream has proven it can produce.
   std::vector<uint8_t> out;
-  out.reserve(original_size);
   while (out.size() < original_size) {
     HJ_ASSIGN_OR_RETURN(uint64_t lit_len, in.GetVarint());
     if (lit_len > original_size - out.size()) {
       return Status::IOError("lz: literal run past declared size");
     }
     HJ_ASSIGN_OR_RETURN(std::string_view lits, in.GetView(lit_len));
-    out.insert(out.end(), lits.begin(), lits.end());
+    size_t pos = out.size();
+    out.resize(pos + lit_len);
+    if (lit_len > 0) std::memcpy(out.data() + pos, lits.data(), lit_len);
     if (out.size() == original_size) break;
     HJ_ASSIGN_OR_RETURN(uint64_t match_len, in.GetVarint());
     HJ_ASSIGN_OR_RETURN(uint64_t offset, in.GetVarint());
@@ -107,11 +116,16 @@ Result<std::vector<uint8_t>> LzDecompress(const uint8_t* data, size_t n) {
     if (match_len > original_size - out.size()) {
       return Status::IOError("lz: match past declared size");
     }
-    // Byte-by-byte copy: offsets smaller than the match length replicate
-    // (classic LZ overlapping copy).
-    size_t src = out.size() - offset;
-    for (uint64_t k = 0; k < match_len; ++k) {
-      out.push_back(out[src + k]);
+    pos = out.size();
+    out.resize(pos + match_len);
+    uint8_t* dst = out.data() + pos;
+    const uint8_t* src = dst - offset;
+    if (offset >= match_len) {
+      std::memcpy(dst, src, match_len);
+    } else {
+      // Offsets smaller than the match length replicate (classic LZ
+      // overlapping copy), so copy byte by byte.
+      for (uint64_t k = 0; k < match_len; ++k) dst[k] = src[k];
     }
   }
   if (!in.AtEnd()) {

@@ -37,12 +37,34 @@ JoinProber::JoinProber(const JoinHashTable* build, SchemaPtr build_schema,
       build_width_(build_schema->num_fields()),
       pending_(joined_schema_) {
   HJ_CHECK(build_->finalized()) << "probe against non-finalized hash table";
+  // Split the joined columns into those the post-join predicate reads and
+  // the rest. A name the joined schema lacks is left to Filter to report.
+  std::vector<std::string> read;
+  if (post_join_predicate_ != nullptr) {
+    post_join_predicate_->CollectColumns(&read);
+  }
+  for (const std::string& name : read) {
+    auto idx = joined_schema_->IndexOf(name);
+    if (idx.ok()) filter_columns_.push_back(*idx);
+  }
+  std::sort(filter_columns_.begin(), filter_columns_.end());
+  filter_columns_.erase(
+      std::unique(filter_columns_.begin(), filter_columns_.end()),
+      filter_columns_.end());
+  for (size_t c = 0; c < joined_schema_->num_fields(); ++c) {
+    if (!std::binary_search(filter_columns_.begin(), filter_columns_.end(),
+                            c)) {
+      late_columns_.push_back(c);
+    }
+  }
+  filter_batch_ = RecordBatch(joined_schema_->Project(filter_columns_));
+
   // The build side is frozen after Finalize, so the typed data pointers of
   // every build column/batch can be resolved once here.
   const auto& batches = build_->batches();
   build_sources_.resize(build_width_);
   for (size_t c = 0; c < build_width_; ++c) {
-    GatherColumn& gc = build_sources_[c];
+    BuildSource& gc = build_sources_[c];
     gc.type = PhysicalTypeOf(build_schema->field(c).type);
     gc.per_batch.reserve(batches.size());
     for (const RecordBatch& b : batches) {
@@ -65,57 +87,88 @@ JoinProber::JoinProber(const JoinHashTable* build, SchemaPtr build_schema,
   }
 }
 
-void JoinProber::MaterializeChunk(const RecordBatch& probe_batch, size_t pos,
-                                  size_t take) {
-  const JoinMatch* m = matches_.data() + pos;
-  for (size_t c = 0; c < build_width_; ++c) {
-    const GatherColumn& src = build_sources_[c];
-    ColumnVector& dst = pending_.mutable_column(c);
-    switch (src.type) {
-      case PhysicalType::kInt32: {
-        auto& o = dst.mutable_i32();
-        o.reserve(o.size() + take);
-        for (size_t j = 0; j < take; ++j) {
-          o.push_back(
-              static_cast<const int32_t*>(src.per_batch[m[j].batch])[m[j].row]);
-        }
-        break;
+void JoinProber::GatherColumn(size_t c, const RecordBatch& probe_batch,
+                              const JoinMatch* m, size_t n,
+                              ColumnVector* dst) const {
+  if (c >= build_width_) {
+    dst->GatherAppendFrom(probe_batch.column(c - build_width_),
+                          probe_rows_.data(), n);
+    return;
+  }
+  const BuildSource& src = build_sources_[c];
+  switch (src.type) {
+    case PhysicalType::kInt32: {
+      auto& o = dst->mutable_i32();
+      o.reserve(o.size() + n);
+      for (size_t j = 0; j < n; ++j) {
+        o.push_back(
+            static_cast<const int32_t*>(src.per_batch[m[j].batch])[m[j].row]);
       }
-      case PhysicalType::kInt64: {
-        auto& o = dst.mutable_i64();
-        o.reserve(o.size() + take);
-        for (size_t j = 0; j < take; ++j) {
-          o.push_back(
-              static_cast<const int64_t*>(src.per_batch[m[j].batch])[m[j].row]);
-        }
-        break;
+      break;
+    }
+    case PhysicalType::kInt64: {
+      auto& o = dst->mutable_i64();
+      o.reserve(o.size() + n);
+      for (size_t j = 0; j < n; ++j) {
+        o.push_back(
+            static_cast<const int64_t*>(src.per_batch[m[j].batch])[m[j].row]);
       }
-      case PhysicalType::kFloat64: {
-        auto& o = dst.mutable_f64();
-        o.reserve(o.size() + take);
-        for (size_t j = 0; j < take; ++j) {
-          o.push_back(
-              static_cast<const double*>(src.per_batch[m[j].batch])[m[j].row]);
-        }
-        break;
+      break;
+    }
+    case PhysicalType::kFloat64: {
+      auto& o = dst->mutable_f64();
+      o.reserve(o.size() + n);
+      for (size_t j = 0; j < n; ++j) {
+        o.push_back(
+            static_cast<const double*>(src.per_batch[m[j].batch])[m[j].row]);
       }
-      case PhysicalType::kString: {
-        auto& o = dst.mutable_str();
-        o.reserve(o.size() + take);
-        for (size_t j = 0; j < take; ++j) {
-          o.push_back(static_cast<const std::string*>(
-              src.per_batch[m[j].batch])[m[j].row]);
-        }
-        break;
+      break;
+    }
+    case PhysicalType::kString: {
+      auto& o = dst->mutable_str();
+      o.reserve(o.size() + n);
+      for (size_t j = 0; j < n; ++j) {
+        o.push_back(static_cast<const std::string*>(
+            src.per_batch[m[j].batch])[m[j].row]);
       }
+      break;
     }
   }
-  probe_rows_.resize(take);
-  for (size_t j = 0; j < take; ++j) probe_rows_[j] = m[j].probe_row;
-  for (size_t c = 0; c < probe_batch.num_columns(); ++c) {
-    pending_.mutable_column(build_width_ + c)
-        .GatherAppendFrom(probe_batch.column(c), probe_rows_.data(), take);
+}
+
+Status JoinProber::AppendMatches(const RecordBatch& probe_batch,
+                                 const JoinMatch* m, size_t n) {
+  auto set_probe_rows = [this](const JoinMatch* rows, size_t count) {
+    probe_rows_.resize(count);
+    for (size_t j = 0; j < count; ++j) probe_rows_[j] = rows[j].probe_row;
+  };
+  if (post_join_predicate_ != nullptr) {
+    // Filter on the predicate's columns, gathered for every match; keep
+    // those columns for the survivors and narrow the match list to them.
+    set_probe_rows(m, n);
+    for (size_t k = 0; k < filter_columns_.size(); ++k) {
+      ColumnVector* col = &filter_batch_.mutable_column(k);
+      col->Clear();
+      GatherColumn(filter_columns_[k], probe_batch, m, n, col);
+    }
+    sel_.resize(n);
+    for (uint32_t j = 0; j < n; ++j) sel_[j] = j;
+    HJ_RETURN_IF_ERROR(post_join_predicate_->Filter(filter_batch_, &sel_));
+    for (size_t k = 0; k < filter_columns_.size(); ++k) {
+      pending_.mutable_column(filter_columns_[k])
+          .GatherAppendFrom(filter_batch_.column(k), sel_.data(), sel_.size());
+    }
+    survivors_.resize(sel_.size());
+    for (size_t j = 0; j < sel_.size(); ++j) survivors_[j] = m[sel_[j]];
+    m = survivors_.data();
+    n = survivors_.size();
   }
+  // The remaining columns, for the surviving matches only.
+  set_probe_rows(m, n);
+  for (size_t c : late_columns_) {
+    GatherColumn(c, probe_batch, m, n, &pending_.mutable_column(c));
+  }
+  return Status::OK();
 }
 
 Status JoinProber::ProbeBatch(const RecordBatch& batch) {
@@ -137,13 +190,12 @@ Status JoinProber::ProbeBatch(const RecordBatch& batch) {
   }
   join_matches_ += static_cast<int64_t>(matches_.size());
 
-  // Materialize the match list in chunks that fill pending_ to exactly
-  // output_batch_rows, flushing as each chunk completes.
-  size_t pos = 0;
-  while (pos < matches_.size()) {
-    const size_t room = options_.output_batch_rows - pending_.num_rows();
-    const size_t take = std::min(room, matches_.size() - pos);
-    MaterializeChunk(batch, pos, take);
+  // Filter the match list in chunks of output_batch_rows, aggregating the
+  // buffered survivors whenever a chunk's worth has accumulated.
+  for (size_t pos = 0; pos < matches_.size();) {
+    const size_t take =
+        std::min(options_.output_batch_rows, matches_.size() - pos);
+    HJ_RETURN_IF_ERROR(AppendMatches(batch, matches_.data() + pos, take));
     pos += take;
     if (pending_.num_rows() >= options_.output_batch_rows) {
       HJ_RETURN_IF_ERROR(Flush());
@@ -153,19 +205,18 @@ Status JoinProber::ProbeBatch(const RecordBatch& batch) {
 }
 
 Status JoinProber::Flush() {
-  if (pending_.num_rows() == 0) return Status::OK();
-  std::vector<uint32_t> sel(pending_.num_rows());
-  for (uint32_t i = 0; i < sel.size(); ++i) sel[i] = i;
-  if (post_join_predicate_ != nullptr) {
-    HJ_RETURN_IF_ERROR(post_join_predicate_->Filter(pending_, &sel));
-  }
-  output_rows_ += static_cast<int64_t>(sel.size());
+  const size_t rows = pending_.num_rows();
+  if (rows == 0) return Status::OK();
+  output_rows_ += static_cast<int64_t>(rows);
   if (metrics_ != nullptr) {
-    metrics_->Add(metric::kJoinOutputTuples,
-                  static_cast<int64_t>(sel.size()));
+    metrics_->Add(metric::kJoinOutputTuples, static_cast<int64_t>(rows));
   }
-  HJ_RETURN_IF_ERROR(aggregator_->Update(pending_, sel));
-  pending_ = RecordBatch(joined_schema_);
+  sel_.resize(rows);
+  for (uint32_t i = 0; i < rows; ++i) sel_[i] = i;
+  HJ_RETURN_IF_ERROR(aggregator_->Update(pending_, sel_));
+  for (size_t c = 0; c < pending_.num_columns(); ++c) {
+    pending_.mutable_column(c).Clear();
+  }
   return Status::OK();
 }
 

@@ -1,15 +1,17 @@
-// JoinProber: probe a JoinHashTable with record batches, materialize the
-// matches as joined rows (columns renamed "<alias>.<name>"), apply the
-// post-join predicate, and fold survivors into a HashAggregator.
+// JoinProber: probe a JoinHashTable with record batches, apply the post-join
+// predicate to the matches, materialize the survivors as joined rows
+// (columns renamed "<alias>.<name>"), and fold them into a HashAggregator.
 //
 // This one component is reused by every join algorithm: in JEN workers for
-// the HDFS-side joins, in DB workers for the DB-side join, and in the
-// single-node reference executor the tests compare against.
+// the HDFS-side joins and in DB workers for the DB-side join. The
+// single-node reference executor deliberately does not use it, so the tests
+// that compare against that oracle also check this prober.
 //
 // The probe is batched: the whole key column goes through
-// JoinHashTable::ProbeBatch, and the resulting match list is materialized
-// column-at-a-time (one type dispatch per column per chunk, contiguous
-// gathers) instead of cell-at-a-time.
+// JoinHashTable::ProbeBatch, and the resulting match list is processed in
+// chunks, column-at-a-time (one type dispatch per column per chunk). Each
+// chunk is late-materialized: only the columns the post-join predicate reads
+// are gathered for every match; the others are gathered for survivors only.
 
 #ifndef HYBRIDJOIN_EXEC_JOIN_PROBER_H_
 #define HYBRIDJOIN_EXEC_JOIN_PROBER_H_
@@ -25,7 +27,8 @@
 namespace hybridjoin {
 
 struct JoinProberOptions {
-  /// Joined rows are buffered and filtered/aggregated in chunks this large.
+  /// Matches are filtered in chunks this large, and surviving joined rows
+  /// are aggregated once at least this many are buffered.
   size_t output_batch_rows = 4096;
 };
 
@@ -45,11 +48,12 @@ class JoinProber {
   /// The joined schema (build columns first, then probe columns).
   const SchemaPtr& joined_schema() const { return joined_schema_; }
 
-  /// Probes every row of `batch`; buffers matches and flushes full chunks
-  /// through the post-join predicate into the aggregator.
+  /// Probes every row of `batch`; filters the matches, buffers the
+  /// survivors and aggregates them whenever a full chunk is buffered.
   Status ProbeBatch(const RecordBatch& batch);
 
-  /// Flushes buffered joined rows. Call once after the last ProbeBatch.
+  /// Aggregates the buffered joined rows. Call once after the last
+  /// ProbeBatch.
   Status Flush();
 
   /// Joined rows that matched the equi-join (before the post-join filter).
@@ -59,16 +63,23 @@ class JoinProber {
 
  private:
   /// Per-build-column gather source: the typed data pointer of that column
-  /// in every build batch, so the materialize loop indexes raw arrays
+  /// in every build batch, so the gather loop indexes raw arrays
   /// without per-row variant dispatch.
-  struct GatherColumn {
+  struct BuildSource {
     PhysicalType type;
     std::vector<const void*> per_batch;  ///< typed data() per build batch
   };
 
-  /// Appends matches_[pos, pos+take) as joined rows onto pending_.
-  void MaterializeChunk(const RecordBatch& probe_batch, size_t pos,
-                        size_t take);
+  /// Appends joined column `c` (build columns first, then probe columns)
+  /// for the matches `m[0, n)` onto `dst`; probe rows come from
+  /// `probe_rows_[0, n)`.
+  void GatherColumn(size_t c, const RecordBatch& probe_batch,
+                    const JoinMatch* m, size_t n, ColumnVector* dst) const;
+
+  /// Filters the matches `m[0, n)` by the post-join predicate and appends the
+  /// survivors onto pending_ as joined rows.
+  Status AppendMatches(const RecordBatch& probe_batch, const JoinMatch* m,
+                       size_t n);
 
   const JoinHashTable* build_;
   SchemaPtr probe_schema_;
@@ -80,10 +91,17 @@ class JoinProber {
 
   SchemaPtr joined_schema_;
   size_t build_width_;
-  std::vector<GatherColumn> build_sources_;
-  RecordBatch pending_;
+  std::vector<BuildSource> build_sources_;
+  /// Joined-schema indexes of the columns the post-join predicate reads,
+  /// and of every other column. Without a predicate, all columns are late.
+  std::vector<size_t> filter_columns_;
+  std::vector<size_t> late_columns_;
+  RecordBatch filter_batch_;           ///< filter columns of one chunk
+  RecordBatch pending_;                ///< surviving joined rows
   std::vector<JoinMatch> matches_;     ///< scratch, reused across batches
+  std::vector<JoinMatch> survivors_;   ///< scratch, reused across chunks
   std::vector<uint32_t> probe_rows_;   ///< scratch, reused across chunks
+  std::vector<uint32_t> sel_;          ///< scratch, reused across chunks
   int64_t join_matches_ = 0;
   int64_t output_rows_ = 0;
 };

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <charconv>
 #include <cstdio>
+#include <functional>
+#include <numeric>
 #include <unordered_map>
 
 #include "common/binary_io.h"
@@ -381,9 +383,17 @@ ColumnChunk EncodeColumnChunk(const ColumnVector& column,
 }
 
 Result<ColumnVector> DecodeColumnChunk(const ColumnChunk& chunk,
-                                       DataType type) {
+                                       DataType type,
+                                       const std::vector<uint32_t>* sel) {
   if (PhysicalTypeOf(type) != PhysicalTypeOf(chunk.type)) {
     return Status::Internal("columnar: chunk type mismatch");
+  }
+  if (sel != nullptr && !sel->empty() &&
+      (sel->back() >= chunk.num_rows ||
+       std::adjacent_find(sel->begin(), sel->end(),
+                          std::greater_equal<uint32_t>()) != sel->end())) {
+    return Status::InvalidArgument(
+        "columnar: selection must be ascending rows of the chunk");
   }
   HJ_ASSIGN_OR_RETURN(
       std::vector<uint8_t> raw,
@@ -433,29 +443,41 @@ Result<ColumnVector> DecodeColumnChunk(const ColumnChunk& chunk,
       break;
     }
     case PhysicalType::kString: {
+      // Every row's bytes are walked and validated; only the selected rows
+      // become strings. `next` is the next selected row still to be built.
+      const uint32_t* next = sel != nullptr ? sel->data() : nullptr;
+      const uint32_t* const sel_end = next + (sel != nullptr ? sel->size() : 0);
+      auto selected = [&](uint32_t row) {
+        if (sel == nullptr) return true;
+        if (next == sel_end || *next != row) return false;
+        ++next;
+        return true;
+      };
       BinaryReader r(raw);
       auto& v = out.mutable_str();
-      v.reserve(chunk.num_rows);
+      v.reserve(sel != nullptr ? sel->size() : chunk.num_rows);
       if (chunk.encoding == ColEncoding::kDict) {
         HJ_ASSIGN_OR_RETURN(uint64_t dict_size, r.GetVarint());
         if (dict_size > chunk.num_rows) {
           return Status::IOError("columnar: dict larger than chunk");
         }
-        std::vector<std::string> dict(dict_size);
+        std::vector<std::string_view> dict(dict_size);
         for (auto& e : dict) {
-          HJ_ASSIGN_OR_RETURN(e, r.GetString());
+          HJ_ASSIGN_OR_RETURN(uint64_t len, r.GetVarint());
+          HJ_ASSIGN_OR_RETURN(e, r.GetView(len));
         }
         for (uint32_t i = 0; i < chunk.num_rows; ++i) {
           HJ_ASSIGN_OR_RETURN(uint64_t code, r.GetVarint());
           if (code >= dict.size()) {
             return Status::IOError("columnar: dict code out of range");
           }
-          v.push_back(dict[code]);
+          if (selected(i)) v.emplace_back(dict[code]);
         }
       } else if (chunk.encoding == ColEncoding::kPlain) {
         for (uint32_t i = 0; i < chunk.num_rows; ++i) {
-          HJ_ASSIGN_OR_RETURN(std::string s, r.GetString());
-          v.push_back(std::move(s));
+          HJ_ASSIGN_OR_RETURN(uint64_t len, r.GetVarint());
+          HJ_ASSIGN_OR_RETURN(std::string_view s, r.GetView(len));
+          if (selected(i)) v.emplace_back(s);
         }
       } else {
         return Status::IOError("columnar: bad string encoding");
@@ -463,12 +485,17 @@ Result<ColumnVector> DecodeColumnChunk(const ColumnChunk& chunk,
       if (!r.AtEnd()) {
         return Status::IOError("columnar: trailing bytes in string chunk");
       }
-      break;
+      if (out.size() != (sel != nullptr ? sel->size() : chunk.num_rows)) {
+        return Status::IOError("columnar: decoded row count mismatch");
+      }
+      return out;
     }
   }
   if (out.size() != chunk.num_rows) {
     return Status::IOError("columnar: decoded row count mismatch");
   }
+  // Fixed-width and RLE chunks decode whole, then gather.
+  if (sel != nullptr) return out.Gather(*sel);
   return out;
 }
 
@@ -501,6 +528,72 @@ Result<RecordBatch> DecodeColumnarBlock(
     cols.push_back(std::move(col));
   }
   return RecordBatch(schema->Project(projection), std::move(cols));
+}
+
+// ---------------------------------------------------------------------------
+// Filtering scan
+// ---------------------------------------------------------------------------
+
+Result<RecordBatch> DecodeBlockFiltered(const StoredBlock& block,
+                                        const SchemaPtr& schema,
+                                        const std::vector<size_t>& filter_columns,
+                                        const std::vector<size_t>& late_columns,
+                                        const RowFilter& filter,
+                                        std::vector<uint32_t>* sel) {
+  std::vector<size_t> all = filter_columns;
+  all.insert(all.end(), late_columns.begin(), late_columns.end());
+
+  if (block.format == HdfsFormat::kText) {
+    // Text has no per-column layout: one parse decodes every column, so the
+    // late step is only a gather.
+    HJ_ASSIGN_OR_RETURN(
+        RecordBatch batch,
+        DecodeText(block.text->data(), block.text->size(), schema, all));
+    sel->resize(batch.num_rows());
+    std::iota(sel->begin(), sel->end(), 0u);
+    HJ_RETURN_IF_ERROR(filter(batch, sel));
+    return batch.Gather(*sel);
+  }
+
+  const ColumnarBlock& columnar = *block.columnar;
+  if (columnar.chunks.size() != schema->num_fields()) {
+    return Status::Internal("columnar: chunk count != schema fields");
+  }
+  for (size_t idx : all) {
+    if (idx >= columnar.chunks.size()) {
+      return Status::InvalidArgument("projection index out of range");
+    }
+    if (columnar.chunks[idx].num_rows != columnar.num_rows) {
+      return Status::IOError("columnar: chunk row count != block row count");
+    }
+  }
+  std::vector<ColumnVector> early;
+  early.reserve(filter_columns.size());
+  for (size_t idx : filter_columns) {
+    HJ_ASSIGN_OR_RETURN(
+        ColumnVector col,
+        DecodeColumnChunk(columnar.chunks[idx], schema->field(idx).type));
+    early.push_back(std::move(col));
+  }
+  RecordBatch early_batch(schema->Project(filter_columns), std::move(early));
+  sel->resize(columnar.num_rows);
+  std::iota(sel->begin(), sel->end(), 0u);
+  HJ_RETURN_IF_ERROR(filter(early_batch, sel));
+
+  // Late columns: every chunk is still decompressed and validated, but only
+  // the surviving rows are built.
+  std::vector<ColumnVector> cols;
+  cols.reserve(all.size());
+  for (size_t c = 0; c < early_batch.num_columns(); ++c) {
+    cols.push_back(early_batch.column(c).Gather(*sel));
+  }
+  for (size_t idx : late_columns) {
+    HJ_ASSIGN_OR_RETURN(ColumnVector col,
+                        DecodeColumnChunk(columnar.chunks[idx],
+                                          schema->field(idx).type, sel));
+    cols.push_back(std::move(col));
+  }
+  return RecordBatch(schema->Project(all), std::move(cols));
 }
 
 }  // namespace hybridjoin

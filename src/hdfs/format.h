@@ -13,6 +13,7 @@
 #define HYBRIDJOIN_HDFS_FORMAT_H_
 
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
@@ -90,9 +91,14 @@ struct ColumnarWriteOptions {
 ColumnChunk EncodeColumnChunk(const ColumnVector& column,
                               const ColumnarWriteOptions& options);
 
-/// Decodes a chunk back into a column vector of `type`.
-Result<ColumnVector> DecodeColumnChunk(const ColumnChunk& chunk,
-                                       DataType type);
+/// Decodes a chunk back into a column vector of `type`. With `sel` (strictly
+/// ascending row indexes), returns only those rows, equal to
+/// `DecodeColumnChunk(chunk, type).Gather(*sel)`: the whole chunk is still
+/// decompressed and validated, but unselected strings are skipped by their
+/// length or dictionary code instead of being built.
+Result<ColumnVector> DecodeColumnChunk(
+    const ColumnChunk& chunk, DataType type,
+    const std::vector<uint32_t>* sel = nullptr);
 
 /// Encodes a batch into a columnar block.
 ColumnarBlock EncodeColumnarBlock(const RecordBatch& batch,
@@ -121,6 +127,29 @@ struct StoredBlock {
     return columnar ? columnar->ByteSize() : 0;
   }
 };
+
+// ---------------------------------------------------------------------------
+// Filtering scan
+// ---------------------------------------------------------------------------
+
+/// Narrows `sel` (on entry, every row of `batch`) to the rows a scan keeps.
+/// Must keep `sel` ascending.
+using RowFilter =
+    std::function<Status(const RecordBatch& batch, std::vector<uint32_t>* sel)>;
+
+/// Decodes one stored block for a filtering scan, late-materialized: the
+/// `filter_columns` are decoded for every row and passed to `filter`, then
+/// the `late_columns` are built only for the rows left in `sel`. Returns
+/// those rows with schema `schema->Project(filter_columns ++ late_columns)`.
+/// A columnar block decompresses and validates every listed chunk even when
+/// no row survives; a text block is parsed once, so its late step is a
+/// gather. `sel` is caller-owned scratch and holds the survivors on return.
+Result<RecordBatch> DecodeBlockFiltered(const StoredBlock& block,
+                                        const SchemaPtr& schema,
+                                        const std::vector<size_t>& filter_columns,
+                                        const std::vector<size_t>& late_columns,
+                                        const RowFilter& filter,
+                                        std::vector<uint32_t>* sel);
 
 }  // namespace hybridjoin
 

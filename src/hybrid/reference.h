@@ -12,7 +12,9 @@
 namespace hybridjoin {
 
 /// Runs the query over raw table data: filter/project both sides, hash-join
-/// on the keys, apply the post-join predicate, aggregate. Returns rows in
+/// on the keys, apply the post-join predicate, aggregate. The join is a
+/// straight-line multimap join that shares no code with JoinProber, so the
+/// oracle also checks the engine's probe path. Returns rows in
 /// the same schema and order ([group asc]) as the distributed drivers.
 Result<RecordBatch> RunReferenceJoin(
     const std::vector<RecordBatch>& db_batches,

@@ -2,8 +2,8 @@
 
 #include <algorithm>
 #include <atomic>
+#include <iterator>
 #include <map>
-#include <numeric>
 #include <optional>
 #include <thread>
 
@@ -35,23 +35,39 @@ bool StatsRefute(const ConjunctiveIntCmp& cmp, int64_t min_val,
   return false;
 }
 
-/// Computes the union of output projection, predicate columns, and the
-/// Bloom column — the columns the scan must materialize — as schema indexes
-/// in schema order.
-Result<std::vector<size_t>> MaterializeSet(const ScanTask& task) {
-  std::vector<std::string> needed = task.projection;
+/// The scan's two column sets, as schema indexes in schema order: `filter`
+/// holds what the predicate and the Bloom filter read and is decoded for
+/// every row; `late` holds the rest of the projection and is decoded only
+/// for rows that pass both filters.
+struct ScanColumns {
+  std::vector<size_t> filter;
+  std::vector<size_t> late;
+};
+
+Result<ScanColumns> SplitScanColumns(const ScanTask& task) {
+  auto indexes_of = [&](const std::vector<std::string>& names)
+      -> Result<std::vector<size_t>> {
+    std::vector<size_t> indexes;
+    for (const std::string& name : names) {
+      HJ_ASSIGN_OR_RETURN(size_t idx, task.meta.schema->IndexOf(name));
+      indexes.push_back(idx);
+    }
+    std::sort(indexes.begin(), indexes.end());
+    indexes.erase(std::unique(indexes.begin(), indexes.end()), indexes.end());
+    return indexes;
+  };
+  std::vector<std::string> filter_names;
   if (task.predicate != nullptr) {
-    task.predicate->CollectColumns(&needed);
+    task.predicate->CollectColumns(&filter_names);
   }
-  if (task.bloom != nullptr) needed.push_back(task.bloom_column);
-  std::vector<size_t> indexes;
-  for (const std::string& name : needed) {
-    HJ_ASSIGN_OR_RETURN(size_t idx, task.meta.schema->IndexOf(name));
-    indexes.push_back(idx);
-  }
-  std::sort(indexes.begin(), indexes.end());
-  indexes.erase(std::unique(indexes.begin(), indexes.end()), indexes.end());
-  return indexes;
+  if (task.bloom != nullptr) filter_names.push_back(task.bloom_column);
+  ScanColumns cols;
+  HJ_ASSIGN_OR_RETURN(cols.filter, indexes_of(filter_names));
+  HJ_ASSIGN_OR_RETURN(std::vector<size_t> projected,
+                      indexes_of(task.projection));
+  std::set_difference(projected.begin(), projected.end(), cols.filter.begin(),
+                      cols.filter.end(), std::back_inserter(cols.late));
+  return cols;
 }
 
 struct ReadItem {
@@ -108,7 +124,7 @@ Status JenWorker::ScanImpl(const ScanTask& task,
   ScanStats local_stats;
   ScanStats* st = stats != nullptr ? stats : &local_stats;
 
-  HJ_ASSIGN_OR_RETURN(std::vector<size_t> materialize, MaterializeSet(task));
+  HJ_ASSIGN_OR_RETURN(ScanColumns columns, SplitScanColumns(task));
 
   // Conjunctive comparisons for columnar chunk skipping.
   std::vector<ConjunctiveIntCmp> skip_cmps;
@@ -176,8 +192,10 @@ Status JenWorker::ScanImpl(const ScanTask& task,
         if (skip) {
           read_bytes = config_.footer_read_bytes;
         } else {
-          for (size_t idx : materialize) {
-            read_bytes += block->columnar->chunks[idx].ByteSize();
+          for (const auto* set : {&columns.filter, &columns.late}) {
+            for (size_t idx : *set) {
+              read_bytes += block->columnar->chunks[idx].ByteSize();
+            }
           }
         }
       } else {
@@ -225,15 +243,18 @@ Status JenWorker::ScanImpl(const ScanTask& task,
     queue.Close();
   });
 
-  // Process side: parse/decode -> predicate -> Bloom -> projection ->
-  // per-thread consumer. The queue is the only work dispenser; the abort
-  // flag and the error slot are the only other shared state.
+  // Process side: decode the filter columns -> predicate -> Bloom -> decode
+  // the late columns for the survivors -> projection -> per-thread consumer.
+  // The queue is the only work dispenser; the abort flag and the error slot
+  // are the only other shared state.
   Status process_status;
-  // Indexes of projection columns within the materialized subset.
-  SchemaPtr materialized_schema = task.meta.schema->Project(materialize);
+  // Indexes of projection columns within the decoded (filter ++ late) batch.
+  std::vector<size_t> decoded = columns.filter;
+  decoded.insert(decoded.end(), columns.late.begin(), columns.late.end());
+  SchemaPtr decoded_schema = task.meta.schema->Project(decoded);
   std::vector<size_t> out_indexes;
   for (const std::string& name : task.projection) {
-    auto idx = materialized_schema->IndexOf(name);
+    auto idx = decoded_schema->IndexOf(name);
     if (!idx.ok()) {
       process_status = idx.status();
       break;
@@ -252,11 +273,27 @@ Status JenWorker::ScanImpl(const ScanTask& task,
     }
   }
 
-  // One process thread's loop. `sel` is hoisted scratch: the identity
-  // selection is rebuilt per block but its allocation is reused.
+  // One process thread's loop. `sel` is hoisted scratch: its allocation is
+  // reused across blocks.
   auto process_loop = [&](const ScanConsumer& consume,
                           ScanStats* pst) -> Status {
     std::vector<uint32_t> sel;
+    const RowFilter filter = [&](const RecordBatch& batch,
+                                 std::vector<uint32_t>* rows) -> Status {
+      pst->rows_scanned += static_cast<int64_t>(rows->size());
+      if (task.predicate != nullptr) {
+        HJ_RETURN_IF_ERROR(task.predicate->Filter(batch, rows));
+      }
+      const size_t after_pred = rows->size();
+      if (task.bloom != nullptr) {
+        HJ_RETURN_IF_ERROR(
+            FilterByBloom(batch, task.bloom_column, *task.bloom, rows));
+      }
+      pst->rows_dropped_by_bloom +=
+          static_cast<int64_t>(after_pred - rows->size());
+      pst->rows_after_filter += static_cast<int64_t>(rows->size());
+      return Status::OK();
+    };
     for (;;) {
       if (aborted.load(std::memory_order_relaxed)) return Status::OK();
       std::optional<ReadItem> item;
@@ -266,33 +303,12 @@ Status JenWorker::ScanImpl(const ScanTask& task,
         item = queue.Pop();
       }
       if (!item.has_value()) return Status::OK();
-      const StoredBlock& block = *item->block;
       HJ_ASSIGN_OR_RETURN(
-          RecordBatch batch,
-          block.format == HdfsFormat::kText
-              ? DecodeText(block.text->data(), block.text->size(),
-                           task.meta.schema, materialize)
-              : DecodeColumnarBlock(*block.columnar, task.meta.schema,
-                                    materialize));
-      pst->rows_scanned += static_cast<int64_t>(batch.num_rows());
-
-      sel.resize(batch.num_rows());
-      std::iota(sel.begin(), sel.end(), 0u);
-      if (task.predicate != nullptr) {
-        HJ_RETURN_IF_ERROR(task.predicate->Filter(batch, &sel));
-      }
-      const size_t after_pred = sel.size();
-      if (task.bloom != nullptr) {
-        HJ_RETURN_IF_ERROR(
-            FilterByBloom(batch, task.bloom_column, *task.bloom, &sel));
-      }
-      pst->rows_dropped_by_bloom +=
-          static_cast<int64_t>(after_pred - sel.size());
-      pst->rows_after_filter += static_cast<int64_t>(sel.size());
-      if (sel.empty()) continue;
-
-      RecordBatch out = batch.Gather(sel).Project(out_indexes);
-      HJ_RETURN_IF_ERROR(consume(std::move(out)));
+          RecordBatch survivors,
+          DecodeBlockFiltered(*item->block, task.meta.schema, columns.filter,
+                              columns.late, filter, &sel));
+      if (survivors.empty()) continue;
+      HJ_RETURN_IF_ERROR(consume(survivors.Project(out_indexes)));
     }
   };
 

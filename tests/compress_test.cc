@@ -86,6 +86,45 @@ TEST(LzTest, MalformedInputsRejected) {
   EXPECT_FALSE(LzDecompress(w.buffer()).ok());
 }
 
+TEST(LzTest, HugeDeclaredSizeIsAnErrorNotAnAllocation) {
+  // A header declaring 2^50 bytes followed by one literal 'a': the decoder
+  // must reject it without trying to allocate the declared size.
+  BinaryWriter huge;
+  huge.PutVarint(uint64_t{1} << 50);
+  huge.PutVarint(1);
+  huge.PutRaw("a", 1);
+  auto result = LzDecompress(huge.buffer());
+  ASSERT_FALSE(result.ok());
+  EXPECT_TRUE(result.status().IsIOError()) << result.status();
+
+  // Under the size ceiling, a stream that stops after its first literal is
+  // still rejected, again without allocating what it declared.
+  BinaryWriter truncated;
+  truncated.PutVarint(uint64_t{1} << 29);
+  truncated.PutVarint(1);
+  truncated.PutRaw("a", 1);
+  EXPECT_FALSE(LzDecompress(truncated.buffer()).ok());
+}
+
+TEST(LzTest, NonOverlappingAndOverlappingMatchesCopyCorrectly) {
+  // "abcdefgh" then a match at offset 8 (memcpy path), then a run of 'z'
+  // built from a one-byte offset (overlapping byte-loop path).
+  BinaryWriter w;
+  w.PutVarint(8 + 8 + 1 + 20);
+  w.PutVarint(8);
+  w.PutRaw("abcdefgh", 8);
+  w.PutVarint(8);
+  w.PutVarint(8);
+  w.PutVarint(1);
+  w.PutRaw("z", 1);
+  w.PutVarint(20);
+  w.PutVarint(1);
+  auto result = LzDecompress(w.buffer());
+  ASSERT_TRUE(result.ok()) << result.status();
+  const std::string text(result->begin(), result->end());
+  EXPECT_EQ(text, "abcdefghabcdefghz" + std::string(20, 'z'));
+}
+
 TEST(LzTest, PropertyRandomStructuredInputs) {
   Rng rng(77);
   for (int iter = 0; iter < 50; ++iter) {

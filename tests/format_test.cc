@@ -1,8 +1,10 @@
 // Unit tests for the HDFS table formats: text round-trips, columnar
-// encodings (plain/RLE/dict), compression, stats, and projection pushdown.
+// encodings (plain/RLE/dict), compression, stats, projection pushdown, and
+// the selection-aware decode behind the late-materializing scan.
 
 #include <gtest/gtest.h>
 
+#include "common/binary_io.h"
 #include "common/random.h"
 #include "hdfs/format.h"
 
@@ -240,6 +242,182 @@ TEST(ColumnarTest, TypeMismatchRejected) {
   EXPECT_FALSE(DecodeColumnChunk(chunk, DataType::kString).ok());
   // Date shares int32 physical type and is accepted.
   EXPECT_TRUE(DecodeColumnChunk(chunk, DataType::kDate).ok());
+}
+
+// --------------------------- Selective decode -----------------------------
+
+/// Selections over an n-row chunk: none, all, sparse, edges, random.
+std::vector<std::vector<uint32_t>> Selections(uint32_t n) {
+  std::vector<std::vector<uint32_t>> out(6);
+  Rng rng(17);
+  for (uint32_t i = 0; i < n; ++i) {
+    out[1].push_back(i);
+    if (i % 3 == 0) out[2].push_back(i);
+    if (rng.Uniform(10) == 0) out[5].push_back(i);
+  }
+  out[3] = {0};
+  out[4] = {n - 1};
+  return out;
+}
+
+TEST(SelectiveDecodeTest, EqualsDecodeThenGatherForEveryEncoding) {
+  constexpr uint32_t kRows = 3000;
+  struct Case {
+    DataType type;
+    ColEncoding encoding;
+  };
+  const std::vector<Case> cases = {
+      {DataType::kInt32, ColEncoding::kPlain},
+      {DataType::kInt32, ColEncoding::kRle},
+      {DataType::kInt64, ColEncoding::kPlain},
+      {DataType::kInt64, ColEncoding::kRle},
+      {DataType::kFloat64, ColEncoding::kPlain},
+      {DataType::kString, ColEncoding::kPlain},
+      {DataType::kString, ColEncoding::kDict},
+      {DataType::kDate, ColEncoding::kRle},
+      {DataType::kTime, ColEncoding::kPlain},
+  };
+  for (const Case& c : cases) {
+    // Runs of 50 for RLE; a small random domain otherwise. Both repeat
+    // enough for LZ to pay off.
+    Rng rng(5);
+    ColumnVector column(c.type);
+    for (uint32_t i = 0; i < kRows; ++i) {
+      const int64_t v = c.encoding == ColEncoding::kRle
+                            ? static_cast<int64_t>(i / 50 % 4)
+                            : static_cast<int64_t>(rng.Uniform(16));
+      switch (column.physical_type()) {
+        case PhysicalType::kInt32:
+          column.mutable_i32().push_back(static_cast<int32_t>(v));
+          break;
+        case PhysicalType::kInt64:
+          column.mutable_i64().push_back(v * 1000003);
+          break;
+        case PhysicalType::kFloat64:
+          column.mutable_f64().push_back(static_cast<double>(v) / 4);
+          break;
+        case PhysicalType::kString:
+          column.mutable_str().push_back(
+              c.encoding == ColEncoding::kDict
+                  ? "category_" + std::to_string(v)
+                  : "item_" + std::to_string(i) + "_" + std::to_string(v));
+          break;
+      }
+    }
+    for (Codec codec : {Codec::kNone, Codec::kLz}) {
+      SCOPED_TRACE(std::string(DataTypeName(c.type)) + "/" +
+                   ColEncodingName(c.encoding) + "/" + CodecName(codec));
+      ColumnarWriteOptions options;
+      options.codec = codec;
+      options.enable_rle = c.encoding == ColEncoding::kRle;
+      options.enable_dictionary = c.encoding == ColEncoding::kDict;
+      const ColumnChunk chunk = EncodeColumnChunk(column, options);
+      ASSERT_EQ(chunk.encoding, c.encoding);
+      ASSERT_EQ(chunk.codec, codec);
+      auto full = DecodeColumnChunk(chunk, c.type);
+      ASSERT_TRUE(full.ok()) << full.status();
+      for (const std::vector<uint32_t>& sel : Selections(kRows)) {
+        auto selected = DecodeColumnChunk(chunk, c.type, &sel);
+        ASSERT_TRUE(selected.ok()) << selected.status();
+        const ColumnVector want = full->Gather(sel);
+        ASSERT_EQ(selected->size(), want.size());
+        for (size_t r = 0; r < want.size(); ++r) {
+          ASSERT_EQ(selected->GetValue(r), want.GetValue(r)) << "row " << r;
+        }
+      }
+    }
+  }
+}
+
+TEST(SelectiveDecodeTest, RejectsUnorderedOrOutOfRangeSelections) {
+  ColumnVector c(DataType::kString);
+  for (int i = 0; i < 10; ++i) c.mutable_str().push_back(std::to_string(i));
+  const ColumnChunk chunk = EncodeColumnChunk(c, ColumnarWriteOptions{});
+  const std::vector<uint32_t> unordered = {3, 1};
+  const std::vector<uint32_t> repeated = {2, 2};
+  const std::vector<uint32_t> past_end = {10};
+  for (const auto* sel : {&unordered, &repeated, &past_end}) {
+    EXPECT_TRUE(DecodeColumnChunk(chunk, DataType::kString, sel)
+                    .status()
+                    .IsInvalidArgument());
+  }
+}
+
+TEST(SelectiveDecodeTest, ValidatesTheWholeChunkEvenWithAnEmptySelection) {
+  const std::vector<uint32_t> none;
+  // Plain strings with a trailing garbage byte.
+  ColumnVector c(DataType::kString);
+  for (int i = 0; i < 10; ++i) c.mutable_str().push_back("v" + std::to_string(i));
+  ColumnarWriteOptions raw;
+  raw.codec = Codec::kNone;
+  raw.enable_dictionary = false;
+  ColumnChunk trailing = EncodeColumnChunk(c, raw);
+  trailing.data.push_back(0);
+  EXPECT_TRUE(
+      DecodeColumnChunk(trailing, DataType::kString, &none).status().IsIOError());
+
+  // A dictionary code past the dictionary's end.
+  BinaryWriter w;
+  w.PutVarint(1);
+  w.PutString("a");
+  w.PutVarint(0);
+  w.PutVarint(5);
+  ColumnChunk bad_code;
+  bad_code.type = DataType::kString;
+  bad_code.encoding = ColEncoding::kDict;
+  bad_code.num_rows = 2;
+  bad_code.data = w.Release();
+  EXPECT_TRUE(
+      DecodeColumnChunk(bad_code, DataType::kString, &none).status().IsIOError());
+
+  // A chunk that claims more rows than it holds.
+  ColumnChunk short_rows = EncodeColumnChunk(c, raw);
+  short_rows.num_rows = 11;
+  EXPECT_FALSE(DecodeColumnChunk(short_rows, DataType::kString, &none).ok());
+}
+
+TEST(DecodeBlockFilteredTest, EqualsFullDecodeThenGatherInBothFormats) {
+  RecordBatch b = FullBatch(400);
+  const SchemaPtr schema = b.schema();
+  const std::vector<size_t> filter_columns = {0, 4};  // i32, d
+  const std::vector<size_t> late_columns = {1, 3, 5};  // i64, s, t
+  // Keeps rows whose i32 is a multiple of 9 (every third row).
+  const RowFilter filter = [](const RecordBatch& batch,
+                              std::vector<uint32_t>* sel) {
+    EXPECT_EQ(batch.schema()->field(0).name, "i32");
+    std::vector<uint32_t> kept;
+    for (uint32_t r : *sel) {
+      if (batch.column(0).i32()[r] % 9 == 0) kept.push_back(r);
+    }
+    *sel = std::move(kept);
+    return Status::OK();
+  };
+
+  StoredBlock text;
+  text.format = HdfsFormat::kText;
+  text.text = std::make_shared<const std::vector<uint8_t>>(EncodeText(b));
+  StoredBlock columnar;
+  columnar.format = HdfsFormat::kColumnar;
+  columnar.columnar = std::make_shared<const ColumnarBlock>(
+      EncodeColumnarBlock(b, ColumnarWriteOptions{}));
+  for (const StoredBlock* block : {&text, &columnar}) {
+    SCOPED_TRACE(HdfsFormatName(block->format));
+    std::vector<uint32_t> sel;
+    auto got = DecodeBlockFiltered(*block, schema, filter_columns,
+                                   late_columns, filter, &sel);
+    ASSERT_TRUE(got.ok()) << got.status();
+    EXPECT_EQ(sel.size(), 134u);
+    const std::vector<size_t> order = {0, 4, 1, 3, 5};
+    const RecordBatch want = b.Project(order).Gather(sel);
+    ASSERT_EQ(got->num_rows(), want.num_rows());
+    ASSERT_EQ(got->num_columns(), want.num_columns());
+    for (size_t c = 0; c < want.num_columns(); ++c) {
+      EXPECT_EQ(got->schema()->field(c).name, want.schema()->field(c).name);
+      for (size_t r = 0; r < want.num_rows(); ++r) {
+        EXPECT_EQ(got->column(c).GetValue(r), want.column(c).GetValue(r));
+      }
+    }
+  }
 }
 
 }  // namespace

@@ -12,6 +12,7 @@
 #include <thread>
 
 #include "exec/join_hash_table.h"
+#include "hdfs/format.h"
 #include "hdfs/table_writer.h"
 #include "hybrid/warehouse.h"
 #include "jen/exchange.h"
@@ -324,6 +325,192 @@ TEST_F(JenFixture, ColumnarProjectionReducesBytesRead) {
   const int64_t narrow = scan_bytes({"v"});
   const int64_t wide = scan_bytes({"k", "v", "s"});
   EXPECT_LT(narrow * 2, wide);
+}
+
+// The scan filters on the predicate and Bloom columns, then decodes the rest
+// of the projection only for surviving rows. Its output and counters must
+// equal an eager scan: decode every column, filter, gather, project.
+class LateMaterializationTest : public JenFixture {
+ protected:
+  using Rows = std::multiset<std::string>;
+
+  static void AddRows(const RecordBatch& b, Rows* rows) {
+    for (size_t r = 0; r < b.num_rows(); ++r) {
+      std::string row;
+      for (size_t c = 0; c < b.num_columns(); ++c) {
+        row += b.schema()->field(c).name + "=" +
+               b.column(c).GetValue(r).ToString() + ";";
+      }
+      rows->insert(row);
+    }
+  }
+
+  /// The eager reference: every block decoded in full, filtered, gathered
+  /// and projected; the stats a scan of `task` must report.
+  void EagerScan(const ScanTask& task, Rows* rows, ScanStats* stats) {
+    const SchemaPtr& schema = task.meta.schema;
+    std::vector<std::string> read = task.projection;
+    if (task.predicate != nullptr) task.predicate->CollectColumns(&read);
+    if (task.bloom != nullptr) read.push_back(task.bloom_column);
+    std::set<size_t> read_idx;
+    for (const std::string& name : read) {
+      read_idx.insert(schema->IndexOf(name).value());
+    }
+    std::vector<size_t> all(schema->num_fields());
+    std::iota(all.begin(), all.end(), 0);
+    std::vector<size_t> out;
+    for (const std::string& name : task.projection) {
+      out.push_back(schema->IndexOf(name).value());
+    }
+    for (const BlockAssignment& a : task.blocks) {
+      auto block = datanodes_[a.replica.node]->Fetch(a.info.block_id).value();
+      RecordBatch full =
+          block->format == HdfsFormat::kText
+              ? DecodeText(block->text->data(), block->text->size(), schema,
+                           all)
+                    .value()
+              : DecodeColumnarBlock(*block->columnar, schema, all).value();
+      if (block->format == HdfsFormat::kText) {
+        stats->bytes_read += static_cast<int64_t>(block->ByteSize());
+      } else {
+        for (size_t idx : read_idx) {
+          stats->bytes_read +=
+              static_cast<int64_t>(block->columnar->chunks[idx].ByteSize());
+        }
+      }
+      stats->blocks_read++;
+      stats->rows_scanned += static_cast<int64_t>(full.num_rows());
+      std::vector<uint32_t> sel(full.num_rows());
+      std::iota(sel.begin(), sel.end(), 0u);
+      if (task.predicate != nullptr) {
+        ASSERT_TRUE(task.predicate->Filter(full, &sel).ok());
+      }
+      const size_t after_pred = sel.size();
+      if (task.bloom != nullptr) {
+        ASSERT_TRUE(
+            FilterByBloom(full, task.bloom_column, *task.bloom, &sel).ok());
+      }
+      stats->rows_dropped_by_bloom +=
+          static_cast<int64_t>(after_pred - sel.size());
+      stats->rows_after_filter += static_cast<int64_t>(sel.size());
+      AddRows(full.Gather(sel).Project(out), rows);
+    }
+  }
+
+  /// Scans `table` on every worker and checks rows and stats against the
+  /// eager reference.
+  void ExpectScanMatchesEager(const std::string& table,
+                              const PredicatePtr& predicate,
+                              std::vector<std::string> projection,
+                              const BloomFilter* bloom) {
+    auto plan = MakeCoordinator().PlanScan(table);
+    ASSERT_TRUE(plan.ok());
+    Rows got;
+    Rows want;
+    for (uint32_t w = 0; w < kNodes; ++w) {
+      ScanTask task;
+      task.meta = plan->meta;
+      task.blocks = plan->per_worker[w];
+      task.predicate = predicate;
+      task.projection = projection;
+      task.bloom = bloom;
+      task.bloom_column = "k";
+      ScanStats stats;
+      ASSERT_TRUE(MakeWorker(w)
+                      .ScanBlocks(task,
+                                  [&](RecordBatch&& b) {
+                                    AddRows(b, &got);
+                                    return Status::OK();
+                                  },
+                                  &stats)
+                      .ok());
+      ScanStats expected;
+      EagerScan(task, &want, &expected);
+      EXPECT_EQ(stats.blocks_read, expected.blocks_read);
+      EXPECT_EQ(stats.bytes_read, expected.bytes_read);
+      EXPECT_EQ(stats.rows_scanned, expected.rows_scanned);
+      EXPECT_EQ(stats.rows_after_filter, expected.rows_after_filter);
+      EXPECT_EQ(stats.rows_dropped_by_bloom, expected.rows_dropped_by_bloom);
+    }
+    EXPECT_FALSE(want.empty());
+    EXPECT_EQ(got, want);
+  }
+
+  static BloomFilter EvenKeys() {
+    BloomFilter bloom(BloomParams::ForKeys(1000));
+    for (int32_t k = 0; k < 2000; k += 2) bloom.Add(k);
+    return bloom;
+  }
+};
+
+TEST_F(LateMaterializationTest, ProjectionIncludesPredicateColumn) {
+  for (HdfsFormat format : {HdfsFormat::kColumnar, HdfsFormat::kText}) {
+    const std::string table = std::string("t_") + HdfsFormatName(format);
+    SCOPED_TRACE(table);
+    WriteTable(table, 2000, format);
+    const BloomFilter bloom = EvenKeys();
+    ExpectScanMatchesEager(table, Cmp("v", CmpOp::kLt, 4), {"v", "s", "k"}, &bloom);
+    ExpectScanMatchesEager(table, Cmp("v", CmpOp::kLt, 4), {"s", "v"}, nullptr);
+  }
+}
+
+TEST_F(LateMaterializationTest, BloomColumnNotProjected) {
+  for (HdfsFormat format : {HdfsFormat::kColumnar, HdfsFormat::kText}) {
+    const std::string table = std::string("t_") + HdfsFormatName(format);
+    SCOPED_TRACE(table);
+    WriteTable(table, 2000, format);
+    const BloomFilter bloom = EvenKeys();
+    ExpectScanMatchesEager(table, Cmp("v", CmpOp::kEq, 3), {"s"}, &bloom);
+    ExpectScanMatchesEager(table, nullptr, {"v", "s"}, &bloom);
+    ExpectScanMatchesEager(table, StrPrefix("s", "row1"), {"v"}, &bloom);
+  }
+}
+
+TEST_F(LateMaterializationTest, CorruptLateChunkFailsEvenWhenNoRowSurvives) {
+  WriteTable("t", 100, HdfsFormat::kColumnar);
+  auto plan = MakeCoordinator().PlanScan("t");
+  ASSERT_TRUE(plan.ok());
+  const BlockAssignment original = plan->per_worker[0].front();
+  auto stored =
+      datanodes_[original.replica.node]->Fetch(original.info.block_id);
+  ASSERT_TRUE(stored.ok());
+
+  // A copy of the block whose "s" chunk (late: projected, not filtered on)
+  // carries a trailing garbage byte, stored under a fresh block id.
+  auto columnar = std::make_shared<ColumnarBlock>(*(*stored)->columnar);
+  columnar->chunks[2].data.push_back(0x7f);
+  auto corrupt = std::make_shared<StoredBlock>(**stored);
+  corrupt->columnar = columnar;
+  BlockAssignment assignment = original;
+  assignment.info.block_id = 1u << 30;
+  ASSERT_TRUE(datanodes_[assignment.replica.node]
+                  ->StoreBlock(assignment.info.block_id,
+                               assignment.replica.disk, corrupt)
+                  .ok());
+
+  // Chunk skipping off so the block is read although no row can pass.
+  JenConfig no_skip;
+  no_skip.chunk_skipping = false;
+  auto scan = [&](const BlockAssignment& a) {
+    ScanTask task;
+    task.meta = plan->meta;
+    task.blocks = {a};
+    task.predicate = Cmp("v", CmpOp::kGt, 100);  // v is 0..9: drops all
+    task.projection = {"s"};
+    size_t rows = 0;
+    Status st = MakeWorker(a.replica.node, no_skip)
+                    .ScanBlocks(task,
+                                [&](RecordBatch&& b) {
+                                  rows += b.num_rows();
+                                  return Status::OK();
+                                },
+                                nullptr);
+    EXPECT_EQ(rows, 0u);
+    return st;
+  };
+  EXPECT_TRUE(scan(original).ok());
+  const Status st = scan(assignment);
+  EXPECT_TRUE(st.IsIOError()) << st;
 }
 
 TEST_F(JenFixture, RemoteBlocksReadThroughNetwork) {
