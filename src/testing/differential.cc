@@ -194,6 +194,7 @@ bool DiffCaseReport::ok() const {
   if (!setup_error.ok()) return false;
   if (outcomes.empty()) return false;
   for (const VariantOutcome& o : outcomes) {
+    if (!o.leak.empty()) return false;
     if (o.status.ok()) {
       // A run that claims success must match the oracle under EVERY
       // profile — a wrong answer is never an acceptable fault outcome.
@@ -216,6 +217,7 @@ std::string DiffCaseReport::Summary() const {
   }
   for (const VariantOutcome& o : outcomes) {
     os << "\n  " << o.variant << ": ";
+    if (!o.leak.empty()) os << "LEAKED " << o.leak << "; ";
     if (!o.status.ok()) {
       os << (profile_recoverable ? "FAILED (profile is recoverable): "
                                  : "failed cleanly: ")
@@ -333,8 +335,22 @@ DiffCaseReport RunDifferentialCase(uint64_t seed,
 
     VariantOutcome out;
     out.variant = variant;
+    // The leak check: every execution releases its channel tags and its
+    // governor reservations on every exit path, faults included.
+    const Network& net = hw.context().network();
+    const size_t channels_before = net.num_channels();
     auto result = RunVariant(&hw, query, variant);
     out.status = result.status();
+    if (net.num_channels() != channels_before) {
+      out.leak = std::to_string(net.num_channels() - channels_before) +
+                 " channel(s)";
+    }
+    if (const int64_t leaked = hw.context().metrics().Get(
+            metric::kServerGovernorLeakedBytes);
+        leaked != 0) {
+      if (!out.leak.empty()) out.leak += ", ";
+      out.leak += std::to_string(leaked) + " governor byte(s)";
+    }
     if (result.ok()) {
       auto diff = CompareBatches(*expected, result->rows);
       out.matched = !diff.has_value();

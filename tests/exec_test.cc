@@ -1,5 +1,5 @@
 // Unit tests for the shared execution primitives: JoinHashTable,
-// HashAggregator, JoinProber and PartitionedAppender.
+// HashAggregator and JoinProber.
 
 #include <gtest/gtest.h>
 
@@ -7,7 +7,6 @@
 
 #include "common/hash.h"
 #include "exec/join_prober.h"
-#include "exec/partitioned_appender.h"
 
 namespace hybridjoin {
 namespace {
@@ -401,60 +400,6 @@ TEST(JoinProberTest, FlushesAcrossBatchBoundaries) {
   ASSERT_TRUE(prober.Flush().ok());
   EXPECT_EQ(prober.output_rows(), 10);
   EXPECT_EQ(agg.Finish().num_rows(), 10u);
-}
-
-// --------------------------- PartitionedAppender --------------------------
-
-TEST(PartitionedAppenderTest, RoutesByPartitionFunction) {
-  auto schema = Schema::Make({{"k", DataType::kInt32}});
-  std::map<uint32_t, std::vector<int32_t>> received;
-  PartitionedAppender appender(
-      schema, 4, 0, [](int64_t k) { return static_cast<uint32_t>(k % 4); },
-      /*flush_rows=*/2,
-      [&](uint32_t p, RecordBatch&& b) {
-        for (int32_t v : b.column(0).i32()) received[p].push_back(v);
-        return Status::OK();
-      });
-  RecordBatch b(schema);
-  for (int32_t i = 0; i < 10; ++i) b.AppendRow({Value(i)});
-  std::vector<uint32_t> sel = {0, 1, 2, 3, 4, 5, 6, 7, 8, 9};
-  ASSERT_TRUE(appender.Append(b, sel).ok());
-  ASSERT_TRUE(appender.FlushAll().ok());
-  EXPECT_EQ(appender.routed_rows(), 10);
-  for (uint32_t p = 0; p < 4; ++p) {
-    for (int32_t v : received[p]) {
-      EXPECT_EQ(static_cast<uint32_t>(v % 4), p);
-    }
-  }
-  size_t total = 0;
-  for (auto& [p, v] : received) total += v.size();
-  EXPECT_EQ(total, 10u);
-}
-
-TEST(PartitionedAppenderTest, RespectsSelectionVector) {
-  auto schema = Schema::Make({{"k", DataType::kInt32}});
-  int64_t received = 0;
-  PartitionedAppender appender(
-      schema, 2, 0, [](int64_t) { return 0u; }, 100,
-      [&](uint32_t, RecordBatch&& b) {
-        received += b.num_rows();
-        return Status::OK();
-      });
-  RecordBatch b(schema);
-  for (int32_t i = 0; i < 10; ++i) b.AppendRow({Value(i)});
-  ASSERT_TRUE(appender.Append(b, {1, 3, 5}).ok());
-  ASSERT_TRUE(appender.FlushAll().ok());
-  EXPECT_EQ(received, 3);
-}
-
-TEST(PartitionedAppenderTest, PropagatesSinkErrors) {
-  auto schema = Schema::Make({{"k", DataType::kInt32}});
-  PartitionedAppender appender(
-      schema, 1, 0, [](int64_t) { return 0u; }, 1,
-      [](uint32_t, RecordBatch&&) { return Status::IOError("sink down"); });
-  RecordBatch b(schema);
-  b.AppendRow({Value(int32_t{1})});
-  EXPECT_TRUE(appender.Append(b, {0}).IsIOError());
 }
 
 }  // namespace
