@@ -27,7 +27,7 @@ namespace hybridjoin {
 /// the exec pool fair-shares across query lanes. Whole-context facilities
 /// that cannot be attributed per query (global counter deltas, the tracer
 /// buffer, per-flow-class network byte counters) are only meaningful when a
-/// query runs alone — ReportBuilder detects that via Begin/EndExecution.
+/// query runs alone — driver::Execution detects that via Begin/EndExecution.
 class EngineContext {
  public:
   explicit EngineContext(const SimulationConfig& config);
@@ -83,7 +83,7 @@ class EngineContext {
   /// lifetime.
   uint64_t NextQueryId() { return g_query_seq_.fetch_add(1) + 1; }
 
-  /// In-flight execution accounting (ReportBuilder brackets every driver
+  /// In-flight execution accounting (driver::Execution brackets every driver
   /// run with these). BeginExecution returns the in-flight count *after*
   /// entering — 1 means this query runs alone and may use the
   /// whole-context facilities (tracer clear, global counter deltas).

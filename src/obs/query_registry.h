@@ -1,6 +1,6 @@
 // QueryRegistry: the process-global table of in-flight query executions —
 // the data behind SHOW PROCESSLIST and KILL. Every driver execution
-// registers itself at ReportBuilder construction (carrying the submitting
+// registers itself at driver::Execution construction (carrying the submitting
 // session/ticket/SQL when the server installed a SubmissionScope) and
 // unregisters at destruction; between the two, any thread can snapshot the
 // live rows (phase, elapsed wall, rows scanned/produced, governor memory,
@@ -49,7 +49,7 @@ struct LiveQuery {
   uint64_t ticket_id = 0;
   std::string sql;          ///< empty when not submitted through the server
   std::string algorithm;
-  std::string phase;        ///< most recent ReportBuilder::Mark name
+  std::string phase;        ///< most recent driver::Execution::Mark name
   double elapsed_seconds = 0.0;
   int64_t rows_scanned = 0;   ///< edw.tuples_scanned + jen.tuples_scanned
   int64_t rows_produced = 0;  ///< join.output_tuples
@@ -60,7 +60,7 @@ struct LiveQuery {
   bool cancel_requested = false;
 };
 
-/// RAII: tags the next ReportBuilder constructed on this thread (and its
+/// RAII: tags the next driver::Execution constructed on this thread (and its
 /// execution) with the submitting session/ticket/SQL. The warehouse server
 /// installs one around Execute(); nesting keeps the innermost.
 class SubmissionScope {
@@ -101,7 +101,7 @@ class QueryRegistry {
   QueryRegistry& operator=(const QueryRegistry&) = delete;
 
   /// Registers an in-flight execution. `metrics` and `governor` must stay
-  /// valid until Unregister (ReportBuilder guarantees both); session /
+  /// valid until Unregister (driver::Execution guarantees both); session /
   /// ticket / SQL attribution is read from the calling thread's
   /// SubmissionScope when one is installed.
   void Register(uint64_t query_id, Metrics* metrics, MemoryGovernor* governor,
@@ -112,7 +112,7 @@ class QueryRegistry {
   /// the caller under server.governor_leaked_bytes).
   uint64_t Unregister(uint64_t query_id);
 
-  /// Updates the query's current phase (ReportBuilder::Mark calls this).
+  /// Updates the query's current phase (driver::Execution::Mark calls this).
   void SetPhase(uint64_t query_id, const std::string& phase);
 
   /// Requests cooperative cancellation; kNotFound when the query is not

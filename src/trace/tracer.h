@@ -6,7 +6,7 @@
 //     "process" per simulated node and one track per worker thread;
 //   - the Metrics histogram registry (common/metrics.h) accumulates every
 //     span duration into an HDR-style latency histogram keyed by span name,
-//     which ReportBuilder rolls into ExecutionReport::histograms.
+//     which driver::Execution rolls into ExecutionReport::histograms.
 //
 // Span names and categories must be string literals (or otherwise outlive
 // the tracer): events store raw pointers so a disabled tracer costs two

@@ -195,6 +195,10 @@ TEST(DifferentialSkew, HotRouteEngagesAndMatchesOracle) {
   EXPECT_GT(result->report.Counter(metric::kShuffleHotRowsBuild), 0);
   EXPECT_GT(result->report.Counter(metric::kShuffleHotRowsProbe), 0);
   EXPECT_GT(result->report.Counter(metric::kShuffleBroadcastBytes), 0);
+  // The probe side's kept hot rows are charged to the governor until the
+  // receive hands them on; none may outlive the query.
+  EXPECT_EQ(hw.context().metrics().Get(metric::kServerGovernorLeakedBytes),
+            0);
 
   // The off switch: same workload, hybrid route disabled, same answer and
   // no hot-route traffic.
