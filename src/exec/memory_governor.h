@@ -4,8 +4,8 @@
 // execution, seeded from the session's QueryQuotas::memory_bytes (falling
 // back to the engine-wide SimulationConfig::query_memory_budget_bytes), and
 // every sizeable consumer charges it: JoinHashTable batches + entries,
-// HashAggregator group state, BatchMorselPipe queue slots, and exchange
-// BufferPool buffers.
+// HashAggregator group state, BatchMorselPipe queue slots, and payloads
+// queued in an exchange sender.
 //
 // Two charging disciplines, by consumer kind:
 //  - TryReserve(): fails fast with no side effects. GraceHashJoin uses it

@@ -304,6 +304,7 @@ Exchange::Sender::Sender(Exchange* exchange, NodeId self,
                          const HotKeySet* hot, uint32_t threads)
     : exchange_(exchange),
       spec_(exchange->spec_),
+      self_(self),
       hot_(hot != nullptr && !hot->empty() && spec_.route != Route::kBroadcast
                ? hot
                : nullptr),
@@ -311,9 +312,7 @@ Exchange::Sender::Sender(Exchange* exchange, NodeId self,
                                          : nullptr),
       reach_(spec_.receivers),
       local_(exchange->ReceiverIndex(self)),
-      out_(&exchange->ctx_->network(), self, exchange->tag_,
-           spec_.send_threads, &exchange->ctx_->metrics(),
-           spec_.tuple_counter) {
+      pool_(BufferPool::Create()) {
   if (spec_.route == Route::kOwner) {
     const auto sender =
         std::find(spec_.senders.begin(), spec_.senders.end(), self) -
@@ -326,15 +325,62 @@ Exchange::Sender::Sender(Exchange* exchange, NodeId self,
                                  RecordBatch(spec_.schema)));
     kept_.resize(threads);
   }
+  HJ_CHECK_GT(spec_.send_threads, 0u);
+  send_threads_.reserve(spec_.send_threads);
+  for (uint32_t i = 0; i < spec_.send_threads; ++i) {
+    send_threads_.emplace_back(self, "sender", [this] {
+      while (std::optional<Item> item = queue_.Pop()) {
+        Deliver(std::move(*item));
+      }
+    });
+  }
 }
 
 Exchange::Sender::~Sender() {
   if (!finished_) (void)Finish();
 }
 
+void Exchange::Sender::Deliver(Item item) {
+  exchange_->governor_->Release(item.payload->size());
+  // After a permanent failure or a KILL the payload is dropped unsent (the
+  // stream is broken and the error sticky), but the queue keeps draining
+  // so producers never block and Finish still sends EOS.
+  if (failed_.load(std::memory_order_acquire)) return;
+  Status st = obs::QueryRegistry::CheckCancelled();
+  if (st.ok()) {
+    st = SendWithRetry(&exchange_->ctx_->network(), self_, item.dest,
+                       exchange_->tag_, std::move(item.payload));
+  }
+  if (st.ok()) return;
+  std::lock_guard<std::mutex> lock(error_mu_);
+  if (first_error_.ok()) first_error_ = st;
+  failed_.store(true, std::memory_order_release);
+}
+
+void Exchange::Sender::Queue(std::span<const NodeId> dests,
+                             std::vector<uint8_t> payload) {
+  const auto shared = pool_->Share(std::move(payload));
+  for (NodeId dest : dests) {
+    exchange_->governor_->Reserve(shared->size());
+    queue_.Push(Item{dest, shared});
+  }
+}
+
+void Exchange::Sender::Ship(std::span<const NodeId> dests,
+                            const RecordBatch& batch) {
+  if (spec_.tuple_counter != nullptr) {
+    exchange_->ctx_->metrics().Add(
+        spec_.tuple_counter,
+        static_cast<int64_t>(batch.num_rows() * dests.size()));
+  }
+  BinaryWriter w(pool_->Acquire());
+  batch.SerializeTo(&w);
+  Queue(dests, w.Release());
+}
+
 void Exchange::Sender::Append(uint32_t thread, const RecordBatch& batch) {
   if (spec_.route == Route::kBroadcast || spec_.route == Route::kOwner) {
-    out_.SendToAll(reach_, batch);
+    Ship(reach_, batch);
     return;
   }
   std::vector<RecordBatch>& pending = pending_[thread];
@@ -356,7 +402,7 @@ void Exchange::Sender::Emit(uint32_t thread, size_t slot) {
       std::exchange(pending_[thread][slot], RecordBatch(spec_.schema));
   if (slot < spec_.receivers.size()) {
     trace::Span span(tracer_, spec_.send_span, trace::span::kCatExchange);
-    out_.Send(spec_.receivers[slot], batch);
+    SendTo(static_cast<uint32_t>(slot), batch);
   } else if (spec_.hot_mode == HotMode::kBroadcast) {
     Metrics& metrics = exchange_->ctx_->metrics();
     metrics.Add(metric::kShuffleHotRowsBuild,
@@ -364,7 +410,7 @@ void Exchange::Sender::Emit(uint32_t thread, size_t slot) {
     metrics.Add(metric::kShuffleBroadcastBytes,
                 static_cast<int64_t>(batch.ByteSize() *
                                      spec_.receivers.size()));
-    out_.SendToAll(spec_.receivers, batch);
+    Ship(spec_.receivers, batch);
   } else {
     exchange_->governor_->Reserve(batch.ByteSize());
     kept_[thread].push_back(std::move(batch));
@@ -372,10 +418,16 @@ void Exchange::Sender::Emit(uint32_t thread, size_t slot) {
 }
 
 void Exchange::Sender::SendTo(uint32_t receiver, const RecordBatch& batch) {
-  out_.Send(spec_.receivers[receiver], batch);
+  Ship({&spec_.receivers[receiver], 1}, batch);
+}
+
+void Exchange::Sender::SendPayload(uint32_t receiver,
+                                   std::vector<uint8_t> payload) {
+  Queue({&spec_.receivers[receiver], 1}, std::move(payload));
 }
 
 Status Exchange::Sender::Finish() {
+  HJ_CHECK(!finished_) << "Exchange::Sender::Finish called twice";
   finished_ = true;
   for (uint32_t t = 0; t < pending_.size(); ++t) {
     for (size_t slot = 0; slot < pending_[t].size(); ++slot) {
@@ -383,7 +435,16 @@ Status Exchange::Sender::Finish() {
     }
     if (!kept_[t].empty()) exchange_->Keep(local_, std::move(kept_[t]));
   }
-  return out_.Finish(reach_);
+  // The send threads drain the closed queue before they exit.
+  queue_.Close();
+  for (WorkerThread& thread : send_threads_) thread.Join();
+  // EOS is a protocol obligation: it goes out even on a broken stream so
+  // receivers unblock and observe the error through their own channels.
+  for (NodeId dest : reach_) {
+    exchange_->ctx_->network().SendEos(self_, dest, exchange_->tag_);
+  }
+  std::lock_guard<std::mutex> lock(error_mu_);
+  return first_error_;
 }
 
 void Exchange::Keep(size_t receiver, std::vector<RecordBatch> rows) {
@@ -409,19 +470,32 @@ Status Exchange::Send(NodeId self, const std::vector<RecordBatch>& batches,
   return sender.Finish();
 }
 
-Status Exchange::Receive(NodeId self,
-                         const std::function<Status(RecordBatch&&)>& fn) {
-  const size_t local = ReceiverIndex(self);
+Status Exchange::ReceivePayloads(NodeId self, const PayloadFn& fn) {
   auto streams = static_cast<uint32_t>(spec_.senders.size());
   if (spec_.route == Route::kOwner) {
-    streams = static_cast<uint32_t>(
-        std::count(spec_.owner.begin(), spec_.owner.end(), local));
+    streams = static_cast<uint32_t>(std::count(
+        spec_.owner.begin(), spec_.owner.end(), ReceiverIndex(self)));
   }
-  Status st = ReceiveEach(&ctx_->network(), self, tag_, streams,
-                          spec_.schema, fn);
+  StreamReceiver receiver(&ctx_->network(), self, tag_, streams);
+  Status st;
+  while (std::optional<Message> msg = receiver.Next()) {
+    if (st.ok()) st = fn(msg->from, *msg->payload);
+  }
+  return st.ok() ? receiver.status() : st;
+}
+
+Status Exchange::Receive(NodeId self,
+                         const std::function<Status(RecordBatch&&)>& fn) {
+  Status st = ReceivePayloads(
+      self, [&](NodeId, const std::vector<uint8_t>& payload) {
+        HJ_ASSIGN_OR_RETURN(RecordBatch batch,
+                            RecordBatch::Deserialize(payload, spec_.schema));
+        return fn(std::move(batch));
+      });
   // Hot rows this node kept. After a full drain its own sender handed them
   // over before its EOS; after a receive error that sender may still be
   // running, and Keep releases whatever it hands over from now on.
+  const size_t local = ReceiverIndex(self);
   std::vector<RecordBatch> kept;
   {
     std::lock_guard<std::mutex> lock(kept_mu_);
@@ -599,17 +673,19 @@ void DbBloomPrefix::Receive(uint32_t worker, BloomFilter* bloom,
 SemijoinFilter::SemijoinFilter(Execution* exec, const PreparedQuery& prepared)
     : exec_(exec),
       prepared_(prepared),
-      keys_tag_(exec->NewTag()),
-      bitmaps_tag_(exec->NewTag()) {}
+      keys_(exec, {.senders = AllNodes(exec->ctx(), ClusterId::kDb),
+                   .receivers = AllNodes(exec->ctx(), ClusterId::kHdfs)}),
+      bitmaps_(exec, {.senders = AllNodes(exec->ctx(), ClusterId::kHdfs),
+                      .receivers = AllNodes(exec->ctx(), ClusterId::kDb)}) {}
 
-Status SemijoinFilter::Ship(uint32_t worker, std::vector<RecordBatch> t_prime,
-                            Exchange* out) const {
+void SemijoinFilter::Ship(uint32_t worker, std::vector<RecordBatch> t_prime,
+                          Exchange* out, Status* status) {
   EngineContext* ctx = exec_->ctx();
-  Network& net = ctx->network();
   const NodeId self = NodeId::Db(worker);
   const uint32_t n = ctx->num_jen_workers();
   const size_t key_idx = prepared_.db_key_idx;
-  Status st;
+  Status& st = *status;
+  if (!st.ok()) t_prime.clear();
   std::vector<RecordBatch> parts;
   parts.reserve(n);
   for (uint32_t p = 0; p < n; ++p) parts.emplace_back(prepared_.db_proj_schema);
@@ -619,7 +695,8 @@ Status SemijoinFilter::Ship(uint32_t worker, std::vector<RecordBatch> t_prime,
       parts[AgreedPartition(KeyAt(key, r), n)].AppendRowFrom(batch, r);
     }
   }
-  for (uint32_t p = 0; p < n; ++p) {
+  Exchange::Sender key_lists = keys_.Open(self);
+  for (uint32_t p = 0; p < n && st.ok(); ++p) {
     const ColumnVector& key = parts[p].column(key_idx);
     BinaryWriter keys;
     keys.PutVarint(parts[p].num_rows());
@@ -628,23 +705,16 @@ Status SemijoinFilter::Ship(uint32_t worker, std::vector<RecordBatch> t_prime,
     }
     ctx->metrics().Add("semijoin.key_bytes_sent",
                        static_cast<int64_t>(keys.size()));
-    st.Update(SendWithRetry(&net, self, NodeId::Hdfs(p), keys_tag_,
-                            keys.Release()));
+    key_lists.SendPayload(p, keys.Release());
   }
-  // One bitmap per JEN worker, in any arrival order.
+  st.Update(key_lists.Finish());
+  // A bitmap from every JEN worker that got this worker's key list.
   std::vector<std::vector<uint8_t>> bitmaps(n);
-  for (uint32_t b = 0; b < n; ++b) {
-    Result<Message> msg = net.Recv(self, bitmaps_tag_);
-    if (!msg.ok()) {
-      st.Update(msg.status());
-      break;
-    }
-    if (msg->eos || msg->payload == nullptr) {
-      st.Update(Status::Internal("expected semijoin bitmap"));
-      continue;
-    }
-    bitmaps[msg->from.index] = *msg->payload;
-  }
+  st.Update(bitmaps_.ReceivePayloads(
+      self, [&](NodeId from, const std::vector<uint8_t>& bitmap) {
+        bitmaps[from.index] = bitmap;
+        return Status::OK();
+      }));
   Exchange::Sender sender = out->Open(self);
   for (uint32_t p = 0; p < n && st.ok(); ++p) {
     std::vector<uint32_t> keep;
@@ -657,36 +727,27 @@ Status SemijoinFilter::Ship(uint32_t worker, std::vector<RecordBatch> t_prime,
   }
   if (worker == 0) exec_->Mark("semijoin_applied");
   st.Update(sender.Finish());
-  return st;
 }
 
-Status SemijoinFilter::Answer(uint32_t worker,
-                              const GraceHashJoin* join) const {
-  Network& net = exec_->ctx()->network();
+Status SemijoinFilter::Answer(uint32_t worker, const GraceHashJoin* join) {
   const NodeId self = NodeId::Hdfs(worker);
-  Status st;
-  for (uint32_t j = 0; j < exec_->ctx()->num_db_workers(); ++j) {
-    Result<Message> msg = net.Recv(self, keys_tag_);
-    if (!msg.ok()) {
-      st.Update(msg.status());
-      break;
-    }
-    if (msg->eos || msg->payload == nullptr) {
-      st.Update(Status::Internal("expected semijoin key list"));
-      continue;
-    }
-    BinaryReader r(*msg->payload);
-    const uint64_t count = r.GetVarint().ValueOr(&st);
-    std::vector<uint8_t> bitmap((count + 7) / 8, 0);
-    for (uint64_t k = 0; k < count && st.ok(); ++k) {
-      const int64_t key = r.GetI64().ValueOr(&st);
-      if (st.ok() && join != nullptr && join->Contains(key)) {
-        bitmap[k / 8] |= static_cast<uint8_t>(1u << (k % 8));
-      }
-    }
-    st.Update(SendWithRetry(&net, self, msg->from, bitmaps_tag_,
-                            std::move(bitmap)));
-  }
+  Exchange::Sender answers = bitmaps_.Open(self);
+  Status st = keys_.ReceivePayloads(
+      self, [&](NodeId from, const std::vector<uint8_t>& keys) {
+        Status parsed;
+        BinaryReader r(keys);
+        const uint64_t count = r.GetVarint().ValueOr(&parsed);
+        std::vector<uint8_t> bitmap((count + 7) / 8, 0);
+        for (uint64_t k = 0; k < count && parsed.ok(); ++k) {
+          const int64_t key = r.GetI64().ValueOr(&parsed);
+          if (parsed.ok() && join != nullptr && join->Contains(key)) {
+            bitmap[k / 8] |= static_cast<uint8_t>(1u << (k % 8));
+          }
+        }
+        answers.SendPayload(from.index, std::move(bitmap));
+        return parsed;
+      });
+  st.Update(answers.Finish());
   return st;
 }
 

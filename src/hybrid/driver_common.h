@@ -3,27 +3,31 @@
 // channel tags and first-error status, and runs the m DB + n JEN worker
 // threads with their query, governor, trace and profile scopes installed;
 // the adaptive path runs its prefix and the chosen driver as two rounds of
-// one Execution. Every message between workers moves through a stage built
-// on the driver thread before a round: an Exchange (a data-plane shuffle),
-// a Coordinate (a control-plane gather/fold/scatter round) or, for the
-// exact semijoin's key lists and bitmaps, a SemijoinFilter. On top of
-// them sit the DB-side Bloom prefix (BF_DB build, combine and hot-key
-// agreement, or resumption from a PrefixState), the exact-semijoin round,
-// the final aggregation, the local hash join and the parallel probe.
+// one Execution. Every message between workers moves through one of two
+// stage types built on the driver thread before a round: an Exchange (the
+// data plane: shuffles, and the exact semijoin's key lists and bitmaps,
+// sent by the stage's own send threads and drained to EOS) or a Coordinate
+// (a control-plane gather/fold/scatter round). On top of them sit the
+// DB-side Bloom prefix (BF_DB build, combine and hot-key agreement, or
+// resumption from a PrefixState), the exact-semijoin round, the final
+// aggregation, the local hash join and the parallel probe.
 
 #ifndef HYBRIDJOIN_HYBRID_DRIVER_COMMON_H_
 #define HYBRIDJOIN_HYBRID_DRIVER_COMMON_H_
 
+#include <atomic>
 #include <functional>
 #include <memory>
 #include <mutex>
 #include <optional>
+#include <span>
 #include <string>
 #include <thread>
 #include <type_traits>
 #include <utility>
 #include <vector>
 
+#include "common/blocking_queue.h"
 #include "common/query_scope.h"
 #include "common/stopwatch.h"
 #include "exec/aggregator.h"
@@ -46,7 +50,8 @@ namespace driver {
 /// the spawner's QueryScope and MemoryGovernor::Scope, then a
 /// trace::ThreadScope(node, role), around `fn`. Joined by Join() or at
 /// destruction. Used for the worker threads of Execution::RunWorkers and for
-/// a worker's own helpers (the JEN receive thread).
+/// a worker's own helpers (the JEN receive thread, an Exchange sender's
+/// send threads).
 class WorkerThread {
  public:
   WorkerThread(NodeId node, const char* role, std::function<void()> fn);
@@ -161,11 +166,14 @@ class Execution {
   Status first_error_;                                 ///< guarded by mu_
 };
 
-/// A data-plane stage: the shuffles of Figures 1-4. Batches flow from every
-/// sender node to the receivers its route picks, as one stream per
-/// (sender, receiver) pair on this stage's tag, each ending in EOS. A
-/// sending node opens a Sender on its worker thread; a receiving node
-/// drains with Receive.
+/// A data-plane stage: the shuffles of Figures 1-4 and the exact
+/// semijoin's key lists and bitmaps. Payloads flow from every sender node
+/// to the receivers its route picks, as one stream per (sender, receiver)
+/// pair on this stage's tag, each ending in EOS. A sending node opens a
+/// Sender on its worker thread: its producers serialize batches into
+/// pooled buffers (the paper's send buffers, Figure 7) and its send threads
+/// ship them, so network waits overlap the scan. A receiving node drains
+/// with Receive, or ReceivePayloads for raw payloads.
 class Exchange {
  public:
   enum class Route : uint8_t {
@@ -189,7 +197,7 @@ class Exchange {
     SchemaPtr schema = nullptr;
     size_t key_column = 0;                ///< hash routes
     std::vector<uint32_t> owner = {};     ///< kOwner: receiver per sender
-    uint32_t send_threads = 1;            ///< BatchSender pool per sender
+    uint32_t send_threads = 1;            ///< each Sender's send threads
     size_t flush_rows = 4096;             ///< hash routes' batch size
     const char* tuple_counter = nullptr;  ///< rows sent, per destination
     const char* send_span = nullptr;      ///< span around each routed send
@@ -199,9 +207,12 @@ class Exchange {
   Exchange(const Exchange&) = delete;
   Exchange& operator=(const Exchange&) = delete;
 
-  /// One sending node's side. Finish (or destruction) sends EOS to every
-  /// receiver this node's route reaches, even after an error, so no
-  /// receiver is left waiting.
+  /// One sending node's side. Append, SendTo and SendPayload only queue a
+  /// payload; the send threads ship it with retry. The first permanent send
+  /// error is sticky: later payloads are dropped unsent, as they are once
+  /// the query is KILLed, and Finish returns that error. Finish (or
+  /// destruction) sends EOS to every receiver this node's route reaches,
+  /// even after an error, so no receiver is left waiting.
   class Sender {
    public:
     ~Sender();
@@ -210,35 +221,62 @@ class Exchange {
 
     /// Routes the whole `batch` as producer thread `thread`; one caller
     /// per thread index, so the scan's process threads never share state.
-    /// A send failure surfaces at Finish.
     void Append(uint32_t thread, const RecordBatch& batch);
 
     /// Sends `batch` as is to receiver index `receiver` (a partition the
     /// caller already routed).
     void SendTo(uint32_t receiver, const RecordBatch& batch);
 
-    /// Flushes the producers, then sends EOS. Returns the first error.
+    /// Sends an already-serialized payload to receiver index `receiver`.
+    void SendPayload(uint32_t receiver, std::vector<uint8_t> payload);
+
+    /// Flushes the producers, waits for the send threads to empty the
+    /// queue, then sends EOS. Returns the first error.
     Status Finish();
 
    private:
     friend class Exchange;
+    struct Item {
+      NodeId dest;
+      std::shared_ptr<const std::vector<uint8_t>> payload;
+    };
+
     Sender(Exchange* exchange, NodeId self, const HotKeySet* hot,
            uint32_t threads);
     /// Ships producer `thread`'s pending batch in `slot`: receiver `slot`'s
     /// partition, or past the last receiver the hot rows.
     void Emit(uint32_t thread, size_t slot);
+    /// Serializes `batch` once and queues it for every node of `dests`.
+    void Ship(std::span<const NodeId> dests, const RecordBatch& batch);
+    /// Queues `payload` for every node of `dests` (shared, not copied).
+    void Queue(std::span<const NodeId> dests, std::vector<uint8_t> payload);
+    /// A send thread's handling of one queued payload.
+    void Deliver(Item item);
 
     Exchange* exchange_;
     const Spec& spec_;
+    NodeId self_;
     const HotKeySet* hot_;       ///< null unless the hot route is on
     trace::Tracer* tracer_;      ///< for spec_.send_span
     std::vector<NodeId> reach_;  ///< the receivers this sender streams to
     size_t local_;               ///< self's receiver index, if any
-    BatchSender out_;
     /// Hash routes, per producer thread: a pending batch per receiver,
     /// then one of hot rows; and the hot rows kept local.
     std::vector<std::vector<RecordBatch>> pending_;
     std::vector<std::vector<RecordBatch>> kept_;
+    std::shared_ptr<BufferPool> pool_;
+    /// Queued payloads are in-flight memory of the query, charged to its
+    /// governor per destination (each Item pins the payload) and released
+    /// by the send thread that pops the Item. The queue is unbounded and
+    /// the charge goes through the never-failing Reserve, so nothing bounds
+    /// the bytes in flight but the producers' pace against the send
+    /// threads'. The shared BufferPool is left uncharged: recycled buffers
+    /// can outlive the query's governor.
+    BlockingQueue<Item> queue_;
+    std::mutex error_mu_;
+    Status first_error_;  ///< guarded by error_mu_
+    std::atomic<bool> failed_{false};
+    std::vector<WorkerThread> send_threads_;
     bool finished_ = false;
   };
 
@@ -254,13 +292,19 @@ class Exchange {
   Status Send(NodeId self, const std::vector<RecordBatch>& batches,
               const HotKeySet* hot = nullptr);
 
-  /// Drains one stream per sender that reaches `self`, handing each batch
-  /// to `fn` as it arrives, then the rows `self`'s own sender kept local.
-  /// After the first error (a bad payload, a failing `fn`) `fn` is no
-  /// longer called but the streams are still drained. A receive error (a
-  /// timeout, a KILL) ends the drain early; `self`'s own sender may then
-  /// still be running on another thread, and releases the rows it keeps
-  /// when it finishes.
+  /// Drains one stream per sender that reaches `self`, handing each
+  /// payload and the node that sent it to `fn` as it arrives. After the
+  /// first error `fn` is no longer called but the streams are still
+  /// drained through their EOS. A receive error (a timeout, a KILL) ends
+  /// the drain early.
+  using PayloadFn =
+      std::function<Status(NodeId from, const std::vector<uint8_t>& payload)>;
+  Status ReceivePayloads(NodeId self, const PayloadFn& fn);
+
+  /// ReceivePayloads decoding each payload as a batch for `fn`, then the
+  /// rows `self`'s own sender kept local. After a receive error `self`'s
+  /// own sender may still be running on another thread, and releases the
+  /// rows it keeps when it finishes.
   Status Receive(NodeId self, const std::function<Status(RecordBatch&&)>& fn);
 
   /// Receive into a vector.
@@ -443,32 +487,32 @@ class DbBloomPrefix {
 /// The exact-semijoin second filter of the zigzag join (§6's alternative
 /// to BF_H). DB worker i partitions T' by the agreed hash and sends JEN
 /// worker p the join keys of part p; p answers with a membership bitmap
-/// over its L' keys, and i ships only the marked rows. Keys and bitmaps
-/// are neither batches nor control values: they are data-plane messages
-/// with retry on two tags of this stage's own, received by its own loops,
-/// and both sides answer every peer even after an error (with empty key
-/// lists or all-zero bitmaps), so nobody blocks.
+/// over those keys, and i ships only the marked rows. Key lists and
+/// bitmaps travel as raw payloads on two Exchanges of this stage's own
+/// (DB -> JEN, JEN -> DB); each side's drain ends on its peers' EOS.
 class SemijoinFilter {
  public:
   SemijoinFilter(Execution* exec, const PreparedQuery& prepared);
 
-  /// DB worker `worker`: the key/bitmap round over `t_prime` (pass it empty
-  /// after an error), then the survivors of each part, one batch per JEN
-  /// worker, through `out`, whose EOS follows.
-  Status Ship(uint32_t worker, std::vector<RecordBatch> t_prime,
-              Exchange* out) const;
+  /// DB worker `worker`: the key/bitmap round over `t_prime`, then the
+  /// survivors of each part, one batch per JEN worker, through `out`,
+  /// whose EOS follows. After an error, whether already in `*status` or
+  /// the round's own, which lands there, only the EOS of each stream goes
+  /// out.
+  void Ship(uint32_t worker, std::vector<RecordBatch> t_prime, Exchange* out,
+            Status* status);
 
-  /// JEN worker `worker`: answers every DB worker's key list by probing the
-  /// built `join` — exact for resident partitions, "present" for spilled
-  /// ones, whose extra T'' rows the join drops. A null `join` (its build
-  /// failed) answers with all-zero bitmaps.
-  Status Answer(uint32_t worker, const GraceHashJoin* join) const;
+  /// JEN worker `worker`: answers every key list it receives by probing
+  /// the built `join` — exact for resident partitions, "present" for
+  /// spilled ones, whose extra T'' rows the join drops. A null `join` (its
+  /// build failed) answers with all-zero bitmaps.
+  Status Answer(uint32_t worker, const GraceHashJoin* join);
 
  private:
   Execution* exec_;
   const PreparedQuery& prepared_;
-  uint64_t keys_tag_;     ///< DB -> JEN key lists
-  uint64_t bitmaps_tag_;  ///< JEN -> DB membership bitmaps
+  Exchange keys_;     ///< DB -> JEN key lists
+  Exchange bitmaps_;  ///< JEN -> DB membership bitmaps
 };
 
 /// The node ids of every worker of `cluster`.

@@ -238,11 +238,11 @@ Result<RecordBatch> RunRepartitionFamilyOn(Execution* exec,
     }
 
     // Ship T' (or T'') to the JEN workers; after an error only the EOS
-    // (and the semijoin's empty key lists) go out.
-    if (!st.ok()) t_prime.clear();
+    // goes out.
     if (semijoin_filter) {
-      st.Update(semijoin_filter->Ship(i, std::move(t_prime), &t_ship));
+      semijoin_filter->Ship(i, std::move(t_prime), &t_ship, &st);
     } else {
+      if (!st.ok()) t_prime.clear();
       st.Update(t_ship.Send(self, t_prime, &hot));
     }
     if (i == 0) {

@@ -17,7 +17,10 @@ namespace hybridjoin {
 
 /// Engine-level tuning knobs for JEN.
 struct JenConfig {
-  uint32_t send_threads = 2;        ///< per-worker shuffle send pool
+  /// Send threads of each exchange sender that ships to or from JEN
+  /// (Exchange::Spec::send_threads): the L' shuffle, the T' shipment and
+  /// the L'' ingest.
+  uint32_t send_threads = 2;
   /// Process threads per worker for the Figure-7 scan pipeline (decode,
   /// predicate, Bloom, project, serialize run morsel-parallel off the read
   /// queue). 0 inherits SimulationConfig::exec_threads; 1 reproduces the

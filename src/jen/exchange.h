@@ -1,24 +1,18 @@
-// Exchange helpers under the join drivers' stages (hybrid/driver_common.h):
-// a pooled batch sender (the paper's send-buffer + send-thread scheme,
-// Figure 7), a stream receiver that feeds each batch on as it arrives, the
-// typed control-plane transfer and the DB->JEN scan-request control
-// message.
+// Wire helpers under the join drivers' stages (hybrid/driver_common.h): the
+// retrying data-plane send and the serialization buffer pool that
+// driver::Exchange ships its payloads with, the typed control-plane
+// transfer that driver::Coordinate rounds use, and the DB->JEN
+// scan-request control message.
 
 #ifndef HYBRIDJOIN_JEN_EXCHANGE_H_
 #define HYBRIDJOIN_JEN_EXCHANGE_H_
 
-#include <atomic>
-#include <functional>
 #include <memory>
 #include <mutex>
-#include <span>
-#include <thread>
 #include <type_traits>
 #include <vector>
 
 #include "bloom/bloom_filter.h"
-#include "common/blocking_queue.h"
-#include "exec/memory_governor.h"
 #include "expr/predicate.h"
 #include "net/network.h"
 
@@ -48,7 +42,8 @@ inline Status SendWithRetry(Network* network, NodeId from, NodeId to,
 /// an empty vector with whatever capacity its previous life grew; Share()
 /// wraps a filled buffer as the shared payload the network queues hold, and
 /// its deleter returns the storage here once the last queue drops it. The
-/// deleter keeps the pool alive, so payloads may outlive the BatchSender.
+/// deleter keeps the pool alive, so payloads may outlive the sender that
+/// filled them.
 class BufferPool : public std::enable_shared_from_this<BufferPool> {
  public:
   static std::shared_ptr<BufferPool> Create(size_t max_buffers = 64) {
@@ -94,89 +89,6 @@ class BufferPool : public std::enable_shared_from_this<BufferPool> {
   std::vector<std::vector<uint8_t>> free_;
   const size_t max_buffers_;
 };
-
-/// Serializes batches on the caller's thread (the "process thread" filling
-/// send buffers) and ships them from a small pool of send threads, so
-/// network waits overlap with scanning/processing.
-///
-/// Send/SendToAll are safe to call from several process threads
-/// concurrently (the morsel-parallel scan shares one sender): the buffer
-/// pool and the send queue are internally synchronized and the counters
-/// are atomic. Finish must be called once, after every producer
-/// has stopped.
-class BatchSender {
- public:
-  BatchSender(Network* network, NodeId self, uint64_t tag,
-              uint32_t num_threads, Metrics* metrics = nullptr,
-              const char* tuple_counter = nullptr);
-  ~BatchSender();
-
-  BatchSender(const BatchSender&) = delete;
-  BatchSender& operator=(const BatchSender&) = delete;
-
-  /// Serializes a batch once and enqueues it for every destination (a
-  /// broadcast shares the payload, it does not copy it). The serialization
-  /// buffer comes from the sender's BufferPool and is recycled after the
-  /// last send.
-  void SendToAll(std::span<const NodeId> dests, const RecordBatch& batch);
-  void Send(NodeId dest, const RecordBatch& batch) {
-    SendToAll({&dest, 1}, batch);
-  }
-
-  /// Drains the queue, then emits EOS to every node in `dests` (EOS goes
-  /// out even after send failures, so receivers never hang waiting for a
-  /// stream that died). Returns the first permanent send error, if any; the
-  /// sender is unusable afterwards.
-  Status Finish(const std::vector<NodeId>& dests);
-
-  int64_t tuples_sent() const { return tuples_sent_; }
-
-  /// First permanent send error across the send threads (OK if none yet).
-  Status status() const {
-    std::lock_guard<std::mutex> lock(error_mu_);
-    return first_error_;
-  }
-
- private:
-  struct Item {
-    NodeId dest;
-    std::shared_ptr<const std::vector<uint8_t>> payload;
-  };
-
-  void RecordError(const Status& s);
-
-  Network* network_;
-  NodeId self_;
-  uint64_t tag_;
-  Metrics* metrics_;
-  const char* tuple_counter_;
-  /// Queued-but-unsent payload bytes are in-flight memory of the query:
-  /// charged per enqueued Item (a broadcast charges once per destination —
-  /// each Item pins the payload) and released by the send thread that pops
-  /// it. Charged through the never-failing Reserve path; the bounded send
-  /// queue is the real backpressure. Captured at construction so the send
-  /// threads never touch thread-local state. The shared BufferPool is left
-  /// uncharged: recycled payloads can outlive the query's governor.
-  MemoryGovernor* governor_;
-  std::shared_ptr<BufferPool> pool_;
-  BlockingQueue<Item> queue_;
-  std::vector<std::thread> threads_;
-  std::atomic<int64_t> tuples_sent_{0};
-  bool finished_ = false;
-  mutable std::mutex error_mu_;
-  Status first_error_;
-  std::atomic<bool> failed_{false};
-};
-
-/// Drains the `expected_senders` streams on (self, tag), handing every
-/// batch to `fn` as it arrives — the paper's receive threads that build the
-/// join as shuffled data arrives. After the first error (a bad payload or a
-/// failing `fn`) the rest of the stream is still drained, so no message is
-/// left behind, but `fn` is no longer called. Returns that first error, or
-/// the stream's own status.
-Status ReceiveEach(Network* network, NodeId self, uint64_t tag,
-                   uint32_t expected_senders, const SchemaPtr& schema,
-                   const std::function<Status(RecordBatch&&)>& fn);
 
 /// A control value with no type of its own (plan statistics, decisions):
 /// the caller writes its fields with BinaryWriter and reads them back with

@@ -56,7 +56,8 @@ using ScanConsumer = std::function<Status(RecordBatch&&)>;
 /// Called serially on the scanning thread before any process thread starts,
 /// so the factory itself needs no synchronization. Each returned consumer is
 /// invoked only from its own thread; consumers must be mutually thread-safe
-/// only where they share state (e.g. a common BatchSender).
+/// only where they share state (e.g. one Exchange sender, which they feed
+/// as separate producers and whose send queue is synchronized).
 using ScanConsumerFactory = std::function<ScanConsumer(uint32_t)>;
 
 class JenWorker {

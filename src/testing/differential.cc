@@ -143,7 +143,7 @@ std::optional<std::string> CompareBatches(const RecordBatch& expected,
   return std::nullopt;
 }
 
-DiffCase MakeRandomCase(uint64_t seed) {
+DiffCase MakeRandomCase(uint64_t seed, bool full_key_windows) {
   SplitMix rng(seed);
   DiffCase c;
 
@@ -166,12 +166,16 @@ DiffCase MakeRandomCase(uint64_t seed) {
     spec.sigma_l = rng.RangeF(0.02, 0.6);
     spec.st = rng.RangeF(0.05, 1.0);
     spec.sl = rng.RangeF(0.05, 1.0);
+    if (full_key_windows) spec.st = spec.sl = 1.0;
     if (SolveSelectivities(spec, c.workload).ok()) {
       c.spec = spec;
       solved = true;
     }
   }
-  if (!solved) c.spec = SelectivitySpec{0.1, 0.1, 0.5, 0.5};
+  if (!solved) {
+    const double window = full_key_windows ? 1.0 : 0.5;
+    c.spec = SelectivitySpec{0.1, 0.1, window, window};
+  }
 
   c.db_workers = static_cast<uint32_t>(rng.Range(1, 5));
   c.jen_workers = static_cast<uint32_t>(rng.Range(1, 6));
@@ -256,9 +260,11 @@ DiffCaseReport RunDifferentialCase(uint64_t seed,
   report.zipf_s = zipf_s;
   report.adaptive = adaptive;
 
-  DiffCase c = MakeRandomCase(seed);
-  // The skew axis overrides the generator's key draw only; every other knob
-  // of the case stays the seed's, so a skewed sweep covers the same shapes.
+  // The skew axis draws full key windows (st = sl = 1): a random window
+  // usually leaves the Zipf head out of L', and then no hot probe row ever
+  // takes the keep-local route. Every other knob of the case is drawn as
+  // for the uniform sweep.
+  DiffCase c = MakeRandomCase(seed, /*full_key_windows=*/zipf_s != 0);
   c.workload.zipf_s = zipf_s;
   if (zipf_s != 0) {
     c.summary += " zipf_s=" + std::to_string(zipf_s);
@@ -352,6 +358,8 @@ DiffCaseReport RunDifferentialCase(uint64_t seed,
       out.leak += std::to_string(leaked) + " governor byte(s)";
     }
     if (result.ok()) {
+      report.hot_rows_probe +=
+          result->report.Counter(metric::kShuffleHotRowsProbe);
       auto diff = CompareBatches(*expected, result->rows);
       out.matched = !diff.has_value();
       if (diff.has_value()) out.mismatch = *diff;

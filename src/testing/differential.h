@@ -50,7 +50,9 @@ struct DiffCase {
   std::string summary;  ///< one line for logs
 };
 
-DiffCase MakeRandomCase(uint64_t seed);
+/// `full_key_windows` pins both join-key selectivities to 1 (st = sl = 1),
+/// so every key can reach the join; the skew axis uses it.
+DiffCase MakeRandomCase(uint64_t seed, bool full_key_windows = false);
 
 /// What happened to one variant of one case.
 struct VariantOutcome {
@@ -74,6 +76,9 @@ struct DiffCaseReport {
   bool profile_recoverable = true;
   std::string case_summary;
   Status setup_error;  ///< generation/load/oracle failure (aborts the case)
+  /// Hot probe rows kept local by the skew route, summed over the variants
+  /// that ran OK (shuffle.hot_rows_probe).
+  int64_t hot_rows_probe = 0;
   std::vector<VariantOutcome> outcomes;
 
   /// Under a recoverable profile every variant must run OK and match the
@@ -102,8 +107,9 @@ struct DiffCaseReport {
 /// the memory-pressure axis of the sweep. The single-node reference oracle
 /// is never budgeted. `zipf_s` overrides the case's key-skew exponent
 /// (0, the default, keeps the seed's historical uniform workload
-/// bit-identical): a skewed sweep exercises the skew-aware hybrid shuffle
-/// route, which must also match the oracle byte-for-byte. `adaptive` adds
+/// bit-identical) and draws the case with full key windows: a skewed sweep
+/// exercises the skew-aware hybrid shuffle route, which must also match
+/// the oracle byte-for-byte. `adaptive` adds
 /// an eighth variant, "adaptive", that executes through ExecuteAuto's
 /// adaptive decision point with the pivot hysteresis forced to zero — any
 /// disagreement between the sampled estimates and the observed prefix

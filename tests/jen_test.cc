@@ -1,7 +1,7 @@
 // Unit tests for the JEN engine: locality-aware block assignment,
 // connection grouping, the multi-threaded scan pipeline (predicates, Bloom
 // pruning, projection pushdown, chunk skipping, remote reads), and the
-// exchange helpers.
+// control-value and scan-request wire helpers.
 
 #include <gtest/gtest.h>
 
@@ -11,7 +11,6 @@
 #include <set>
 #include <thread>
 
-#include "exec/join_hash_table.h"
 #include "hdfs/format.h"
 #include "hdfs/table_writer.h"
 #include "hybrid/warehouse.h"
@@ -667,84 +666,7 @@ TEST_F(JenFixture, ConsumerErrorAbortsScan) {
   EXPECT_EQ(st.code(), StatusCode::kAborted);
 }
 
-// -------------------------------- Exchange --------------------------------
-
-TEST_F(JenFixture, BatchSenderDeliversAndEos) {
-  auto schema = Schema::Make({{"k", DataType::kInt32}});
-  RecordBatch b(schema);
-  for (int32_t i = 0; i < 10; ++i) b.AppendRow({Value(i)});
-
-  const uint64_t tag = network_->AllocateTagBlock();
-  BatchSender sender(network_.get(), NodeId::Hdfs(0), tag, 2, &metrics_,
-                     metric::kHdfsTuplesShuffled);
-  sender.Send(NodeId::Hdfs(1), b);
-  sender.Send(NodeId::Hdfs(1), b);
-  sender.Finish({NodeId::Hdfs(1), NodeId::Hdfs(2)});
-  EXPECT_EQ(sender.tuples_sent(), 20);
-  EXPECT_EQ(metrics_.Get(metric::kHdfsTuplesShuffled), 20);
-
-  auto count_batches = [&](NodeId self) {
-    size_t batches = 0;
-    EXPECT_TRUE(ReceiveEach(network_.get(), self, tag, 1, schema,
-                            [&](RecordBatch&&) {
-                              ++batches;
-                              return Status::OK();
-                            })
-                    .ok());
-    return batches;
-  };
-  EXPECT_EQ(count_batches(NodeId::Hdfs(1)), 2u);
-  EXPECT_EQ(count_batches(NodeId::Hdfs(2)), 0u);
-}
-
-TEST_F(JenFixture, ReceiveEachBuildsHashTable) {
-  auto schema = Schema::Make({{"k", DataType::kInt32}});
-  RecordBatch b(schema);
-  for (int32_t i = 0; i < 5; ++i) b.AppendRow({Value(i)});
-  const uint64_t tag = network_->AllocateTagBlock();
-  network_->Send(NodeId::Hdfs(1), NodeId::Hdfs(0), tag, b.Serialize());
-  network_->SendEos(NodeId::Hdfs(1), NodeId::Hdfs(0), tag);
-  JoinHashTable table(0);
-  ASSERT_TRUE(ReceiveEach(network_.get(), NodeId::Hdfs(0), tag, 1, schema,
-                          [&](RecordBatch&& batch) {
-                            return table.AddBatch(std::move(batch));
-                          })
-                  .ok());
-  table.Finalize();
-  EXPECT_EQ(table.num_rows(), 5u);
-  EXPECT_TRUE(table.Contains(3));
-}
-
-TEST_F(JenFixture, ReceiveEachDrainsPastAnError) {
-  auto schema = Schema::Make({{"k", DataType::kInt32}});
-  RecordBatch b(schema);
-  b.AppendRow({Value(int32_t{1})});
-  const uint64_t tag = network_->AllocateTagBlock();
-  for (int i = 0; i < 3; ++i) {
-    network_->Send(NodeId::Hdfs(1), NodeId::Hdfs(0), tag, b.Serialize());
-  }
-  network_->SendEos(NodeId::Hdfs(1), NodeId::Hdfs(0), tag);
-  RecordBatch marker(schema);
-  marker.AppendRow({Value(int32_t{99})});
-  network_->Send(NodeId::Hdfs(1), NodeId::Hdfs(0), tag, marker.Serialize());
-  int calls = 0;
-  const Status st =
-      ReceiveEach(network_.get(), NodeId::Hdfs(0), tag, 1, schema,
-                  [&](RecordBatch&&) {
-                    ++calls;
-                    return Status::Internal("consumer failed");
-                  });
-  EXPECT_FALSE(st.ok());
-  EXPECT_EQ(calls, 1);  // no calls after the first error...
-  // ...but the stream was drained through its EOS: the next message on the
-  // channel is the marker sent after it.
-  auto next = network_->Recv(NodeId::Hdfs(0), tag);
-  ASSERT_TRUE(next.ok());
-  ASSERT_NE(next->payload, nullptr);
-  auto batch = RecordBatch::Deserialize(*next->payload, schema);
-  ASSERT_TRUE(batch.ok());
-  EXPECT_EQ(batch->column(0).i32()[0], 99);
-}
+// ----------------------------- Control values -----------------------------
 
 TEST_F(JenFixture, BloomTransfer) {
   BloomFilter bloom(BloomParams::ForKeys(64));

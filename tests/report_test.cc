@@ -1,6 +1,7 @@
 // Tests for the reporting/driver plumbing: ExecutionReport, algorithm
-// names, the driver stages (tag allocation, the Exchange and Coordinate
-// error and hot-route contracts, the Bloom union round), and the zigzag
+// names, the driver stages (tag allocation, the Exchange delivery, drain,
+// send-failure and hot-route contracts, the semijoin round's EOS ending,
+// the Coordinate error contract, the Bloom union round), and the zigzag
 // build-side ablation (both plans must agree exactly).
 
 #include <gtest/gtest.h>
@@ -14,7 +15,9 @@
 
 #include "common/hash.h"
 #include "common/stopwatch.h"
+#include "exec/join_hash_table.h"
 #include "hybrid/driver_common.h"
+#include "obs/query_registry.h"
 #include "hybrid/warehouse.h"
 #include "workload/loader.h"
 
@@ -147,6 +150,191 @@ TEST(DriverStageTest, ExchangeSenderFailingEarlyReleasesReceivers) {
       });
   EXPECT_EQ(st.code(), StatusCode::kInternal) << st;
   EXPECT_EQ(received.load(), 100);
+}
+
+// A sender's batches reach only their receiver, which can build a hash
+// table from them as they arrive; a receiver that got no batch still gets
+// its EOS; the tuple counter counts rows per destination.
+TEST(DriverStageTest, ExchangeDeliversCountsAndEndsEveryStream) {
+  SimulationConfig config;
+  config.db.num_workers = 1;
+  config.jen_workers = 3;
+  EngineContext ctx(config);
+  driver::Execution exec(&ctx, JoinAlgorithm::kRepartition, 0);
+  const SchemaPtr schema = Schema::Make({{"k", DataType::kInt64}});
+  driver::Exchange exchange(
+      &exec, {.senders = {NodeId::Hdfs(0)},
+              .receivers = {NodeId::Hdfs(1), NodeId::Hdfs(2)},
+              .route = driver::Exchange::Route::kAgreedHash,
+              .schema = schema,
+              .send_threads = 2,
+              .tuple_counter = metric::kHdfsTuplesShuffled});
+  std::vector<int64_t> keys(10);
+  std::iota(keys.begin(), keys.end(), 0);
+  {
+    driver::Exchange::Sender sender = exchange.Open(NodeId::Hdfs(0));
+    sender.SendTo(0, KeyBatch(schema, keys));
+    sender.SendTo(0, KeyBatch(schema, keys));
+    ASSERT_TRUE(sender.Finish().ok());
+  }
+  EXPECT_EQ(ctx.metrics().Get(metric::kHdfsTuplesShuffled), 20);
+  JoinHashTable table(0);
+  size_t batches = 0;
+  ASSERT_TRUE(exchange
+                  .Receive(NodeId::Hdfs(1),
+                           [&](RecordBatch&& batch) {
+                             ++batches;
+                             return table.AddBatch(std::move(batch));
+                           })
+                  .ok());
+  table.Finalize();
+  EXPECT_EQ(batches, 2u);
+  EXPECT_EQ(table.num_rows(), 20u);
+  EXPECT_TRUE(table.Contains(3));
+  auto none = exchange.ReceiveAll(NodeId::Hdfs(2));
+  ASSERT_TRUE(none.ok()) << none.status();
+  EXPECT_TRUE(none->empty());
+}
+
+// After the first failing callback Receive calls no more, but it drains
+// the stream through its EOS, and no further.
+TEST(DriverStageTest, ExchangeReceiveDrainsPastAnError) {
+  SimulationConfig config;
+  config.db.num_workers = 1;
+  config.jen_workers = 2;
+  EngineContext ctx(config);
+  driver::Execution exec(&ctx, JoinAlgorithm::kRepartition, 0);
+  const SchemaPtr schema = Schema::Make({{"k", DataType::kInt64}});
+  driver::Exchange exchange(&exec, {.senders = {NodeId::Hdfs(1)},
+                                    .receivers = {NodeId::Hdfs(0)},
+                                    .schema = schema});
+  ASSERT_TRUE(exchange
+                  .Send(NodeId::Hdfs(1), {KeyBatch(schema, {1}),
+                                          KeyBatch(schema, {1}),
+                                          KeyBatch(schema, {1})})
+                  .ok());
+  // A second stream on the same channel, queued behind the first's EOS.
+  ASSERT_TRUE(exchange.Send(NodeId::Hdfs(1), {KeyBatch(schema, {99})}).ok());
+  int calls = 0;
+  const Status st = exchange.Receive(NodeId::Hdfs(0), [&](RecordBatch&&) {
+    ++calls;
+    return Status::Internal("consumer failed");
+  });
+  EXPECT_EQ(st.code(), StatusCode::kInternal) << st;
+  EXPECT_EQ(calls, 1);
+  auto next = exchange.ReceiveAll(NodeId::Hdfs(0));
+  ASSERT_TRUE(next.ok()) << next.status();
+  ASSERT_EQ(next->size(), 1u);
+  EXPECT_EQ((*next)[0].column(0).i64()[0], 99);
+}
+
+// A sender whose sends fail for good (every attempt dropped) or whose
+// query is KILLed: Finish returns the first error, every receiver still
+// gets its EOS, and the governor charge of every payload dropped unsent
+// comes back.
+TEST(DriverStageTest, FailingSenderEndsEveryStreamAndReleasesItsCharges) {
+  for (const bool kill : {false, true}) {
+    SCOPED_TRACE(kill ? "KILL" : "drop");
+    SimulationConfig config;
+    config.db.num_workers = 1;
+    config.jen_workers = 3;
+    config.net.recv_timeout_ms = 10000;  // a missing EOS fails, not hangs
+    if (!kill) config.fault.drop_prob = 1.0;
+    EngineContext ctx(config);
+    {
+      driver::Execution exec(&ctx, JoinAlgorithm::kRepartition, 0);
+      const SchemaPtr schema = Schema::Make({{"k", DataType::kInt64}});
+      driver::Exchange exchange(
+          &exec, {.senders = {NodeId::Hdfs(0)},
+                  .receivers = {NodeId::Hdfs(1), NodeId::Hdfs(2)},
+                  .schema = schema,
+                  .send_threads = 2});
+      if (kill) {
+        ASSERT_TRUE(obs::QueryRegistry::Global().Cancel(exec.query_id()).ok());
+      }
+      std::vector<int64_t> keys(100);
+      std::iota(keys.begin(), keys.end(), 0);
+      driver::Exchange::Sender sender = exchange.Open(NodeId::Hdfs(0));
+      for (int b = 0; b < 50; ++b) sender.Append(0, KeyBatch(schema, keys));
+      const Status st = sender.Finish();
+      EXPECT_EQ(st.code(),
+                kill ? StatusCode::kCancelled : StatusCode::kUnavailable)
+          << st;
+      EXPECT_EQ(exec.governor()->used(), 0u);
+      // Outside the KILLed query's scope, each receiver's drain ends on
+      // its EOS.
+      std::thread([&] {
+        for (uint32_t w : {1u, 2u}) {
+          auto rows = exchange.ReceiveAll(NodeId::Hdfs(w));
+          ASSERT_TRUE(rows.ok()) << rows.status();
+          EXPECT_TRUE(rows->empty());
+        }
+      }).join();
+    }
+    EXPECT_EQ(ctx.metrics().Get(metric::kServerGovernorLeakedBytes), 0);
+  }
+}
+
+// The exact-semijoin round ends on EOS, not on a message count: a DB
+// worker that fails before shipping its key list sends only EOS, the JEN
+// workers answer the key lists they got, and every node returns long
+// before the receive timeout, leaving no channel behind.
+TEST(DriverStageTest, SemijoinRoundEndsWhenADbWorkerFailsBeforeItsKeys) {
+  WorkloadConfig wc;
+  wc.num_join_keys = 256;
+  wc.t_rows = 2000;
+  wc.l_rows = 6000;
+  auto workload = Workload::Generate(wc, {0.3, 0.3, 0.5, 0.5});
+  ASSERT_TRUE(workload.ok());
+  SimulationConfig config;
+  config.db.num_workers = 2;
+  config.jen_workers = 2;
+  config.bloom.expected_keys = wc.num_join_keys;
+  config.net.recv_timeout_ms = 10000;  // a missing message fails, not hangs
+  HybridWarehouse hw(config);
+  ASSERT_TRUE(LoadWorkload(&hw, *workload).ok());
+  auto prepared = PrepareQuery(&hw.context(), workload->MakeQuery());
+  ASSERT_TRUE(prepared.ok());
+  EngineContext* ctx = &hw.context();
+  const size_t channels_before = ctx->network().num_channels();
+  Stopwatch wall;
+  std::vector<Status> jen_status(2);
+  std::atomic<int64_t> shipped{0};
+  Status st;
+  {
+    driver::Execution exec(ctx, JoinAlgorithm::kZigzag, 0);
+    driver::SemijoinFilter semijoin(&exec, *prepared);
+    driver::Exchange t_ship(
+        &exec, {.senders = driver::AllNodes(ctx, ClusterId::kDb),
+                .receivers = driver::AllNodes(ctx, ClusterId::kHdfs),
+                .route = driver::Exchange::Route::kAgreedHash,
+                .schema = prepared->db_proj_schema,
+                .key_column = prepared->db_key_idx});
+    st = exec.RunWorkers(
+        [&](uint32_t i) -> Status {
+          Status worker = i == 0 ? Status::Internal("scan failed") : Status();
+          std::vector<RecordBatch> t_prime =
+              driver::ScanDbTable(ctx, prepared->query, i, &worker);
+          semijoin.Ship(i, std::move(t_prime), &t_ship, &worker);
+          return worker;
+        },
+        [&](uint32_t w) -> Status {
+          // No build: every key list is answered with an all-zero bitmap.
+          Status worker = semijoin.Answer(w, nullptr);
+          worker.Update(t_ship.Receive(NodeId::Hdfs(w), [&](RecordBatch&& b) {
+            shipped += static_cast<int64_t>(b.num_rows());
+            return Status::OK();
+          }));
+          jen_status[w] = worker;
+          return worker;
+        });
+  }
+  EXPECT_EQ(st.code(), StatusCode::kInternal) << st;
+  for (const Status& s : jen_status) EXPECT_TRUE(s.ok()) << s;
+  EXPECT_EQ(shipped.load(), 0);
+  EXPECT_GT(ctx->metrics().Get("semijoin.key_bytes_sent"), 0);
+  EXPECT_LT(wall.ElapsedSeconds(), 5.0);
+  EXPECT_EQ(ctx->network().num_channels(), channels_before);
 }
 
 // A hash route sends every row to the receiver its key hashes to, in

@@ -28,7 +28,10 @@
 //                        (default 0 = the historical uniform workloads;
 //                        e.g. 1.3 concentrates enough mass on the top keys
 //                        that the skew-aware hybrid shuffle route engages —
-//                        skewed runs must still match the oracle)
+//                        skewed runs must still match the oracle). Cases
+//                        are drawn with full key windows, and a run in
+//                        which no case kept a hot probe row local fails:
+//                        the keep-local route went unexercised
 //   --adaptive           add an eighth variant that runs through the
 //                        adaptive decision point (ExecuteAuto) with the
 //                        pivot hysteresis forced to zero, so every
@@ -41,8 +44,9 @@
 //   --out=PATH           write failing "seed profile" pairs here (default
 //                        fuzz_failures.txt, only written on failure)
 //
-// Exit codes: 0 = all cases ok, 1 = failures found, 2 = bad usage,
-// 3 = watchdog fired (case hang/timeout).
+// Exit codes: 0 = all cases ok, 1 = failures found (or a --zipf_s run that
+// never kept a hot probe row local), 2 = bad usage, 3 = watchdog fired
+// (case hang/timeout).
 
 #include <atomic>
 #include <chrono>
@@ -185,6 +189,7 @@ int main(int argc, char** argv) {
   };
   std::vector<Failure> failures;
   uint64_t cases_run = 0;
+  int64_t hot_rows_probe = 0;
   const int64_t t0 = NowMs();
 
   for (uint64_t i = 0; i < num_seeds; ++i) {
@@ -207,6 +212,7 @@ int main(int argc, char** argv) {
                               adaptive);
       g_deadline_ms.store(INT64_MAX, std::memory_order_release);
       ++cases_run;
+      hot_rows_probe += report.hot_rows_probe;
       if (!report.ok()) {
         failures.push_back({seed, profile, report.Summary()});
         std::fprintf(stderr, "FAIL %s\n", report.Summary().c_str());
@@ -230,6 +236,17 @@ int main(int argc, char** argv) {
               static_cast<unsigned long long>(cases_run),
               static_cast<unsigned long long>(num_seeds), profiles.size(),
               failures.size(), (NowMs() - t0) / 1000.0);
+
+  if (zipf_s != 0) {
+    std::printf("hot probe rows kept local: %lld\n",
+                static_cast<long long>(hot_rows_probe));
+    if (hot_rows_probe == 0) {
+      std::fprintf(stderr,
+                   "no case kept a hot probe row local: the skew route's "
+                   "keep-local path went unexercised\n");
+      if (failures.empty()) return 1;
+    }
+  }
 
   if (!failures.empty()) {
     std::ofstream out(out_path);
