@@ -21,6 +21,7 @@
 #include "common/stopwatch.h"
 #include "exec/join_hash_table.h"
 #include "hdfs/format.h"
+#include "workload/generator.h"
 
 namespace hybridjoin {
 namespace {
@@ -137,6 +138,51 @@ void BM_ColumnarDecodeProjected(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * 10000);
 }
 BENCHMARK(BM_ColumnarDecodeProjected);
+
+// The JEN scan kernel on paper L: one 16K-row block of the generated L
+// table, decoded with the scan's filter/late split. The filter columns
+// (corPred and indPred for the local predicate, joinKey for the Bloom
+// filter) are decoded for every row; the late ones (predAfterJoin,
+// groupByExtractCol) only for the ~5% of rows the predicate keeps.
+void BM_DecodeBlockFilteredPaperL(benchmark::State& state) {
+  constexpr uint32_t kBlockRows = 16 * 1024;
+  WorkloadConfig config;
+  config.t_rows = 4096;
+  config.l_rows = kBlockRows;
+  config.batch_rows = kBlockRows;
+  SelectivitySpec spec;
+  spec.sigma_l = 0.05;
+  auto workload = Workload::Generate(config, spec);
+  if (!workload.ok()) {
+    state.SkipWithError(workload.status().ToString().c_str());
+    return;
+  }
+  const RecordBatch& l = workload->l_batches().front();
+  StoredBlock block;
+  block.format = HdfsFormat::kColumnar;
+  block.num_rows = kBlockRows;
+  block.columnar = std::make_shared<const ColumnarBlock>(
+      EncodeColumnarBlock(l, ColumnarWriteOptions{}));
+  const PredicatePtr predicate = workload->MakeQuery().hdfs.predicate;
+  const RowFilter filter = [&](const RecordBatch& batch,
+                               std::vector<uint32_t>* sel) {
+    return predicate->Filter(batch, sel);
+  };
+  const std::vector<size_t> filter_columns = {0, 1, 2};
+  const std::vector<size_t> late_columns = {3, 4};
+  std::vector<uint32_t> sel;
+  size_t survivors = 0;
+  for (auto _ : state) {
+    auto out = DecodeBlockFiltered(block, l.schema(), filter_columns,
+                                   late_columns, filter, &sel);
+    survivors = out.ok() ? out->num_rows() : 0;
+    benchmark::DoNotOptimize(out);
+  }
+  state.counters["survivor_frac"] =
+      static_cast<double>(survivors) / kBlockRows;
+  state.SetItemsProcessed(state.iterations() * kBlockRows);
+}
+BENCHMARK(BM_DecodeBlockFilteredPaperL);
 
 void BM_HashTableBuild(benchmark::State& state) {
   RecordBatch batch = LogBatch(static_cast<size_t>(state.range(0)));

@@ -68,8 +68,10 @@ class BinaryWriter {
   std::vector<uint8_t> buf_;
 };
 
-/// Reads primitives back out of a byte range. All getters return Status so
-/// malformed/truncated input is reported, never UB.
+/// Reads primitives back out of a byte range. Every read is bounds-checked,
+/// so malformed/truncated input is reported, never UB: the Get* methods
+/// return Status, and the Read* methods return false, for per-row decode
+/// loops where each caller picks its own error.
 class BinaryReader {
  public:
   BinaryReader(const void* data, size_t len)
@@ -91,25 +93,68 @@ class BinaryReader {
   Result<int64_t> GetI64() { return GetFixed<int64_t>(); }
   Result<double> GetF64() { return GetFixed<double>(); }
 
+  /// LEB128 varint of at most 10 bytes (bits past 64 are dropped).
   Result<uint64_t> GetVarint() {
-    uint64_t v = 0;
-    int shift = 0;
-    while (true) {
-      if (pos_ >= len_) {
-        return Status::OutOfRange("truncated varint");
-      }
-      const uint8_t b = data_[pos_++];
-      if (shift >= 64) return Status::OutOfRange("varint overflow");
-      v |= static_cast<uint64_t>(b & 0x7f) << shift;
-      if ((b & 0x80) == 0) break;
-      shift += 7;
+    uint64_t v;
+    if (!ReadVarint(&v)) {
+      return Status::OutOfRange("truncated or overlong varint");
     }
     return v;
   }
 
   Result<int64_t> GetSignedVarint() {
     HJ_ASSIGN_OR_RETURN(uint64_t z, GetVarint());
-    return static_cast<int64_t>((z >> 1) ^ (~(z & 1) + 1));
+    return ZigzagDecode(z);
+  }
+
+  /// GetVarint for per-row decode loops: no Status on the success path.
+  /// Returns false exactly where GetVarint fails (truncated, or more than 10
+  /// bytes); the position is then unspecified.
+  bool ReadVarint(uint64_t* out) {
+    if (len_ - pos_ >= kMaxVarintBytes) {
+      // Fast path: the whole varint is in bounds, so only the continuation
+      // bits are tested.
+      const uint8_t* p = data_ + pos_;
+      uint64_t v = 0;
+#pragma GCC unroll 10
+      for (size_t i = 0; i < kMaxVarintBytes; ++i) {
+        const uint64_t b = p[i];
+        v |= (b & 0x7f) << (7 * i);
+        if (b < 0x80) {
+          pos_ += i + 1;
+          *out = v;
+          return true;
+        }
+      }
+      return false;
+    }
+    uint64_t v = 0;
+    for (int shift = 0; pos_ < len_; shift += 7) {
+      const uint8_t b = data_[pos_++];
+      v |= static_cast<uint64_t>(b & 0x7f) << shift;
+      if (b < 0x80) {
+        *out = v;
+        return true;
+      }
+    }
+    return false;
+  }
+
+  /// Zigzag-encoded ReadVarint.
+  bool ReadSignedVarint(int64_t* out) {
+    uint64_t z;
+    if (!ReadVarint(&z)) return false;
+    *out = ZigzagDecode(z);
+    return true;
+  }
+
+  /// Bounds-checked zero-copy span for decode loops: points `*out` at the
+  /// next n bytes and advances past them, or returns false if fewer remain.
+  bool ReadSpan(size_t n, std::string_view* out) {
+    if (n > len_ - pos_) return false;
+    *out = std::string_view(reinterpret_cast<const char*>(data_ + pos_), n);
+    pos_ += n;
+    return true;
   }
 
   Result<std::string> GetString() {
@@ -122,9 +167,10 @@ class BinaryReader {
 
   /// Zero-copy view of the next n bytes.
   Result<std::string_view> GetView(size_t n) {
-    HJ_RETURN_IF_ERROR(Need(n));
-    std::string_view v(reinterpret_cast<const char*>(data_ + pos_), n);
-    pos_ += n;
+    std::string_view v;
+    if (!ReadSpan(n, &v)) {
+      return Status::OutOfRange("binary read past end of buffer");
+    }
     return v;
   }
 
@@ -139,8 +185,15 @@ class BinaryReader {
   }
 
  private:
+  static constexpr size_t kMaxVarintBytes = 10;
+
+  static int64_t ZigzagDecode(uint64_t z) {
+    return static_cast<int64_t>((z >> 1) ^ (~(z & 1) + 1));
+  }
+
+  // Written as `n > remaining` so a length near 2^64 cannot wrap the test.
   Status Need(size_t n) const {
-    if (pos_ + n > len_) {
+    if (n > len_ - pos_) {
       return Status::OutOfRange("binary read past end of buffer");
     }
     return Status::OK();

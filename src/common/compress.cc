@@ -1,5 +1,6 @@
 #include "common/compress.h"
 
+#include <algorithm>
 #include <cstring>
 
 #include "common/binary_io.h"
@@ -15,6 +16,14 @@ constexpr size_t kHashSize = 1 << kHashBits;
 // Largest original size a stream may declare. The columnar writer's chunks
 // are a few MB at most; anything beyond this is a corrupt header.
 constexpr uint64_t kMaxDecompressedSize = uint64_t{1} << 30;
+// First output allocation: kExpansionGuess bytes per stream byte plus
+// kGuessSlack, capped at the declared size. Columnar chunks expand about 2-4x,
+// so this one allocation usually holds the whole output.
+constexpr uint64_t kExpansionGuess = 4;
+constexpr uint64_t kGuessSlack = 64;
+// Output bytes the decoder keeps past what it has validated, so it can copy
+// in fixed-size steps.
+constexpr size_t kCopySlack = 16;
 
 inline uint32_t Load32(const uint8_t* p) {
   uint32_t v;
@@ -91,46 +100,76 @@ std::vector<uint8_t> LzCompress(const uint8_t* data, size_t n) {
 
 Result<std::vector<uint8_t>> LzDecompress(const uint8_t* data, size_t n) {
   BinaryReader in(data, n);
-  HJ_ASSIGN_OR_RETURN(uint64_t original_size, in.GetVarint());
+  uint64_t original_size;
+  if (!in.ReadVarint(&original_size)) {
+    return Status::IOError("lz: truncated header");
+  }
   if (original_size > kMaxDecompressedSize) {
     return Status::IOError("lz: declared size too large");
   }
-  // The declared size is untrusted: the output grows one token at a time,
-  // and only by bytes the stream has proven it can produce.
-  std::vector<uint8_t> out;
-  while (out.size() < original_size) {
-    HJ_ASSIGN_OR_RETURN(uint64_t lit_len, in.GetVarint());
-    if (lit_len > original_size - out.size()) {
+  // The declared size is untrusted: the first allocation is bounded by the
+  // stream's own length, and `room` then grows geometrically, never past the
+  // declared size, only for tokens that have passed validation. `out` keeps
+  // kCopySlack bytes past `room` so short literals and matches are copied in
+  // whole kCopySlack-byte steps; the slack is trimmed before returning.
+  size_t room = std::min<uint64_t>(original_size,
+                                   kExpansionGuess * n + kGuessSlack);
+  std::vector<uint8_t> out(room + kCopySlack);
+  size_t pos = 0;
+  auto make_room = [&](size_t len) {
+    if (len > room - pos) {
+      room = std::min<uint64_t>(original_size, std::max(pos + len, 2 * room));
+      out.resize(room + kCopySlack);
+    }
+  };
+  while (pos < original_size) {
+    uint64_t lit_len;
+    if (!in.ReadVarint(&lit_len)) return Status::IOError("lz: truncated token");
+    if (lit_len > original_size - pos) {
       return Status::IOError("lz: literal run past declared size");
     }
-    HJ_ASSIGN_OR_RETURN(std::string_view lits, in.GetView(lit_len));
-    size_t pos = out.size();
-    out.resize(pos + lit_len);
-    if (lit_len > 0) std::memcpy(out.data() + pos, lits.data(), lit_len);
-    if (out.size() == original_size) break;
-    HJ_ASSIGN_OR_RETURN(uint64_t match_len, in.GetVarint());
-    HJ_ASSIGN_OR_RETURN(uint64_t offset, in.GetVarint());
-    if (match_len < kMinMatch || offset == 0 || offset > out.size()) {
+    std::string_view lits;
+    if (!in.ReadSpan(lit_len, &lits)) {
+      return Status::IOError("lz: truncated literals");
+    }
+    make_room(lit_len);
+    if (lit_len <= kCopySlack && lit_len + in.remaining() >= kCopySlack) {
+      std::memcpy(out.data() + pos, lits.data(), kCopySlack);
+    } else if (lit_len > 0) {
+      std::memcpy(out.data() + pos, lits.data(), lit_len);
+    }
+    pos += lit_len;
+    if (pos == original_size) break;
+    uint64_t match_len, offset;
+    if (!in.ReadVarint(&match_len) || !in.ReadVarint(&offset)) {
+      return Status::IOError("lz: truncated token");
+    }
+    if (match_len < kMinMatch || offset == 0 || offset > pos) {
       return Status::IOError("lz: bad match");
     }
-    if (match_len > original_size - out.size()) {
+    if (match_len > original_size - pos) {
       return Status::IOError("lz: match past declared size");
     }
-    pos = out.size();
-    out.resize(pos + match_len);
+    make_room(match_len);
     uint8_t* dst = out.data() + pos;
     const uint8_t* src = dst - offset;
-    if (offset >= match_len) {
-      std::memcpy(dst, src, match_len);
+    if (offset >= kCopySlack) {
+      // Each step reads only bytes already written, and writes at most
+      // kCopySlack - 1 bytes past the match, into the slack.
+      for (uint64_t k = 0; k < match_len; k += kCopySlack) {
+        std::memcpy(dst + k, src + k, kCopySlack);
+      }
     } else {
-      // Offsets smaller than the match length replicate (classic LZ
-      // overlapping copy), so copy byte by byte.
+      // A short offset may overlap the match, which then replicates (classic
+      // LZ overlapping copy), so copy byte by byte.
       for (uint64_t k = 0; k < match_len; ++k) dst[k] = src[k];
     }
+    pos += match_len;
   }
   if (!in.AtEnd()) {
     return Status::IOError("lz: trailing garbage after stream");
   }
+  out.resize(pos);
   return out;
 }
 
@@ -152,7 +191,7 @@ Result<std::vector<uint8_t>> Decompress(Codec codec, const uint8_t* data,
     case Codec::kLz:
       return LzDecompress(data, n);
   }
-  return Status::InvalidArgument("unknown codec");
+  return Status::IOError("unknown codec");
 }
 
 }  // namespace hybridjoin

@@ -30,8 +30,14 @@ const char* CodecName(Codec codec);
 /// for incompressible data (callers may then prefer to store raw).
 std::vector<uint8_t> LzCompress(const uint8_t* data, size_t n);
 
-/// Decompresses a buffer produced by LzCompress. Returns an error on
-/// malformed input (never reads or writes out of bounds).
+/// Decompresses a buffer produced by LzCompress in one pass. The declared
+/// original size is untrusted: a stream declaring more than 1 GiB is
+/// rejected, the first allocation is at most the declared size and at most
+/// 4 * n + 64 bytes (plus 16 bytes of copy slack), and the buffer grows,
+/// capped at the declared size, only as tokens that passed validation need
+/// room. Every malformed stream
+/// (truncated token, literal or match past the declared size, bad offset,
+/// trailing bytes) is an IOError; nothing is read or written out of bounds.
 Result<std::vector<uint8_t>> LzDecompress(const uint8_t* data, size_t n);
 
 inline std::vector<uint8_t> LzCompress(const std::vector<uint8_t>& in) {
@@ -42,7 +48,8 @@ inline Result<std::vector<uint8_t>> LzDecompress(
   return LzDecompress(in.data(), in.size());
 }
 
-/// Applies `codec` to a buffer (kNone returns a copy).
+/// Applies `codec` to a buffer (kNone returns a copy). The columnar reader
+/// does not call Decompress for kNone chunks: it reads them in place.
 std::vector<uint8_t> Compress(Codec codec, const uint8_t* data, size_t n);
 Result<std::vector<uint8_t>> Decompress(Codec codec, const uint8_t* data,
                                         size_t n);

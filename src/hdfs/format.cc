@@ -252,22 +252,43 @@ std::vector<uint8_t> EncodeRleInts(const std::vector<T>& v) {
   return w.Release();
 }
 
+/// Copies a plain fixed-width chunk's bytes into `out`.
 template <typename T>
-Result<std::vector<T>> DecodeRleInts(const std::vector<uint8_t>& data,
-                                     uint32_t num_rows) {
-  std::vector<T> out;
-  out.reserve(num_rows);
-  BinaryReader r(data);
-  while (out.size() < num_rows) {
-    HJ_ASSIGN_OR_RETURN(uint64_t count, r.GetVarint());
-    HJ_ASSIGN_OR_RETURN(int64_t value, r.GetSignedVarint());
-    if (count == 0 || count > num_rows - out.size()) {
+Status DecodePlain(std::string_view raw, uint32_t num_rows,
+                   std::vector<T>* out) {
+  if (raw.size() != size_t{num_rows} * sizeof(T)) {
+    return Status::IOError("columnar: bad plain chunk size");
+  }
+  out->resize(num_rows);
+  if (num_rows > 0) std::memcpy(out->data(), raw.data(), raw.size());
+  return Status::OK();
+}
+
+/// Decodes a plain or RLE integer chunk into `out`. RLE runs fill `out`,
+/// which is sized to the chunk's rows once.
+template <typename T>
+Status DecodeInts(ColEncoding encoding, std::string_view raw, uint32_t num_rows,
+                  std::vector<T>* out) {
+  if (encoding == ColEncoding::kPlain) return DecodePlain(raw, num_rows, out);
+  if (encoding != ColEncoding::kRle) {
+    return Status::IOError("columnar: bad integer encoding");
+  }
+  out->resize(num_rows);
+  BinaryReader r(raw.data(), raw.size());
+  for (size_t filled = 0; filled < num_rows;) {
+    uint64_t count;
+    int64_t value;
+    if (!r.ReadVarint(&count) || !r.ReadSignedVarint(&value)) {
+      return Status::IOError("columnar: truncated RLE run");
+    }
+    if (count == 0 || count > num_rows - filled) {
       return Status::IOError("columnar: bad RLE run");
     }
-    out.insert(out.end(), count, static_cast<T>(value));
+    std::fill_n(out->data() + filled, count, static_cast<T>(value));
+    filled += count;
   }
   if (!r.AtEnd()) return Status::IOError("columnar: RLE trailing bytes");
-  return out;
+  return Status::OK();
 }
 
 std::vector<uint8_t> EncodePlainStrings(const std::vector<std::string>& v) {
@@ -395,53 +416,35 @@ Result<ColumnVector> DecodeColumnChunk(const ColumnChunk& chunk,
     return Status::InvalidArgument(
         "columnar: selection must be ascending rows of the chunk");
   }
-  HJ_ASSIGN_OR_RETURN(
-      std::vector<uint8_t> raw,
-      Decompress(chunk.codec, chunk.data.data(), chunk.data.size()));
+  // An uncompressed chunk is read in place; only a compressed one needs a
+  // buffer to decompress into.
+  std::string_view raw(reinterpret_cast<const char*>(chunk.data.data()),
+                       chunk.data.size());
+  std::vector<uint8_t> decompressed;
+  if (chunk.codec != Codec::kNone) {
+    HJ_ASSIGN_OR_RETURN(
+        decompressed,
+        Decompress(chunk.codec, chunk.data.data(), chunk.data.size()));
+    raw = std::string_view(reinterpret_cast<const char*>(decompressed.data()),
+                           decompressed.size());
+  }
 
   ColumnVector out(type);
   switch (PhysicalTypeOf(type)) {
-    case PhysicalType::kInt32: {
-      if (chunk.encoding == ColEncoding::kRle) {
-        HJ_ASSIGN_OR_RETURN(std::vector<int32_t> v,
-                            DecodeRleInts<int32_t>(raw, chunk.num_rows));
-        out.mutable_i32() = std::move(v);
-      } else if (chunk.encoding == ColEncoding::kPlain) {
-        if (raw.size() != chunk.num_rows * sizeof(int32_t)) {
-          return Status::IOError("columnar: bad plain int32 chunk size");
-        }
-        out.mutable_i32().resize(chunk.num_rows);
-        std::memcpy(out.mutable_i32().data(), raw.data(), raw.size());
-      } else {
-        return Status::IOError("columnar: bad int32 encoding");
-      }
+    case PhysicalType::kInt32:
+      HJ_RETURN_IF_ERROR(DecodeInts(chunk.encoding, raw, chunk.num_rows,
+                                    &out.mutable_i32()));
       break;
-    }
-    case PhysicalType::kInt64: {
-      if (chunk.encoding == ColEncoding::kRle) {
-        HJ_ASSIGN_OR_RETURN(std::vector<int64_t> v,
-                            DecodeRleInts<int64_t>(raw, chunk.num_rows));
-        out.mutable_i64() = std::move(v);
-      } else if (chunk.encoding == ColEncoding::kPlain) {
-        if (raw.size() != chunk.num_rows * sizeof(int64_t)) {
-          return Status::IOError("columnar: bad plain int64 chunk size");
-        }
-        out.mutable_i64().resize(chunk.num_rows);
-        std::memcpy(out.mutable_i64().data(), raw.data(), raw.size());
-      } else {
-        return Status::IOError("columnar: bad int64 encoding");
-      }
+    case PhysicalType::kInt64:
+      HJ_RETURN_IF_ERROR(DecodeInts(chunk.encoding, raw, chunk.num_rows,
+                                    &out.mutable_i64()));
       break;
-    }
-    case PhysicalType::kFloat64: {
-      if (chunk.encoding != ColEncoding::kPlain ||
-          raw.size() != chunk.num_rows * sizeof(double)) {
-        return Status::IOError("columnar: bad float64 chunk");
+    case PhysicalType::kFloat64:
+      if (chunk.encoding != ColEncoding::kPlain) {
+        return Status::IOError("columnar: bad float64 encoding");
       }
-      out.mutable_f64().resize(chunk.num_rows);
-      std::memcpy(out.mutable_f64().data(), raw.data(), raw.size());
+      HJ_RETURN_IF_ERROR(DecodePlain(raw, chunk.num_rows, &out.mutable_f64()));
       break;
-    }
     case PhysicalType::kString: {
       // Every row's bytes are walked and validated; only the selected rows
       // become strings. `next` is the next selected row still to be built.
@@ -453,30 +456,44 @@ Result<ColumnVector> DecodeColumnChunk(const ColumnChunk& chunk,
         ++next;
         return true;
       };
-      BinaryReader r(raw);
+      BinaryReader r(raw.data(), raw.size());
+      // A varint length, then that many bytes.
+      auto read_string = [&r](std::string_view* s) {
+        uint64_t len;
+        return r.ReadVarint(&len) && r.ReadSpan(len, s);
+      };
       auto& v = out.mutable_str();
       v.reserve(sel != nullptr ? sel->size() : chunk.num_rows);
       if (chunk.encoding == ColEncoding::kDict) {
-        HJ_ASSIGN_OR_RETURN(uint64_t dict_size, r.GetVarint());
+        uint64_t dict_size;
+        if (!r.ReadVarint(&dict_size)) {
+          return Status::IOError("columnar: truncated dict size");
+        }
         if (dict_size > chunk.num_rows) {
           return Status::IOError("columnar: dict larger than chunk");
         }
         std::vector<std::string_view> dict(dict_size);
         for (auto& e : dict) {
-          HJ_ASSIGN_OR_RETURN(uint64_t len, r.GetVarint());
-          HJ_ASSIGN_OR_RETURN(e, r.GetView(len));
+          if (!read_string(&e)) {
+            return Status::IOError("columnar: truncated dict entry");
+          }
         }
         for (uint32_t i = 0; i < chunk.num_rows; ++i) {
-          HJ_ASSIGN_OR_RETURN(uint64_t code, r.GetVarint());
+          uint64_t code;
+          if (!r.ReadVarint(&code)) {
+            return Status::IOError("columnar: truncated dict code");
+          }
           if (code >= dict.size()) {
             return Status::IOError("columnar: dict code out of range");
           }
           if (selected(i)) v.emplace_back(dict[code]);
         }
       } else if (chunk.encoding == ColEncoding::kPlain) {
+        std::string_view s;
         for (uint32_t i = 0; i < chunk.num_rows; ++i) {
-          HJ_ASSIGN_OR_RETURN(uint64_t len, r.GetVarint());
-          HJ_ASSIGN_OR_RETURN(std::string_view s, r.GetView(len));
+          if (!read_string(&s)) {
+            return Status::IOError("columnar: truncated plain string");
+          }
           if (selected(i)) v.emplace_back(s);
         }
       } else {

@@ -95,7 +95,9 @@ ColumnChunk EncodeColumnChunk(const ColumnVector& column,
 /// ascending row indexes), returns only those rows, equal to
 /// `DecodeColumnChunk(chunk, type).Gather(*sel)`: the whole chunk is still
 /// decompressed and validated, but unselected strings are skipped by their
-/// length or dictionary code instead of being built.
+/// length or dictionary code instead of being built. A kNone chunk is read
+/// in place, without a copy. Every malformed chunk is an IOError; a type
+/// mismatch is Internal and a bad `sel` InvalidArgument.
 Result<ColumnVector> DecodeColumnChunk(
     const ColumnChunk& chunk, DataType type,
     const std::vector<uint32_t>* sel = nullptr);

@@ -34,6 +34,13 @@ Result<RecordBatch> RecordBatch::Deserialize(BinaryReader* in,
                             " != schema fields " +
                             std::to_string(schema->num_fields()));
   }
+  // Every row takes at least one byte per column, so a larger count is
+  // corrupt; checking it here keeps Reserve from trusting it.
+  if (num_cols > 0 && num_rows > in->remaining()) {
+    return Status::OutOfRange("batch wire row count " +
+                              std::to_string(num_rows) +
+                              " exceeds the remaining bytes");
+  }
   std::vector<ColumnVector> cols;
   cols.reserve(num_cols);
   for (size_t c = 0; c < num_cols; ++c) {

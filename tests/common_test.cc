@@ -18,6 +18,7 @@
 #include "common/stopwatch.h"
 #include "common/thread_pool.h"
 #include "common/token_bucket.h"
+#include "decoder_fuzz.h"
 #include "exec/aggregator.h"
 #include "types/record_batch.h"
 
@@ -173,6 +174,119 @@ TEST(BinaryIoTest, EmptyReadsTouchNoMemory) {
                                spec.ResultSchema());
   ASSERT_TRUE(batch.ok()) << batch.status();
   EXPECT_EQ(batch->num_rows(), 0u);
+}
+
+/// ReadVarint and the legacy GetVarint agree on ok-ness, value and (on
+/// success) position for the varint at the start of `bytes`.
+void ExpectVarintAgreesWithLegacy(const std::vector<uint8_t>& bytes) {
+  BinaryReader r(bytes);
+  legacy::Reader want_r(bytes);
+  uint64_t got = 0;
+  const bool ok = r.ReadVarint(&got);
+  auto want = want_r.GetVarint();
+  ASSERT_EQ(ok, want.ok()) << bytes.size() << " bytes";
+  if (ok) {
+    EXPECT_EQ(got, *want);
+    EXPECT_EQ(r.position(), want_r.position());
+  }
+  BinaryReader g(bytes);
+  EXPECT_EQ(g.GetVarint().ok(), ok);
+}
+
+TEST(BinaryIoTest, ReadVarintEdgeCasesMatchLegacy) {
+  // Every length from 1 to 11 bytes, with 0 to 12 bytes of padding after
+  // it, so each length is read by the fast path (10+ bytes remaining), by
+  // the tail path, and exactly at the hand-over between them.
+  for (size_t len = 1; len <= 11; ++len) {
+    for (uint8_t last : {uint8_t{0x00}, uint8_t{0x01}, uint8_t{0x7f}}) {
+      std::vector<uint8_t> varint(len - 1, 0xff);
+      varint.push_back(last);
+      for (size_t pad = 0; pad <= 12; ++pad) {
+        std::vector<uint8_t> bytes = varint;
+        bytes.insert(bytes.end(), pad, 0x05);
+        ExpectVarintAgreesWithLegacy(bytes);
+        // Truncation at every offset.
+        for (size_t cut = 0; cut < bytes.size(); ++cut) {
+          ExpectVarintAgreesWithLegacy(
+              std::vector<uint8_t>(bytes.begin(), bytes.begin() + cut));
+        }
+      }
+    }
+  }
+  // A 10-byte varint is accepted (bits past 64 dropped); 11 bytes are not.
+  const std::vector<uint8_t> ten = {0xff, 0xff, 0xff, 0xff, 0xff,
+                                    0xff, 0xff, 0xff, 0xff, 0x7f};
+  uint64_t v = 0;
+  BinaryReader r10(ten);
+  ASSERT_TRUE(r10.ReadVarint(&v));
+  EXPECT_EQ(v, ~uint64_t{0});
+  EXPECT_TRUE(r10.AtEnd());
+  std::vector<uint8_t> eleven(10, 0x80);
+  eleven.push_back(0x00);
+  BinaryReader r11(eleven);
+  EXPECT_FALSE(r11.ReadVarint(&v));
+
+  // Random bytes at every alignment.
+  Rng rng(10);
+  for (int i = 0; i < 20000; ++i) {
+    std::vector<uint8_t> bytes(rng.Uniform(16));
+    for (auto& b : bytes) {
+      // Mostly continuation bytes, so long varints are common.
+      b = static_cast<uint8_t>(rng.Next() | (rng.Uniform(4) != 0 ? 0x80 : 0));
+    }
+    ExpectVarintAgreesWithLegacy(bytes);
+  }
+}
+
+TEST(BinaryIoTest, ReadSpanIsBoundsChecked) {
+  const std::vector<uint8_t> buf = {1, 2, 3, 4, 5};
+  BinaryReader r(buf);
+  std::string_view s;
+  ASSERT_TRUE(r.ReadSpan(2, &s));
+  EXPECT_EQ(s, std::string_view("\x01\x02", 2));
+  EXPECT_FALSE(r.ReadSpan(4, &s));
+  ASSERT_TRUE(r.ReadSpan(3, &s));
+  EXPECT_TRUE(r.AtEnd());
+  ASSERT_TRUE(r.ReadSpan(0, &s));
+  EXPECT_TRUE(s.empty());
+}
+
+TEST(BinaryIoTest, HugeLengthDoesNotWrapTheBoundsCheck) {
+  // After 4 bytes, a length of 2^64 - 4 makes `pos + n` wrap to 0.
+  const std::vector<uint8_t> buf(8, 0);
+  // Volatile, so the compiler does not fold the doomed memcpy's bound.
+  volatile size_t huge = ~size_t{0} - 3;
+  const size_t wraps = huge;
+  BinaryReader view(buf);
+  ASSERT_TRUE(view.GetU32().ok());
+  EXPECT_EQ(view.GetView(wraps).status().code(), StatusCode::kOutOfRange);
+  std::string_view s;
+  EXPECT_FALSE(view.ReadSpan(wraps, &s));
+  std::vector<uint8_t> sink(8);
+  EXPECT_EQ(view.GetRaw(sink.data(), wraps).code(), StatusCode::kOutOfRange);
+  EXPECT_EQ(view.position(), 4u);
+
+  // A string whose length varint wraps the same way.
+  BinaryWriter w;
+  w.PutU8(0);
+  w.PutVarint(~uint64_t{0} - 10);
+  w.PutRaw("tail", 4);
+  BinaryReader str(w.buffer());
+  ASSERT_TRUE(str.GetU8().ok());
+  EXPECT_EQ(str.GetString().status().code(), StatusCode::kOutOfRange);
+}
+
+TEST(BinaryIoTest, DeserializeRejectsRowCountPastTheBytes) {
+  // A batch header claiming 2^40 rows over a few bytes must fail before it
+  // reserves memory for them.
+  const SchemaPtr schema = Schema::Make({{"k", DataType::kInt64}});
+  BinaryWriter w;
+  w.PutVarint(uint64_t{1} << 40);
+  w.PutVarint(1);
+  w.PutU8(static_cast<uint8_t>(DataType::kInt64));
+  w.PutI64(7);
+  auto batch = RecordBatch::Deserialize(w.buffer(), schema);
+  EXPECT_EQ(batch.status().code(), StatusCode::kOutOfRange) << batch.status();
 }
 
 // ------------------------------- Hashing ----------------------------------

@@ -1,10 +1,15 @@
-// Unit + property tests for the LZ byte codec.
+// Unit + property tests for the LZ byte codec, and a seeded mutation fuzz
+// of its decoder against the legacy one.
 
 #include <gtest/gtest.h>
+
+#include <cstdio>
+#include <cstring>
 
 #include "common/binary_io.h"
 #include "common/compress.h"
 #include "common/random.h"
+#include "decoder_fuzz.h"
 
 namespace hybridjoin {
 namespace {
@@ -70,11 +75,11 @@ TEST(LzTest, MalformedInputsRejected) {
   std::vector<uint8_t> v(1000, 'x');
   auto compressed = LzCompress(v);
   compressed.resize(compressed.size() / 2);
-  EXPECT_FALSE(LzDecompress(compressed).ok());
+  EXPECT_TRUE(LzDecompress(compressed).status().IsIOError());
 
   // Garbage header claiming a huge size.
   std::vector<uint8_t> garbage = {0xff, 0xff, 0xff, 0x7f, 0x01, 0x41};
-  EXPECT_FALSE(LzDecompress(garbage).ok());
+  EXPECT_TRUE(LzDecompress(garbage).status().IsIOError());
 
   // Bad match offset (offset beyond what has been produced).
   BinaryWriter w;
@@ -83,7 +88,7 @@ TEST(LzTest, MalformedInputsRejected) {
   w.PutRaw("ab", 2);
   w.PutVarint(4);   // match of 4
   w.PutVarint(99);  // offset 99 > produced 2
-  EXPECT_FALSE(LzDecompress(w.buffer()).ok());
+  EXPECT_TRUE(LzDecompress(w.buffer()).status().IsIOError());
 }
 
 TEST(LzTest, HugeDeclaredSizeIsAnErrorNotAnAllocation) {
@@ -148,6 +153,105 @@ TEST(LzTest, PropertyRandomStructuredInputs) {
       }
     }
     RoundTrip(v);
+  }
+}
+
+// --------------------------- Mutation fuzz --------------------------------
+
+/// Inputs whose streams the fuzz corrupts: empty, runs, noise, overlapping
+/// matches with short and mid-length periods, and strings shaped like paper
+/// L's groupByExtractCol.
+std::vector<std::vector<uint8_t>> LzCorpus() {
+  Rng rng(91);
+  std::vector<std::vector<uint8_t>> corpus(6);
+  corpus[1].assign(3000, 'a');
+  for (int i = 0; i < 600; ++i) {
+    corpus[2].push_back(static_cast<uint8_t>(rng.Next()));
+  }
+  for (int i = 0; i < 400; ++i) {
+    corpus[3].push_back(static_cast<uint8_t>("abcab"[i % 5]));
+    corpus[5].push_back(static_cast<uint8_t>("0123456789ab"[i % 12]));
+  }
+  char buf[64];
+  for (int i = 0; i < 150; ++i) {
+    std::snprintf(buf, sizeof(buf), "g%u/products/item%05u",
+                  static_cast<unsigned>(rng.Uniform(200)),
+                  static_cast<unsigned>(rng.Uniform(100000)));
+    const size_t len = std::strlen(buf);
+    corpus[4].push_back(static_cast<uint8_t>(len));
+    corpus[4].insert(corpus[4].end(), buf, buf + len);
+  }
+  return corpus;
+}
+
+/// Both decoders accept or both reject; accepted output is byte-identical,
+/// and every rejection is an IOError. Returns whether it was accepted.
+bool ExpectAgreesWithLegacy(const std::vector<uint8_t>& stream) {
+  auto got = LzDecompress(stream);
+  auto want = legacy::LzDecompress(stream.data(), stream.size());
+  EXPECT_EQ(got.ok(), want.ok()) << got.status() << " vs " << want.status();
+  if (got.ok() && want.ok()) {
+    EXPECT_EQ(*got, *want);
+  } else if (!got.ok()) {
+    EXPECT_TRUE(got.status().IsIOError()) << got.status();
+  }
+  return got.ok();
+}
+
+TEST(LzFuzzTest, TruncationAtEveryOffsetMatchesLegacy) {
+  for (const auto& input : LzCorpus()) {
+    const std::vector<uint8_t> stream = LzCompress(input);
+    EXPECT_TRUE(ExpectAgreesWithLegacy(stream));
+    for (size_t cut = 0; cut < stream.size(); ++cut) {
+      const std::vector<uint8_t> prefix(stream.begin(), stream.begin() + cut);
+      ASSERT_FALSE(ExpectAgreesWithLegacy(prefix)) << "cut at " << cut;
+    }
+  }
+}
+
+TEST(LzFuzzTest, MutatedStreamsMatchLegacy) {
+  Rng rng(2015);
+  size_t accepted = 0, rejected = 0;
+  for (const auto& input : LzCorpus()) {
+    const std::vector<uint8_t> stream = LzCompress(input);
+    for (int i = 0; i < 2000; ++i) {
+      const std::vector<uint8_t> mutated = Mutate(stream, &rng);
+      if (ExpectAgreesWithLegacy(mutated)) {
+        ++accepted;
+      } else {
+        ++rejected;
+      }
+      if (HasFailure()) FAIL() << "input " << i;
+    }
+  }
+  // The fuzz reaches both outcomes: flipped literals still decode, broken
+  // tokens do not.
+  EXPECT_GT(accepted, 100u);
+  EXPECT_GT(rejected, 1000u);
+}
+
+TEST(LzFuzzTest, HugeVarintsInEveryFieldMatchLegacy) {
+  // Each huge varint as the declared size, a literal length, a match length
+  // and an offset, after an otherwise valid 64-byte stream's prefix.
+  Rng rng(5);
+  for (int field = 0; field < 4; ++field) {
+    for (int i = 0; i < 64; ++i) {
+      const std::vector<uint8_t> huge = HugeVarint(&rng);
+      std::vector<uint8_t> stream;
+      if (field > 0) {
+        BinaryWriter prefix;
+        prefix.PutVarint(64);
+        if (field > 1) {
+          prefix.PutVarint(8);
+          prefix.PutRaw("abcdefgh", 8);
+        }
+        if (field == 3) prefix.PutVarint(8);
+        stream = prefix.Release();
+      }
+      stream.insert(stream.end(), huge.begin(), huge.end());
+      stream.insert(stream.end(), 16, 1);
+      EXPECT_FALSE(ExpectAgreesWithLegacy(stream)) << field;
+    }
   }
 }
 

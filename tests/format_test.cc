@@ -1,11 +1,15 @@
 // Unit tests for the HDFS table formats: text round-trips, columnar
 // encodings (plain/RLE/dict), compression, stats, projection pushdown, and
-// the selection-aware decode behind the late-materializing scan.
+// the selection-aware decode behind the late-materializing scan, plus a
+// seeded mutation fuzz of the chunk decoder against the legacy one.
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
+
 #include "common/binary_io.h"
 #include "common/random.h"
+#include "decoder_fuzz.h"
 #include "hdfs/format.h"
 
 namespace hybridjoin {
@@ -228,11 +232,11 @@ TEST(ColumnarTest, CorruptChunkRejected) {
   for (int i = 0; i < 100; ++i) c.mutable_i32().push_back(i);
   auto chunk = EncodeColumnChunk(c, ColumnarWriteOptions{});
   chunk.data.resize(chunk.data.size() / 2);
-  EXPECT_FALSE(DecodeColumnChunk(chunk, DataType::kInt32).ok());
+  EXPECT_TRUE(DecodeColumnChunk(chunk, DataType::kInt32).status().IsIOError());
 
   auto chunk2 = EncodeColumnChunk(c, ColumnarWriteOptions{});
   chunk2.num_rows = 9999;  // lies about row count
-  EXPECT_FALSE(DecodeColumnChunk(chunk2, DataType::kInt32).ok());
+  EXPECT_TRUE(DecodeColumnChunk(chunk2, DataType::kInt32).status().IsIOError());
 }
 
 TEST(ColumnarTest, TypeMismatchRejected) {
@@ -373,7 +377,181 @@ TEST(SelectiveDecodeTest, ValidatesTheWholeChunkEvenWithAnEmptySelection) {
   // A chunk that claims more rows than it holds.
   ColumnChunk short_rows = EncodeColumnChunk(c, raw);
   short_rows.num_rows = 11;
-  EXPECT_FALSE(DecodeColumnChunk(short_rows, DataType::kString, &none).ok());
+  EXPECT_TRUE(DecodeColumnChunk(short_rows, DataType::kString, &none)
+                  .status()
+                  .IsIOError());
+}
+
+TEST(SelectiveDecodeTest, HugeStringLengthIsAnErrorNotAnAbort) {
+  // An uncompressed plain-string chunk whose second length is 2^64 - 2: read
+  // at position 12, it wraps a `pos + n > len` bounds test back into range.
+  BinaryWriter w;
+  w.PutString("a");
+  w.PutVarint(~uint64_t{0} - 1);
+  w.PutRaw("tail", 4);
+  ColumnChunk chunk;
+  chunk.type = DataType::kString;
+  chunk.encoding = ColEncoding::kPlain;
+  chunk.codec = Codec::kNone;
+  chunk.num_rows = 2;
+  chunk.data = w.Release();
+  const std::vector<uint32_t> none;
+  const std::vector<uint32_t> both = {0, 1};
+  EXPECT_TRUE(DecodeColumnChunk(chunk, DataType::kString).status().IsIOError());
+  EXPECT_TRUE(
+      DecodeColumnChunk(chunk, DataType::kString, &none).status().IsIOError());
+  EXPECT_TRUE(
+      DecodeColumnChunk(chunk, DataType::kString, &both).status().IsIOError());
+}
+
+// --------------------------- Mutation fuzz --------------------------------
+
+/// One valid chunk per (type, encoding, codec) the writer produces: int32,
+/// int64 and date as plain and RLE, float64 as plain, strings as plain and
+/// dict (paper L's groupByExtractCol shape), each with and without LZ.
+std::vector<ColumnChunk> ChunkCorpus() {
+  constexpr size_t kRows = 300;
+  Rng rng(18);
+  std::vector<ColumnChunk> corpus;
+  auto add = [&](const ColumnVector& col, ColEncoding encoding) {
+    for (Codec codec : {Codec::kNone, Codec::kLz}) {
+      ColumnarWriteOptions options;
+      options.codec = codec;
+      options.enable_rle = encoding == ColEncoding::kRle;
+      options.enable_dictionary = encoding == ColEncoding::kDict;
+      ColumnChunk chunk = EncodeColumnChunk(col, options);
+      EXPECT_EQ(chunk.encoding, encoding) << DataTypeName(col.type());
+      EXPECT_EQ(chunk.codec, codec) << DataTypeName(col.type());
+      corpus.push_back(std::move(chunk));
+    }
+  };
+  for (DataType type : {DataType::kInt32, DataType::kInt64, DataType::kDate}) {
+    ColumnVector plain(type), runs(type);
+    for (size_t i = 0; i < kRows; ++i) {
+      // Small values so LZ finds repeats; runs of 10 so RLE wins.
+      const int64_t v = static_cast<int64_t>(rng.Uniform(64)) - 20;
+      const int64_t run = static_cast<int64_t>(i / 10 % 5) * 1000 - 7;
+      if (PhysicalTypeOf(type) == PhysicalType::kInt64) {
+        plain.mutable_i64().push_back(v);
+        runs.mutable_i64().push_back(run);
+      } else {
+        plain.mutable_i32().push_back(static_cast<int32_t>(16000 + v));
+        runs.mutable_i32().push_back(static_cast<int32_t>(run));
+      }
+    }
+    add(plain, ColEncoding::kPlain);
+    add(runs, ColEncoding::kRle);
+  }
+  ColumnVector f(DataType::kFloat64);
+  for (size_t i = 0; i < kRows; ++i) {
+    f.mutable_f64().push_back(0.25 * static_cast<double>(i % 8));
+  }
+  add(f, ColEncoding::kPlain);
+  ColumnVector group(DataType::kString), few(DataType::kString);
+  char buf[64];
+  for (size_t i = 0; i < kRows; ++i) {
+    std::snprintf(buf, sizeof(buf), "g%u/products/item%05u",
+                  static_cast<unsigned>(rng.Uniform(200)),
+                  static_cast<unsigned>(rng.Uniform(100000)));
+    group.mutable_str().emplace_back(buf);
+    few.mutable_str().push_back("store" + std::to_string(rng.Uniform(12)));
+  }
+  add(group, ColEncoding::kPlain);
+  add(few, ColEncoding::kDict);
+  return corpus;
+}
+
+bool SameColumn(const ColumnVector& a, const ColumnVector& b) {
+  if (a.type() != b.type() || a.size() != b.size()) return false;
+  switch (a.physical_type()) {
+    case PhysicalType::kInt32:
+      return a.i32() == b.i32();
+    case PhysicalType::kInt64:
+      return a.i64() == b.i64();
+    case PhysicalType::kFloat64:
+      // Bitwise: mutated bytes may decode to NaN.
+      return a.size() == 0 ||
+             std::memcmp(a.f64().data(), b.f64().data(),
+                         a.size() * sizeof(double)) == 0;
+    case PhysicalType::kString:
+      return a.str() == b.str();
+  }
+  return false;
+}
+
+/// Both decoders accept or both reject, with every selection; accepted
+/// columns are identical and every rejection is an IOError. Returns whether
+/// the chunk was accepted.
+bool ExpectChunkAgreesWithLegacy(const ColumnChunk& chunk) {
+  std::vector<uint32_t> sparse;
+  for (uint32_t r = 0; r < chunk.num_rows; r += 7) sparse.push_back(r);
+  const std::vector<uint32_t> none;
+  const std::vector<uint32_t>* sels[] = {nullptr, &sparse, &none};
+  bool accepted = false;
+  for (const std::vector<uint32_t>* sel : sels) {
+    auto got = DecodeColumnChunk(chunk, chunk.type, sel);
+    auto want = legacy::DecodeColumnChunk(chunk, chunk.type, sel);
+    EXPECT_EQ(got.ok(), want.ok())
+        << got.status() << " vs " << want.status();
+    if (got.ok() && want.ok()) {
+      EXPECT_TRUE(SameColumn(*got, *want));
+    } else if (!got.ok()) {
+      EXPECT_TRUE(got.status().IsIOError()) << got.status();
+    }
+    if (sel == nullptr) accepted = got.ok();
+  }
+  return accepted;
+}
+
+TEST(ChunkFuzzTest, MutatedChunksMatchLegacyForEveryEncodingAndCodec) {
+  Rng rng(2015);
+  for (const ColumnChunk& valid : ChunkCorpus()) {
+    SCOPED_TRACE(std::string(DataTypeName(valid.type)) + "/" +
+                 ColEncodingName(valid.encoding) + "/" +
+                 CodecName(valid.codec));
+    ASSERT_TRUE(ExpectChunkAgreesWithLegacy(valid));
+    std::vector<uint8_t> payload = valid.data;
+    if (valid.codec == Codec::kLz) {
+      payload = LzDecompress(valid.data).value();
+    }
+    size_t accepted = 0, rejected = 0;
+    for (int i = 0; i < 600; ++i) {
+      ColumnChunk chunk = valid;
+      const uint64_t target = rng.Uniform(8);
+      if (target == 0) {
+        // A row count off by a little.
+        chunk.num_rows += static_cast<uint32_t>(rng.Uniform(5)) - 2;
+      } else if (valid.codec == Codec::kLz && target < 5) {
+        // A corrupt payload inside a well-formed LZ stream.
+        chunk.data = LzCompress(Mutate(payload, &rng));
+      } else {
+        chunk.data = Mutate(chunk.data, &rng);
+      }
+      if (ExpectChunkAgreesWithLegacy(chunk)) {
+        ++accepted;
+      } else {
+        ++rejected;
+      }
+      if (HasFailure()) FAIL() << "mutation " << i;
+    }
+    // Each chunk kind sees both outcomes: about 10-25% of the mutations
+    // still decode.
+    EXPECT_GT(accepted, 20u);
+    EXPECT_GT(rejected, 300u);
+  }
+}
+
+TEST(ChunkFuzzTest, TruncationAtEveryOffsetMatchesLegacy) {
+  for (const ColumnChunk& valid : ChunkCorpus()) {
+    SCOPED_TRACE(std::string(DataTypeName(valid.type)) + "/" +
+                 ColEncodingName(valid.encoding) + "/" +
+                 CodecName(valid.codec));
+    for (size_t cut = 0; cut < valid.data.size(); ++cut) {
+      ColumnChunk chunk = valid;
+      chunk.data.resize(cut);
+      ASSERT_FALSE(ExpectChunkAgreesWithLegacy(chunk)) << "cut at " << cut;
+    }
+  }
 }
 
 TEST(DecodeBlockFilteredTest, EqualsFullDecodeThenGatherInBothFormats) {
