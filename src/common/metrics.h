@@ -1,9 +1,8 @@
 // Metrics: thread-safe named counters and latency histograms collected
-// during a query execution. Every join driver returns a snapshot of these
-// in its ExecutionReport, and the Table-1 bench reads the tuple-movement
-// counters from here. Histograms are fed by the tracing subsystem
-// (src/trace/): every finished span's duration is recorded under the
-// span's name.
+// during query executions. Every join driver's ExecutionReport carries its
+// own query's share of them (the scoped store below). Histograms are fed by
+// the tracing subsystem (src/trace/): every finished span's duration is
+// recorded under the span's name.
 //
 // Besides the global namespace, every write is mirrored into a *scoped*
 // per-node store when the calling thread carries node attribution
@@ -12,13 +11,13 @@
 // snapshot their node's scoped slice at end-of-query (ScopedSnapshot) and
 // ship it to the coordinator, which assembles the per-node profile tree in
 // ExecutionReport::profile (see src/obs/). The global counters are never
-// reset between queries (reports take deltas).
+// reset between queries: they are process-lifetime totals for scrapes.
 //
 // The scoped store is additionally keyed by the calling thread's QueryScope
 // id, so N concurrent queries write into disjoint slices and their profiles
 // never cross-contaminate. Query id 0 ("no query") is the legacy slice used
 // by single-query callers; ClearScoped(query_id) drops one query's slices at
-// end-of-query, ClearScoped() drops everything.
+// end-of-query.
 
 #ifndef HYBRIDJOIN_COMMON_METRICS_H_
 #define HYBRIDJOIN_COMMON_METRICS_H_
@@ -247,13 +246,6 @@ class Metrics {
       }
     }
     return out;
-  }
-
-  /// Drops all per-node scoped data, every query's (legacy single-query
-  /// callers; start of a new execution). Globals are left untouched.
-  void ClearScoped() {
-    std::lock_guard<std::mutex> lock(mu_);
-    scoped_.clear();
   }
 
   /// Drops one query's scoped slices (end-of-query under concurrency);

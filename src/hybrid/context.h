@@ -23,11 +23,10 @@ namespace hybridjoin {
 
 /// Owns every component. N queries may run concurrently over one context
 /// (src/server/ pushes them through admission control): scoped metric
-/// slices are isolated per query id, catalogs take reader-writer locks, and
-/// the exec pool fair-shares across query lanes. Whole-context facilities
-/// that cannot be attributed per query (global counter deltas, the tracer
-/// buffer, per-flow-class network byte counters) are only meaningful when a
-/// query runs alone — driver::Execution detects that via Begin/EndExecution.
+/// slices, trace events and network byte charges are keyed per query id,
+/// catalogs take reader-writer locks, and the exec pool fair-shares across
+/// query lanes. The global counters, the tracer buffer and the per-class
+/// byte totals are whole-context views across every query.
 class EngineContext {
  public:
   explicit EngineContext(const SimulationConfig& config);
@@ -71,10 +70,6 @@ class EngineContext {
   /// Drops every DataNode's page cache (for cold-run benchmarking).
   void DropHdfsCaches();
 
-  /// The fault injector installed from config().fault, or nullptr when the
-  /// profile is disabled.
-  FaultInjector* fault_injector() { return fault_injector_.get(); }
-
   /// Monotonic *process-global* query id, stamped into each QueryProfile
   /// and used as the key of the live-query registry (obs/query_registry.h).
   /// Process-global rather than per-context so ids never collide across
@@ -82,14 +77,6 @@ class EngineContext {
   /// cancellation caches depend on ids being unique for the process
   /// lifetime.
   uint64_t NextQueryId() { return g_query_seq_.fetch_add(1) + 1; }
-
-  /// In-flight execution accounting (driver::Execution brackets every driver
-  /// run with these). BeginExecution returns the in-flight count *after*
-  /// entering — 1 means this query runs alone and may use the
-  /// whole-context facilities (tracer clear, global counter deltas).
-  uint32_t BeginExecution() { return in_flight_.fetch_add(1) + 1; }
-  void EndExecution() { in_flight_.fetch_sub(1); }
-  uint32_t InFlightExecutions() const { return in_flight_.load(); }
 
  private:
   SimulationConfig config_;
@@ -107,7 +94,6 @@ class EngineContext {
   uint32_t exec_threads_ = 1;
   std::unique_ptr<ThreadPool> exec_pool_;
   static inline std::atomic<uint64_t> g_query_seq_{0};
-  std::atomic<uint32_t> in_flight_{0};
 };
 
 }  // namespace hybridjoin

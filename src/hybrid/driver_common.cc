@@ -35,20 +35,8 @@ Execution::Execution(EngineContext* ctx, JoinAlgorithm algorithm,
               ? memory_budget_bytes
               : ctx->config().query_memory_budget_bytes)),
       governor_scope_(governor_.get()),
-      exclusive_(ctx->BeginExecution() == 1),
       tag_base_(ctx->network().AllocateTagBlock(kTagBlock)),
       profile_tag_(NewTag()) {
-  if (exclusive_) {
-    // Running alone: drop whatever scoped slices and spans a previous
-    // execution left behind, exactly as the single-query path always did.
-    ctx_->metrics().ClearScoped();
-    if (ctx_->tracer().enabled()) ctx_->tracer().Clear();
-  }
-  counters_before_ = ctx_->metrics().Snapshot();
-  for (int i = 0; i < 4; ++i) {
-    net_before_[i] =
-        ctx_->network().BytesMoved(static_cast<FlowClass>(i));
-  }
   // Visible to SHOW PROCESSLIST / KILL from here on. Registration happens
   // before any worker spawns, so a worker's first cancellation check can
   // always resolve the flag.
@@ -79,10 +67,11 @@ Execution::~Execution() {
     ctx_->metrics().Add(metric::kServerGovernorLeakedBytes,
                         static_cast<int64_t>(leaked));
   }
-  // This query's scoped slices were consumed by the workers' profile
-  // snapshots; drop them without touching other in-flight queries' slices.
+  // Drop whatever of this query's records no report took (a failed query
+  // never builds one), without touching other in-flight queries'.
   ctx_->metrics().ClearScoped(query_id_);
-  ctx_->EndExecution();
+  ctx_->tracer().Take(query_id_);
+  ctx_->network().TakeQueryBytes(query_id_);
   ctx_->network().ReleaseTagBlock(tag_base_, kTagBlock);
 }
 
@@ -114,40 +103,28 @@ ExecutionReport Execution::BuildReport() {
     std::lock_guard<std::mutex> lock(mu_);
     report.phases = marks_;
   }
-  for (const auto& [name, value] : ctx_->metrics().Snapshot()) {
-    auto it = counters_before_.find(name);
-    const int64_t before = it == counters_before_.end() ? 0 : it->second;
-    if (value - before != 0) report.counters[name] = value - before;
+  // Spans, profile snapshots and network bytes are all keyed by this
+  // query's id, so every field below is this query's own even while
+  // others run.
+  const std::vector<trace::TraceEvent> events = ctx_->tracer().Take(query_id_);
+  std::map<std::string, LatencyHistogram> per_name;
+  for (const trace::TraceEvent& e : events) {
+    per_name[e.name].RecordMicros(e.dur_us);
   }
-  for (int i = 0; i < 4; ++i) {
-    const auto fc = static_cast<FlowClass>(i);
-    const int64_t delta = ctx_->network().BytesMoved(fc) - net_before_[i];
-    if (delta != 0) report.network_bytes[FlowClassName(fc)] = delta;
+  for (const auto& [name, hist] : per_name) {
+    report.histograms[name] = hist.Summarize();
   }
-  // Span histograms and trace files aggregate the whole tracer buffer, so
-  // they are only attributable when this query ran alone.
-  if (exclusive_ && ctx_->tracer().enabled()) {
-    const std::vector<trace::TraceEvent> events = ctx_->tracer().Snapshot();
-    std::map<std::string, std::unique_ptr<LatencyHistogram>> per_name;
-    for (const trace::TraceEvent& e : events) {
-      auto& hist = per_name[e.name];
-      if (hist == nullptr) hist = std::make_unique<LatencyHistogram>();
-      hist->RecordMicros(e.dur_us);
-    }
-    for (const auto& [name, hist] : per_name) {
-      report.histograms[name] = hist->Summarize();
-    }
-    const std::string& out = ctx_->config().trace.chrome_out;
-    if (!out.empty()) {
-      const Status written = trace::WriteChromeTrace(events, out);
-      if (written.ok()) report.trace_file = out;
-    }
+  const std::string& out = ctx_->config().trace.chrome_out;
+  if (!out.empty() && !events.empty() &&
+      trace::WriteChromeTrace(events, out).ok()) {
+    report.trace_file = out;
   }
   report.profile =
       obs::AssembleProfile(query_id_, JoinAlgorithmName(algorithm_),
                            report.wall_seconds, node_profiles_,
                            report.trace_file);
-  report.profile.global_counters = report.counters;
+  report.counters = report.profile.global_counters;
+  report.network_bytes = ctx_->network().TakeQueryBytes(query_id_);
   report.profile.network_bytes = report.network_bytes;
   report.profile.span_histograms = report.histograms;
   return report;

@@ -75,19 +75,15 @@ class WorkerThread {
 /// then the chosen driver) on one Execution, so the query keeps one id, one
 /// governor and one tag block.
 ///
-/// Construction allocates the query id, installs a QueryScope for it on the
-/// driver thread (WorkerThread carries it into the worker threads),
-/// registers the query with the context and snapshots metrics and per-class
-/// network bytes; Finish reports the deltas. When the query runs *alone* it
-/// additionally clears the tracer buffer and stale scoped slices, exactly as
-/// the historical single-query path did; under concurrency those
-/// whole-context facilities are left to their owners and only this query's
-/// scoped slices are used (and dropped again at destruction), so concurrent
-/// profiles never cross-contaminate. Global counter / network-byte deltas
-/// still aggregate whole-context activity — per-query truth under
-/// concurrency lives in ExecutionReport::profile. Destruction releases the
-/// tag block's channels: every sender and receiver of the query has been
-/// joined by then.
+/// Construction allocates the query id and installs a QueryScope for it on
+/// the driver thread; WorkerThread carries it into the worker threads. Every
+/// record the report is built from is keyed by that id: the workers'
+/// scoped metric slices (shipped as profile snapshots), the tracer's spans
+/// and the network's per-query byte charges. Finish takes exactly this
+/// query's records, so a report reads the same whether the query ran alone
+/// or beside others. Destruction drops whatever no report took and releases
+/// the tag block's channels: every sender and receiver of the query has
+/// been joined by then.
 class Execution {
  public:
   /// `memory_budget_bytes` seeds this execution's MemoryGovernor; 0 falls
@@ -153,10 +149,7 @@ class Execution {
   QueryScope scope_;  ///< driver-thread attribution for query_id_
   std::unique_ptr<MemoryGovernor> governor_;
   MemoryGovernor::Scope governor_scope_;  ///< driver-thread installation
-  bool exclusive_;
   Stopwatch stopwatch_;
-  std::map<std::string, int64_t> counters_before_;
-  int64_t net_before_[4];
   uint64_t tag_base_;
   uint64_t tags_used_ = 0;
   uint64_t profile_tag_;  ///< worker profile snapshots -> DB worker 0
@@ -534,8 +527,9 @@ Result<std::vector<RecordBatch>> FilterBatchesByBloom(
 /// Shard count for a morsel-parallel hash-table build: 1 when the context
 /// runs single-threaded, else 2x the exec threads so the shard ParallelFor
 /// load-balances around key skew. Probe results are byte-identical for any
-/// shard count (see exec/join_hash_table.h). The join drivers do not use it:
-/// their GraceHashJoin shards by its partition count.
+/// shard count (see exec/join_hash_table.h). The join drivers do not use it
+/// (their GraceHashJoin shards by its partition count); perfbench's direct
+/// build calls (perfbench/layers.cc) do.
 uint32_t HashTableShards(EngineContext* ctx);
 
 /// One worker's local hash join + aggregation: the one join operator

@@ -37,12 +37,14 @@ struct ExecutionReport {
   double wall_seconds = 0.0;
   /// Ordered coarse phases with durations (driver-level).
   std::vector<std::pair<std::string, double>> phases;
-  /// Engine counters (metric::k* names), as deltas over this execution.
+  /// Engine counters (metric::k* names) of this query alone: the
+  /// per-metric totals of `profile` (sum for counters, max for gauges).
   std::map<std::string, int64_t> counters;
-  /// Bytes moved per network flow class, as deltas over this execution.
+  /// Bytes this query moved per network flow class, its workers' profile
+  /// messages included.
   std::map<std::string, int64_t> network_bytes;
-  /// Latency percentiles per span name (trace::span::k*), built from the
-  /// spans recorded during this execution. Empty when tracing is disabled.
+  /// Latency percentiles per span name (trace::span::k*), built from this
+  /// query's own spans. Empty when tracing is disabled.
   std::map<std::string, HistogramSummary> histograms;
   /// Chrome trace JSON written for this execution ("" when not requested).
   std::string trace_file;

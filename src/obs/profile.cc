@@ -240,8 +240,12 @@ QueryProfile AssembleProfile(uint64_t query_id, const std::string& algorithm,
       for (const auto& [node, v] : row.per_node) {
         row.total = row.gauge ? std::max(row.total, v) : row.total + v;
       }
+      int64_t& total = profile.global_counters[name];
+      total = row.gauge ? std::max(total, row.total) : total + row.total;
     }
   }
+  std::erase_if(profile.global_counters,
+                [](const auto& counter) { return counter.second == 0; });
 
   const GroupStats wall_stats = StatsOver(profile.worker_wall_us);
   profile.worker_wall_skew = wall_stats.skew;

@@ -12,9 +12,11 @@
 //     the Chrome-trace file reference and the per-span latency histograms,
 //     the input format of tools/perfcheck.
 //
-// Invariant (asserted in tests/obs_test.cc): for every non-gauge counter,
-// the sum of the per-node values equals the global ExecutionReport counter
-// delta; for gauges (Metrics::Max) the maximum across nodes equals it.
+// ExecutionReport::counters is this tree's per-metric totals, so it holds
+// only the query's own values, whatever else runs. Invariant (asserted in
+// tests/obs_test.cc): for every non-gauge counter, the sum of the per-node
+// values equals the report's counter; for gauges (Metrics::Max) the maximum
+// across nodes equals it.
 
 #ifndef HYBRIDJOIN_OBS_PROFILE_H_
 #define HYBRIDJOIN_OBS_PROFILE_H_
@@ -69,8 +71,11 @@ struct QueryProfile {
   double worker_wall_skew = 0.0;
   /// Chrome trace JSON written for this execution ("" when not requested).
   std::string trace_file;
-  /// Cluster-global cross-checks mirrored from the ExecutionReport.
+  /// Per-metric totals over every phase and node (sum; max for gauges;
+  /// zero totals omitted): the query's ExecutionReport::counters.
   std::map<std::string, int64_t> global_counters;
+  /// This query's bytes per network flow class and span histograms,
+  /// mirrored from the ExecutionReport.
   std::map<std::string, int64_t> network_bytes;
   std::map<std::string, HistogramSummary> span_histograms;
 

@@ -1,5 +1,6 @@
 #include "trace/chrome_trace.h"
 
+#include <atomic>
 #include <cstdio>
 #include <map>
 #include <set>
@@ -114,13 +115,17 @@ std::string ChromeTraceJson(const std::vector<TraceEvent>& events) {
 
 Status WriteChromeTrace(const std::vector<TraceEvent>& events,
                         const std::string& path) {
-  std::FILE* f = std::fopen(path.c_str(), "wb");
+  static std::atomic<uint64_t> seq{0};
+  const std::string tmp = path + ".tmp" + std::to_string(seq.fetch_add(1));
+  std::FILE* f = std::fopen(tmp.c_str(), "wb");
   if (f == nullptr) {
-    return Status::IOError("cannot open trace file '" + path + "'");
+    return Status::IOError("cannot open trace file '" + tmp + "'");
   }
   const std::string json = ChromeTraceJson(events);
   const size_t written = std::fwrite(json.data(), 1, json.size(), f);
-  if (std::fclose(f) != 0 || written != json.size()) {
+  if (std::fclose(f) != 0 || written != json.size() ||
+      std::rename(tmp.c_str(), path.c_str()) != 0) {
+    std::remove(tmp.c_str());
     return Status::IOError("failed writing trace file '" + path + "'");
   }
   return Status::OK();

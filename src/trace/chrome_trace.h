@@ -23,7 +23,9 @@ uint32_t ChromePid(const TraceEvent& event);
 /// The full trace JSON document ({"traceEvents": [...], ...}).
 std::string ChromeTraceJson(const std::vector<TraceEvent>& events);
 
-/// Writes ChromeTraceJson(events) to `path`.
+/// Writes ChromeTraceJson(events) to a temporary file of its own and renames
+/// it over `path`, so concurrent writers of one path leave one writer's
+/// whole trace there, never an interleaving.
 Status WriteChromeTrace(const std::vector<TraceEvent>& events,
                         const std::string& path);
 

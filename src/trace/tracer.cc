@@ -22,6 +22,16 @@ thread_local ThreadState tls_state;
 std::atomic<uint32_t> next_thread_id{1};
 thread_local uint32_t tls_thread_id = 0;
 
+// Depth breaks start-time ties so a parent span precedes children opened in
+// the same microsecond.
+void SortByStart(std::vector<TraceEvent>* events) {
+  std::sort(events->begin(), events->end(),
+            [](const TraceEvent& a, const TraceEvent& b) {
+              if (a.start_us != b.start_us) return a.start_us < b.start_us;
+              return a.depth < b.depth;
+            });
+}
+
 }  // namespace
 
 const char* InternedRole(const char* base, size_t index) {
@@ -69,13 +79,21 @@ std::vector<TraceEvent> Tracer::Snapshot() const {
     std::lock_guard<std::mutex> lock(shard.mu);
     out.insert(out.end(), shard.events.begin(), shard.events.end());
   }
-  // Depth breaks start-time ties so a parent span precedes children opened
-  // in the same microsecond.
-  std::sort(out.begin(), out.end(),
-            [](const TraceEvent& a, const TraceEvent& b) {
-              if (a.start_us != b.start_us) return a.start_us < b.start_us;
-              return a.depth < b.depth;
-            });
+  SortByStart(&out);
+  return out;
+}
+
+std::vector<TraceEvent> Tracer::Take(uint64_t query_id) {
+  std::vector<TraceEvent> out;
+  for (Shard& shard : shards_) {
+    std::lock_guard<std::mutex> lock(shard.mu);
+    auto taken = std::partition(
+        shard.events.begin(), shard.events.end(),
+        [query_id](const TraceEvent& e) { return e.query_id != query_id; });
+    out.insert(out.end(), taken, shard.events.end());
+    shard.events.erase(taken, shard.events.end());
+  }
+  SortByStart(&out);
   return out;
 }
 
@@ -146,6 +164,7 @@ void Span::End() {
   event.start_us = start_us_;
   event.dur_us = tracer_->NowMicros() - start_us_;
   event.bytes = bytes_;
+  event.query_id = QueryScope::Current();
   tracer_->Record(event);
   tracer_ = nullptr;
 }

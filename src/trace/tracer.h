@@ -5,8 +5,11 @@
 //     trace-event JSON loadable in chrome://tracing or Perfetto, one
 //     "process" per simulated node and one track per worker thread;
 //   - the Metrics histogram registry (common/metrics.h) accumulates every
-//     span duration into an HDR-style latency histogram keyed by span name,
-//     which driver::Execution rolls into ExecutionReport::histograms.
+//     span duration into an HDR-style latency histogram keyed by span name.
+// Every event carries the QueryScope id its span ended under, so
+// driver::Execution takes exactly its own query's events out of the buffer
+// (Tracer::Take) for ExecutionReport::histograms and the Chrome trace, even
+// while other queries run.
 //
 // Span names and categories must be string literals (or otherwise outlive
 // the tracer): events store raw pointers so a disabled tracer costs two
@@ -44,6 +47,7 @@ struct TraceEvent {
   int64_t start_us = 0;       ///< µs since the tracer's epoch
   int64_t dur_us = 0;
   int64_t bytes = 0;          ///< payload bytes for network spans, else 0
+  uint64_t query_id = 0;      ///< QueryScope id at End (0 = no query)
 };
 
 class Tracer {
@@ -69,7 +73,11 @@ class Tracer {
   /// Copy of every recorded event, ordered by start time.
   std::vector<TraceEvent> Snapshot() const;
 
-  /// Drops all recorded events (start of a new query execution).
+  /// Removes and returns one query's events, ordered by start time; other
+  /// queries' events stay in the buffer.
+  std::vector<TraceEvent> Take(uint64_t query_id);
+
+  /// Drops all recorded events.
   void Clear();
 
   /// Stable small id for the calling thread (assigned on first use,

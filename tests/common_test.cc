@@ -677,10 +677,6 @@ TEST(MetricsTest, ScopedAttributionFollowsNodeAndPhaseScopes) {
   EXPECT_EQ(node3.histograms.at({"", "lat"}).count, 1);
   const auto node4 = m.ScopedSnapshot(4);
   EXPECT_EQ(node4.counters.at({"scan", "x"}).value, 1);
-
-  m.ClearScoped();
-  EXPECT_TRUE(m.ScopedSnapshot(3).empty());
-  EXPECT_EQ(m.Get("x"), 20);  // globals survive ClearScoped
 }
 
 TEST(MetricsTest, ScopedSlicesAreIsolatedPerQuery) {
