@@ -44,11 +44,6 @@ inline uint64_t HashString(std::string_view s, uint64_t seed = 0) {
   return HashBytes(s.data(), s.size(), seed);
 }
 
-/// Combines two hashes (boost::hash_combine-style but 64-bit).
-inline uint64_t HashCombine(uint64_t a, uint64_t b) {
-  return Mix64(a ^ (b + 0x9e3779b97f4a7c15ULL + (a << 6) + (a >> 2)));
-}
-
 /// The "agreed hash function" both the EDW workers and the JEN workers use to
 /// route a join key to a JEN worker for repartition-based joins (paper §3.3,
 /// §4.3). Keeping it in one place is the substitute for the paper's
