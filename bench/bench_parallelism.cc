@@ -124,7 +124,8 @@ PhaseResult RunScanFilter(size_t num_batches, size_t rows_per_batch,
             rows_out.fetch_add(static_cast<int64_t>(out.num_rows()),
                                std::memory_order_relaxed);
             return Status::OK();
-          });
+          },
+          NodeId::Hdfs(0), "scan_filter");
       for (const RecordBatch& b : source) {
         RecordBatch copy = b;
         (void)pipe.Feed(std::move(copy));

@@ -7,17 +7,19 @@
 // Besides the global namespace, every write is mirrored into a *scoped*
 // per-node store when the calling thread carries node attribution
 // (Metrics::NodeScope, installed automatically by trace::ThreadScope) —
-// optionally refined with a query phase (Metrics::PhaseScope). Workers
-// snapshot their node's scoped slice at end-of-query (ScopedSnapshot) and
-// ship it to the coordinator, which assembles the per-node profile tree in
-// ExecutionReport::profile (see src/obs/). The global counters are never
-// reset between queries: they are process-lifetime totals for scrapes.
+// optionally refined with a query phase (Metrics::PhaseScope). The global
+// counters are never reset between queries: they are process-lifetime
+// totals for scrapes.
 //
 // The scoped store is additionally keyed by the calling thread's QueryScope
 // id, so N concurrent queries write into disjoint slices and their profiles
-// never cross-contaminate. Query id 0 ("no query") is the legacy slice used
-// by single-query callers; ClearScoped(query_id) drops one query's slices at
-// end-of-query.
+// never cross-contaminate. A query's slices are its one record: they
+// accumulate over all of its rounds, the live process list sums them while
+// it runs (ScopedQueryTotals), its report reads each node's slice once when
+// it is built (ScopedSnapshot) into the per-node profile tree of
+// ExecutionReport::profile (see src/obs/), and ClearScoped(query_id) drops
+// them when the query ends. Query id 0 ("no query") is the slice of writes
+// made outside any query.
 
 #ifndef HYBRIDJOIN_COMMON_METRICS_H_
 #define HYBRIDJOIN_COMMON_METRICS_H_

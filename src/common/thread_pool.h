@@ -178,22 +178,6 @@ class ThreadPool {
   std::condition_variable idle_;
 };
 
-/// Runs `fn(i)` for i in [0, n) on n dedicated threads and joins them all,
-/// carrying the caller's QueryScope into each thread. The workhorse for
-/// "each DB worker does X in parallel" phases.
-inline void ParallelFor(size_t n, const std::function<void(size_t)>& fn) {
-  const uint64_t query_id = QueryScope::Current();
-  std::vector<std::thread> threads;
-  threads.reserve(n);
-  for (size_t i = 0; i < n; ++i) {
-    threads.emplace_back([&fn, i, query_id] {
-      QueryScope scope(query_id);
-      fn(i);
-    });
-  }
-  for (auto& t : threads) t.join();
-}
-
 }  // namespace hybridjoin
 
 #endif  // HYBRIDJOIN_COMMON_THREAD_POOL_H_

@@ -13,16 +13,13 @@
 #include <atomic>
 #include <functional>
 #include <mutex>
-#include <optional>
-#include <thread>
 #include <utility>
 #include <vector>
 
 #include "common/blocking_queue.h"
-#include "common/query_scope.h"
 #include "common/status.h"
 #include "exec/memory_governor.h"
-#include "net/network.h"
+#include "exec/worker_thread.h"
 #include "obs/query_registry.h"
 #include "trace/tracer.h"
 #include "types/record_batch.h"
@@ -35,31 +32,20 @@ class BatchMorselPipe {
   /// index t in [0, threads) — always on the same worker thread for a given
   /// t, so consumers may keep unsynchronized per-thread state (a JoinProber,
   /// a partial HashAggregator). With threads == 1 no worker is spawned and
-  /// consume(0, ...) runs inline on the feeding thread. `trace_node` +
-  /// `role_base` name the worker threads' trace lanes ("<role_base>/<t>").
+  /// consume(0, ...) runs inline on the feeding thread. The worker threads
+  /// are WorkerThreads acting for `node` in the feeder's query, on trace
+  /// lanes "<role_base>/<t>".
   BatchMorselPipe(uint32_t threads,
                   std::function<Status(uint32_t, RecordBatch&&)> consume,
-                  std::optional<NodeId> trace_node = std::nullopt,
-                  const char* role_base = "morsel",
-                  size_t queue_capacity = 0)
+                  NodeId node, const char* role_base)
       : consume_(std::move(consume)),
         governor_(MemoryGovernor::Current()),
-        queue_(queue_capacity == 0 ? std::max<size_t>(2 * threads, 2)
-                                   : queue_capacity) {
+        queue_(std::max<size_t>(2 * threads, 2)) {
     if (threads <= 1) return;
-    const uint64_t query_id = QueryScope::Current();
     workers_.reserve(threads);
     for (uint32_t t = 0; t < threads; ++t) {
-      workers_.emplace_back([this, t, trace_node, role_base, query_id] {
-        QueryScope query_scope(query_id);
-        // Re-install the feeder's governor so per-thread consumer state
-        // (probers, partial aggregators) created inside consume_ charges
-        // the right query.
-        MemoryGovernor::Scope governor_scope(governor_);
-        std::optional<trace::ThreadScope> scope;
-        if (trace_node.has_value()) {
-          scope.emplace(*trace_node, trace::InternedRole(role_base, t));
-        }
+      const char* role = trace::InternedRole(role_base, t);
+      workers_.emplace_back(node, role, [this, t] {
         while (auto batch = queue_.Pop()) {
           if (governor_ != nullptr) governor_->Release(batch->ByteSize());
           // After a failure, keep draining so the feeder never blocks on a
@@ -107,10 +93,7 @@ class BatchMorselPipe {
   /// error. Idempotent; also run by the destructor.
   Status Finish() {
     queue_.Close();
-    for (auto& w : workers_) {
-      if (w.joinable()) w.join();
-    }
-    workers_.clear();
+    workers_.clear();  // joins every worker
     return First();
   }
 
@@ -128,10 +111,10 @@ class BatchMorselPipe {
   std::function<Status(uint32_t, RecordBatch&&)> consume_;
   MemoryGovernor* governor_;
   BlockingQueue<RecordBatch> queue_;
-  std::vector<std::thread> workers_;
   std::atomic<bool> failed_{false};
   mutable std::mutex mu_;
   Status first_error_;
+  std::vector<WorkerThread> workers_;
 };
 
 }  // namespace hybridjoin

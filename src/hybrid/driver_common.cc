@@ -13,17 +13,6 @@
 namespace hybridjoin {
 namespace driver {
 
-WorkerThread::WorkerThread(NodeId node, const char* role,
-                           std::function<void()> fn)
-    : thread_([node, role, fn = std::move(fn),
-               query_id = QueryScope::Current(),
-               governor = MemoryGovernor::Current()] {
-        QueryScope query_scope(query_id);
-        MemoryGovernor::Scope governor_scope(governor);
-        trace::ThreadScope thread_scope(node, role);
-        fn();
-      }) {}
-
 Execution::Execution(EngineContext* ctx, JoinAlgorithm algorithm,
                      uint64_t memory_budget_bytes)
     : ctx_(ctx),
@@ -35,8 +24,7 @@ Execution::Execution(EngineContext* ctx, JoinAlgorithm algorithm,
               ? memory_budget_bytes
               : ctx->config().query_memory_budget_bytes)),
       governor_scope_(governor_.get()),
-      tag_base_(ctx->network().AllocateTagBlock(kTagBlock)),
-      profile_tag_(NewTag()) {
+      tag_base_(ctx->network().AllocateTagBlock(kTagBlock)) {
   // Visible to SHOW PROCESSLIST / KILL from here on. Registration happens
   // before any worker spawns, so a worker's first cancellation check can
   // always resolve the flag.
@@ -67,8 +55,9 @@ Execution::~Execution() {
     ctx_->metrics().Add(metric::kServerGovernorLeakedBytes,
                         static_cast<int64_t>(leaked));
   }
-  // Drop whatever of this query's records no report took (a failed query
-  // never builds one), without touching other in-flight queries'.
+  // Drop this query's metric slices (a report reads them in place) and
+  // whatever spans and byte charges no report took (a failed query never
+  // builds one), without touching other in-flight queries'.
   ctx_->metrics().ClearScoped(query_id_);
   ctx_->tracer().Take(query_id_);
   ctx_->network().TakeQueryBytes(query_id_);
@@ -99,13 +88,21 @@ ExecutionReport Execution::BuildReport() {
   ExecutionReport report;
   report.algorithm = algorithm_;
   report.wall_seconds = stopwatch_.ElapsedSeconds();
+  std::map<NodeId, int64_t> wall_us;
   {
     std::lock_guard<std::mutex> lock(mu_);
     report.phases = marks_;
+    wall_us = wall_us_;
   }
-  // Spans, profile snapshots and network bytes are all keyed by this
+  // Scoped metric slices, spans and network bytes are all keyed by this
   // query's id, so every field below is this query's own even while
   // others run.
+  std::vector<obs::NodeProfileSnapshot> nodes;
+  for (const auto& [node, wall] : wall_us) {
+    nodes.push_back({node.ToString(), wall,
+                     ctx_->metrics().ScopedSnapshot(query_id_,
+                                                    MetricNodeKey(node))});
+  }
   const std::vector<trace::TraceEvent> events = ctx_->tracer().Take(query_id_);
   std::map<std::string, LatencyHistogram> per_name;
   for (const trace::TraceEvent& e : events) {
@@ -121,8 +118,7 @@ ExecutionReport Execution::BuildReport() {
   }
   report.profile =
       obs::AssembleProfile(query_id_, JoinAlgorithmName(algorithm_),
-                           report.wall_seconds, node_profiles_,
-                           report.trace_file);
+                           report.wall_seconds, nodes, report.trace_file);
   report.counters = report.profile.global_counters;
   report.network_bytes = ctx_->network().TakeQueryBytes(query_id_);
   report.profile.network_bytes = report.network_bytes;
@@ -137,73 +133,50 @@ uint64_t Execution::NewTag() {
 
 Status Execution::RunWorkers(const WorkerFn& db_worker,
                              const WorkerFn& jen_worker) {
-  const uint32_t m = ctx_->num_db_workers();
-  const uint32_t n = ctx_->num_jen_workers();
-  {
-    std::vector<WorkerThread> threads;
-    threads.reserve(m + n);
-    auto spawn = [&](NodeId node, const char* role, const char* span,
-                     const WorkerFn& fn) {
-      threads.emplace_back(node, role, [this, node, span, &fn] {
-        Stopwatch wall;
-        {
-          trace::Span driver_span(&ctx_->tracer(), span,
-                                  trace::span::kCatDriver);
-          const Status st = fn(node.index);
-          // First error wins, except that a worker that only saw a peer
-          // abandon a round (kAborted) yields to that peer's own error.
-          std::lock_guard<std::mutex> lock(mu_);
-          if (!st.ok() && (first_error_.ok() ||
-                           first_error_.code() == StatusCode::kAborted)) {
-            first_error_ = st;
-          }
-        }
-        SendProfile(node, wall.ElapsedMicros());
-      });
-    };
-    for (uint32_t i = 0; i < m; ++i) {
-      spawn(NodeId::Db(i), "db_worker", trace::span::kDriverDbWorker,
-            db_worker);
-    }
-    for (uint32_t w = 0; w < n; ++w) {
-      spawn(NodeId::Hdfs(w), "jen_worker", trace::span::kDriverJenWorker,
-            jen_worker);
-    }
-  }  // joins every worker
-  // Every snapshot is queued by now, so this never blocks. Collection is
-  // best-effort: undecodable payloads are skipped.
-  Network& net = ctx_->network();
-  for (uint32_t i = 0; i < m + n; ++i) {
-    Result<Message> msg = net.Recv(NodeId::Db(0), profile_tag_);
-    if (!msg.ok() || msg.value().payload == nullptr) continue;
-    Result<obs::NodeProfileSnapshot> snap =
-        obs::DeserializeNodeProfile(*msg.value().payload);
-    if (snap.ok()) node_profiles_.push_back(std::move(snap).value());
+  std::vector<WorkerThread> threads;
+  threads.reserve(ctx_->num_db_workers() + ctx_->num_jen_workers());
+  auto spawn = [&](NodeId node, const char* role, const char* span,
+                   const WorkerFn& fn) {
+    threads.emplace_back(node, role, [this, node, span, &fn] {
+      Stopwatch wall;
+      Status st;
+      {
+        trace::Span driver_span(&ctx_->tracer(), span,
+                                trace::span::kCatDriver);
+        st = fn(node.index);
+      }
+      const int64_t wall_us = wall.ElapsedMicros();
+      Metrics& metrics = ctx_->metrics();
+      if (node.cluster == ClusterId::kHdfs) {
+        // Feeds the jen.worker_wall_us histogram even with tracing disabled.
+        metrics.Record(metric::kJenWorkerWallUs, wall_us);
+      }
+      // The query-wide memory high-water mark. Max, not Add: every worker
+      // reports the same per-query governor. Skipped at zero so runs that
+      // never charged the governor don't grow a dead gauge.
+      const auto peak = static_cast<int64_t>(governor_->peak());
+      if (peak > 0) metrics.Max(metric::kJoinMemPeakBytes, peak);
+      std::lock_guard<std::mutex> lock(mu_);
+      wall_us_[node] += wall_us;
+      // First error wins, except that a worker that only saw a peer
+      // abandon a round (kAborted) yields to that peer's own error.
+      if (!st.ok() && (first_error_.ok() ||
+                       first_error_.code() == StatusCode::kAborted)) {
+        first_error_ = st;
+      }
+    });
+  };
+  for (uint32_t i = 0; i < ctx_->num_db_workers(); ++i) {
+    spawn(NodeId::Db(i), "db_worker", trace::span::kDriverDbWorker,
+          db_worker);
   }
-  // The snapshots above captured this query's scoped slices cumulatively;
-  // drop them so a later round's snapshots are pure deltas and
-  // AssembleProfile's per-node sums stay exact (no worker is live here).
-  ctx_->metrics().ClearScoped(query_id_);
+  for (uint32_t w = 0; w < ctx_->num_jen_workers(); ++w) {
+    spawn(NodeId::Hdfs(w), "jen_worker", trace::span::kDriverJenWorker,
+          jen_worker);
+  }
+  for (WorkerThread& thread : threads) thread.Join();
   std::lock_guard<std::mutex> lock(mu_);
   return first_error_;
-}
-
-void Execution::SendProfile(NodeId node, int64_t wall_us) {
-  Metrics& m = ctx_->metrics();
-  if (node.cluster == ClusterId::kHdfs) {
-    // Feeds the jen.worker_wall_us histogram even with tracing disabled.
-    m.Record(metric::kJenWorkerWallUs, wall_us);
-  }
-  // The query-wide memory high-water mark, recorded into this node's slice
-  // (and the global store) before the snapshot below captures it. Max, not
-  // Add: every worker reports the same per-query governor. Skipped at zero
-  // so runs that never charged the governor don't grow a dead gauge.
-  const auto peak = static_cast<int64_t>(governor_->peak());
-  if (peak > 0) m.Max(metric::kJoinMemPeakBytes, peak);
-  const obs::NodeProfileSnapshot snap =
-      obs::SnapshotNodeProfile(&m, node, wall_us);
-  ctx_->network().SendControl(node, NodeId::Db(0), profile_tag_,
-                              obs::SerializeNodeProfile(snap));
 }
 
 Result<QueryResult> Execution::Finish(Result<RecordBatch> rows) {

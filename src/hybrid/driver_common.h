@@ -1,8 +1,8 @@
 // The execution runtime every join driver runs on, plus the stages the
 // algorithms of §3 are composed of. An Execution owns one query's report,
 // channel tags and first-error status, and runs the m DB + n JEN worker
-// threads with their query, governor, trace and profile scopes installed;
-// the adaptive path runs its prefix and the chosen driver as two rounds of
+// threads with their query, governor and trace scopes installed; the
+// adaptive path runs its prefix and the chosen driver as two rounds of
 // one Execution. Every message between workers moves through one of two
 // stage types built on the driver thread before a round: an Exchange (the
 // data plane: shuffles, and the exact semijoin's key lists and bitmaps,
@@ -17,12 +17,12 @@
 
 #include <atomic>
 #include <functional>
+#include <map>
 #include <memory>
 #include <mutex>
 #include <optional>
 #include <span>
 #include <string>
-#include <thread>
 #include <type_traits>
 #include <utility>
 #include <vector>
@@ -36,37 +36,15 @@
 #include "exec/memory_governor.h"
 #include "exec/morsel.h"
 #include "exec/spill.h"
+#include "exec/worker_thread.h"
 #include "hybrid/algorithms.h"
 #include "hybrid/context.h"
 #include "hybrid/query.h"
 #include "hybrid/report.h"
 #include "jen/exchange.h"
-#include "obs/metric_scope.h"
 
 namespace hybridjoin {
 namespace driver {
-
-/// A thread acting for `node` in the spawning thread's query: it re-installs
-/// the spawner's QueryScope and MemoryGovernor::Scope, then a
-/// trace::ThreadScope(node, role), around `fn`. Joined by Join() or at
-/// destruction. Used for the worker threads of Execution::RunWorkers and for
-/// a worker's own helpers (the JEN receive thread, an Exchange sender's
-/// send threads).
-class WorkerThread {
- public:
-  WorkerThread(NodeId node, const char* role, std::function<void()> fn);
-  ~WorkerThread() { Join(); }
-
-  WorkerThread(WorkerThread&&) = default;
-  WorkerThread& operator=(WorkerThread&&) = delete;
-
-  void Join() {
-    if (thread_.joinable()) thread_.join();
-  }
-
- private:
-  std::thread thread_;
-};
 
 /// One query's execution runtime: its query id and memory governor, its
 /// report, one block of channel tags that its stages draw from (NewTag)
@@ -77,13 +55,14 @@ class WorkerThread {
 ///
 /// Construction allocates the query id and installs a QueryScope for it on
 /// the driver thread; WorkerThread carries it into the worker threads. Every
-/// record the report is built from is keyed by that id: the workers'
-/// scoped metric slices (shipped as profile snapshots), the tracer's spans
-/// and the network's per-query byte charges. Finish takes exactly this
-/// query's records, so a report reads the same whether the query ran alone
-/// or beside others. Destruction drops whatever no report took and releases
-/// the tag block's channels: every sender and receiver of the query has
-/// been joined by then.
+/// record the report is built from is keyed by that id: each node's slice
+/// of the scoped metric store, the tracer's spans and the network's
+/// per-query byte charges. The slices accumulate over every round, and
+/// Finish reads each node's slice in place, once, so a report reads the
+/// same whether the query ran alone or beside others. Destruction is the
+/// one place that drops the query's records (whatever no report took) and
+/// releases the tag block's channels: every sender and receiver of the
+/// query has been joined by then.
 class Execution {
  public:
   /// `memory_budget_bytes` seeds this execution's MemoryGovernor; 0 falls
@@ -123,13 +102,12 @@ class Execution {
   uint64_t NewTag();
 
   /// Runs db_worker(i) for every DB worker i and jen_worker(w) for every
-  /// JEN worker w, each on its own WorkerThread inside the driver span. A
-  /// worker's last act ships its node's profile snapshot (wall time, scoped
-  /// metrics, the governor's peak) to DB worker 0; after joining the
-  /// workers this drains the snapshots and clears the query's scoped
-  /// metric slices, so a later round's snapshots are deltas. Returns the
-  /// first error of any round; a kAborted one (a worker that saw a peer
-  /// abandon a round) only when no worker reports its own.
+  /// JEN worker w, each on its own WorkerThread inside the driver span, and
+  /// joins them. A worker's last act records its wall time (a JEN worker's
+  /// also into jen.worker_wall_us) and the governor's peak into its node's
+  /// slice; a second round adds to the same slices. Returns the first
+  /// error of any round; a kAborted one (a worker that saw a peer abandon
+  /// a round) only when no worker reports its own.
   using WorkerFn = std::function<Status(uint32_t)>;
   Status RunWorkers(const WorkerFn& db_worker, const WorkerFn& jen_worker);
 
@@ -137,7 +115,6 @@ class Execution {
   Result<QueryResult> Finish(Result<RecordBatch> rows);
 
  private:
-  void SendProfile(NodeId node, int64_t wall_us);
   ExecutionReport BuildReport();
 
   /// Tags per execution; the adaptive path's two rounds use at most 14.
@@ -152,11 +129,11 @@ class Execution {
   Stopwatch stopwatch_;
   uint64_t tag_base_;
   uint64_t tags_used_ = 0;
-  uint64_t profile_tag_;  ///< worker profile snapshots -> DB worker 0
-  std::vector<obs::NodeProfileSnapshot> node_profiles_;
   std::mutex mu_;
   std::vector<std::pair<std::string, double>> marks_;  ///< guarded by mu_
   Status first_error_;                                 ///< guarded by mu_
+  /// Each worker node's wall time, summed over rounds; guarded by mu_.
+  std::map<NodeId, int64_t> wall_us_;
 };
 
 /// A data-plane stage: the shuffles of Figures 1-4 and the exact

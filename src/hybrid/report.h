@@ -48,8 +48,8 @@ struct ExecutionReport {
   std::map<std::string, HistogramSummary> histograms;
   /// Chrome trace JSON written for this execution ("" when not requested).
   std::string trace_file;
-  /// The distributed per-node profile tree assembled from the workers'
-  /// end-of-query metric snapshots (obs/profile.h). profile.ToText() is the
+  /// The distributed per-node profile tree assembled from each worker
+  /// node's metric slice (obs/profile.h). profile.ToText() is the
   /// EXPLAIN-ANALYZE rendering; profile.WriteJson() the stable export.
   obs::QueryProfile profile;
 

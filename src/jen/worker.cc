@@ -8,8 +8,7 @@
 #include <thread>
 
 #include "common/blocking_queue.h"
-#include "common/query_scope.h"
-#include "exec/memory_governor.h"
+#include "exec/worker_thread.h"
 
 namespace hybridjoin {
 
@@ -163,7 +162,6 @@ Status JenWorker::ScanImpl(const ScanTask& task,
   std::atomic<int64_t> blocks_remote{0};
 
   auto read_loop = [&](const std::vector<const BlockAssignment*>& blocks) {
-    trace::ThreadScope thread_scope(node(), "jen_read");
     for (const BlockAssignment* a : blocks) {
       trace::Span read_span(tracer_, trace::span::kJenReadBlock,
                             trace::span::kCatScan, node());
@@ -222,24 +220,17 @@ Status JenWorker::ScanImpl(const ScanTask& task,
 
   // Launch the read threads (Figure 7: one per disk, plus one draining the
   // remote blocks).
-  const uint64_t query_id = QueryScope::Current();
-  MemoryGovernor* const governor = MemoryGovernor::Current();
-  auto scoped_read_loop = [&read_loop, query_id, governor](
-                              const std::vector<const BlockAssignment*>&
-                                  blocks) {
-    QueryScope query_scope(query_id);
-    MemoryGovernor::Scope governor_scope(governor);
-    read_loop(blocks);
-  };
-  std::vector<std::thread> readers;
+  std::vector<WorkerThread> readers;
   for (auto& [disk, blocks] : by_disk) {
-    readers.emplace_back(scoped_read_loop, std::cref(blocks));
+    readers.emplace_back(node(), "jen_read",
+                         [&read_loop, &blocks] { read_loop(blocks); });
   }
   if (!remote.empty()) {
-    readers.emplace_back(scoped_read_loop, std::cref(remote));
+    readers.emplace_back(node(), "jen_read",
+                         [&read_loop, &remote] { read_loop(remote); });
   }
   std::thread closer([&readers, &queue] {
-    for (auto& t : readers) t.join();
+    for (WorkerThread& t : readers) t.Join();
     queue.Close();
   });
 
@@ -330,18 +321,13 @@ Status JenWorker::ScanImpl(const ScanTask& task,
       // historical Figure-7 pipeline, byte-for-byte.
       run_process(0);
     } else {
-      std::vector<std::thread> procs;
+      std::vector<WorkerThread> procs;
       procs.reserve(process_threads);
       for (uint32_t t = 0; t < process_threads; ++t) {
-        procs.emplace_back([&, t, query_id, governor] {
-          QueryScope query_scope(query_id);
-          MemoryGovernor::Scope governor_scope(governor);
-          trace::ThreadScope scope(node(),
-                                   trace::InternedRole("jen_proc", t));
-          run_process(t);
-        });
+        procs.emplace_back(node(), trace::InternedRole("jen_proc", t),
+                           [&run_process, t] { run_process(t); });
       }
-      for (auto& th : procs) th.join();
+      for (WorkerThread& th : procs) th.Join();
     }
   }
 

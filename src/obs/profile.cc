@@ -178,16 +178,15 @@ QueryProfile AssembleProfile(uint64_t query_id, const std::string& algorithm,
   // phase -> name -> row, accumulated across nodes. A node may report the
   // same counter under "" and under an explicit phase that maps to the
   // same canonical name; those merge here (sum, or max for gauges).
+  // Histograms are recorded outside any PhaseScope, so each node holds at
+  // most one per (phase, name) and its summary is taken as it is.
   std::map<std::string, std::map<std::string, ProfileCounterRow>> counters;
   std::map<std::string,
            std::map<std::string, std::map<std::string, HistogramSummary>>>
       histograms;
 
   for (const NodeProfileSnapshot& snap : nodes) {
-    // A node may ship more than one snapshot per query (the adaptive driver
-    // snapshots the shared prefix and the chosen driver separately, each a
-    // delta); its wall is the sum of its phases.
-    profile.worker_wall_us[snap.node] += snap.wall_us;
+    profile.worker_wall_us[snap.node] = snap.wall_us;
     for (const auto& [key, counter] : snap.metrics.counters) {
       const std::string phase =
           key.first.empty() ? PhaseForMetric(key.second) : key.first;
@@ -204,27 +203,7 @@ QueryProfile AssembleProfile(uint64_t query_id, const std::string& algorithm,
     for (const auto& [key, summary] : snap.metrics.histograms) {
       const std::string phase =
           key.first.empty() ? PhaseForMetric(key.second) : key.first;
-      HistogramSummary& cell = histograms[phase][key.second][snap.node];
-      if (cell.count == 0) {
-        cell = summary;
-      } else if (summary.count > 0) {
-        // Merge delta snapshots from the same node: counts and totals are
-        // exact; percentiles are count-weighted approximations (the raw
-        // buckets never cross the wire).
-        const double w_old = static_cast<double>(cell.count);
-        const double w_new = static_cast<double>(summary.count);
-        const double w = w_old + w_new;
-        cell.p50_seconds =
-            (cell.p50_seconds * w_old + summary.p50_seconds * w_new) / w;
-        cell.p95_seconds =
-            (cell.p95_seconds * w_old + summary.p95_seconds * w_new) / w;
-        cell.p99_seconds =
-            (cell.p99_seconds * w_old + summary.p99_seconds * w_new) / w;
-        cell.min_seconds = std::min(cell.min_seconds, summary.min_seconds);
-        cell.max_seconds = std::max(cell.max_seconds, summary.max_seconds);
-        cell.count += summary.count;
-        cell.total_seconds += summary.total_seconds;
-      }
+      histograms[phase][key.second][snap.node] = summary;
     }
   }
 

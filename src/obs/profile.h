@@ -1,8 +1,10 @@
-// QueryProfile: the per-algorithm distributed profile tree assembled from
-// the per-node metric snapshots the workers ship at end-of-query
-// (obs/metric_scope.h). The tree is phase -> metric -> per-node values,
-// with min/median/max/mean and a skew factor (max/mean) per node group, so
-// "which node made this query slow?" is answered by reading one report.
+// QueryProfile: the per-algorithm distributed profile tree of one query,
+// assembled from each worker node's slice of the scoped metric store
+// (common/metrics.h). driver::Execution reads every node's slice in place,
+// once, when it builds the report. The tree is phase -> metric -> per-node
+// values, with min/median/max/mean and a skew factor (max/mean) per node
+// group, so "which node made this query slow?" is answered by reading one
+// report.
 //
 // Two renderings:
 //   - ToText(): a human-readable EXPLAIN-ANALYZE-style tree (surfaced as
@@ -27,11 +29,20 @@
 #include <vector>
 
 #include "common/histogram.h"
+#include "common/metrics.h"
 #include "common/result.h"
-#include "obs/metric_scope.h"
 
 namespace hybridjoin {
 namespace obs {
+
+/// One worker node's contribution to its query's profile: its slice of the
+/// scoped metric store plus its worker threads' wall time, summed over the
+/// query's rounds.
+struct NodeProfileSnapshot {
+  std::string node;     ///< NodeId::ToString() form ("db:0", "hdfs:3")
+  int64_t wall_us = 0;  ///< the node's worker wall time for the query
+  ScopedMetricsSnapshot metrics;
+};
 
 /// One counter within one phase: the per-node breakdown plus the node-group
 /// statistics computed over the nodes that reported it.
@@ -103,7 +114,7 @@ const std::vector<std::string>& CanonicalPhases();
 /// "other". Stable across releases: the profile JSON schema depends on it.
 const char* PhaseForMetric(const std::string& name);
 
-/// Builds the phase -> metric -> node tree from the workers' snapshots.
+/// Builds the phase -> metric -> node tree from one snapshot per node.
 QueryProfile AssembleProfile(uint64_t query_id, const std::string& algorithm,
                              double wall_seconds,
                              const std::vector<NodeProfileSnapshot>& nodes,

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <limits>
 #include <set>
 #include <thread>
 
@@ -511,12 +512,6 @@ TEST(ThreadPoolTest, WaitIsReusable) {
   EXPECT_EQ(count.load(), 2);
 }
 
-TEST(ThreadPoolTest, ParallelForCoversAllIndexes) {
-  std::vector<int> hits(32, 0);
-  ParallelFor(32, [&](size_t i) { hits[i] = static_cast<int>(i) + 1; });
-  for (int i = 0; i < 32; ++i) EXPECT_EQ(hits[i], i + 1);
-}
-
 // ------------------------------ TokenBucket -------------------------------
 
 TEST(TokenBucketTest, UnlimitedNeverBlocks) {
@@ -648,6 +643,51 @@ TEST(MetricsTest, HistogramSnapshotUnderConcurrentWriters) {
   ASSERT_EQ(snap.count("lat"), 1u);
   EXPECT_EQ(snap.at("lat").count, 4 * 2500);
   EXPECT_DOUBLE_EQ(snap.at("lat").min_seconds, 1e-6);
+}
+
+// Every figure a reader reports comes from one Counts copy, so the count,
+// the bucket sum and the cumulative top bucket agree while writers record.
+// A reader that re-reads the live buckets per figure tears here on any core
+// count: the writers run for as long as the reader does, so on one core
+// the scheduler still lands their records between the reader's passes.
+TEST(MetricsTest, HistogramCountsCopyIsConsistentUnderConcurrentWriters) {
+  LatencyHistogram hist;
+  constexpr int kWriters = 4;
+  std::atomic<bool> stop{false};
+  std::atomic<int64_t> recorded{0};
+  std::vector<std::thread> writers;
+  for (int w = 0; w < kWriters; ++w) {
+    writers.emplace_back([&hist, &stop, &recorded, w] {
+      int64_t n = 0;
+      for (; !stop.load(std::memory_order_relaxed); ++n) {
+        hist.RecordMicros(n % 2 == 0 ? 1 : 1000 + w);
+      }
+      recorded.fetch_add(n);
+    });
+  }
+  int64_t copies = 0;
+  int64_t torn = 0;
+  int64_t last = 0;
+  Stopwatch sw;
+  while (sw.ElapsedSeconds() < 0.3) {
+    const LatencyHistogram::Counts counts = hist.Load();
+    int64_t bucket_sum = 0;
+    for (const int64_t c : counts.buckets) bucket_sum += c;
+    const int64_t count = counts.Summarize().count;
+    if (count != bucket_sum ||
+        count != counts.CountAtOrBelowMicros(
+                     std::numeric_limits<int64_t>::max()) ||
+        count < last) {
+      ++torn;
+    }
+    last = count;
+    ++copies;
+  }
+  stop.store(true);
+  for (auto& t : writers) t.join();
+  EXPECT_EQ(torn, 0) << "of " << copies << " copies";
+  EXPECT_GT(copies, 0);
+  EXPECT_EQ(hist.Count(), recorded.load());
 }
 
 TEST(MetricsTest, ScopedAttributionFollowsNodeAndPhaseScopes) {

@@ -1,5 +1,5 @@
-// Observability subsystem: JSON model, node-profile wire format, profile
-// assembly, the per-node == global invariant over every join algorithm,
+// Observability subsystem: JSON model, profile assembly, the per-node ==
+// global invariant and exact byte accounting over every join algorithm,
 // and the perfcheck regression gate.
 
 #include <gtest/gtest.h>
@@ -14,7 +14,6 @@
 #include "exec/spill.h"
 #include "hybrid/warehouse.h"
 #include "obs/json.h"
-#include "obs/metric_scope.h"
 #include "obs/perfcheck.h"
 #include "obs/profile.h"
 #include "workload/loader.h"
@@ -82,7 +81,7 @@ TEST(JsonTest, ParseHandlesEscapesAndUnicode) {
   EXPECT_EQ(parsed->items()[1].AsString(), "\xC3\xA9");
 }
 
-// ----------------------- node-profile wire format --------------------------
+// ---------------------------- node snapshots -------------------------------
 
 NodeProfileSnapshot MakeSnapshot() {
   NodeProfileSnapshot snap;
@@ -100,37 +99,6 @@ NodeProfileSnapshot MakeSnapshot() {
   s.p99_seconds = 0.002;
   snap.metrics.histograms[{"scan", "jen.scan"}] = s;
   return snap;
-}
-
-TEST(NodeProfileWireTest, RoundTrip) {
-  const NodeProfileSnapshot snap = MakeSnapshot();
-  auto decoded = DeserializeNodeProfile(SerializeNodeProfile(snap));
-  ASSERT_TRUE(decoded.ok()) << decoded.status();
-  EXPECT_EQ(decoded->node, "hdfs:3");
-  EXPECT_EQ(decoded->wall_us, 123456);
-  ASSERT_EQ(decoded->metrics.counters.size(), 2u);
-  const auto& scanned =
-      decoded->metrics.counters.at({"scan", "jen.tuples_scanned"});
-  EXPECT_EQ(scanned.value, 5000);
-  EXPECT_FALSE(scanned.gauge);
-  const auto& chain = decoded->metrics.counters.at({"", "join.ht_max_chain"});
-  EXPECT_EQ(chain.value, 7);
-  EXPECT_TRUE(chain.gauge);
-  const auto& hist = decoded->metrics.histograms.at({"scan", "jen.scan"});
-  EXPECT_EQ(hist.count, 4);
-  EXPECT_DOUBLE_EQ(hist.p95_seconds, 0.002);
-}
-
-TEST(NodeProfileWireTest, RejectsBadVersionAndTruncation) {
-  std::vector<uint8_t> bytes = SerializeNodeProfile(MakeSnapshot());
-  std::vector<uint8_t> bad_version = bytes;
-  bad_version[0] = 99;
-  EXPECT_FALSE(DeserializeNodeProfile(bad_version).ok());
-  bytes.resize(bytes.size() / 2);
-  EXPECT_FALSE(DeserializeNodeProfile(bytes).ok());
-  bytes = SerializeNodeProfile(MakeSnapshot());
-  bytes.push_back(0);  // trailing garbage
-  EXPECT_FALSE(DeserializeNodeProfile(bytes).ok());
 }
 
 // ------------------------------ phase mapping ------------------------------
@@ -360,6 +328,7 @@ TEST_F(ProfileEndToEnd, PerNodeCountersMatchGlobalReportForEveryAlgorithm) {
 
   for (const Variant& variant : variants) {
     std::map<std::string, int64_t> first_run;
+    std::map<std::string, int64_t> first_bytes;
     for (int run = 0; run < 2; ++run) {
       SCOPED_TRACE(variant.name + " run " + std::to_string(run));
       auto result = variant.run();
@@ -415,10 +384,19 @@ TEST_F(ProfileEndToEnd, PerNodeCountersMatchGlobalReportForEveryAlgorithm) {
       }
       EXPECT_EQ(wall_nodes, 3);
 
+      // Telemetry is read where it is written, never sent: the broadcast
+      // and repartition joins (Figures 2-3) move nothing between DB
+      // workers, and a second run moves exactly the bytes of the first.
+      if (variant.algorithm == JoinAlgorithm::kBroadcast ||
+          variant.algorithm == JoinAlgorithm::kRepartition) {
+        EXPECT_EQ(report.network_bytes.count("intra_db"), 0u);
+      }
       if (run == 0) {
         first_run = DataCounters(report.counters);
+        first_bytes = report.network_bytes;
       } else {
         EXPECT_EQ(DataCounters(report.counters), first_run);
+        EXPECT_EQ(report.network_bytes, first_bytes);
       }
 
       // The JSON export of this profile round-trips.

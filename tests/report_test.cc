@@ -1,7 +1,8 @@
 // Tests for the reporting/driver plumbing: ExecutionReport, algorithm
 // names, the driver stages (tag allocation, the Exchange delivery, drain,
 // send-failure and hot-route contracts, the semijoin round's EOS ending,
-// the Coordinate error contract, the Bloom union round), and the zigzag
+// the Coordinate error contract, the Bloom union round, one record across
+// an execution's rounds), and the zigzag
 // build-side ablation (both plans must agree exactly).
 
 #include <gtest/gtest.h>
@@ -500,7 +501,7 @@ TEST(DriverStageTest, KeptHotRowsAreReleasedAfterAnEarlyReceiveError) {
         [&](uint32_t w) -> Status {
           if (w == 1) return Status::OK();  // never sends: its stream times out
           const NodeId self = NodeId::Hdfs(0);
-          driver::WorkerThread receiver(self, "jen_receive", [&] {
+          WorkerThread receiver(self, "jen_receive", [&] {
             receive_status = exchange.Receive(
                 self, [](RecordBatch&&) { return Status::OK(); });
           });
@@ -515,6 +516,64 @@ TEST(DriverStageTest, KeptHotRowsAreReleasedAfterAnEarlyReceiveError) {
     EXPECT_EQ(exec.governor()->used(), 0u);
   }
   EXPECT_EQ(ctx.metrics().Get(metric::kServerGovernorLeakedBytes), 0);
+}
+
+// A query's two rounds (the adaptive prefix, then the chosen driver) add to
+// one record: the live process-list totals hold both rounds after the
+// second, the report's counter is their sum, and each node's histogram row
+// summarizes every value the node recorded, not a count-weighted average
+// of per-round summaries (which would put p50 at 250.75 us here).
+TEST(DriverStageTest, TwoRoundsAddToOneExactRecord) {
+  SimulationConfig config;
+  config.db.num_workers = 2;
+  config.jen_workers = 2;
+  EngineContext ctx(config);
+  constexpr char kRows[] = "test.rows";
+  constexpr char kLatency[] = "test.latency_us";
+  driver::Execution exec(&ctx, JoinAlgorithm::kZigzag, 0);
+  auto round = [&](int64_t rows, const std::vector<int64_t>& micros) {
+    const driver::Execution::WorkerFn worker = [&](uint32_t) {
+      ctx.metrics().Add(kRows, rows);
+      for (const int64_t us : micros) ctx.metrics().Record(kLatency, us);
+      return Status::OK();
+    };
+    return exec.RunWorkers(worker, worker);
+  };
+  ASSERT_TRUE(round(5, {1, 1, 1}).ok());
+  ASSERT_TRUE(round(7, {1000}).ok());
+  constexpr int64_t kNodes = 4;
+
+  const auto live = ctx.metrics().ScopedQueryTotals(exec.query_id());
+  ASSERT_EQ(live.count(kRows), 1u);
+  EXPECT_EQ(live.at(kRows), kNodes * (5 + 7));
+
+  auto result = exec.Finish(RecordBatch());
+  ASSERT_TRUE(result.ok()) << result.status();
+  const ExecutionReport& report = result->report;
+  EXPECT_EQ(report.Counter(kRows), kNodes * (5 + 7));
+
+  LatencyHistogram exact;
+  for (const int64_t us : {1, 1, 1, 1000}) exact.RecordMicros(us);
+  const HistogramSummary want = exact.Summarize();
+  ASSERT_DOUBLE_EQ(want.p50_seconds, 1e-6);
+  const obs::ProfileHistogramRow* row = nullptr;
+  for (const obs::ProfilePhase& phase : report.profile.phases) {
+    for (const obs::ProfileHistogramRow& h : phase.histograms) {
+      if (h.name == kLatency) row = &h;
+    }
+  }
+  ASSERT_NE(row, nullptr);
+  EXPECT_EQ(row->per_node.size(), static_cast<size_t>(kNodes));
+  for (const auto& [node, got] : row->per_node) {
+    SCOPED_TRACE(node);
+    EXPECT_EQ(got.count, want.count);
+    EXPECT_DOUBLE_EQ(got.total_seconds, want.total_seconds);
+    EXPECT_DOUBLE_EQ(got.min_seconds, want.min_seconds);
+    EXPECT_DOUBLE_EQ(got.max_seconds, want.max_seconds);
+    EXPECT_DOUBLE_EQ(got.p50_seconds, want.p50_seconds);
+    EXPECT_DOUBLE_EQ(got.p95_seconds, want.p95_seconds);
+    EXPECT_DOUBLE_EQ(got.p99_seconds, want.p99_seconds);
+  }
 }
 
 TEST(DriverCommonTest, FilterBatchesByBloomDropsNonMembers) {
