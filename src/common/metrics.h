@@ -1,31 +1,30 @@
 // Metrics: thread-safe named counters and latency histograms collected
 // during query executions. Every join driver's ExecutionReport carries its
-// own query's share of them (the scoped store below). Histograms are fed by
-// the tracing subsystem (src/trace/): every finished span's duration is
-// recorded under the span's name.
+// own query's share of them. Histograms are fed by the tracing subsystem
+// (src/trace/): every finished span's duration is recorded under the span's
+// name.
 //
-// Besides the global namespace, every write is mirrored into a *scoped*
-// per-node store when the calling thread carries node attribution
-// (Metrics::NodeScope, installed automatically by trace::ThreadScope) —
-// optionally refined with a query phase (Metrics::PhaseScope). The global
-// counters are never reset between queries: they are process-lifetime
-// totals for scrapes.
+// There is one record. Every named write (Add/Max/Record) updates exactly
+// one cell, under one lock acquisition: the cell of that name in the slice
+// of the calling thread's (QueryScope id, node key) — the node key set by
+// Metrics::NodeScope, which trace::ThreadScope installs. Query id 0 ("no
+// query") and kNoNode are ordinary slices.
 //
-// The scoped store is additionally keyed by the calling thread's QueryScope
-// id, so N concurrent queries write into disjoint slices and their profiles
-// never cross-contaminate. A query's slices are its one record: they
-// accumulate over all of its rounds, the live process list sums them while
-// it runs (ScopedQueryTotals), its report reads each node's slice once when
-// it is built (ScopedSnapshot) into the per-node profile tree of
-// ExecutionReport::profile (see src/obs/), and ClearScoped(query_id) drops
-// them when the query ends. Query id 0 ("no query") is the slice of writes
-// made outside any query.
+// A query's slices accumulate over all of its rounds; the live process list
+// sums them while it runs (ScopedQueryTotals), its report reads each node's
+// slice once when it is built (ScopedSnapshot) into the per-node profile
+// tree of ExecutionReport::profile (see src/obs/, which derives each
+// metric's phase from its name), and ClearScoped(query_id) folds them into
+// the retired record when the query ends. The process-wide reads (Get,
+// Snapshot, HistogramCounts) fold the retired record and every live slice
+// under the same lock, so scrapes see in-flight queries too, from one
+// consistent copy. Set is the one exception: a process-level last-value
+// gauge outside the slices.
 
 #ifndef HYBRIDJOIN_COMMON_METRICS_H_
 #define HYBRIDJOIN_COMMON_METRICS_H_
 
 #include <algorithm>
-#include <atomic>
 #include <cstdint>
 #include <limits>
 #include <map>
@@ -39,32 +38,34 @@
 
 namespace hybridjoin {
 
-/// One scoped counter value: gauges (recorded with Metrics::Max) aggregate
-/// across nodes by maximum, everything else by sum.
+/// One counter cell: gauges (recorded with Metrics::Max) fold across cells
+/// by maximum, everything else by sum.
 struct ScopedCounter {
   int64_t value = 0;
   bool gauge = false;
+
+  void Fold(const ScopedCounter& other) {
+    if (other.gauge) {
+      gauge = true;
+      value = std::max(value, other.value);
+    } else {
+      value += other.value;
+    }
+  }
 };
 
-/// One node's slice of the scoped store: (phase, name) -> value. Phase is
-/// "" when the write carried no PhaseScope; the profile assembler maps
-/// those names onto canonical phases (obs::PhaseForMetric).
+/// One node's slice of the store, keyed by metric name.
 struct ScopedMetricsSnapshot {
-  std::map<std::pair<std::string, std::string>, ScopedCounter> counters;
-  std::map<std::pair<std::string, std::string>, HistogramSummary> histograms;
+  std::map<std::string, ScopedCounter> counters;
+  std::map<std::string, HistogramSummary> histograms;
 
   bool empty() const { return counters.empty() && histograms.empty(); }
 };
 
-/// A registry of monotonically increasing counters. Counter handles are
-/// stable for the lifetime of the registry; Add() on a handle is a single
-/// relaxed atomic increment. Writes through the named convenience calls
-/// (Add/Max/Record) are additionally attributed to the calling thread's
-/// {node, phase} scope; writes through raw handles are global-only.
+/// The registry: one slice per (query id, node key) plus the retired fold
+/// of every finished query's slices.
 class Metrics {
  public:
-  using Counter = std::atomic<int64_t>;
-
   /// Node key meaning "no attribution" (see NodeScope / net MetricNodeKey).
   static constexpr int32_t kNoNode = -1;
 
@@ -90,92 +91,52 @@ class Metrics {
     int32_t saved_;
   };
 
-  /// RAII: tags every named Metrics write on the calling thread with a
-  /// query phase ("scan", "build", ...). `phase` must outlive the scope
-  /// (string literals in practice — same contract as span names).
-  class PhaseScope {
-   public:
-    explicit PhaseScope(const char* phase) : saved_(tls_phase_) {
-      tls_phase_ = phase;
-    }
-    ~PhaseScope() { tls_phase_ = saved_; }
-    PhaseScope(const PhaseScope&) = delete;
-    PhaseScope& operator=(const PhaseScope&) = delete;
-
-   private:
-    const char* saved_;
-  };
-
-  /// The calling thread's current attribution (kNoNode / "" outside any
+  /// The calling thread's current node attribution (kNoNode outside any
   /// scope).
   static int32_t CurrentNodeKey() { return tls_node_key_; }
-  static const char* CurrentPhase() {
-    return tls_phase_ == nullptr ? "" : tls_phase_;
-  }
 
-  /// Returns (creating if needed) the counter with this name.
-  Counter* GetCounter(const std::string& name) {
-    std::lock_guard<std::mutex> lock(mu_);
-    auto& slot = counters_[name];
-    if (!slot) slot = std::make_unique<Counter>(0);
-    return slot.get();
-  }
-
-  /// Convenience: one-shot add by name (takes the registry lock), mirrored
-  /// into the calling thread's node scope.
+  /// Adds `delta` to the named counter of the calling thread's slice.
   void Add(const std::string& name, int64_t delta) {
-    GetCounter(name)->fetch_add(delta, std::memory_order_relaxed);
-    ScopedWrite(name, delta, /*gauge=*/false);
+    Write(name, {delta, /*gauge=*/false});
   }
 
-  /// Raises the counter to `value` if it is below it (gauge-style maximum,
-  /// e.g. the worst hash-table chain length across workers). Scoped slices
-  /// keep the per-node maximum.
+  /// Raises the named gauge of the calling thread's slice to `value` if it
+  /// is below it (e.g. the worst hash-table chain length). Folds by maximum.
   void Max(const std::string& name, int64_t value) {
-    Counter* c = GetCounter(name);
-    int64_t cur = c->load(std::memory_order_relaxed);
-    while (cur < value &&
-           !c->compare_exchange_weak(cur, value, std::memory_order_relaxed)) {
-    }
-    ScopedWrite(name, value, /*gauge=*/true);
+    Write(name, {value, /*gauge=*/true});
   }
 
   /// Stores an absolute value (last-write-wins gauge, e.g. the number of
-  /// open sessions). Global-only: gauges of this kind describe
-  /// whole-process state, not one node's contribution, so there is no
-  /// scoped mirror.
+  /// open sessions). Process-level: gauges of this kind describe
+  /// whole-process state, not one node's contribution, so they live
+  /// outside the slices.
   void Set(const std::string& name, int64_t value) {
-    GetCounter(name)->store(value, std::memory_order_relaxed);
+    std::lock_guard<std::mutex> lock(mu_);
+    set_gauges_[name] = value;
   }
 
-  int64_t Get(const std::string& name) {
-    return GetCounter(name)->load(std::memory_order_relaxed);
+  /// The process-wide value of one counter (0 if never written).
+  int64_t Get(const std::string& name) const {
+    const auto snapshot = Snapshot();
+    auto it = snapshot.find(name);
+    return it == snapshot.end() ? 0 : it->second;
   }
 
-  /// Point-in-time snapshot of every counter.
+  /// Point-in-time process-wide value of every counter: the retired record
+  /// folded with every live slice, plus the Set gauges.
   std::map<std::string, int64_t> Snapshot() const {
     std::lock_guard<std::mutex> lock(mu_);
+    std::map<std::string, ScopedCounter> folded = retired_.counters;
+    for (const auto& [key, slot] : scoped_) FoldCounters(slot, &folded);
     std::map<std::string, int64_t> out;
-    for (const auto& [name, counter] : counters_) {
-      out[name] = counter->load(std::memory_order_relaxed);
-    }
+    for (const auto& [name, counter] : folded) out[name] = counter.value;
+    for (const auto& [name, value] : set_gauges_) out[name] = value;
     return out;
   }
 
-  /// Returns (creating if needed) the latency histogram with this name.
-  /// Handles are stable for the registry's lifetime; RecordMicros on a
-  /// handle is lock-free (and global-only — see Record for the scoped
-  /// path).
-  LatencyHistogram* GetHistogram(const std::string& name) {
-    std::lock_guard<std::mutex> lock(mu_);
-    auto& slot = histograms_[name];
-    if (!slot) slot = std::make_unique<LatencyHistogram>();
-    return slot.get();
-  }
-
-  /// Records one observation into the named histogram, globally and into
-  /// the calling thread's node scope. Values are microseconds for latency
-  /// series and plain magnitudes otherwise (e.g. join.build_shard_rows).
+  /// Records one observation into the named histogram of the calling
+  /// thread's slice. Values are microseconds for latency series and plain
+  /// magnitudes otherwise (e.g. join.build_shard_rows).
   void Record(const std::string& name, int64_t value) {
     RecordForNode(name, value, tls_node_key_);
   }
@@ -184,34 +145,37 @@ class Metrics {
   /// duration to the span's node, not the recording thread.
   void RecordForNode(const std::string& name, int64_t value,
                      int32_t node_key) {
-    GetHistogram(name)->RecordMicros(value);
-    if (node_key == kNoNode) return;
-    const std::pair<std::string, std::string> key(CurrentPhase(), name);
     std::lock_guard<std::mutex> lock(mu_);
-    auto& slot =
-        scoped_[{QueryScope::Current(), node_key}].histograms[key];
+    auto& slot = scoped_[{QueryScope::Current(), node_key}].histograms[name];
     if (!slot) slot = std::make_unique<LatencyHistogram>();
     slot->RecordMicros(value);
   }
 
-  /// Point-in-time percentile summaries of every non-empty histogram.
-  std::map<std::string, HistogramSummary> HistogramSnapshot() const {
+  /// Process-wide bucket counts of every histogram, the retired record
+  /// folded with every live slice. Every figure a reader reports about one
+  /// histogram must come from its one Counts copy.
+  std::map<std::string, LatencyHistogram::Counts> HistogramCounts() const {
     std::lock_guard<std::mutex> lock(mu_);
-    std::map<std::string, HistogramSummary> out;
-    for (const auto& [name, histogram] : histograms_) {
-      HistogramSummary s = histogram->Summarize();
-      if (s.count > 0) out[name] = s;
-    }
+    std::map<std::string, LatencyHistogram> folded;
+    const auto fold = [&folded](const Slot& slot) {
+      for (const auto& [name, histogram] : slot.histograms) {
+        folded[name].Merge(*histogram);
+      }
+    };
+    fold(retired_);
+    for (const auto& [key, slot] : scoped_) fold(slot);
+    std::map<std::string, LatencyHistogram::Counts> out;
+    for (const auto& [name, histogram] : folded) out[name] = histogram.Load();
     return out;
   }
 
-  /// One node's scoped counters/histograms for the calling thread's current
-  /// query (id 0 outside any QueryScope).
+  /// One node's slice for the calling thread's current query (id 0 outside
+  /// any QueryScope).
   ScopedMetricsSnapshot ScopedSnapshot(int32_t node_key) const {
     return ScopedSnapshot(QueryScope::Current(), node_key);
   }
 
-  /// One node's scoped slice for an explicit query id.
+  /// One node's slice for an explicit query id.
   ScopedMetricsSnapshot ScopedSnapshot(uint64_t query_id,
                                        int32_t node_key) const {
     std::lock_guard<std::mutex> lock(mu_);
@@ -219,90 +183,87 @@ class Metrics {
     auto it = scoped_.find({query_id, node_key});
     if (it == scoped_.end()) return out;
     out.counters = it->second.counters;
-    for (const auto& [key, histogram] : it->second.histograms) {
-      HistogramSummary s = histogram->Summarize();
-      if (s.count > 0) out.histograms[key] = s;
+    for (const auto& [name, histogram] : it->second.histograms) {
+      out.histograms[name] = histogram->Summarize();
     }
     return out;
   }
 
-  /// One query's scoped counters summed across all of its node slices, the
-  /// (phase, name) keys collapsed to the metric name (gauges aggregate by
+  /// One query's counters folded across all of its slices (gauges by
   /// maximum, everything else by sum — same rule as profile assembly).
   /// Powers the live process list: rows scanned/produced and spill bytes of
   /// an *in-flight* query come from here without waiting for end-of-query
   /// profile assembly.
   std::map<std::string, int64_t> ScopedQueryTotals(uint64_t query_id) const {
     std::lock_guard<std::mutex> lock(mu_);
-    std::map<std::string, int64_t> out;
-    auto it =
-        scoped_.lower_bound({query_id, std::numeric_limits<int32_t>::min()});
-    for (; it != scoped_.end() && it->first.first == query_id; ++it) {
-      for (const auto& [key, counter] : it->second.counters) {
-        int64_t& slot = out[key.second];
-        if (counter.gauge) {
-          slot = std::max(slot, counter.value);
-        } else {
-          slot += counter.value;
-        }
-      }
+    std::map<std::string, ScopedCounter> folded;
+    for (auto it = FirstSlotOf(query_id);
+         it != scoped_.end() && it->first.first == query_id; ++it) {
+      FoldCounters(it->second, &folded);
     }
+    std::map<std::string, int64_t> out;
+    for (const auto& [name, counter] : folded) out[name] = counter.value;
     return out;
   }
 
-  /// Drops one query's scoped slices (end-of-query under concurrency);
-  /// other in-flight queries' slices and the globals are left untouched.
+  /// Retires one query (end-of-query under concurrency): folds its slices
+  /// into the retired record and drops them, so every process-wide read is
+  /// unchanged while the query's own slices read empty. Other in-flight
+  /// queries' slices are left untouched.
   void ClearScoped(uint64_t query_id) {
     std::lock_guard<std::mutex> lock(mu_);
-    auto it =
-        scoped_.lower_bound({query_id, std::numeric_limits<int32_t>::min()});
+    auto it = FirstSlotOf(query_id);
     while (it != scoped_.end() && it->first.first == query_id) {
+      FoldCounters(it->second, &retired_.counters);
+      for (const auto& [name, histogram] : it->second.histograms) {
+        auto& into = retired_.histograms[name];
+        if (!into) into = std::make_unique<LatencyHistogram>();
+        into->Merge(*histogram);
+      }
       it = scoped_.erase(it);
     }
   }
 
   void Reset() {
     std::lock_guard<std::mutex> lock(mu_);
-    for (auto& [name, counter] : counters_) {
-      counter->store(0, std::memory_order_relaxed);
-    }
-    for (auto& [name, histogram] : histograms_) {
-      histogram->Reset();
-    }
     scoped_.clear();
+    retired_ = Slot();
+    set_gauges_.clear();
   }
 
  private:
-  struct ScopedSlot {
-    std::map<std::pair<std::string, std::string>, ScopedCounter> counters;
-    std::map<std::pair<std::string, std::string>,
-             std::unique_ptr<LatencyHistogram>>
-        histograms;
+  struct Slot {
+    std::map<std::string, ScopedCounter> counters;
+    std::map<std::string, std::unique_ptr<LatencyHistogram>> histograms;
   };
+  using SlotMap = std::map<std::pair<uint64_t, int32_t>, Slot>;
 
-  void ScopedWrite(const std::string& name, int64_t value, bool gauge) {
-    const int32_t node = tls_node_key_;
-    if (node == kNoNode) return;
-    const std::pair<std::string, std::string> key(CurrentPhase(), name);
+  void Write(const std::string& name, const ScopedCounter& value) {
     std::lock_guard<std::mutex> lock(mu_);
-    ScopedCounter& c = scoped_[{QueryScope::Current(), node}].counters[key];
-    if (gauge) {
-      c.gauge = true;
-      if (value > c.value) c.value = value;
-    } else {
-      c.value += value;
+    scoped_[{QueryScope::Current(), tls_node_key_}].counters[name].Fold(value);
+  }
+
+  static void FoldCounters(const Slot& slot,
+                           std::map<std::string, ScopedCounter>* into) {
+    for (const auto& [name, counter] : slot.counters) {
+      (*into)[name].Fold(counter);
     }
   }
 
+  SlotMap::const_iterator FirstSlotOf(uint64_t query_id) const {
+    return scoped_.lower_bound(
+        {query_id, std::numeric_limits<int32_t>::min()});
+  }
+
   static inline thread_local int32_t tls_node_key_ = kNoNode;
-  static inline thread_local const char* tls_phase_ = nullptr;
 
   mutable std::mutex mu_;
-  std::map<std::string, std::unique_ptr<Counter>> counters_;
-  std::map<std::string, std::unique_ptr<LatencyHistogram>> histograms_;
   /// Keyed by (query id, node key): concurrent queries write disjoint
-  /// slices; id 0 is the legacy "no query" slice.
-  std::map<std::pair<uint64_t, int32_t>, ScopedSlot> scoped_;
+  /// slices; id 0 is the "no query" slice.
+  SlotMap scoped_;
+  /// Every retired query's slices, folded into one record.
+  Slot retired_;
+  std::map<std::string, int64_t> set_gauges_;
 };
 
 // Canonical counter names used by the engine. Kept as constants so benches,
@@ -351,8 +312,10 @@ inline constexpr const char kJenWorkerWallUs[] = "jen.worker_wall_us";
 // side of the hybrid route — the DB-scanned T' rows whose key is hot, each
 // replicated to every worker of the exchange — and "probe" is the skewed
 // side whose hot rows never enter the shuffle (they stay on the worker
-// that scanned them). hot_keys is a gauge (the picked hot-set size);
-// broadcast_bytes counts the replicated payload bytes across all copies.
+// that scanned them). hot_keys is a gauge: the agreed hot-set size,
+// recorded by each sender that routes a hot row, so it stays 0 when the set
+// shaped no exchange; broadcast_bytes counts the replicated payload bytes
+// across all copies.
 inline constexpr const char kShuffleHotKeys[] = "shuffle.hot_keys";
 inline constexpr const char kShuffleBroadcastBytes[] =
     "shuffle.broadcast_bytes";

@@ -223,8 +223,6 @@ Result<std::vector<RecordBatch>> DbWorker::ScanFilterProject(
     out.push_back(batch.Project(indices).Gather(sel));
   }
   if (metrics != nullptr) {
-    // Tag the scan-stat mirror for the query profile's phase tree.
-    Metrics::PhaseScope phase_scope("scan");
     metrics->Add(metric::kDbTuplesScanned, scanned);
     metrics->Add(metric::kDbTuplesAfterFilter, kept);
   }

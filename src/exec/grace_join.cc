@@ -294,9 +294,8 @@ void GraceHashJoin::RecordTableShape() const {
   metrics_->Max(metric::kJoinHtLoadFactorPct,
                 static_cast<int64_t>(table_->load_factor() * 100.0));
   if (table_->num_shards() > 1) {
-    // Shard-skew visibility: histogram values are row counts, not micros.
-    // Record() (vs GetHistogram()->RecordMicros()) also lands the values in
-    // the calling node's scoped slice for the query profile.
+    // Shard-skew visibility: histogram values are row counts, not micros,
+    // recorded in the calling node's slice for the query profile.
     for (uint32_t s = 0; s < table_->num_shards(); ++s) {
       const auto rows = static_cast<int64_t>(table_->shard_rows(s));
       metrics_->Record(metric::kJoinBuildShardRows, rows);

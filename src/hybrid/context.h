@@ -25,8 +25,9 @@ namespace hybridjoin {
 /// (src/server/ pushes them through admission control): scoped metric
 /// slices, trace events and network byte charges are keyed per query id,
 /// catalogs take reader-writer locks, and the exec pool fair-shares across
-/// query lanes. The global counters, the tracer buffer and the per-class
-/// byte totals are whole-context views across every query.
+/// query lanes. The process-wide metric reads (a fold of every query's
+/// slices), the tracer buffer and the per-class byte totals are
+/// whole-context views across every query.
 class EngineContext {
  public:
   explicit EngineContext(const SimulationConfig& config);

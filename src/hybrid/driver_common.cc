@@ -205,18 +205,15 @@ int64_t KeyAt(const ColumnVector& key, uint32_t row) {
 
 /// The hot-key agreement's fold result: the hot set for an exchange over
 /// `route_workers` destinations (PickHotKeys with the SkewConfig knobs),
-/// recorded in the shuffle.hot_keys gauge and the event log. One
-/// coordinator decides, so every sender agrees on exactly which keys are
-/// hot and every (build, probe) row pair meets on exactly one worker.
+/// recorded in the event log. One coordinator decides, so every sender
+/// agrees on exactly which keys are hot and every (build, probe) row pair
+/// meets on exactly one worker.
 HotKeySet AgreeHotKeys(EngineContext* ctx, const HeavyHitterSketch& merged,
                        uint32_t route_workers) {
   const SkewConfig& skew = ctx->config().skew;
   HotKeySet hot = PickHotKeys(merged, route_workers, skew.hot_multiplier,
                               skew.max_hot_keys);
   if (hot.empty()) return hot;
-  Metrics::PhaseScope phase_scope("shuffle");
-  ctx->metrics().Max(metric::kShuffleHotKeys,
-                     static_cast<int64_t>(hot.size()));
   if (obs::EventLog::Global().enabled()) {
     auto fields = obs::JsonValue::Object();
     fields.Set("hot_keys",
@@ -353,8 +350,12 @@ void Exchange::Sender::Emit(uint32_t thread, size_t slot) {
   if (slot < spec_.receivers.size()) {
     trace::Span span(tracer_, spec_.send_span, trace::span::kCatExchange);
     SendTo(static_cast<uint32_t>(slot), batch);
-  } else if (spec_.hot_mode == HotMode::kBroadcast) {
-    Metrics& metrics = exchange_->ctx_->metrics();
+    return;
+  }
+  // A hot row took the hybrid route: the hot set shaped this exchange.
+  Metrics& metrics = exchange_->ctx_->metrics();
+  metrics.Max(metric::kShuffleHotKeys, static_cast<int64_t>(hot_->size()));
+  if (spec_.hot_mode == HotMode::kBroadcast) {
     metrics.Add(metric::kShuffleHotRowsBuild,
                 static_cast<int64_t>(batch.num_rows()));
     metrics.Add(metric::kShuffleBroadcastBytes,

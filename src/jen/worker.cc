@@ -344,8 +344,6 @@ Status JenWorker::ScanImpl(const ScanTask& task,
   st->blocks_skipped += blocks_skipped.load();
   st->bytes_read += bytes_read.load();
   if (metrics_ != nullptr) {
-    // Tag the scan-stat mirror for the query profile's phase tree.
-    Metrics::PhaseScope phase_scope("scan");
     metrics_->Add(metric::kHdfsBytesRead, bytes_read.load());
     metrics_->Add(metric::kHdfsTuplesScanned, st->rows_scanned);
     metrics_->Add(metric::kHdfsTuplesAfterFilter, st->rows_after_filter);

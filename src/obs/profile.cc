@@ -175,11 +175,8 @@ QueryProfile AssembleProfile(uint64_t query_id, const std::string& algorithm,
   profile.wall_seconds = wall_seconds;
   profile.trace_file = trace_file;
 
-  // phase -> name -> row, accumulated across nodes. A node may report the
-  // same counter under "" and under an explicit phase that maps to the
-  // same canonical name; those merge here (sum, or max for gauges).
-  // Histograms are recorded outside any PhaseScope, so each node holds at
-  // most one per (phase, name) and its summary is taken as it is.
+  // phase -> name -> row, one cell per node. A metric's phase is a pure
+  // function of its name.
   std::map<std::string, std::map<std::string, ProfileCounterRow>> counters;
   std::map<std::string,
            std::map<std::string, std::map<std::string, HistogramSummary>>>
@@ -187,23 +184,14 @@ QueryProfile AssembleProfile(uint64_t query_id, const std::string& algorithm,
 
   for (const NodeProfileSnapshot& snap : nodes) {
     profile.worker_wall_us[snap.node] = snap.wall_us;
-    for (const auto& [key, counter] : snap.metrics.counters) {
-      const std::string phase =
-          key.first.empty() ? PhaseForMetric(key.second) : key.first;
-      ProfileCounterRow& row = counters[phase][key.second];
-      row.name = key.second;
+    for (const auto& [name, counter] : snap.metrics.counters) {
+      ProfileCounterRow& row = counters[PhaseForMetric(name)][name];
+      row.name = name;
       row.gauge = row.gauge || counter.gauge;
-      int64_t& cell = row.per_node[snap.node];
-      if (counter.gauge) {
-        cell = std::max(cell, counter.value);
-      } else {
-        cell += counter.value;
-      }
+      row.per_node[snap.node] = counter.value;
     }
-    for (const auto& [key, summary] : snap.metrics.histograms) {
-      const std::string phase =
-          key.first.empty() ? PhaseForMetric(key.second) : key.first;
-      histograms[phase][key.second][snap.node] = summary;
+    for (const auto& [name, summary] : snap.metrics.histograms) {
+      histograms[PhaseForMetric(name)][name][snap.node] = summary;
     }
   }
 
@@ -219,8 +207,7 @@ QueryProfile AssembleProfile(uint64_t query_id, const std::string& algorithm,
       for (const auto& [node, v] : row.per_node) {
         row.total = row.gauge ? std::max(row.total, v) : row.total + v;
       }
-      int64_t& total = profile.global_counters[name];
-      total = row.gauge ? std::max(total, row.total) : total + row.total;
+      profile.global_counters[name] = row.total;
     }
   }
   std::erase_if(profile.global_counters,

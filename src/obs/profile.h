@@ -108,10 +108,10 @@ struct QueryProfile {
 /// Canonical phase order of the tree.
 const std::vector<std::string>& CanonicalPhases();
 
-/// Deterministic phase for a metric whose write carried no explicit
-/// PhaseScope, keyed off the metric-name conventions ("jen.tuples_scanned"
-/// -> "scan", "join.ht_rows" -> "build", ...). Unknown names map to
-/// "other". Stable across releases: the profile JSON schema depends on it.
+/// Deterministic phase of a metric, keyed off the metric-name conventions
+/// ("jen.tuples_scanned" -> "scan", "join.ht_rows" -> "build", ...).
+/// Unknown names map to "other". Stable across releases: the profile JSON
+/// schema depends on it.
 const char* PhaseForMetric(const std::string& name);
 
 /// Builds the phase -> metric -> node tree from one snapshot per node.

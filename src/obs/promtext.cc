@@ -193,12 +193,10 @@ std::string RenderPrometheus(Metrics& metrics) {
     out += "# TYPE " + pname + (gauge ? " gauge\n" : " counter\n");
     out += pname + " " + FormatNumber(static_cast<double>(value)) + "\n";
   }
-  // HistogramSnapshot() lists the non-empty histograms. Every figure of one
-  // histogram comes from a single Counts copy of its live buckets, so the
+  // Every figure of one histogram comes from its single Counts copy, so the
   // `le` buckets, `+Inf` and `_count` agree even while Record calls race
   // the render.
-  for (const auto& [name, summary] : metrics.HistogramSnapshot()) {
-    const LatencyHistogram::Counts counts = metrics.GetHistogram(name)->Load();
+  for (const auto& [name, counts] : metrics.HistogramCounts()) {
     const std::string count = FormatNumber(static_cast<double>(counts.Count()));
     const std::string pname = PrometheusName(name);
     out += "# HELP " + pname + " Engine histogram " + name + "\n";

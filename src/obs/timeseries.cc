@@ -59,16 +59,16 @@ void MetricsSampler::ThreadMain() {
 void MetricsSampler::SampleOnce() {
   const int64_t t_us = NowMicros();
   const auto counters = metrics_->Snapshot();
-  const auto histograms = metrics_->HistogramSnapshot();
+  const auto histograms = metrics_->HistogramCounts();
   std::lock_guard<std::mutex> lock(series_mu_);
   for (const auto& [name, value] : counters) {
     auto& ring = counter_series_[name];
     ring.push_back({t_us, value});
     while (ring.size() > config_.ring_capacity) ring.pop_front();
   }
-  for (const auto& [name, summary] : histograms) {
+  for (const auto& [name, counts] : histograms) {
     auto& ring = histogram_series_[name];
-    ring.push_back({t_us, summary});
+    ring.push_back({t_us, counts.Summarize()});
     while (ring.size() > config_.ring_capacity) ring.pop_front();
   }
   samples_.fetch_add(1, std::memory_order_relaxed);

@@ -5,6 +5,8 @@
 
 #include <atomic>
 #include <limits>
+#include <map>
+#include <mutex>
 #include <set>
 #include <thread>
 
@@ -582,15 +584,12 @@ TEST(MetricsTest, CountersAccumulate) {
   EXPECT_EQ(m.Get("x"), 0);
 }
 
-TEST(MetricsTest, HandleIsFastPath) {
+TEST(MetricsTest, ConcurrentNamedAddsAreExact) {
   Metrics m;
-  auto* counter = m.GetCounter("hot");
   std::vector<std::thread> threads;
   for (int t = 0; t < 4; ++t) {
-    threads.emplace_back([counter] {
-      for (int i = 0; i < 10000; ++i) {
-        counter->fetch_add(1, std::memory_order_relaxed);
-      }
+    threads.emplace_back([&m] {
+      for (int i = 0; i < 10000; ++i) m.Add("hot", 1);
     });
   }
   for (auto& t : threads) t.join();
@@ -614,13 +613,13 @@ TEST(MetricsTest, MaxUnderConcurrentWritersKeepsTheMaximum) {
   EXPECT_EQ(m.Get("gauge"), 7 * 10000 + 4999);
   for (int t = 0; t < 8; ++t) {
     const auto snap = m.ScopedSnapshot(t);
-    const auto& c = snap.counters.at({"", "gauge"});
+    const auto& c = snap.counters.at("gauge");
     EXPECT_TRUE(c.gauge);
     EXPECT_EQ(c.value, t * 10000 + 4999);
   }
 }
 
-TEST(MetricsTest, HistogramSnapshotUnderConcurrentWriters) {
+TEST(MetricsTest, HistogramCountsUnderConcurrentWriters) {
   Metrics m;
   std::vector<std::thread> threads;
   std::atomic<bool> stop{false};
@@ -628,7 +627,7 @@ TEST(MetricsTest, HistogramSnapshotUnderConcurrentWriters) {
   // snapshot below must still see every observation.
   threads.emplace_back([&m, &stop] {
     while (!stop.load()) {
-      (void)m.HistogramSnapshot();
+      (void)m.HistogramCounts();
     }
   });
   for (int t = 0; t < 4; ++t) {
@@ -639,10 +638,10 @@ TEST(MetricsTest, HistogramSnapshotUnderConcurrentWriters) {
   for (size_t t = 1; t < threads.size(); ++t) threads[t].join();
   stop.store(true);
   threads[0].join();
-  const auto snap = m.HistogramSnapshot();
-  ASSERT_EQ(snap.count("lat"), 1u);
-  EXPECT_EQ(snap.at("lat").count, 4 * 2500);
-  EXPECT_DOUBLE_EQ(snap.at("lat").min_seconds, 1e-6);
+  const auto counts = m.HistogramCounts();
+  ASSERT_EQ(counts.count("lat"), 1u);
+  EXPECT_EQ(counts.at("lat").Count(), 4 * 2500);
+  EXPECT_DOUBLE_EQ(counts.at("lat").Summarize().min_seconds, 1e-6);
 }
 
 // Every figure a reader reports comes from one Counts copy, so the count,
@@ -690,33 +689,30 @@ TEST(MetricsTest, HistogramCountsCopyIsConsistentUnderConcurrentWriters) {
   EXPECT_EQ(hist.Count(), recorded.load());
 }
 
-TEST(MetricsTest, ScopedAttributionFollowsNodeAndPhaseScopes) {
+TEST(MetricsTest, ScopedAttributionFollowsNodeScopes) {
   Metrics m;
-  m.Add("unattributed", 5);  // no scope: global only
+  m.Add("unattributed", 5);  // no scope: the kNoNode slice
   {
     Metrics::NodeScope node(3);
     m.Add("x", 10);
     {
-      Metrics::PhaseScope phase("scan");
-      m.Add("x", 7);
       Metrics::NodeScope inner(4);  // nested node scope wins
       m.Add("x", 1);
     }
-    m.Add("x", 2);  // phase scope popped
+    m.Add("x", 2);  // inner scope popped
     m.Record("lat", 100);
   }
-  EXPECT_EQ(m.Get("x"), 20);
+  EXPECT_EQ(m.Get("x"), 13);
   EXPECT_EQ(m.Get("unattributed"), 5);
   EXPECT_EQ(Metrics::CurrentNodeKey(), Metrics::kNoNode);
-  EXPECT_STREQ(Metrics::CurrentPhase(), "");
 
   const auto node3 = m.ScopedSnapshot(3);
-  EXPECT_EQ(node3.counters.at({"", "x"}).value, 12);
-  EXPECT_EQ(node3.counters.at({"scan", "x"}).value, 7);
-  EXPECT_EQ(node3.counters.count({"", "unattributed"}), 0u);
-  EXPECT_EQ(node3.histograms.at({"", "lat"}).count, 1);
-  const auto node4 = m.ScopedSnapshot(4);
-  EXPECT_EQ(node4.counters.at({"scan", "x"}).value, 1);
+  EXPECT_EQ(node3.counters.at("x").value, 12);
+  EXPECT_EQ(node3.counters.count("unattributed"), 0u);
+  EXPECT_EQ(node3.histograms.at("lat").count, 1);
+  EXPECT_EQ(m.ScopedSnapshot(4).counters.at("x").value, 1);
+  EXPECT_EQ(
+      m.ScopedSnapshot(Metrics::kNoNode).counters.at("unattributed").value, 5);
 }
 
 TEST(MetricsTest, ScopedSlicesAreIsolatedPerQuery) {
@@ -735,23 +731,157 @@ TEST(MetricsTest, ScopedSlicesAreIsolatedPerQuery) {
     m.Add("x", 7);
   }
   Metrics::NodeScope node(3);
-  m.Add("x", 1);  // query id 0: the legacy "no query" slice
+  m.Add("x", 1);  // query id 0: the "no query" slice
 
-  EXPECT_EQ(m.Get("x"), 18);  // globals are still query-blind
-  EXPECT_EQ(m.ScopedSnapshot(101, 3).counters.at({"", "x"}).value, 10);
-  EXPECT_EQ(m.ScopedSnapshot(202, 3).counters.at({"", "x"}).value, 7);
-  EXPECT_EQ(m.ScopedSnapshot(0, 3).counters.at({"", "x"}).value, 1);
+  EXPECT_EQ(m.Get("x"), 18);  // process totals fold every slice
+  EXPECT_EQ(m.ScopedSnapshot(101, 3).counters.at("x").value, 10);
+  EXPECT_EQ(m.ScopedSnapshot(202, 3).counters.at("x").value, 7);
+  EXPECT_EQ(m.ScopedSnapshot(0, 3).counters.at("x").value, 1);
   // The legacy single-arg snapshot reads the calling thread's query slice.
-  EXPECT_EQ(m.ScopedSnapshot(3).counters.at({"", "x"}).value, 1);
+  EXPECT_EQ(m.ScopedSnapshot(3).counters.at("x").value, 1);
   {
     QueryScope q1(101);
-    EXPECT_EQ(m.ScopedSnapshot(3).counters.at({"", "x"}).value, 10);
+    EXPECT_EQ(m.ScopedSnapshot(3).counters.at("x").value, 10);
   }
 
   m.ClearScoped(101);
   EXPECT_TRUE(m.ScopedSnapshot(101, 3).empty());
-  EXPECT_EQ(m.ScopedSnapshot(202, 3).counters.at({"", "x"}).value, 7);
+  EXPECT_EQ(m.ScopedSnapshot(202, 3).counters.at("x").value, 7);
   EXPECT_EQ(m.Get("x"), 18);
+}
+
+/// Every figure of two folded histogram reads, compared exactly.
+void ExpectSameHistogramCounts(
+    const std::map<std::string, LatencyHistogram::Counts>& a,
+    const std::map<std::string, LatencyHistogram::Counts>& b) {
+  ASSERT_EQ(a.size(), b.size());
+  for (const auto& [name, counts] : a) {
+    SCOPED_TRACE(name);
+    ASSERT_EQ(b.count(name), 1u);
+    const LatencyHistogram::Counts& other = b.at(name);
+    EXPECT_EQ(counts.buckets, other.buckets);
+    EXPECT_EQ(counts.total_micros, other.total_micros);
+    EXPECT_EQ(counts.min_micros, other.min_micros);
+    EXPECT_EQ(counts.max_micros, other.max_micros);
+  }
+}
+
+// Retiring a query folds its slices into the retired record: every
+// process-wide read is exactly what it was, and the query's slices are gone.
+TEST(MetricsTest, ClearScopedLeavesProcessReadsUnchanged) {
+  Metrics m;
+  m.Set("open", 3);
+  for (const uint64_t query : {7u, 8u}) {
+    QueryScope q(query);
+    for (const int32_t node : {1, 2, Metrics::kNoNode}) {
+      Metrics::NodeScope scope(node);
+      m.Add("rows", 10 * node + static_cast<int64_t>(query));
+      m.Max("peak", 100 * node + static_cast<int64_t>(query));
+      m.Record("lat", 5 + node);
+    }
+  }
+  {
+    Metrics::NodeScope scope(1);
+    m.Add("rows", 1);  // query 0
+    m.Record("lat", 4000);
+  }
+  for (const uint64_t query : {7u, 8u}) {
+    const auto before = m.Snapshot();
+    const auto counts_before = m.HistogramCounts();
+    const int64_t rows_before = m.Get("rows");
+    m.ClearScoped(query);
+    EXPECT_EQ(m.Snapshot(), before);
+    ExpectSameHistogramCounts(m.HistogramCounts(), counts_before);
+    EXPECT_EQ(m.Get("rows"), rows_before);
+    EXPECT_TRUE(m.ScopedQueryTotals(query).empty());
+    for (const int32_t node : {1, 2, Metrics::kNoNode}) {
+      EXPECT_TRUE(m.ScopedSnapshot(query, node).empty());
+    }
+  }
+  EXPECT_EQ(m.Get("rows"), (10 + 20 - 10 + 3 * 7) + (10 + 20 - 10 + 3 * 8) + 1);
+  EXPECT_EQ(m.Get("peak"), 208);
+  EXPECT_EQ(m.Get("open"), 3);
+  EXPECT_EQ(m.HistogramCounts().at("lat").Count(), 7);
+  EXPECT_EQ(m.ScopedSnapshot(0, 1).counters.at("rows").value, 1);
+}
+
+// Writers, a retirer and a reader race: process totals never go down
+// between reads, and the final totals are the exact sums written (gauges
+// the exact maximum), whatever was retired when.
+TEST(MetricsTest, ProcessTotalsAreMonotoneWhileQueriesRetire) {
+  Metrics m;
+  constexpr int kWriters = 8;
+  constexpr int kQueriesPerWriter = 200;
+  constexpr int kAddsPerQuery = 10;
+  std::mutex retire_mu;
+  std::vector<uint64_t> to_retire;
+  std::atomic<int> writers_left{kWriters};
+
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kWriters; ++t) {
+    threads.emplace_back([&, t] {
+      Metrics::NodeScope node(t);
+      for (int r = 0; r < kQueriesPerWriter; ++r) {
+        const uint64_t id = 1 + static_cast<uint64_t>(t * kQueriesPerWriter + r);
+        {
+          QueryScope q(id);
+          for (int i = 0; i < kAddsPerQuery; ++i) {
+            m.Add("rows", 1);
+            m.Record("lat", i);
+          }
+          m.Max("peak", t * kQueriesPerWriter + r);
+        }
+        std::lock_guard<std::mutex> lock(retire_mu);
+        to_retire.push_back(id);
+      }
+      writers_left.fetch_sub(1);
+    });
+  }
+  std::atomic<bool> retired_all{false};
+  threads.emplace_back([&] {
+    for (bool last = false; !last;) {
+      last = writers_left.load() == 0;
+      std::vector<uint64_t> batch;
+      {
+        std::lock_guard<std::mutex> lock(retire_mu);
+        batch.swap(to_retire);
+      }
+      for (const uint64_t id : batch) m.ClearScoped(id);
+      if (batch.empty()) std::this_thread::yield();
+    }
+    retired_all.store(true);
+  });
+  int64_t went_down = 0;
+  int64_t reads = 0;
+  std::map<std::string, int64_t> last;
+  int64_t last_count = 0;
+  while (!retired_all.load()) {
+    const auto snapshot = m.Snapshot();
+    const auto counts = m.HistogramCounts();
+    for (const auto& [name, value] : last) {
+      auto it = snapshot.find(name);
+      if (it == snapshot.end() || it->second < value) ++went_down;
+    }
+    const int64_t count =
+        counts.count("lat") == 0 ? 0 : counts.at("lat").Count();
+    if (count < last_count) ++went_down;
+    last = snapshot;
+    last_count = count;
+    ++reads;
+  }
+  for (auto& t : threads) t.join();
+
+  EXPECT_EQ(went_down, 0) << "over " << reads << " reads";
+  constexpr int64_t kWrites =
+      int64_t{kWriters} * kQueriesPerWriter * kAddsPerQuery;
+  EXPECT_EQ(m.Get("rows"), kWrites);
+  EXPECT_EQ(m.Get("peak"), kWriters * kQueriesPerWriter - 1);
+  EXPECT_EQ(m.HistogramCounts().at("lat").Count(), kWrites);
+  for (int t = 0; t < kWriters; ++t) {
+    EXPECT_TRUE(m.ScopedSnapshot(1 + static_cast<uint64_t>(t * kQueriesPerWriter),
+                                 t)
+                    .empty());
+  }
 }
 
 TEST(ThreadPoolTest, TasksInheritTheSubmittersQueryScope) {

@@ -214,6 +214,48 @@ TEST(DifferentialSkew, HotRouteEngagesAndMatchesOracle) {
   EXPECT_EQ(off_result->report.Counter(metric::kShuffleHotRowsBuild), 0);
 }
 
+TEST(DifferentialSkew, HotKeysOutsideTheLWindowRouteNothing) {
+  // The paper's correlated key windows with both sides Zipf-skewed (the
+  // server_mix skew shape): T's corPred window holds the hottest key ranks,
+  // L's window is offset from it, so every hot T' key is absent from L'.
+  // The hot set is agreed and sent, yet BF_H prunes the hot T' rows and no
+  // L' row has a hot key: no row takes the hot route, so the gauge (which
+  // counts hot keys only where a hash route routes a row by them) reads 0.
+  WorkloadConfig wc;
+  wc.num_join_keys = 1024;
+  wc.t_rows = 12 * 1024;
+  wc.l_rows = 36 * 1024;
+  wc.zipf_s = 1.2;
+  auto workload = Workload::Generate(wc, {0.1, 0.1, 0.5, 0.5});
+  ASSERT_TRUE(workload.ok());
+  const HybridQuery query = workload->MakeQuery();
+  auto expected =
+      RunReferenceJoin({workload->t_rows()}, workload->l_batches(), query);
+  ASSERT_TRUE(expected.ok());
+
+  SimulationConfig config;
+  config.db.num_workers = 2;
+  config.jen_workers = 8;
+  config.bloom.expected_keys = wc.num_join_keys;
+  HybridWarehouse hw(config);
+  ASSERT_TRUE(LoadWorkload(&hw, *workload, {}).ok());
+
+  auto result = hw.Execute(query, JoinAlgorithm::kZigzag);
+  ASSERT_TRUE(result.ok()) << result.status();
+  auto diff = CompareBatches(*expected, result->rows);
+  EXPECT_FALSE(diff.has_value()) << *diff;
+  const ExecutionReport& report = result->report;
+  bool hot_set_sent = false;
+  for (const auto& [mark, t] : report.phases) {
+    hot_set_sent = hot_set_sent || mark == "hot_set_sent";
+  }
+  EXPECT_TRUE(hot_set_sent);
+  EXPECT_EQ(report.Counter(metric::kShuffleHotRowsBuild), 0);
+  EXPECT_EQ(report.Counter(metric::kShuffleHotRowsProbe), 0);
+  EXPECT_EQ(report.Counter(metric::kShuffleBroadcastBytes), 0);
+  EXPECT_EQ(report.Counter(metric::kShuffleHotKeys), 0);
+}
+
 // ---------------------------------------------------------------------------
 // Named edge-case regressions, hand-built tables, all variants vs oracle.
 

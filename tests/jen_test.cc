@@ -730,9 +730,9 @@ TEST(JenWorkerWall, EveryWorkerFeedsWallHistogramAtEndOfQuery) {
 
   // Each of the 4 JEN worker threads records its end-of-query wall time —
   // with tracing disabled too, since the worker runtime records it directly.
-  const auto hists = hw.context().metrics().HistogramSnapshot();
+  const auto hists = hw.context().metrics().HistogramCounts();
   ASSERT_EQ(hists.count(metric::kJenWorkerWallUs), 1u);
-  const HistogramSummary& wall = hists.at(metric::kJenWorkerWallUs);
+  const HistogramSummary wall = hists.at(metric::kJenWorkerWallUs).Summarize();
   EXPECT_EQ(wall.count, 4);
   EXPECT_GT(wall.max_seconds, 0.0);
 

@@ -8,6 +8,7 @@
 #include <fstream>
 #include <functional>
 #include <optional>
+#include <set>
 #include <sstream>
 
 #include "data_counters.h"
@@ -16,6 +17,7 @@
 #include "obs/json.h"
 #include "obs/perfcheck.h"
 #include "obs/profile.h"
+#include "obs/promtext.h"
 #include "workload/loader.h"
 
 namespace hybridjoin {
@@ -87,8 +89,8 @@ NodeProfileSnapshot MakeSnapshot() {
   NodeProfileSnapshot snap;
   snap.node = "hdfs:3";
   snap.wall_us = 123456;
-  snap.metrics.counters[{"scan", "jen.tuples_scanned"}] = {5000, false};
-  snap.metrics.counters[{"", "join.ht_max_chain"}] = {7, true};
+  snap.metrics.counters["jen.tuples_scanned"] = {5000, false};
+  snap.metrics.counters["join.ht_max_chain"] = {7, true};
   HistogramSummary s;
   s.count = 4;
   s.total_seconds = 0.004;
@@ -97,7 +99,7 @@ NodeProfileSnapshot MakeSnapshot() {
   s.p50_seconds = 0.001;
   s.p95_seconds = 0.002;
   s.p99_seconds = 0.002;
-  snap.metrics.histograms[{"scan", "jen.scan"}] = s;
+  snap.metrics.histograms["jen.scan"] = s;
   return snap;
 }
 
@@ -154,12 +156,12 @@ TEST(AssembleProfileTest, SumsCountersMaxesGaugesComputesSkew) {
   std::vector<NodeProfileSnapshot> nodes(2);
   nodes[0].node = "hdfs:0";
   nodes[0].wall_us = 1000;
-  nodes[0].metrics.counters[{"", "jen.tuples_scanned"}] = {100, false};
-  nodes[0].metrics.counters[{"", "join.ht_max_chain"}] = {3, true};
+  nodes[0].metrics.counters["jen.tuples_scanned"] = {100, false};
+  nodes[0].metrics.counters["join.ht_max_chain"] = {3, true};
   nodes[1].node = "hdfs:1";
   nodes[1].wall_us = 3000;
-  nodes[1].metrics.counters[{"", "jen.tuples_scanned"}] = {300, false};
-  nodes[1].metrics.counters[{"", "join.ht_max_chain"}] = {5, true};
+  nodes[1].metrics.counters["jen.tuples_scanned"] = {300, false};
+  nodes[1].metrics.counters["join.ht_max_chain"] = {5, true};
 
   const QueryProfile p =
       AssembleProfile(7, "zigzag", 1.5, nodes, "trace.json");
@@ -192,19 +194,6 @@ TEST(AssembleProfileTest, SumsCountersMaxesGaugesComputesSkew) {
   EXPECT_NE(text.find("phase scan"), std::string::npos);
   EXPECT_NE(text.find("jen.tuples_scanned"), std::string::npos);
   EXPECT_NE(text.find("trace.json"), std::string::npos);
-}
-
-TEST(AssembleProfileTest, ExplicitAndMappedPhaseWritesMerge) {
-  std::vector<NodeProfileSnapshot> nodes(1);
-  nodes[0].node = "db:0";
-  nodes[0].wall_us = 10;
-  nodes[0].metrics.counters[{"", "edw.tuples_scanned"}] = {40, false};
-  nodes[0].metrics.counters[{"scan", "edw.tuples_scanned"}] = {60, false};
-  const QueryProfile p = AssembleProfile(1, "db", 0.1, nodes, "");
-  const ProfileCounterRow* row = p.FindCounter("scan", "edw.tuples_scanned");
-  ASSERT_NE(row, nullptr);
-  EXPECT_EQ(row->total, 100);
-  ASSERT_EQ(p.phases.size(), 1u);  // both keys landed in "scan"
 }
 
 TEST(QueryProfileTest, JsonRoundTrip) {
@@ -405,6 +394,68 @@ TEST_F(ProfileEndToEnd, PerNodeCountersMatchGlobalReportForEveryAlgorithm) {
       EXPECT_EQ(parsed->global_counters, report.counters);
       EXPECT_FALSE(profile.ToText().empty());
     }
+  }
+}
+
+// One source of truth: with one query at a time, a query moves the process
+// totals by exactly the counters of its own report. A counter that moves
+// without appearing in the report, or the other way round, was written
+// outside the query's worker slices.
+TEST_F(ProfileEndToEnd, ProcessTotalsMoveByExactlyTheReportedCounters) {
+  const WorkloadConfig wc = SmallWorkload();
+  auto workload = Workload::Generate(wc, SelectivitySpec{});
+  ASSERT_TRUE(workload.ok()) << workload.status();
+  const HybridQuery query = workload->MakeQuery();
+  SimulationConfig config;
+  config.db.num_workers = 2;
+  config.jen_workers = 3;
+  config.exec_threads = 1;
+  config.bloom.expected_keys = wc.num_join_keys;
+  HybridWarehouse hw(config);
+  ASSERT_TRUE(LoadWorkload(&hw, *workload, {}).ok());
+  const Metrics& metrics = hw.context().metrics();
+
+  std::vector<std::pair<std::string, std::function<Result<QueryResult>()>>>
+      runs;
+  for (JoinAlgorithm algorithm :
+       {JoinAlgorithm::kDbSide, JoinAlgorithm::kDbSideBloom,
+        JoinAlgorithm::kBroadcast, JoinAlgorithm::kRepartition,
+        JoinAlgorithm::kRepartitionBloom, JoinAlgorithm::kZigzag}) {
+    runs.emplace_back(JoinAlgorithmName(algorithm), [&hw, &query, algorithm] {
+      return hw.Execute(query, algorithm);
+    });
+  }
+  runs.emplace_back("auto", [&hw, &query] { return hw.ExecuteAuto(query); });
+
+  for (const auto& [name, run] : runs) {
+    SCOPED_TRACE(name);
+    const auto before = metrics.Snapshot();
+    auto result = run();
+    ASSERT_TRUE(result.ok()) << result.status();
+    const auto after = metrics.Snapshot();
+    const ExecutionReport& report = result->report;
+
+    std::set<std::string> gauges;
+    for (const ProfilePhase& phase : report.profile.phases) {
+      for (const ProfileCounterRow& row : phase.counters) {
+        if (row.gauge) gauges.insert(row.name);
+      }
+    }
+    const auto is_sum = [&gauges](const std::string& metric) {
+      return gauges.count(metric) == 0 && !IsGaugeMetric(metric) &&
+             metric.rfind("server.", 0) != 0;
+    };
+    std::map<std::string, int64_t> moved;
+    for (const auto& [metric, value] : after) {
+      auto it = before.find(metric);
+      const int64_t delta = value - (it == before.end() ? 0 : it->second);
+      if (delta != 0 && is_sum(metric)) moved[metric] = delta;
+    }
+    std::map<std::string, int64_t> reported;
+    for (const auto& [metric, value] : report.counters) {
+      if (is_sum(metric)) reported[metric] = value;
+    }
+    EXPECT_EQ(moved, reported);
   }
 }
 

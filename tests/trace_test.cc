@@ -205,10 +205,10 @@ TEST(TracerTest, SpansFeedMetricsHistograms) {
   trace::Tracer tracer(/*enabled=*/true, &metrics);
   { trace::Span span(&tracer, "jen.probe", "join"); }
   { trace::Span span(&tracer, "jen.probe", "join"); }
-  const auto histograms = metrics.HistogramSnapshot();
+  const auto histograms = metrics.HistogramCounts();
   auto it = histograms.find("jen.probe");
   ASSERT_NE(it, histograms.end());
-  EXPECT_EQ(it->second.count, 2);
+  EXPECT_EQ(it->second.Count(), 2);
 }
 
 // ---------------------------------------------------------------------------
