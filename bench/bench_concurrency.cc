@@ -67,8 +67,8 @@ struct AdmissionResult {
 };
 
 /// Observability-plane cost at 16 streams: the same sweep cell run twice,
-/// once plain and once with the full plane on (sampler + scrape endpoint +
-/// event log + slow-query log). overhead_pct is perfcheck-gated at an
+/// once plain and once with the full plane on (metrics_out writer + scrape
+/// endpoint + event log + slow-query log). overhead_pct is perfcheck-gated at an
 /// absolute ceiling (tools/perfcheck --max_overhead_pct, default 2.0).
 struct OverheadResult {
   uint32_t streams = 0;
@@ -160,7 +160,7 @@ StreamResult RunStreams(HybridWarehouse* hw, uint32_t streams,
 /// the observability plane switched on — and reports the wall-clock delta.
 /// The observed run scrapes nothing itself; the cost measured is the
 /// always-on part: registry bookkeeping, cancel checks, event emission,
-/// the background sampler, and the idle scrape listener.
+/// the periodic metrics_out rewrite, and the idle scrape listener.
 OverheadResult RunOverhead(HybridWarehouse* hw, int queries_per_stream) {
   constexpr uint32_t kStreams = 16;
   const StreamResult plain = RunStreams(hw, kStreams, queries_per_stream);

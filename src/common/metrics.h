@@ -8,7 +8,9 @@
 // one cell, under one lock acquisition: the cell of that name in the slice
 // of the calling thread's (QueryScope id, node key) — the node key set by
 // Metrics::NodeScope, which trace::ThreadScope installs. Query id 0 ("no
-// query") and kNoNode are ordinary slices.
+// query") and kNoNode are ordinary slices. Network bytes are cells like any
+// other: Network charges each message to net.<flow class>_bytes in the
+// slice of the thread that moves it (net/network.h).
 //
 // A query's slices accumulate over all of its rounds; the live process list
 // sums them while it runs (ScopedQueryTotals), its report reads each node's
@@ -18,8 +20,9 @@
 // the retired record when the query ends. The process-wide reads (Get,
 // Snapshot, HistogramCounts) fold the retired record and every live slice
 // under the same lock, so scrapes see in-flight queries too, from one
-// consistent copy. Set is the one exception: a process-level last-value
-// gauge outside the slices.
+// consistent copy; Snapshot also says which of its values are gauges, so
+// exporters type a series by how it was written, not by its name. Set is
+// the one exception to the slices: a process-level last-value gauge.
 
 #ifndef HYBRIDJOIN_COMMON_METRICS_H_
 #define HYBRIDJOIN_COMMON_METRICS_H_
@@ -30,6 +33,7 @@
 #include <map>
 #include <memory>
 #include <mutex>
+#include <set>
 #include <string>
 #include <utility>
 
@@ -123,14 +127,23 @@ class Metrics {
   }
 
   /// Point-in-time process-wide value of every counter: the retired record
-  /// folded with every live slice, plus the Set gauges.
-  std::map<std::string, int64_t> Snapshot() const {
+  /// folded with every live slice, plus the Set gauges. When `gauges` is
+  /// given it receives, from the same copy, the names whose value is a
+  /// gauge (written with Max or Set) rather than a sum.
+  std::map<std::string, int64_t> Snapshot(
+      std::set<std::string>* gauges = nullptr) const {
     std::lock_guard<std::mutex> lock(mu_);
     std::map<std::string, ScopedCounter> folded = retired_.counters;
     for (const auto& [key, slot] : scoped_) FoldCounters(slot, &folded);
     std::map<std::string, int64_t> out;
-    for (const auto& [name, counter] : folded) out[name] = counter.value;
-    for (const auto& [name, value] : set_gauges_) out[name] = value;
+    for (const auto& [name, counter] : folded) {
+      out[name] = counter.value;
+      if (gauges != nullptr && counter.gauge) gauges->insert(name);
+    }
+    for (const auto& [name, value] : set_gauges_) {
+      out[name] = value;
+      if (gauges != nullptr) gauges->insert(name);
+    }
     return out;
   }
 
@@ -337,7 +350,7 @@ inline constexpr const char kAdvisorObservedHdfsBytes[] =
 inline constexpr const char kAdvisorPivoted[] = "advisor.pivoted";
 // Warehouse-server lifetime counters (src/server/warehouse_server.cc
 // mirrors its ServerStats atomics here, so the scrape endpoint and the
-// time-series sampler pick them up automatically; the ServerStats struct
+// metrics_out file pick them up automatically; the ServerStats struct
 // stays the point-in-time snapshot view). open_sessions and
 // queries_in_flight are last-value gauges written with Metrics::Set.
 inline constexpr const char kServerQueriesExecuted[] =

@@ -56,11 +56,10 @@ Execution::~Execution() {
                         static_cast<int64_t>(leaked));
   }
   // Drop this query's metric slices (a report reads them in place) and
-  // whatever spans and byte charges no report took (a failed query never
-  // builds one), without touching other in-flight queries'.
+  // whatever spans no report took (a failed query never builds one),
+  // without touching other in-flight queries'.
   ctx_->metrics().ClearScoped(query_id_);
   ctx_->tracer().Take(query_id_);
-  ctx_->network().TakeQueryBytes(query_id_);
   ctx_->network().ReleaseTagBlock(tag_base_, kTagBlock);
 }
 
@@ -94,8 +93,8 @@ ExecutionReport Execution::BuildReport() {
     report.phases = marks_;
     wall_us = wall_us_;
   }
-  // Scoped metric slices, spans and network bytes are all keyed by this
-  // query's id, so every field below is this query's own even while
+  // Scoped metric slices (network bytes among them) and spans are keyed by
+  // this query's id, so every field below is this query's own even while
   // others run.
   std::vector<obs::NodeProfileSnapshot> nodes;
   for (const auto& [node, wall] : wall_us) {
@@ -120,7 +119,7 @@ ExecutionReport Execution::BuildReport() {
       obs::AssembleProfile(query_id_, JoinAlgorithmName(algorithm_),
                            report.wall_seconds, nodes, report.trace_file);
   report.counters = report.profile.global_counters;
-  report.network_bytes = ctx_->network().TakeQueryBytes(query_id_);
+  report.network_bytes = NetworkBytesOf(report.counters);
   report.profile.network_bytes = report.network_bytes;
   report.profile.span_histograms = report.histograms;
   return report;

@@ -40,8 +40,8 @@ struct ExecutionReport {
   /// Engine counters (metric::k* names) of this query alone: the
   /// per-metric totals of `profile` (sum for counters, max for gauges).
   std::map<std::string, int64_t> counters;
-  /// Bytes this query moved per network flow class, its workers' profile
-  /// messages included.
+  /// Bytes this query moved per network flow class (FlowClassName ->
+  /// bytes): a view of its net.<class>_bytes cells in `counters`.
   std::map<std::string, int64_t> network_bytes;
   /// Latency percentiles per span name (trace::span::k*), built from this
   /// query's own spans. Empty when tracing is disabled.

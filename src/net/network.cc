@@ -46,6 +46,25 @@ const char* FlowClassName(FlowClass fc) {
   return "unknown";
 }
 
+const std::string& FlowBytesMetric(FlowClass fc) {
+  static const std::string kNames[] = {
+      "net.loopback_bytes", "net.intra_db_bytes", "net.intra_hdfs_bytes",
+      "net.cross_cluster_bytes"};
+  return kNames[static_cast<int>(fc)];
+}
+
+std::map<std::string, int64_t> NetworkBytesOf(
+    const std::map<std::string, int64_t>& counters) {
+  std::map<std::string, int64_t> out;
+  for (int fc = 0; fc < 4; ++fc) {
+    auto it = counters.find(FlowBytesMetric(static_cast<FlowClass>(fc)));
+    if (it != counters.end() && it->second != 0) {
+      out[FlowClassName(static_cast<FlowClass>(fc))] = it->second;
+    }
+  }
+  return out;
+}
+
 FlowClass ClassifyFlow(NodeId from, NodeId to) {
   if (from == to) return FlowClass::kLoopback;
   if (from.cluster != to.cluster) return FlowClass::kCrossCluster;
@@ -58,6 +77,7 @@ Network::Network(const NetworkConfig& config, uint32_t num_db_nodes,
     : config_(config),
       metrics_(metrics),
       cross_switch_(config.cross_switch_bps) {
+  HJ_CHECK(metrics_ != nullptr);
   db_nics_.reserve(num_db_nodes);
   for (uint32_t i = 0; i < num_db_nodes; ++i) {
     db_nics_.push_back(std::make_unique<TokenBucket>(config.db_nic_bps));
@@ -90,12 +110,8 @@ uint64_t Network::NextSeq(NodeId from, NodeId to, uint64_t tag) {
 }
 
 void Network::Charge(FlowClass fc, uint64_t bytes) {
-  bytes_by_class_[static_cast<int>(fc)].fetch_add(
-      static_cast<int64_t>(bytes), std::memory_order_relaxed);
-  const uint64_t query_id = QueryScope::Current();
-  if (query_id == 0 || bytes == 0) return;
-  std::lock_guard<std::mutex> lock(query_bytes_mu_);
-  query_bytes_[query_id][static_cast<int>(fc)] += static_cast<int64_t>(bytes);
+  if (bytes == 0) return;
+  metrics_->Add(FlowBytesMetric(fc), static_cast<int64_t>(bytes));
 }
 
 void Network::Throttle(NodeId from, NodeId to, uint64_t bytes) {
@@ -235,27 +251,14 @@ void Network::Transfer(NodeId from, NodeId to, uint64_t bytes) {
     if (d.fail && d.charged_bytes > 0) Throttle(from, to, d.charged_bytes);
   }
   Throttle(from, to, bytes);
-  if (metrics_ != nullptr && from.cluster == ClusterId::kHdfs &&
+  if (from.cluster == ClusterId::kHdfs &&
       to.cluster == ClusterId::kHdfs && !(from == to)) {
     metrics_->Add(metric::kHdfsBytesReadRemote, static_cast<int64_t>(bytes));
   }
 }
 
 int64_t Network::BytesMoved(FlowClass fc) const {
-  return bytes_by_class_[static_cast<int>(fc)].load(
-      std::memory_order_relaxed);
-}
-
-std::map<std::string, int64_t> Network::TakeQueryBytes(uint64_t query_id) {
-  std::map<std::string, int64_t> out;
-  std::lock_guard<std::mutex> lock(query_bytes_mu_);
-  auto taken = query_bytes_.extract(query_id);
-  if (taken.empty()) return out;
-  for (int fc = 0; fc < 4; ++fc) {
-    const int64_t bytes = taken.mapped()[fc];
-    if (bytes != 0) out[FlowClassName(static_cast<FlowClass>(fc))] = bytes;
-  }
-  return out;
+  return metrics_->Get(FlowBytesMetric(fc));
 }
 
 uint64_t Network::AllocateTagBlock(uint64_t width) {

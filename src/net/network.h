@@ -6,8 +6,10 @@
 // Every worker is a real thread; Send() physically moves bytes through
 // in-memory channels and *blocks* on token buckets sized to the configured
 // bandwidths, so measured wall-clock reflects the testbed's asymmetries.
-// All traffic is metered per flow class, in total and per query (the
-// QueryScope of the thread that moves the bytes) for the ExecutionReport.
+// All traffic is metered per flow class as one counter cell per class,
+// net.<FlowClassName>_bytes, in the Metrics slice of the thread that moves
+// the bytes (its QueryScope and node): the query's report and profile read
+// them there, and BytesMoved folds them for the process.
 //
 // An optional FaultInjector (see fault_injector.h) makes the interconnect
 // misbehave deterministically: Send can fail transiently (callers retry via
@@ -18,7 +20,6 @@
 #ifndef HYBRIDJOIN_NET_NETWORK_H_
 #define HYBRIDJOIN_NET_NETWORK_H_
 
-#include <array>
 #include <cstdint>
 #include <map>
 #include <memory>
@@ -82,6 +83,15 @@ enum class FlowClass : uint8_t {
 
 const char* FlowClassName(FlowClass fc);
 
+/// The counter cell holding a flow class's bytes: "net.<FlowClassName>_bytes".
+const std::string& FlowBytesMetric(FlowClass fc);
+
+/// Bytes per flow class (FlowClassName -> bytes, classes with traffic only)
+/// read from a set of counters holding FlowBytesMetric cells, e.g. one
+/// query's ExecutionReport::counters.
+std::map<std::string, int64_t> NetworkBytesOf(
+    const std::map<std::string, int64_t>& counters);
+
 FlowClass ClassifyFlow(NodeId from, NodeId to);
 
 /// One message on a channel. Payload is shared so broadcasts don't copy.
@@ -113,6 +123,7 @@ struct NetworkConfig {
 /// drains it (multiple receiver threads are allowed — the queue is MPMC).
 class Network {
  public:
+  /// `metrics` (required) receives the byte cells and must outlive this.
   Network(const NetworkConfig& config, uint32_t num_db_nodes,
           uint32_t num_hdfs_nodes, Metrics* metrics);
 
@@ -183,15 +194,11 @@ class Network {
   /// itself always completes.
   void Transfer(NodeId from, NodeId to, uint64_t bytes);
 
-  /// Total bytes moved in a flow class since construction.
+  /// Total bytes moved in a flow class: the process fold of its
+  /// FlowBytesMetric cell. A send is charged to the sending thread's slice,
+  /// a Transfer to the reading thread's; bytes moved outside any query land
+  /// in query id 0's slices, so they count here but in no query's report.
   int64_t BytesMoved(FlowClass fc) const;
-
-  /// Bytes per flow class (FlowClassName -> bytes, classes with traffic
-  /// only) charged to `query_id` since its last take, which drops them. A
-  /// send is charged to the sending thread's QueryScope, a Transfer to the
-  /// reading thread's; bytes moved outside any query (id 0) count in
-  /// BytesMoved only.
-  std::map<std::string, int64_t> TakeQueryBytes(uint64_t query_id);
 
   /// Allocates a fresh tag namespace (monotone); drivers carve per-purpose
   /// tags out of it so concurrent queries never collide.
@@ -235,9 +242,6 @@ class Network {
   std::mutex seq_mu_;
   std::map<std::tuple<NodeId, NodeId, uint64_t>, uint64_t> stream_seq_;
   std::atomic<uint64_t> next_tag_{1};
-  std::atomic<int64_t> bytes_by_class_[4] = {0, 0, 0, 0};
-  std::mutex query_bytes_mu_;
-  std::map<uint64_t, std::array<int64_t, 4>> query_bytes_;  ///< by FlowClass
 };
 
 /// Helper that drains a channel fed by `expected_senders` streams and stops

@@ -4,11 +4,10 @@
 // only, one short-lived connection per request — deliberately not a web
 // server.
 //
-// Lifecycle mirrors MetricsSampler: the accept loop polls with a 100 ms
-// slice and re-checks a stop flag, so Stop() (and the destructor) joins
-// the listener thread within one slice. Port 0 binds an ephemeral port;
-// port() reports the bound one, which tests use to scrape their own
-// in-process server.
+// Lifecycle: the accept loop polls with a 100 ms slice and re-checks a
+// stop flag, so Stop() (and the destructor) joins the listener thread
+// within one slice. Port 0 binds an ephemeral port; port() reports the
+// bound one, which tests use to scrape their own in-process server.
 
 #ifndef HYBRIDJOIN_OBS_METRICS_HTTP_H_
 #define HYBRIDJOIN_OBS_METRICS_HTTP_H_

@@ -123,18 +123,6 @@ JsonValue SummaryToJson(const HistogramSummary& s) {
   return o;
 }
 
-HistogramSummary SummaryFromJson(const JsonValue& o) {
-  HistogramSummary s;
-  s.count = o.GetInt("count");
-  s.total_seconds = o.GetDouble("total_seconds");
-  s.min_seconds = o.GetDouble("min_seconds");
-  s.max_seconds = o.GetDouble("max_seconds");
-  s.p50_seconds = o.GetDouble("p50_seconds");
-  s.p95_seconds = o.GetDouble("p95_seconds");
-  s.p99_seconds = o.GetDouble("p99_seconds");
-  return s;
-}
-
 }  // namespace
 
 const std::vector<std::string>& CanonicalPhases() {
@@ -409,94 +397,6 @@ Status QueryProfile::WriteJson(const std::string& path) const {
     return Status::IOError("failed writing profile to '" + path + "'");
   }
   return Status::OK();
-}
-
-Result<QueryProfile> QueryProfile::FromJson(const std::string& text) {
-  HJ_ASSIGN_OR_RETURN(JsonValue doc, JsonValue::Parse(text));
-  if (!doc.is_object()) {
-    return Status::InvalidArgument("profile JSON: not an object");
-  }
-  const int64_t version = doc.GetInt("schema_version", -1);
-  if (version != 1) {
-    return Status::InvalidArgument("profile JSON: unsupported schema_version " +
-                                   std::to_string(version));
-  }
-  QueryProfile p;
-  p.query_id = static_cast<uint64_t>(doc.GetInt("query_id"));
-  p.algorithm = doc.GetString("algorithm");
-  p.wall_seconds = doc.GetDouble("wall_seconds");
-  p.trace_file = doc.GetString("trace_file");
-
-  if (const JsonValue* workers = doc.Find("workers"); workers != nullptr) {
-    if (const JsonValue* wall = workers->Find("wall_us"); wall != nullptr) {
-      for (const auto& [node, v] : wall->members()) {
-        p.worker_wall_us[node] = v.AsInt();
-      }
-    }
-    p.worker_wall_skew = workers->GetDouble("skew");
-  }
-
-  if (const JsonValue* phases = doc.Find("phases");
-      phases != nullptr && phases->is_array()) {
-    for (const JsonValue& pj : phases->items()) {
-      ProfilePhase phase;
-      phase.name = pj.GetString("name");
-      if (const JsonValue* counters = pj.Find("counters");
-          counters != nullptr) {
-        for (const JsonValue& cj : counters->items()) {
-          ProfileCounterRow row;
-          row.name = cj.GetString("name");
-          row.gauge = cj.GetBool("gauge");
-          row.total = cj.GetInt("total");
-          row.min = cj.GetInt("min");
-          row.max = cj.GetInt("max");
-          row.mean = cj.GetDouble("mean");
-          row.median = cj.GetDouble("median");
-          row.skew = cj.GetDouble("skew");
-          if (const JsonValue* per_node = cj.Find("per_node");
-              per_node != nullptr) {
-            for (const auto& [node, v] : per_node->members()) {
-              row.per_node[node] = v.AsInt();
-            }
-          }
-          phase.counters.push_back(std::move(row));
-        }
-      }
-      if (const JsonValue* hists = pj.Find("histograms"); hists != nullptr) {
-        for (const JsonValue& hj : hists->items()) {
-          ProfileHistogramRow row;
-          row.name = hj.GetString("name");
-          if (const JsonValue* per_node = hj.Find("per_node");
-              per_node != nullptr) {
-            for (const auto& [node, v] : per_node->members()) {
-              row.per_node[node] = SummaryFromJson(v);
-            }
-          }
-          phase.histograms.push_back(std::move(row));
-        }
-      }
-      p.phases.push_back(std::move(phase));
-    }
-  }
-
-  if (const JsonValue* totals = doc.Find("counters_total");
-      totals != nullptr) {
-    for (const auto& [name, v] : totals->members()) {
-      p.global_counters[name] = v.AsInt();
-    }
-  }
-  if (const JsonValue* bytes = doc.Find("network_bytes"); bytes != nullptr) {
-    for (const auto& [name, v] : bytes->members()) {
-      p.network_bytes[name] = v.AsInt();
-    }
-  }
-  if (const JsonValue* spans = doc.Find("span_histograms");
-      spans != nullptr) {
-    for (const auto& [name, v] : spans->members()) {
-      p.span_histograms[name] = SummaryFromJson(v);
-    }
-  }
-  return p;
 }
 
 }  // namespace obs

@@ -85,8 +85,9 @@ struct QueryProfile {
   /// Per-metric totals over every phase and node (sum; max for gauges;
   /// zero totals omitted): the query's ExecutionReport::counters.
   std::map<std::string, int64_t> global_counters;
-  /// This query's bytes per network flow class and span histograms,
-  /// mirrored from the ExecutionReport.
+  /// This query's bytes per network flow class (a view of its
+  /// net.<class>_bytes cells, which sit per node in the transfer phase) and
+  /// span histograms, mirrored from the ExecutionReport.
   std::map<std::string, int64_t> network_bytes;
   std::map<std::string, HistogramSummary> span_histograms;
 
@@ -102,7 +103,6 @@ struct QueryProfile {
   /// Stable JSON export (schema_version 1), pretty-printed.
   std::string ToJson() const;
   Status WriteJson(const std::string& path) const;
-  static Result<QueryProfile> FromJson(const std::string& text);
 };
 
 /// Canonical phase order of the tree.

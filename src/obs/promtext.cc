@@ -14,11 +14,6 @@ namespace obs {
 
 namespace {
 
-bool EndsWith(const std::string& s, const std::string& suffix) {
-  return s.size() >= suffix.size() &&
-         s.compare(s.size() - suffix.size(), suffix.size(), suffix) == 0;
-}
-
 /// Bucket upper bounds (seconds) for histogram exposition. Chosen to
 /// bracket the engine's latency spans (µs-scale morsel work up to
 /// minute-scale queries); values recorded in non-time units (row
@@ -160,18 +155,6 @@ struct HistogramState {
 
 }  // namespace
 
-bool IsGaugeMetric(const std::string& engine_name) {
-  if (engine_name == metric::kServerOpenSessions ||
-      engine_name == metric::kServerQueriesInFlight ||
-      engine_name == metric::kShuffleHotKeys) {
-    return true;
-  }
-  if (engine_name.rfind("advisor.", 0) == 0) return true;
-  return EndsWith(engine_name, "_pct") || EndsWith(engine_name, "_max") ||
-         EndsWith(engine_name, "_ppm") ||
-         engine_name.find("_peak") != std::string::npos;
-}
-
 std::string PrometheusName(const std::string& engine_name) {
   std::string out = "hj_";
   out.reserve(engine_name.size() + 3);
@@ -185,8 +168,11 @@ std::string PrometheusName(const std::string& engine_name) {
 
 std::string RenderPrometheus(Metrics& metrics) {
   std::string out;
-  for (const auto& [name, value] : metrics.Snapshot()) {
-    const bool gauge = IsGaugeMetric(name);
+  // A series' type is its record's: a cell written with Max or Set is a
+  // gauge, one written with Add a counter.
+  std::set<std::string> gauges;
+  for (const auto& [name, value] : metrics.Snapshot(&gauges)) {
+    const bool gauge = gauges.count(name) != 0;
     const std::string pname =
         PrometheusName(name) + (gauge ? "" : "_total");
     out += "# HELP " + pname + " Engine series " + name + "\n";

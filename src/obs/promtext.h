@@ -1,9 +1,10 @@
 // Prometheus text exposition (format 0.0.4) of a Metrics registry, plus a
 // strict validator used by tests and the CI scrape job. Engine metric
 // names ("join.spill_bytes") map to Prometheus names by replacing '.' with
-// '_' and prefixing "hj_"; monotonic counters gain the conventional
-// "_total" suffix and TYPE counter, known last-value/maximum series render
-// as TYPE gauge, and every LatencyHistogram renders as a TYPE histogram
+// '_' and prefixing "hj_"; cells written with Metrics::Add gain the
+// conventional "_total" suffix and TYPE counter, cells written with Max or
+// Set render as TYPE gauge (the registry records which), and every
+// LatencyHistogram renders as a TYPE histogram
 // with cumulative `le` buckets (from one LatencyHistogram::Counts copy
 // at fixed bounds), the mandatory +Inf bucket, and _sum/_count in seconds.
 
@@ -17,10 +18,6 @@
 
 namespace hybridjoin {
 namespace obs {
-
-/// Whether the engine series renders as a Prometheus gauge (last-value or
-/// maximum semantics) rather than a counter. Exposed for tests.
-bool IsGaugeMetric(const std::string& engine_name);
 
 /// Prometheus metric name for an engine series (sanitized, "hj_" prefix,
 /// no "_total" suffix — the renderer appends that for counters).

@@ -29,24 +29,18 @@ WarehouseServer::WarehouseServer(HybridWarehouse* warehouse,
     // is emitted.
     ::mkdir(obs_cfg.slow_query_dir.c_str(), 0755);
   }
-  if (obs_cfg.metrics_http || !obs_cfg.metrics_out.empty()) {
-    obs::TimeseriesConfig ts;
-    ts.sample_interval = obs_cfg.sample_interval;
-    sampler_ = std::make_unique<obs::MetricsSampler>(&engine_metrics(), ts);
-    if (!obs_cfg.metrics_out.empty()) {
-      const std::string path = obs_cfg.metrics_out;
-      sampler_->set_on_sample([this, path] {
-        // Rewrite-in-place each tick: readers of the fallback file always
-        // see a recent complete exposition (fopen("w") truncates, and the
-        // write is one buffered burst + close).
-        std::FILE* f = std::fopen(path.c_str(), "w");
-        if (f == nullptr) return;
-        const std::string text = MetricsText();
-        std::fwrite(text.data(), 1, text.size(), f);
-        std::fclose(f);
-      });
-    }
-    sampler_->Start();
+  if (!obs_cfg.metrics_out.empty()) {
+    // Rewrites until Shutdown closes the queue, then once more, so the file
+    // ends on the server's terminal state.
+    metrics_out_writer_ = std::thread([this] {
+      bool timed_out = true;
+      while (timed_out) {
+        WriteMetricsOut();
+        metrics_out_stop_.PopFor(config_.observability.sample_interval,
+                                 &timed_out);
+      }
+      WriteMetricsOut();
+    });
   }
   if (obs_cfg.metrics_http) {
     http_ = std::make_unique<obs::MetricsHttpServer>(
@@ -62,6 +56,16 @@ WarehouseServer::WarehouseServer(HybridWarehouse* warehouse,
 }
 
 WarehouseServer::~WarehouseServer() { Shutdown(); }
+
+void WarehouseServer::WriteMetricsOut() {
+  // Rewrite in place: fopen("w") truncates and the write is one buffered
+  // burst + close, so readers see a recent complete exposition.
+  std::FILE* f = std::fopen(config_.observability.metrics_out.c_str(), "w");
+  if (f == nullptr) return;
+  const std::string text = MetricsText();
+  std::fwrite(text.data(), 1, text.size(), f);
+  std::fclose(f);
+}
 
 Metrics& WarehouseServer::engine_metrics() const {
   return warehouse_->context().metrics();
@@ -346,11 +350,8 @@ void WarehouseServer::Shutdown() {
   shutdown_.store(true, std::memory_order_release);
   admission_.Close();
   if (http_ != nullptr) http_->Stop();
-  if (sampler_ != nullptr) {
-    // Stop() joins the thread and then takes one final sample, so the
-    // metrics_out fallback file reflects the server's terminal state.
-    sampler_->Stop();
-  }
+  metrics_out_stop_.Close();
+  if (metrics_out_writer_.joinable()) metrics_out_writer_.join();
   if (owns_event_log_) {
     obs::EventLog::Global().Close();
     owns_event_log_ = false;

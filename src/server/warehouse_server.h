@@ -22,14 +22,15 @@
 #include <memory>
 #include <mutex>
 #include <string>
+#include <thread>
 #include <vector>
 
+#include "common/blocking_queue.h"
 #include "common/token_bucket.h"
 #include "hybrid/warehouse.h"
 #include "obs/json.h"
 #include "obs/metrics_http.h"
 #include "obs/query_registry.h"
-#include "obs/timeseries.h"
 #include "server/admission_controller.h"
 #include "server/query_context.h"
 
@@ -44,11 +45,11 @@ struct ObservabilityConfig {
   bool metrics_http = false;
   /// 0 = ephemeral; WarehouseServer::metrics_port() reports the bound one.
   uint16_t metrics_http_port = 0;
-  /// Periodically rewrite this file with the Prometheus exposition — the
-  /// scrapeless fallback for batch runs. "" disables.
+  /// Rewrite this file with the Prometheus exposition at start, every
+  /// sample_interval and once at Shutdown — the scrapeless fallback for
+  /// batch runs. "" disables (and no writer thread runs).
   std::string metrics_out;
-  /// Background sampling interval for the time-series rings (and the
-  /// metrics_out rewrite cadence).
+  /// The metrics_out rewrite cadence.
   std::chrono::milliseconds sample_interval{1000};
   /// JSON-lines lifecycle event log (submit/admit/shed/phase/pivot/spill/
   /// kill/finish). "" disables.
@@ -78,7 +79,7 @@ struct ServerConfig {
 /// Server-wide counters — a point-in-time snapshot view. The same counts
 /// are mirrored into the engine's Metrics registry under server.* (see
 /// common/metrics.h), which is what the scrape endpoint and the
-/// time-series sampler read; this struct stays the programmatic view.
+/// metrics_out file render; this struct stays the programmatic view.
 struct ServerStats {
   AdmissionStats admission;
   int64_t executed = 0;        ///< queries that ran to a result (ok or not)
@@ -154,12 +155,15 @@ class WarehouseServer {
   /// (resolves port 0 to the ephemeral pick), 0 otherwise.
   uint16_t metrics_port() const;
 
-  /// The time-series sampler, nullptr when background sampling is off.
-  obs::MetricsSampler* sampler() { return sampler_.get(); }
+  /// Whether the metrics_out writer thread is running: true from
+  /// construction to Shutdown when ObservabilityConfig::metrics_out is set,
+  /// false otherwise.
+  bool metrics_out_running() const { return metrics_out_writer_.joinable(); }
 
   /// Sheds all waiting queries and rejects new ones. Running queries
-  /// finish. Stops the observability plane (sampler, scrape endpoint,
-  /// event log) with bounded joins. Idempotent; the destructor calls it.
+  /// finish. Stops the observability plane (scrape endpoint, metrics_out
+  /// writer after its last rewrite, event log) with bounded joins.
+  /// Idempotent; the destructor calls it.
   void Shutdown();
 
   ServerStats stats() const;
@@ -180,6 +184,9 @@ class WarehouseServer {
 
   /// The engine metrics registry the server.* mirror writes into.
   Metrics& engine_metrics() const;
+
+  /// Rewrites the metrics_out file with the current exposition.
+  void WriteMetricsOut();
 
   /// Emits one lifecycle event when the event log is open.
   void Emit(const char* event, uint64_t query_id,
@@ -202,8 +209,10 @@ class WarehouseServer {
 
   // Observability plane (all optional; constructed per config, torn down
   // with bounded joins in Shutdown).
-  std::unique_ptr<obs::MetricsSampler> sampler_;
   std::unique_ptr<obs::MetricsHttpServer> http_;
+  /// Closed at Shutdown to wake the metrics_out writer for its last rewrite.
+  BlockingQueue<bool> metrics_out_stop_;
+  std::thread metrics_out_writer_;
   bool owns_event_log_ = false;  ///< this server opened the global log
 };
 

@@ -34,7 +34,8 @@ TEST(FlowClassTest, Classification) {
 }
 
 TEST(NetworkTest, SendRecvPreservesPayloadAndSender) {
-  Network net(NetworkConfig{}, 2, 2, nullptr);
+  Metrics metrics;
+  Network net(NetworkConfig{}, 2, 2, &metrics);
   net.Send(NodeId::Db(1), NodeId::Hdfs(0), 5, Bytes(10, 42));
   Message m = net.Recv(NodeId::Hdfs(0), 5).value();
   EXPECT_FALSE(m.eos);
@@ -44,7 +45,8 @@ TEST(NetworkTest, SendRecvPreservesPayloadAndSender) {
 }
 
 TEST(NetworkTest, TagsIsolateChannels) {
-  Network net(NetworkConfig{}, 1, 1, nullptr);
+  Metrics metrics;
+  Network net(NetworkConfig{}, 1, 1, &metrics);
   net.Send(NodeId::Db(0), NodeId::Hdfs(0), 1, Bytes(1, 1));
   net.Send(NodeId::Db(0), NodeId::Hdfs(0), 2, Bytes(1, 2));
   EXPECT_EQ((*net.Recv(NodeId::Hdfs(0), 2)->payload)[0], 2);
@@ -52,7 +54,8 @@ TEST(NetworkTest, TagsIsolateChannels) {
 }
 
 TEST(NetworkTest, RecvBlocksUntilSend) {
-  Network net(NetworkConfig{}, 1, 1, nullptr);
+  Metrics metrics;
+  Network net(NetworkConfig{}, 1, 1, &metrics);
   std::atomic<bool> got{false};
   std::thread receiver([&] {
     net.Recv(NodeId::Db(0), 9);
@@ -66,7 +69,8 @@ TEST(NetworkTest, RecvBlocksUntilSend) {
 }
 
 TEST(NetworkTest, StreamReceiverCountsEos) {
-  Network net(NetworkConfig{}, 3, 1, nullptr);
+  Metrics metrics;
+  Network net(NetworkConfig{}, 3, 1, &metrics);
   for (uint32_t s = 0; s < 3; ++s) {
     net.Send(NodeId::Db(s), NodeId::Hdfs(0), 4, Bytes(1, s));
     net.SendEos(NodeId::Db(s), NodeId::Hdfs(0), 4);
@@ -78,7 +82,8 @@ TEST(NetworkTest, StreamReceiverCountsEos) {
 }
 
 TEST(NetworkTest, StreamReceiverZeroSendersEndsImmediately) {
-  Network net(NetworkConfig{}, 1, 1, nullptr);
+  Metrics metrics;
+  Network net(NetworkConfig{}, 1, 1, &metrics);
   StreamReceiver receiver(&net, NodeId::Hdfs(0), 4, 0);
   EXPECT_FALSE(receiver.Next().has_value());
 }
@@ -86,7 +91,8 @@ TEST(NetworkTest, StreamReceiverZeroSendersEndsImmediately) {
 TEST(NetworkTest, BytesAccountedPerFlowClass) {
   NetworkConfig config;
   config.per_message_overhead_bytes = 0;
-  Network net(config, 2, 2, nullptr);
+  Metrics metrics;
+  Network net(config, 2, 2, &metrics);
   net.Send(NodeId::Db(0), NodeId::Db(1), 1, Bytes(100));
   net.Send(NodeId::Hdfs(0), NodeId::Hdfs(1), 1, Bytes(200));
   net.Send(NodeId::Db(0), NodeId::Hdfs(1), 1, Bytes(300));
@@ -97,13 +103,61 @@ TEST(NetworkTest, BytesAccountedPerFlowClass) {
   EXPECT_EQ(net.BytesMoved(FlowClass::kLoopback), 0);
 }
 
+// Bytes are cells of the moving thread's slice: a send inside a query lands
+// in that query's slice, a Transfer in the reader's, and bytes moved
+// outside any query count in BytesMoved but in no query's slice.
+TEST(NetworkTest, BytesOutsideAnyQueryCountOnlyInTheProcessTotal) {
+  NetworkConfig config;
+  config.per_message_overhead_bytes = 0;
+  Metrics metrics;
+  Network net(config, 1, 2, &metrics);
+  const int32_t db0 = MetricNodeKey(NodeId::Db(0));
+  const int32_t hdfs1 = MetricNodeKey(NodeId::Hdfs(1));
+  const std::string& cross = FlowBytesMetric(FlowClass::kCrossCluster);
+  const std::string& intra = FlowBytesMetric(FlowClass::kIntraHdfs);
+  {
+    QueryScope query(7);
+    {
+      Metrics::NodeScope node(db0);
+      net.Send(NodeId::Db(0), NodeId::Hdfs(0), 1, Bytes(100));
+    }
+    Metrics::NodeScope node(hdfs1);
+    net.Transfer(NodeId::Hdfs(0), NodeId::Hdfs(1), 40);
+  }
+  {
+    Metrics::NodeScope node(db0);
+    net.Send(NodeId::Db(0), NodeId::Hdfs(0), 1, Bytes(30));
+    net.Transfer(NodeId::Hdfs(0), NodeId::Hdfs(1), 5);
+  }
+  EXPECT_EQ(net.BytesMoved(FlowClass::kCrossCluster), 130);
+  EXPECT_EQ(net.BytesMoved(FlowClass::kIntraHdfs), 45);
+  EXPECT_EQ(metrics.ScopedSnapshot(7, db0).counters.at(cross).value, 100);
+  EXPECT_EQ(metrics.ScopedSnapshot(7, hdfs1).counters.at(intra).value, 40);
+  const auto query_totals = metrics.ScopedQueryTotals(7);
+  EXPECT_EQ(query_totals.at(cross), 100);
+  EXPECT_EQ(query_totals.at(intra), 40);
+  EXPECT_EQ(NetworkBytesOf(query_totals),
+            (std::map<std::string, int64_t>{{"cross_cluster", 100},
+                                            {"intra_hdfs", 40}}));
+  // The rest sits in the "no query" slices (id 0).
+  EXPECT_EQ(NetworkBytesOf(metrics.ScopedQueryTotals(0)),
+            (std::map<std::string, int64_t>{{"cross_cluster", 30},
+                                            {"intra_hdfs", 5}}));
+  // Retiring the query moves its cells into the process record unchanged.
+  metrics.ClearScoped(7);
+  EXPECT_TRUE(metrics.ScopedQueryTotals(7).empty());
+  EXPECT_EQ(net.BytesMoved(FlowClass::kCrossCluster), 130);
+  EXPECT_EQ(net.BytesMoved(FlowClass::kIntraHdfs), 45);
+}
+
 TEST(NetworkTest, TracedExchangeBytesMatchFlowClassAccounting) {
   // Every byte BytesMoved() counts must show up on exactly one send or
   // transfer span whose category is the flow-class name (EOS has no span,
   // so overhead is zeroed to keep the two accountings comparable).
   NetworkConfig config;
   config.per_message_overhead_bytes = 0;
-  Network net(config, 2, 2, nullptr);
+  Metrics metrics;
+  Network net(config, 2, 2, &metrics);
   trace::Tracer tracer(/*enabled=*/true);
   net.set_tracer(&tracer);
 
@@ -151,7 +205,8 @@ TEST(NetworkTest, TracedExchangeBytesMatchFlowClassAccounting) {
 TEST(NetworkTest, LoopbackIsFreeAndUnthrottled) {
   NetworkConfig config;
   config.db_nic_bps = 1024;  // brutally slow
-  Network net(config, 1, 1, nullptr);
+  Metrics metrics;
+  Network net(config, 1, 1, &metrics);
   Stopwatch sw;
   net.Send(NodeId::Db(0), NodeId::Db(0), 1, Bytes(1 << 20));
   EXPECT_LT(sw.ElapsedSeconds(), 0.1);
@@ -163,7 +218,8 @@ TEST(NetworkTest, LoopbackIsFreeAndUnthrottled) {
 TEST(NetworkTest, CrossTrafficThrottledBySwitch) {
   NetworkConfig config;
   config.cross_switch_bps = 10 * 1024 * 1024;  // 10 MB/s
-  Network net(config, 1, 1, nullptr);
+  Metrics metrics;
+  Network net(config, 1, 1, &metrics);
   // Drain the burst, then time 1 MB: ~0.1 s.
   net.Send(NodeId::Db(0), NodeId::Hdfs(0), 1, Bytes(1024 * 1024));
   Stopwatch sw;
@@ -174,21 +230,24 @@ TEST(NetworkTest, CrossTrafficThrottledBySwitch) {
 TEST(NetworkTest, IntraClusterAvoidsTheSwitch) {
   NetworkConfig config;
   config.cross_switch_bps = 1024;  // nearly stalled switch
-  Network net(config, 2, 2, nullptr);
+  Metrics metrics;
+  Network net(config, 2, 2, &metrics);
   Stopwatch sw;
   net.Send(NodeId::Hdfs(0), NodeId::Hdfs(1), 1, Bytes(1 << 20));
   EXPECT_LT(sw.ElapsedSeconds(), 0.2);  // unaffected by the switch
 }
 
 TEST(NetworkTest, TagBlocksAreDisjoint) {
-  Network net(NetworkConfig{}, 1, 1, nullptr);
+  Metrics metrics;
+  Network net(NetworkConfig{}, 1, 1, &metrics);
   const uint64_t a = net.AllocateTagBlock(16);
   const uint64_t b = net.AllocateTagBlock(16);
   EXPECT_GE(b, a + 16);
 }
 
 TEST(NetworkTest, SharedPayloadBroadcastDoesNotCopy) {
-  Network net(NetworkConfig{}, 1, 2, nullptr);
+  Metrics metrics;
+  Network net(NetworkConfig{}, 1, 2, &metrics);
   auto payload = std::make_shared<const std::vector<uint8_t>>(Bytes(8, 3));
   net.Send(NodeId::Db(0), NodeId::Hdfs(0), 1, payload);
   net.Send(NodeId::Db(0), NodeId::Hdfs(1), 1, payload);
@@ -198,7 +257,8 @@ TEST(NetworkTest, SharedPayloadBroadcastDoesNotCopy) {
 }
 
 TEST(NetworkStressTest, ManySendersManyTagsDeliverExactly) {
-  Network net(NetworkConfig{}, 4, 4, nullptr);
+  Metrics metrics;
+  Network net(NetworkConfig{}, 4, 4, &metrics);
   constexpr int kMessagesPerPair = 200;
   const uint64_t tag = net.AllocateTagBlock();
   std::atomic<int64_t> payload_sum{0};
@@ -276,7 +336,8 @@ TEST(FaultInjectionTest, DuplicateDeliveredExactlyOnce) {
   NetworkConfig config;
   config.recv_timeout_ms = 100;
   config.per_message_overhead_bytes = 0;
-  Network net(config, 1, 1, nullptr);
+  Metrics metrics;
+  Network net(config, 1, 1, &metrics);
   net.set_fault_injector(&injector);
 
   constexpr int kMessages = 5;
@@ -304,7 +365,8 @@ TEST(FaultInjectionTest, TransientFailureRecoversWithRetry) {
   profile.seed = 11;
   profile.fail_first_prob = 1.0;
   FaultInjector injector(profile);
-  Network net(NetworkConfig{}, 1, 1, nullptr);
+  Metrics metrics;
+  Network net(NetworkConfig{}, 1, 1, &metrics);
   net.set_fault_injector(&injector);
 
   // A bare first attempt fails...
@@ -331,7 +393,8 @@ TEST(FaultInjectionTest, TruncatedRetryBurnsExtraBytes) {
   FaultInjector injector(profile);
   NetworkConfig config;
   config.per_message_overhead_bytes = 0;
-  Network net(config, 1, 1, nullptr);
+  Metrics metrics;
+  Network net(config, 1, 1, &metrics);
   net.set_fault_injector(&injector);
 
   Status sent =
@@ -345,7 +408,8 @@ TEST(FaultInjectionTest, TruncatedRetryBurnsExtraBytes) {
 
 TEST(FaultInjectionTest, HardLossExhaustsRetries) {
   FaultInjector injector(FaultProfile::Lossy(/*seed=*/1));
-  Network net(NetworkConfig{}, 1, 1, nullptr);
+  Metrics metrics;
+  Network net(NetworkConfig{}, 1, 1, &metrics);
   net.set_fault_injector(&injector);
   // drop_prob = 0.2: hunt for a dropped message; its retries must all fail.
   bool saw_permanent_failure = false;
@@ -370,7 +434,8 @@ TEST(FaultInjectionTest, EosAndControlAreExemptFromLoss) {
   FaultInjector injector(profile);
   NetworkConfig config;
   config.recv_timeout_ms = 2000;
-  Network net(config, 1, 1, nullptr);
+  Metrics metrics;
+  Network net(config, 1, 1, &metrics);
   net.set_fault_injector(&injector);
 
   net.SendControl(NodeId::Db(0), NodeId::Hdfs(0), 2, Bytes(4, 9));
@@ -386,7 +451,8 @@ TEST(FaultInjectionTest, EosAndControlAreExemptFromLoss) {
 TEST(FaultInjectionTest, RecvTimeoutReturnsTimedOut) {
   NetworkConfig config;
   config.recv_timeout_ms = 50;
-  Network net(config, 1, 1, nullptr);
+  Metrics metrics;
+  Network net(config, 1, 1, &metrics);
   Stopwatch sw;
   auto m = net.Recv(NodeId::Db(0), 1);
   ASSERT_FALSE(m.ok());
@@ -398,7 +464,8 @@ TEST(FaultInjectionTest, RecvTimeoutReturnsTimedOut) {
 TEST(FaultInjectionTest, StreamReceiverSurfacesTimeout) {
   NetworkConfig config;
   config.recv_timeout_ms = 50;
-  Network net(config, 2, 1, nullptr);
+  Metrics metrics;
+  Network net(config, 2, 1, &metrics);
   // Two senders expected, only one finishes: the drain must end with an
   // error rather than hang.
   net.Send(NodeId::Db(0), NodeId::Hdfs(0), 4, Bytes(1));
@@ -414,7 +481,8 @@ TEST(FaultInjectionTest, StallFiresExactlyOnce) {
   FaultProfile profile = FaultProfile::Stall(/*seed=*/0, /*num_jen_workers=*/2);
   profile.stall_us = 1000;  // keep the test fast
   FaultInjector injector(profile);
-  Network net(NetworkConfig{}, 1, 2, nullptr);
+  Metrics metrics;
+  Network net(NetworkConfig{}, 1, 2, &metrics);
   net.set_fault_injector(&injector);
   const NodeId stalled = NodeId::Hdfs(profile.stall_index);
   ASSERT_TRUE(net.Send(stalled, NodeId::Db(0), 1, Bytes(4)).ok());

@@ -1,11 +1,12 @@
-// Observability-plane unit tests: the Prometheus renderer round-trips
-// through the strict validator (including under 8-way concurrent writers),
-// the validator rejects malformed expositions, the event log writes
-// parseable JSON lines, the time-series sampler starts/stops cleanly with
-// bounded rings, the process-list registry snapshots and cancels, the
-// scrape endpoint serves real HTTP, and perfcheck's overhead family gates
-// against its absolute ceiling. Server-integrated behavior (KILL through a
-// running join, scrape == registry across a live warehouse) lives in
+// Observability-plane unit tests: the Prometheus renderer types each series
+// by how its cells were written (Add -> counter, Max/Set -> gauge, also
+// after a real query) and round-trips through the strict validator
+// (including under 8-way concurrent writers), the validator rejects
+// malformed expositions, the event log writes parseable JSON lines, the
+// process-list registry snapshots and cancels, the scrape endpoint serves
+// real HTTP, and perfcheck's overhead family gates against its absolute
+// ceiling. Server-integrated behavior (KILL through a running join, scrape
+// == registry across a live warehouse, the metrics_out writer) lives in
 // server_test.cc.
 
 #include <gtest/gtest.h>
@@ -27,19 +28,20 @@
 #include "common/metrics.h"
 #include "common/query_scope.h"
 #include "exec/memory_governor.h"
+#include "hybrid/warehouse.h"
 #include "obs/event_log.h"
 #include "obs/json.h"
 #include "obs/metrics_http.h"
 #include "obs/perfcheck.h"
 #include "obs/promtext.h"
 #include "obs/query_registry.h"
-#include "obs/timeseries.h"
+#include "workload/loader.h"
 
 namespace hybridjoin {
 namespace {
 
 // ---------------------------------------------------------------------------
-// Prometheus naming and gauge classification.
+// Prometheus naming and series types.
 
 TEST(PromtextTest, PrometheusNameSanitizes) {
   EXPECT_EQ(obs::PrometheusName("join.spill_bytes"), "hj_join_spill_bytes");
@@ -49,19 +51,53 @@ TEST(PromtextTest, PrometheusNameSanitizes) {
             "hj_weird_name_with_chars");
 }
 
-TEST(PromtextTest, GaugeClassification) {
-  EXPECT_TRUE(obs::IsGaugeMetric(metric::kServerOpenSessions));
-  EXPECT_TRUE(obs::IsGaugeMetric(metric::kServerQueriesInFlight));
-  EXPECT_TRUE(obs::IsGaugeMetric(metric::kShuffleHotKeys));
-  EXPECT_TRUE(obs::IsGaugeMetric(metric::kJoinHtLoadFactorPct));
-  EXPECT_TRUE(obs::IsGaugeMetric(metric::kJoinBuildShardRowsMax));
-  EXPECT_TRUE(obs::IsGaugeMetric(metric::kBloomEstFprPpm));
-  EXPECT_TRUE(obs::IsGaugeMetric(metric::kAdvisorObservedDbBytes));
-  EXPECT_TRUE(obs::IsGaugeMetric("join.mem_peak_bytes"));
-  // Monotonic counters stay counters.
-  EXPECT_FALSE(obs::IsGaugeMetric(metric::kServerQueriesExecuted));
-  EXPECT_FALSE(obs::IsGaugeMetric(metric::kJoinOutputTuples));
-  EXPECT_FALSE(obs::IsGaugeMetric(metric::kServerGovernorLeakedBytes));
+// A series' TYPE comes from its record, whatever its name says: Add cells
+// are counters with the _total suffix, Max and Set cells gauges without
+// it, and join.ht_max_chain (written with Max) is a gauge after a real
+// query.
+TEST(PromtextTest, TypesComeFromTheRecord) {
+  Metrics metrics;
+  metrics.Add("test.peak_pct", 5);  // gauge-looking name, written with Add
+  metrics.Max("test.rows", 9);      // counter-looking name, written with Max
+  metrics.Set("test.sessions", 2);
+  const std::string text = obs::RenderPrometheus(metrics);
+  ASSERT_TRUE(obs::ValidatePrometheus(text).ok()) << text;
+  EXPECT_NE(text.find("# TYPE hj_test_peak_pct_total counter\n"
+                      "hj_test_peak_pct_total 5\n"),
+            std::string::npos)
+      << text;
+  EXPECT_NE(text.find("# TYPE hj_test_rows gauge\nhj_test_rows 9\n"),
+            std::string::npos)
+      << text;
+  EXPECT_NE(text.find("# TYPE hj_test_sessions gauge\nhj_test_sessions 2\n"),
+            std::string::npos)
+      << text;
+  EXPECT_EQ(text.find("hj_test_rows_total"), std::string::npos);
+  EXPECT_EQ(text.find("hj_test_sessions_total"), std::string::npos);
+
+  WorkloadConfig wc;
+  wc.num_join_keys = 128;
+  wc.t_rows = 1000;
+  wc.l_rows = 4000;
+  auto workload = Workload::Generate(wc, SelectivitySpec{});
+  ASSERT_TRUE(workload.ok()) << workload.status();
+  SimulationConfig config;
+  config.db.num_workers = 2;
+  config.jen_workers = 2;
+  config.bloom.expected_keys = wc.num_join_keys;
+  HybridWarehouse hw(config);
+  ASSERT_TRUE(LoadWorkload(&hw, *workload, {}).ok());
+  auto result = hw.Execute(workload->MakeQuery(), JoinAlgorithm::kZigzag);
+  ASSERT_TRUE(result.ok()) << result.status();
+  ASSERT_GT(result->report.Counter(metric::kJoinHtMaxChain), 0);
+  const std::string after_query =
+      obs::RenderPrometheus(hw.context().metrics());
+  ASSERT_TRUE(obs::ValidatePrometheus(after_query).ok());
+  EXPECT_NE(after_query.find("# TYPE hj_join_ht_max_chain gauge\n"),
+            std::string::npos);
+  EXPECT_EQ(after_query.find("hj_join_ht_max_chain_total"), std::string::npos);
+  EXPECT_NE(after_query.find("# TYPE hj_net_cross_cluster_bytes_total counter"),
+            std::string::npos);
 }
 
 // ---------------------------------------------------------------------------
@@ -271,72 +307,6 @@ TEST(EventLogTest, ReopenTruncates) {
   EXPECT_EQ(buf.str().find("first"), std::string::npos);
   EXPECT_NE(buf.str().find("second"), std::string::npos);
   std::remove(path.c_str());
-}
-
-// ---------------------------------------------------------------------------
-// Time-series sampler.
-
-TEST(TimeseriesTest, SampleOnceBuildsSeriesAndRates) {
-  Metrics metrics;
-  obs::TimeseriesConfig config;
-  obs::MetricsSampler sampler(&metrics, config);
-
-  metrics.Add("test.counter", 10);
-  sampler.SampleOnce();
-  metrics.Add("test.counter", 30);
-  metrics.Record("test.latency_us", 500);
-  sampler.SampleOnce();
-
-  const auto series = sampler.CounterSeries("test.counter");
-  ASSERT_EQ(series.size(), 2u);
-  EXPECT_EQ(series[0].value, 10);
-  EXPECT_EQ(series[1].value, 40);
-  EXPECT_GE(series[1].t_us, series[0].t_us);
-  EXPECT_GE(sampler.RatePerSecond("test.counter"), 0.0);
-  EXPECT_EQ(sampler.RatePerSecond("test.unknown"), 0.0);
-  ASSERT_EQ(sampler.HistogramSeries("test.latency_us").size(), 1u);
-  EXPECT_EQ(sampler.HistogramSeries("test.latency_us")[0].summary.count, 1u);
-  EXPECT_EQ(sampler.LatestCounters().at("test.counter"), 40);
-}
-
-TEST(TimeseriesTest, RingsStayBounded) {
-  Metrics metrics;
-  metrics.Add("test.counter", 1);
-  obs::TimeseriesConfig config;
-  config.ring_capacity = 4;
-  obs::MetricsSampler sampler(&metrics, config);
-  for (int i = 0; i < 10; ++i) {
-    metrics.Add("test.counter", 1);
-    sampler.SampleOnce();
-  }
-  const auto series = sampler.CounterSeries("test.counter");
-  ASSERT_EQ(series.size(), 4u);
-  EXPECT_EQ(series.back().value, 11);  // newest retained, oldest evicted
-  EXPECT_EQ(series.front().value, 8);
-}
-
-// Satellite (f): background threads start and stop cleanly, repeatedly —
-// the TSan CI job runs this, so a racy join or leaked thread fails there.
-TEST(TimeseriesTest, StartStopCyclesAreClean) {
-  Metrics metrics;
-  metrics.Add("test.counter", 1);
-  obs::TimeseriesConfig config;
-  config.sample_interval = std::chrono::milliseconds(1);
-  for (int i = 0; i < 20; ++i) {
-    obs::MetricsSampler sampler(&metrics, config);
-    sampler.set_on_sample([&] { metrics.Get("test.counter"); });
-    sampler.Start();
-    sampler.Start();  // idempotent
-    EXPECT_TRUE(sampler.running());
-    if (i % 2 == 0) {
-      while (sampler.samples_taken() == 0) {
-        std::this_thread::sleep_for(std::chrono::milliseconds(1));
-      }
-    }
-    sampler.Stop();
-    sampler.Stop();  // idempotent
-    EXPECT_FALSE(sampler.running());
-  }
 }
 
 // ---------------------------------------------------------------------------

@@ -568,8 +568,9 @@ TEST_F(ServerTest, AdminStatementsAnswerWithoutAdmission) {
   EXPECT_FALSE(server.ExecuteStatement(session, "SHOW NONSENSE").ok());
 }
 
-// Satellite (f): 50 plane start/stop cycles (sampler thread, scrape
-// listener, event log) with bounded joins — runs under the TSan CI job.
+// 50 plane start/stop cycles (scrape listener, event log) with bounded
+// joins — runs under the TSan CI job. With only the scrape endpoint on, no
+// metrics_out writer thread runs.
 TEST_F(ServerTest, ObservabilityPlaneStartStop50x) {
   const std::string log_path =
       ::testing::TempDir() + "/hj_plane_cycle_events.jsonl";
@@ -581,10 +582,9 @@ TEST_F(ServerTest, ObservabilityPlaneStartStop50x) {
     sc.observability.event_log_path = log_path;
     WarehouseServer server(hw_.get(), sc);
     ASSERT_NE(server.metrics_port(), 0) << "cycle " << i;
-    ASSERT_NE(server.sampler(), nullptr);
-    EXPECT_TRUE(server.sampler()->running());
+    EXPECT_FALSE(server.metrics_out_running()) << "cycle " << i;
     if (i % 10 == 0) {
-      // Occasionally do real work mid-cycle so the threads sample live
+      // Occasionally do real work mid-cycle so the scrape renders live
       // state, not an idle registry.
       const uint64_t session = server.OpenSession();
       EXPECT_TRUE(obs::ValidatePrometheus(server.MetricsText()).ok());
@@ -594,6 +594,70 @@ TEST_F(ServerTest, ObservabilityPlaneStartStop50x) {
     EXPECT_FALSE(obs::EventLog::Global().enabled()) << "cycle " << i;
   }
   std::remove(log_path.c_str());
+}
+
+// The metrics_out file is rewritten every sample_interval while the server
+// runs, and once more at Shutdown.
+TEST_F(ServerTest, MetricsOutRewrittenWhileRunningAndAtShutdown) {
+  const std::string path = ::testing::TempDir() + "/hj_metrics_out.prom";
+  const auto read_file = [&path] {
+    std::ifstream in(path);
+    std::stringstream buffer;
+    buffer << in.rdbuf();
+    return buffer.str();
+  };
+  // One read per try: the writer truncates the file before each rewrite,
+  // so a second read may land in between.
+  const auto wait_for = [&read_file](const std::string& needle) {
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(30);
+    do {
+      if (read_file().find(needle) != std::string::npos) return true;
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    } while (std::chrono::steady_clock::now() < deadline);
+    return false;
+  };
+  std::remove(path.c_str());
+  {
+    ServerConfig sc;
+    sc.observability.metrics_out = path;
+    sc.observability.sample_interval = std::chrono::milliseconds(5);
+    WarehouseServer server(hw_.get(), sc);
+    EXPECT_TRUE(server.metrics_out_running());
+    const uint64_t session = server.OpenSession();
+    ASSERT_TRUE(server.Execute(session, kQuery).ok());
+    ASSERT_TRUE(server.CloseSession(session).ok());
+    // Rewritten while running: a removed file comes back with the query's
+    // counters, twice over.
+    for (int round = 0; round < 2; ++round) {
+      std::remove(path.c_str());
+      ASSERT_TRUE(wait_for("hj_server_queries_executed_total 1\n"))
+          << "round " << round;
+    }
+    server.Shutdown();
+    EXPECT_FALSE(server.metrics_out_running());
+    EXPECT_TRUE(obs::ValidatePrometheus(read_file()).ok());
+  }
+  {
+    // An interval longer than the test: the file is written at start and
+    // then only at Shutdown, which must show the session opened since.
+    std::remove(path.c_str());
+    ServerConfig sc;
+    sc.observability.metrics_out = path;
+    sc.observability.sample_interval = std::chrono::hours(1);
+    WarehouseServer server(hw_.get(), sc);
+    ASSERT_TRUE(wait_for("hj_server_open_sessions 0\n"));
+    server.OpenSession();
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    EXPECT_NE(read_file().find("hj_server_open_sessions 0\n"),
+              std::string::npos);
+    server.Shutdown();
+    const std::string last = read_file();
+    EXPECT_NE(last.find("hj_server_open_sessions 1\n"), std::string::npos)
+        << last;
+    EXPECT_TRUE(obs::ValidatePrometheus(last).ok());
+  }
+  std::remove(path.c_str());
 }
 
 // The lifecycle acceptance bullet: an 8-way concurrent run leaves an event
