@@ -1,7 +1,6 @@
-// Shared harness for the paper-reproduction benches: builds a throttled
-// two-cluster warehouse per (selectivity, format) cell, loads the scaled
-// workload, and measures warm runs of each algorithm, mirroring the
-// methodology of §5 (multiple runs, first run excluded).
+// Shared settings of the benches that run the paper's workload: the scaled
+// workload and cluster size, the throttled testbed configuration, and the
+// printed preamble and shape-check lines.
 //
 // Environment overrides:
 //   HJ_BENCH_TROWS / HJ_BENCH_LROWS / HJ_BENCH_KEYS   workload scale
@@ -12,10 +11,8 @@
 #ifndef HYBRIDJOIN_BENCH_BENCH_COMMON_H_
 #define HYBRIDJOIN_BENCH_BENCH_COMMON_H_
 
-#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
-#include <memory>
 #include <string>
 
 #include "hybrid/warehouse.h"
@@ -48,15 +45,12 @@ struct BenchConfig {
     env_u64("HJ_BENCH_TROWS", &c.workload.t_rows);
     env_u64("HJ_BENCH_LROWS", &c.workload.l_rows);
     env_u64("HJ_BENCH_KEYS", &c.workload.num_join_keys);
-    uint64_t tmp;
-    if (const char* v = std::getenv("HJ_BENCH_DBW")) {
-      tmp = std::strtoull(v, nullptr, 10);
-      c.db_workers = static_cast<uint32_t>(tmp);
-    }
-    if (const char* v = std::getenv("HJ_BENCH_JENW")) {
-      tmp = std::strtoull(v, nullptr, 10);
-      c.jen_workers = static_cast<uint32_t>(tmp);
-    }
+    uint64_t db_workers = c.db_workers;
+    uint64_t jen_workers = c.jen_workers;
+    env_u64("HJ_BENCH_DBW", &db_workers);
+    env_u64("HJ_BENCH_JENW", &jen_workers);
+    c.db_workers = static_cast<uint32_t>(db_workers);
+    c.jen_workers = static_cast<uint32_t>(jen_workers);
     if (const char* v = std::getenv("HJ_BENCH_REPEATS")) {
       c.repeats = std::atoi(v);
       if (c.repeats < 1) c.repeats = 1;
@@ -90,90 +84,7 @@ inline SimulationConfig MakeSimConfig(const BenchConfig& bench) {
   return c;
 }
 
-/// One (selectivity, format) cell: generated data loaded into a throttled
-/// warehouse, ready to run algorithms on.
-class BenchCell {
- public:
-  static std::unique_ptr<BenchCell> Create(const BenchConfig& bench,
-                                           const SelectivitySpec& spec,
-                                           HdfsFormat format) {
-    auto cell = std::make_unique<BenchCell>();
-    cell->bench_ = bench;
-    auto workload = Workload::Generate(bench.workload, spec);
-    if (!workload.ok()) {
-      std::fprintf(stderr, "workload generation failed: %s\n",
-                   workload.status().ToString().c_str());
-      return nullptr;
-    }
-    cell->workload_ = std::make_unique<Workload>(std::move(*workload));
-    cell->warehouse_ =
-        std::make_unique<HybridWarehouse>(MakeSimConfig(bench));
-    LoadOptions load;
-    load.hdfs.format = format;
-    load.hdfs.rows_per_block = 32 * 1024;
-    const Status st = LoadWorkload(cell->warehouse_.get(),
-                                   *cell->workload_, load);
-    if (!st.ok()) {
-      std::fprintf(stderr, "workload load failed: %s\n",
-                   st.ToString().c_str());
-      return nullptr;
-    }
-
-    // Page-cache sizing (paper §5.4): the columnar table fits in memory,
-    // the raw text table does not. We give each node a cache of ~40% of
-    // its text footprint, which comfortably holds the columnar chunks but
-    // thrashes on text scans.
-    EngineContext& ctx = cell->warehouse_->context();
-    auto file_size = ctx.namenode().FileSize("/warehouse/L");
-    if (file_size.ok()) {
-      const uint64_t per_node =
-          *file_size * ctx.config().hdfs_replication / bench.jen_workers;
-      uint64_t capacity;
-      if (format == HdfsFormat::kText) {
-        capacity = static_cast<uint64_t>(per_node * 0.4);
-      } else {
-        capacity = per_node * 4;
-      }
-      for (uint32_t i = 0; i < bench.jen_workers; ++i) {
-        ctx.datanode(i)->SetCacheCapacity(capacity);
-      }
-    }
-    return cell;
-  }
-
-  const Workload& workload() const { return *workload_; }
-  HybridWarehouse& warehouse() { return *warehouse_; }
-
-  /// Warm run (discarded, paper methodology) + measured runs; returns the
-  /// minimum (stablest point estimate on a shared host) and the last report.
-  double Run(JoinAlgorithm algorithm, ExecutionReport* report = nullptr) {
-    const HybridQuery query = workload_->MakeQuery();
-    auto warm = warehouse_->Execute(query, algorithm);
-    if (!warm.ok()) {
-      std::fprintf(stderr, "run failed (%s): %s\n",
-                   JoinAlgorithmName(algorithm),
-                   warm.status().ToString().c_str());
-      return -1;
-    }
-    const int runs = std::max(bench_.repeats, 2);
-    double best = 1e100;
-    for (int i = 0; i < runs; ++i) {
-      auto result = warehouse_->Execute(query, algorithm);
-      if (!result.ok()) return -1;
-      best = std::min(best, result->report.wall_seconds);
-      if (report != nullptr && i == runs - 1) {
-        *report = result->report;
-      }
-    }
-    return best;
-  }
-
-  BenchConfig bench_;
-  std::unique_ptr<Workload> workload_;
-  std::unique_ptr<HybridWarehouse> warehouse_;
-};
-
-/// Header printed by every figure bench.
+/// Header printed by every bench.
 inline void PrintPreamble(const char* exhibit, const char* description,
                           const BenchConfig& bench) {
   std::printf("==========================================================\n");

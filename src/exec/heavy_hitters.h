@@ -68,7 +68,7 @@ class HeavyHitterSketch {
 };
 
 /// The hot-key set every worker routes against: a sorted vector with
-/// binary-search membership (the set is capped at SkewConfig::max_hot_keys,
+/// binary-search membership (the set is capped at SkewConfig::kMaxHotKeys,
 /// so Contains is a handful of comparisons on the shuffle hot path).
 class HotKeySet {
  public:

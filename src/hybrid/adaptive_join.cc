@@ -49,14 +49,14 @@ struct JenSample {
 };
 
 /// One JEN worker's decision-point sample into `out`:
-/// `hdfs_sample_blocks` seeded random picks from its own block assignment,
-/// decoded and filtered the same way EstimateQuery samples (reads are
-/// charged at the datanode, not the interconnect). Collects up to
-/// `max_keys` post-predicate join-key values for the coordinator's observed
-/// Bloom pass rate.
+/// `AdaptiveConfig::kHdfsSampleBlocks` seeded random picks from its own
+/// block assignment, decoded and filtered the same way EstimateQuery
+/// samples (reads are charged at the datanode, not the interconnect).
+/// Collects up to `AdaptiveConfig::kSampleKeys` post-predicate join-key
+/// values for the coordinator's observed Bloom pass rate.
 Status SampleWorkerBlocks(EngineContext* ctx, const PreparedQuery& prepared,
                           uint32_t worker, const AdaptiveConfig& acfg,
-                          uint32_t max_keys, uint64_t seed, JenSample* out) {
+                          uint64_t seed, JenSample* out) {
   const auto& assigned = prepared.scan_plan.per_worker[worker];
   // The fraction cap bounds the sampler's decode work relative to the scan
   // it precedes (see AdaptiveConfig::hdfs_sample_max_fraction); a worker
@@ -64,7 +64,7 @@ Status SampleWorkerBlocks(EngineContext* ctx, const PreparedQuery& prepared,
   const uint32_t fraction_cap = static_cast<uint32_t>(
       static_cast<double>(assigned.size()) * acfg.hdfs_sample_max_fraction);
   const uint32_t sample_blocks =
-      std::min(acfg.hdfs_sample_blocks, fraction_cap);
+      std::min(AdaptiveConfig::kHdfsSampleBlocks, fraction_cap);
   if (assigned.empty() || sample_blocks == 0) return Status::OK();
 
   const uint32_t picks =
@@ -84,7 +84,7 @@ Status SampleWorkerBlocks(EngineContext* ctx, const PreparedQuery& prepared,
     out->projected_bytes += projected.ByteSize();
     const ColumnVector& key = projected.column(prepared.hdfs_key_idx);
     for (uint32_t r = 0; r < projected.num_rows(); ++r) {
-      if (out->keys.size() >= max_keys) break;
+      if (out->keys.size() >= AdaptiveConfig::kSampleKeys) break;
       out->keys.push_back(key.physical_type() == PhysicalType::kInt32
                               ? static_cast<int64_t>(key.i32()[r])
                               : key.i64()[r]);
@@ -113,7 +113,7 @@ Result<QueryResult> RunAdaptiveJoin(EngineContext* ctx,
   // sketch costs one Add per row).
   driver::PrefixState prefix{BloomFilter(prepared.bloom_params), {}};
   prefix.sketches.assign(
-      m, HeavyHitterSketch(ctx->config().skew.sketch_capacity));
+      m, HeavyHitterSketch(SkewConfig::kSketchCapacity));
   const driver::DbBloomPrefix bf_db(
       &exec, prepared, /*carried=*/nullptr,
       {.feed_sketch = ctx->config().skew.enabled && (m > 1 || n > 1),
@@ -287,8 +287,8 @@ Result<QueryResult> RunAdaptiveJoin(EngineContext* ctx,
   // --- JEN workers: seeded block re-sample, then wait for the verdict. ---
   auto jen_worker = [&](uint32_t w) -> Status {
     JenSample sample;
-    Status st = SampleWorkerBlocks(ctx, prepared, w, acfg, acfg.sample_keys,
-                                   acfg.sample_seed, &sample);
+    Status st =
+        SampleWorkerBlocks(ctx, prepared, w, acfg, acfg.sample_seed, &sample);
     BinaryWriter stats;
     stats.PutU8(kJenStats);
     stats.PutU64(sample.rows_sampled);

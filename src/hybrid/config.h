@@ -45,7 +45,7 @@ struct BloomConfig {
 /// docs/architecture.md "Skew-aware shuffle"). A space-saving sketch rides
 /// the DB-side Bloom-build scan; the coordinator merges the per-worker
 /// sketches and broadcasts the rows of keys whose estimated per-worker
-/// load exceeds `hot_multiplier` x the fair share, while the matching
+/// load exceeds `kHotMultiplier` x the fair share, while the matching
 /// probe-side rows stay on the worker that scanned them. Cold keys keep
 /// the agreed-hash route. Only Bloom-assisted repartition joins have the
 /// piggyback scan, so only they are affected; the zigzag exact-semijoin
@@ -57,13 +57,13 @@ struct SkewConfig {
   /// Entries per space-saving sketch (per DB worker). Error is bounded by
   /// scanned_rows / capacity, so 256 resolves any key above ~0.4% of the
   /// build side — far below every interesting hot threshold.
-  uint32_t sketch_capacity = 256;
+  static constexpr uint32_t kSketchCapacity = 256;
   /// A key is hot when its estimated rows-per-worker under agreed-hash
   /// routing exceeds this multiple of the fair per-worker share.
-  double hot_multiplier = 1.5;
+  static constexpr double kHotMultiplier = 1.5;
   /// Upper bound on the hot-set size (bounds both the broadcast fan-out
   /// and the per-row membership test on the shuffle hot path).
-  uint32_t max_hot_keys = 64;
+  static constexpr uint32_t kMaxHotKeys = 64;
 };
 
 /// Knobs of the adaptive join-location layer (src/hybrid/adaptive_join.cc,
@@ -85,16 +85,15 @@ struct AdaptiveConfig {
   /// good enough, and a pivot's carried state is never free.
   double pivot_threshold = 0.2;
   /// HDFS blocks sampled per JEN worker at the decision point (seeded
-  /// random picks from the worker's own assignment). 0 disables the HDFS
-  /// re-sample and keeps the estimator's numbers for that side.
-  uint32_t hdfs_sample_blocks = 2;
+  /// random picks from the worker's own assignment).
+  static constexpr uint32_t kHdfsSampleBlocks = 2;
   /// Upper bound on the re-sample as a fraction of the worker's assigned
-  /// blocks: a worker samples min(hdfs_sample_blocks, floor(assigned *
+  /// blocks: a worker samples min(kHdfsSampleBlocks, floor(assigned *
   /// fraction)) blocks. Block decode costs the same whether the scan or the
   /// sampler does it, so without this cap a worker owning few blocks would
   /// re-decode most of its assignment just to decide where to join — the
   /// cap keeps the decision point's cost a bounded share of the scan (at
-  /// realistic block counts the hdfs_sample_blocks count binds first and
+  /// realistic block counts the kHdfsSampleBlocks count binds first and
   /// the overhead is a few percent). Workers capped to zero ship no sample
   /// and the estimator's HDFS numbers stand. The differential fuzzer's
   /// --adaptive sweep forces 1.0 to keep the observed-stats paths exercised
@@ -103,7 +102,7 @@ struct AdaptiveConfig {
   /// Join-key values (post-predicate) each JEN worker ships with its
   /// sample; DB worker 0 probes them against the just-built global Bloom
   /// filter for an observed join-key selectivity.
-  uint32_t sample_keys = 2048;
+  static constexpr uint32_t kSampleKeys = 2048;
   /// Seed for the estimator's and the decision point's random sampling
   /// (EstimateQuery batch/block picks are derived from it too, so runs
   /// stay reproducible).

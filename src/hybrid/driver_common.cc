@@ -203,15 +203,15 @@ int64_t KeyAt(const ColumnVector& key, uint32_t row) {
 }
 
 /// The hot-key agreement's fold result: the hot set for an exchange over
-/// `route_workers` destinations (PickHotKeys with the SkewConfig knobs),
+/// `route_workers` destinations (PickHotKeys with the SkewConfig constants),
 /// recorded in the event log. One coordinator decides, so every sender
 /// agrees on exactly which keys are hot and every (build, probe) row pair
 /// meets on exactly one worker.
-HotKeySet AgreeHotKeys(EngineContext* ctx, const HeavyHitterSketch& merged,
+HotKeySet AgreeHotKeys(const HeavyHitterSketch& merged,
                        uint32_t route_workers) {
-  const SkewConfig& skew = ctx->config().skew;
-  HotKeySet hot = PickHotKeys(merged, route_workers, skew.hot_multiplier,
-                              skew.max_hot_keys);
+  HotKeySet hot = PickHotKeys(merged, route_workers,
+                              SkewConfig::kHotMultiplier,
+                              SkewConfig::kMaxHotKeys);
   if (hot.empty()) return hot;
   if (obs::EventLog::Global().enabled()) {
     auto fields = obs::JsonValue::Object();
@@ -568,7 +568,7 @@ BloomPrefix DbBloomPrefix::Run(uint32_t worker, Status* status) const {
   const HybridQuery& query = prepared_.query;
   const NodeId self = NodeId::Db(worker);
   BloomPrefix out{BloomFilter(),
-                  HeavyHitterSketch(ctx->config().skew.sketch_capacity),
+                  HeavyHitterSketch(SkewConfig::kSketchCapacity),
                   HotKeySet(), 0};
   const char* mark = options_.built_mark;
   if (carried_ != nullptr) {
@@ -601,8 +601,7 @@ BloomPrefix DbBloomPrefix::Run(uint32_t worker, Status* status) const {
                         return Status::OK();
                       },
                       [&] {
-                        return AgreeHotKeys(ctx, merged,
-                                            options_.route_workers);
+                        return AgreeHotKeys(merged, options_.route_workers);
                       })
                   .ValueOr(status);
     if (options_.to_jen) to_jen_.Scatter(self, out.hot);

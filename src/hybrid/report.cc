@@ -2,6 +2,8 @@
 
 #include <sstream>
 
+#include "net/network.h"
+
 namespace hybridjoin {
 
 const char* JoinAlgorithmName(JoinAlgorithm algorithm) {
@@ -49,6 +51,8 @@ std::string ExecutionReport::ToString() const {
   if (!counters.empty()) {
     os << "  counters:\n";
     for (const auto& [name, value] : counters) {
+      // The net.<class>_bytes cells print once, under "network bytes".
+      if (!NetworkBytesOf({{name, value}}).empty()) continue;
       os << "    " << name << " = " << value << "\n";
     }
   }

@@ -25,27 +25,31 @@ std::string ElementKey(const JsonValue& element, size_t index) {
   return std::to_string(index);
 }
 
-void FlattenInto(const JsonValue& v, const std::string& prefix,
-                 std::map<std::string, double>* out) {
+std::string ChildPath(const std::string& prefix, const std::string& key) {
+  return prefix.empty() ? key : prefix + "." + key;
+}
+
+Status FlattenInto(const JsonValue& v, const std::string& prefix,
+                   std::map<std::string, double>* out) {
   switch (v.kind()) {
     case JsonValue::Kind::kNumber:
-      (*out)[prefix] = v.AsDouble();
-      return;
+      if (out->emplace(prefix, v.AsDouble()).second) return Status::OK();
+      return Status::InvalidArgument("duplicate path '" + prefix + "'");
     case JsonValue::Kind::kObject:
       for (const auto& [key, member] : v.members()) {
-        FlattenInto(member, prefix.empty() ? key : prefix + "." + key, out);
+        HJ_RETURN_IF_ERROR(FlattenInto(member, ChildPath(prefix, key), out));
       }
-      return;
+      return Status::OK();
     case JsonValue::Kind::kArray: {
       const auto& items = v.items();
       for (size_t i = 0; i < items.size(); ++i) {
-        const std::string key = ElementKey(items[i], i);
-        FlattenInto(items[i], prefix.empty() ? key : prefix + "." + key, out);
+        HJ_RETURN_IF_ERROR(FlattenInto(
+            items[i], ChildPath(prefix, ElementKey(items[i], i)), out));
       }
-      return;
+      return Status::OK();
     }
     default:
-      return;  // strings / bools / nulls are not gated
+      return Status::OK();  // strings / bools / nulls are not gated
   }
 }
 
@@ -71,16 +75,18 @@ std::string FormatValue(double v) {
 
 }  // namespace
 
-std::map<std::string, double> FlattenNumericLeaves(const JsonValue& doc) {
+Result<std::map<std::string, double>> FlattenNumericLeaves(
+    const JsonValue& doc) {
   std::map<std::string, double> out;
-  FlattenInto(doc, "", &out);
+  HJ_RETURN_IF_ERROR(FlattenInto(doc, "", &out));
   return out;
 }
 
-PerfcheckResult ComparePerf(const JsonValue& baseline, const JsonValue& current,
-                            const PerfcheckOptions& options) {
-  const std::map<std::string, double> base = FlattenNumericLeaves(baseline);
-  const std::map<std::string, double> cur = FlattenNumericLeaves(current);
+Result<PerfcheckResult> ComparePerf(const JsonValue& baseline,
+                                    const JsonValue& current,
+                                    const PerfcheckOptions& options) {
+  HJ_ASSIGN_OR_RETURN(const auto base, FlattenNumericLeaves(baseline));
+  HJ_ASSIGN_OR_RETURN(const auto cur, FlattenNumericLeaves(current));
 
   PerfcheckResult result;
   for (const auto& [path, base_value] : base) {
@@ -88,6 +94,11 @@ PerfcheckResult ComparePerf(const JsonValue& baseline, const JsonValue& current,
     if (it == cur.end()) continue;
     const double cur_value = it->second;
     const std::string leaf = LastSegment(path);
+    // Records a regression, rendered "<family> <path>: <detail>".
+    auto flag = [&](const std::string& family, const std::string& detail) {
+      result.regressions.push_back({path, family, base_value, cur_value,
+                                    family + " " + path + ": " + detail});
+    };
 
     // Family classification by leaf-name convention. Skew wins over the
     // timing suffixes; counts and percentiles-of-counts are not gated.
@@ -95,15 +106,9 @@ PerfcheckResult ComparePerf(const JsonValue& baseline, const JsonValue& current,
       ++result.leaves_compared;
       const double increase = cur_value - base_value;
       if (increase > options.max_skew_increase) {
-        PerfcheckFinding f;
-        f.path = path;
-        f.family = "skew";
-        f.baseline = base_value;
-        f.current = cur_value;
-        f.message = "skew " + path + ": " + FormatValue(base_value) + " -> " +
-                    FormatValue(cur_value) + " (+" + FormatValue(increase) +
-                    " > " + FormatValue(options.max_skew_increase) + ")";
-        result.regressions.push_back(std::move(f));
+        flag("skew", FormatValue(base_value) + " -> " + FormatValue(cur_value) +
+                         " (+" + FormatValue(increase) + " > " +
+                         FormatValue(options.max_skew_increase) + ")");
       }
       continue;
     }
@@ -114,15 +119,9 @@ PerfcheckResult ComparePerf(const JsonValue& baseline, const JsonValue& current,
     if (Contains(leaf, "overhead_pct")) {
       ++result.leaves_compared;
       if (cur_value > options.max_overhead_pct) {
-        PerfcheckFinding f;
-        f.path = path;
-        f.family = "overhead";
-        f.baseline = base_value;
-        f.current = cur_value;
-        f.message = "overhead " + path + ": " + FormatValue(cur_value) +
-                    "% > ceiling " + FormatValue(options.max_overhead_pct) +
-                    "% (baseline " + FormatValue(base_value) + "%)";
-        result.regressions.push_back(std::move(f));
+        flag("overhead", FormatValue(cur_value) + "% > ceiling " +
+                             FormatValue(options.max_overhead_pct) +
+                             "% (baseline " + FormatValue(base_value) + "%)");
       }
       continue;
     }
@@ -146,15 +145,9 @@ PerfcheckResult ComparePerf(const JsonValue& baseline, const JsonValue& current,
         is_bytes ? options.max_bytes_pct : options.max_wall_pct;
     const double pct = (cur_value - base_value) / base_value * 100.0;
     if (pct > limit_pct) {
-      PerfcheckFinding f;
-      f.path = path;
-      f.family = is_bytes ? "bytes" : "wall";
-      f.baseline = base_value;
-      f.current = cur_value;
-      f.message = f.family + " " + path + ": " + FormatValue(base_value) +
-                  " -> " + FormatValue(cur_value) + " (+" + FormatValue(pct) +
-                  "% > " + FormatValue(limit_pct) + "%)";
-      result.regressions.push_back(std::move(f));
+      flag(is_bytes ? "bytes" : "wall",
+           FormatValue(base_value) + " -> " + FormatValue(cur_value) + " (+" +
+               FormatValue(pct) + "% > " + FormatValue(limit_pct) + "%)");
     }
   }
   return result;

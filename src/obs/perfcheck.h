@@ -5,8 +5,10 @@
 // The comparison is schema-agnostic: both documents are flattened to
 // dotted-path -> number maps (arrays of objects are keyed by their "name" /
 // "algorithm" / "subfigure" member when present, by position otherwise), so
-// one tool gates every report shape the repo emits. tools/perfcheck.cc is
-// the CLI; CI runs it non-blocking against the committed baselines.
+// one tool gates every report shape the repo emits. Two leaves on one path
+// are an error rather than one silently replacing the other.
+// tools/perfcheck.cc is the CLI; CI runs it non-blocking against the
+// committed baselines.
 
 #ifndef HYBRIDJOIN_OBS_PERFCHECK_H_
 #define HYBRIDJOIN_OBS_PERFCHECK_H_
@@ -15,6 +17,7 @@
 #include <string>
 #include <vector>
 
+#include "common/result.h"
 #include "obs/json.h"
 
 namespace hybridjoin {
@@ -52,14 +55,18 @@ struct PerfcheckResult {
 };
 
 /// Flattens every numeric leaf of `doc` into a dotted-path -> value map.
-std::map<std::string, double> FlattenNumericLeaves(const JsonValue& doc);
+/// Two leaves on one path (e.g. two array elements with the same key
+/// member) are an InvalidArgument error: one would hide the other.
+Result<std::map<std::string, double>> FlattenNumericLeaves(
+    const JsonValue& doc);
 
 /// Compares `current` against `baseline`; only leaves present in both
 /// documents and belonging to a gated family (wall / bytes / skew /
 /// overhead) are checked. Leaves only on one side are ignored (schemas may
-/// grow).
-PerfcheckResult ComparePerf(const JsonValue& baseline, const JsonValue& current,
-                            const PerfcheckOptions& options);
+/// grow). Fails when either document has a duplicate path.
+Result<PerfcheckResult> ComparePerf(const JsonValue& baseline,
+                                    const JsonValue& current,
+                                    const PerfcheckOptions& options);
 
 }  // namespace obs
 }  // namespace hybridjoin

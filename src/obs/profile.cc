@@ -111,6 +111,8 @@ std::string FormatSkew(double skew) {
   return buf;
 }
 
+}  // namespace
+
 JsonValue SummaryToJson(const HistogramSummary& s) {
   JsonValue o = JsonValue::Object();
   o.Set("count", JsonValue::Int(s.count));
@@ -122,8 +124,6 @@ JsonValue SummaryToJson(const HistogramSummary& s) {
   o.Set("p99_seconds", JsonValue::Number(s.p99_seconds));
   return o;
 }
-
-}  // namespace
 
 const std::vector<std::string>& CanonicalPhases() {
   static const std::vector<std::string> kPhases = {

@@ -31,6 +31,7 @@
 #include "common/histogram.h"
 #include "common/metrics.h"
 #include "common/result.h"
+#include "obs/json.h"
 
 namespace hybridjoin {
 namespace obs {
@@ -107,6 +108,10 @@ struct QueryProfile {
 
 /// Canonical phase order of the tree.
 const std::vector<std::string>& CanonicalPhases();
+
+/// One latency summary as the profile JSON renders it: count and
+/// total/min/max/p50/p95/p99 seconds.
+JsonValue SummaryToJson(const HistogramSummary& s);
 
 /// Deterministic phase of a metric, keyed off the metric-name conventions
 /// ("jen.tuples_scanned" -> "scan", "join.ht_rows" -> "build", ...).

@@ -516,11 +516,27 @@ TEST(PerfcheckTest, FlattenKeysArraysByNameMember) {
                      {"name": "probe", "total_seconds": 0.25}],
           "plain": [10, 20]})");
   const auto flat = FlattenNumericLeaves(doc);
-  EXPECT_DOUBLE_EQ(flat.at("wall_seconds"), 1.5);
-  EXPECT_DOUBLE_EQ(flat.at("phases.scan.total_seconds"), 0.5);
-  EXPECT_DOUBLE_EQ(flat.at("phases.probe.total_seconds"), 0.25);
-  EXPECT_DOUBLE_EQ(flat.at("plain.0"), 10.0);
-  EXPECT_DOUBLE_EQ(flat.at("plain.1"), 20.0);
+  ASSERT_TRUE(flat.ok()) << flat.status();
+  EXPECT_DOUBLE_EQ(flat->at("wall_seconds"), 1.5);
+  EXPECT_DOUBLE_EQ(flat->at("phases.scan.total_seconds"), 0.5);
+  EXPECT_DOUBLE_EQ(flat->at("phases.probe.total_seconds"), 0.25);
+  EXPECT_DOUBLE_EQ(flat->at("plain.0"), 10.0);
+  EXPECT_DOUBLE_EQ(flat->at("plain.1"), 20.0);
+}
+
+// Two cells keyed only by panel flatten onto one path; the second must not
+// silently replace the first, or a regression in the first is never gated.
+TEST(PerfcheckTest, DuplicatePathIsAnError) {
+  const JsonValue doc = MustParse(
+      R"({"cells": [{"subfigure": "a", "wall_seconds": 1.0},
+                    {"subfigure": "a", "wall_seconds": 2.0}]})");
+  const auto flat = FlattenNumericLeaves(doc);
+  ASSERT_FALSE(flat.ok());
+  EXPECT_NE(flat.status().message().find("cells.a.wall_seconds"),
+            std::string::npos);
+  const JsonValue unique = MustParse(R"({"wall_seconds": 1.0})");
+  EXPECT_FALSE(ComparePerf(doc, unique, {}).ok());
+  EXPECT_FALSE(ComparePerf(unique, doc, {}).ok());
 }
 
 TEST(PerfcheckTest, FlagsWallRegressionPastThreshold) {
@@ -528,8 +544,8 @@ TEST(PerfcheckTest, FlagsWallRegressionPastThreshold) {
   const JsonValue ok = MustParse(R"({"wall_seconds": 1.15})");
   const JsonValue bad = MustParse(R"({"wall_seconds": 1.25})");
   PerfcheckOptions options;  // 20% wall threshold
-  EXPECT_TRUE(ComparePerf(base, ok, options).regressions.empty());
-  const PerfcheckResult r = ComparePerf(base, bad, options);
+  EXPECT_TRUE(ComparePerf(base, ok, options)->regressions.empty());
+  const PerfcheckResult r = *ComparePerf(base, bad, options);
   ASSERT_EQ(r.regressions.size(), 1u);
   EXPECT_EQ(r.regressions[0].family, "wall");
   EXPECT_EQ(r.regressions[0].path, "wall_seconds");
@@ -539,10 +555,10 @@ TEST(PerfcheckTest, TinyBaselinesAreNoiseNotRegressions) {
   // 1 ms -> 10 ms is +900%, but below the 5 ms noise floor.
   const JsonValue base = MustParse(R"({"wall_seconds": 0.001})");
   const JsonValue cur = MustParse(R"({"wall_seconds": 0.010})");
-  EXPECT_TRUE(ComparePerf(base, cur, {}).regressions.empty());
+  EXPECT_TRUE(ComparePerf(base, cur, {})->regressions.empty());
   PerfcheckOptions strict;
   strict.min_wall_seconds = 0.0;
-  EXPECT_EQ(ComparePerf(base, cur, strict).regressions.size(), 1u);
+  EXPECT_EQ(ComparePerf(base, cur, strict)->regressions.size(), 1u);
 }
 
 TEST(PerfcheckTest, GatesBytesAndSkewFamilies) {
@@ -554,7 +570,7 @@ TEST(PerfcheckTest, GatesBytesAndSkewFamilies) {
       R"({"network_bytes": {"shuffle_bytes": 2000},
           "workers": {"skew": 2.5},
           "join": {"output_tuples": 500000}})");
-  const PerfcheckResult r = ComparePerf(base, cur, {});
+  const PerfcheckResult r = *ComparePerf(base, cur, {});
   ASSERT_EQ(r.regressions.size(), 2u);  // tuple counts are not gated
   EXPECT_EQ(r.regressions[0].family, "bytes");   // paths iterate sorted
   EXPECT_EQ(r.regressions[1].family, "skew");
@@ -563,7 +579,7 @@ TEST(PerfcheckTest, GatesBytesAndSkewFamilies) {
 TEST(PerfcheckTest, LeavesOnOneSideOnlyAreIgnored) {
   const JsonValue base = MustParse(R"({"old_wall_seconds": 1.0})");
   const JsonValue cur = MustParse(R"({"new_wall_seconds": 9.0})");
-  const PerfcheckResult r = ComparePerf(base, cur, {});
+  const PerfcheckResult r = *ComparePerf(base, cur, {});
   EXPECT_TRUE(r.regressions.empty());
   EXPECT_EQ(r.leaves_compared, 0u);
 }
@@ -574,7 +590,7 @@ TEST(PerfcheckTest, EndToEndProfileJsonRegressionIsCaught) {
   p.wall_seconds = 1.5;  // > 20% wall regression
   const std::string current = p.ToJson();
   const PerfcheckResult r =
-      ComparePerf(MustParse(baseline), MustParse(current), {});
+      *ComparePerf(MustParse(baseline), MustParse(current), {});
   ASSERT_FALSE(r.regressions.empty());
   EXPECT_EQ(r.regressions[0].path, "wall_seconds");
 }

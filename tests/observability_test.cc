@@ -462,29 +462,29 @@ TEST(PerfcheckOverheadTest, GatesAgainstAbsoluteCeiling) {
   auto result = obs::ComparePerf(
       baseline, ParseJson("{\"observability\": {\"overhead_pct\": 1.4}}"),
       options);
-  EXPECT_EQ(result.leaves_compared, 1u);
-  EXPECT_TRUE(result.regressions.empty());
+  EXPECT_EQ(result->leaves_compared, 1u);
+  EXPECT_TRUE(result->regressions.empty());
 
   // Over the ceiling: flagged with the overhead family.
   result = obs::ComparePerf(
       baseline, ParseJson("{\"observability\": {\"overhead_pct\": 2.6}}"),
       options);
-  ASSERT_EQ(result.regressions.size(), 1u);
-  EXPECT_EQ(result.regressions[0].family, "overhead");
+  ASSERT_EQ(result->regressions.size(), 1u);
+  EXPECT_EQ(result->regressions[0].family, "overhead");
 
   // A lucky negative baseline must not tighten the gate.
   result = obs::ComparePerf(
       ParseJson("{\"observability\": {\"overhead_pct\": -0.8}}"),
       ParseJson("{\"observability\": {\"overhead_pct\": 1.9}}"), options);
-  EXPECT_TRUE(result.regressions.empty());
+  EXPECT_TRUE(result->regressions.empty());
 
   // The ceiling is configurable.
   options.max_overhead_pct = 1.0;
   result = obs::ComparePerf(
       baseline, ParseJson("{\"observability\": {\"overhead_pct\": 1.4}}"),
       options);
-  ASSERT_EQ(result.regressions.size(), 1u);
-  EXPECT_EQ(result.regressions[0].family, "overhead");
+  ASSERT_EQ(result->regressions.size(), 1u);
+  EXPECT_EQ(result->regressions[0].family, "overhead");
 }
 
 }  // namespace

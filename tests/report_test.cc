@@ -20,6 +20,7 @@
 #include "hybrid/driver_common.h"
 #include "obs/query_registry.h"
 #include "hybrid/warehouse.h"
+#include "net/network.h"
 #include "workload/loader.h"
 
 namespace hybridjoin {
@@ -54,6 +55,22 @@ TEST(ReportTest, ToStringContainsEverything) {
   EXPECT_NE(s.find("cross_cluster = 1000"), std::string::npos);
   EXPECT_EQ(report.Counter("jen.tuples_scanned"), 42);
   EXPECT_EQ(report.Counter("missing"), 0);
+}
+
+// network_bytes is a view of the net.<class>_bytes counters, so each byte
+// count prints once, under "network bytes", not again under "counters".
+TEST(ReportTest, ToStringPrintsEachNetworkByteCountOnce) {
+  ExecutionReport report;
+  report.counters["jen.tuples_scanned"] = 42;
+  report.counters[FlowBytesMetric(FlowClass::kCrossCluster)] = 1000;
+  report.network_bytes = NetworkBytesOf(report.counters);
+  const std::string s = report.ToString();
+  EXPECT_EQ(s.find(FlowBytesMetric(FlowClass::kCrossCluster)),
+            std::string::npos);
+  const size_t first = s.find("= 1000");
+  ASSERT_NE(first, std::string::npos);
+  EXPECT_EQ(s.find("= 1000", first + 1), std::string::npos);
+  EXPECT_NE(s.find("jen.tuples_scanned = 42"), std::string::npos);
 }
 
 // Two executions running at once draw their stage tags from disjoint

@@ -11,8 +11,9 @@
 //   --min_wall_s=0.005   ignore wall leaves whose baseline is below this
 //
 // Exit codes: 0 = within thresholds, 1 = regression(s), 2 = usage or IO
-// error. Works on any JSON the repo emits (profile --profile_out output,
-// BENCH_*.json) — see src/obs/perfcheck.h for the comparison rules.
+// error, or a document with two leaves on one path. Works on any JSON the
+// repo emits (profile --profile_out output, BENCH_*.json) — see
+// src/obs/perfcheck.h for the comparison rules.
 
 #include <cstdio>
 #include <cstdlib>
@@ -100,7 +101,13 @@ int main(int argc, char** argv) {
 
   const JsonValue baseline = LoadJson(files[0]);
   const JsonValue current = LoadJson(files[1]);
-  const PerfcheckResult result = ComparePerf(baseline, current, options);
+  const auto compared = ComparePerf(baseline, current, options);
+  if (!compared.ok()) {
+    std::fprintf(stderr, "perfcheck: %s vs %s: %s\n", files[0].c_str(),
+                 files[1].c_str(), compared.status().ToString().c_str());
+    return 2;
+  }
+  const PerfcheckResult& result = *compared;
 
   std::printf("perfcheck: %s vs %s — %zu gated leaves compared\n",
               files[0].c_str(), files[1].c_str(), result.leaves_compared);
