@@ -1,10 +1,12 @@
 // Micro-benchmarks (google-benchmark) for the substrate components whose
 // costs drive the macro results: Bloom filter ops, the LZ codec, text
-// parsing vs columnar decoding, hash-table build/probe, and batch serde.
+// parsing vs columnar decoding (per paper-L column too), hash-table
+// build/probe, and batch serde.
 //
 // Besides the google-benchmark suite, main() first runs fixed before/after
 // comparisons of the batched cache-conscious kernels against their scalar
-// baselines and writes them to BENCH_kernels.json (path overridable with
+// baselines, and of the late-materializing paper-L scan decode against an
+// eager one, and writes them to BENCH_kernels.json (path overridable with
 // --kernels_out=FILE); CI uploads that file as the perf-trend artifact.
 
 #include <benchmark/benchmark.h>
@@ -139,50 +141,93 @@ void BM_ColumnarDecodeProjected(benchmark::State& state) {
 }
 BENCHMARK(BM_ColumnarDecodeProjected);
 
-// The JEN scan kernel on paper L: one 16K-row block of the generated L
-// table, decoded with the scan's filter/late split. The filter columns
-// (corPred and indPred for the local predicate, joinKey for the Bloom
-// filter) are decoded for every row; the late ones (predAfterJoin,
-// groupByExtractCol) only for the ~5% of rows the predicate keeps.
-void BM_DecodeBlockFilteredPaperL(benchmark::State& state) {
-  constexpr uint32_t kBlockRows = 16 * 1024;
-  WorkloadConfig config;
-  config.t_rows = 4096;
-  config.l_rows = kBlockRows;
-  config.batch_rows = kBlockRows;
-  SelectivitySpec spec;
-  spec.sigma_l = 0.05;
-  auto workload = Workload::Generate(config, spec);
-  if (!workload.ok()) {
-    state.SkipWithError(workload.status().ToString().c_str());
-    return;
-  }
-  const RecordBatch& l = workload->l_batches().front();
+/// One 16K-row block of the generated paper L table, as the JEN scan reads
+/// it, with the paper query's L predicate at sigma_L = 0.05.
+struct PaperLBlock {
+  static constexpr uint32_t kRows = 16 * 1024;
+  RecordBatch rows;
   StoredBlock block;
-  block.format = HdfsFormat::kColumnar;
-  block.num_rows = kBlockRows;
-  block.columnar = std::make_shared<const ColumnarBlock>(
-      EncodeColumnarBlock(l, ColumnarWriteOptions{}));
-  const PredicatePtr predicate = workload->MakeQuery().hdfs.predicate;
-  const RowFilter filter = [&](const RecordBatch& batch,
-                               std::vector<uint32_t>* sel) {
-    return predicate->Filter(batch, sel);
-  };
-  const std::vector<size_t> filter_columns = {0, 1, 2};
-  const std::vector<size_t> late_columns = {3, 4};
+  PredicatePtr predicate;
+  // The scan's split: corPred and indPred for the local predicate, joinKey
+  // for the Bloom filter, decoded for every row; predAfterJoin and
+  // groupByExtractCol only for the rows the predicate keeps.
+  std::vector<size_t> filter_columns = {0, 1, 2};
+  std::vector<size_t> late_columns = {3, 4};
+
+  static const PaperLBlock& Get() {
+    static const PaperLBlock* block = [] {
+      WorkloadConfig config;
+      config.t_rows = 4096;
+      config.l_rows = kRows;
+      config.batch_rows = kRows;
+      SelectivitySpec spec;
+      spec.sigma_l = 0.05;
+      auto workload = Workload::Generate(config, spec);
+      HJ_CHECK(workload.ok()) << workload.status().ToString();
+      auto* b = new PaperLBlock;
+      b->rows = workload->l_batches().front();
+      b->block.format = HdfsFormat::kColumnar;
+      b->block.num_rows = kRows;
+      b->block.columnar = std::make_shared<const ColumnarBlock>(
+          EncodeColumnarBlock(b->rows, ColumnarWriteOptions{}));
+      b->predicate = workload->MakeQuery().hdfs.predicate;
+      return b;
+    }();
+    return *block;
+  }
+
+  RowFilter Filter() const {
+    return [this](const RecordBatch& batch, std::vector<uint32_t>* sel) {
+      return predicate->Filter(batch, sel);
+    };
+  }
+};
+
+// The JEN scan kernel on paper L: the block decoded with the scan's
+// filter/late split.
+void BM_DecodeBlockFilteredPaperL(benchmark::State& state) {
+  const PaperLBlock& l = PaperLBlock::Get();
+  const RowFilter filter = l.Filter();
   std::vector<uint32_t> sel;
   size_t survivors = 0;
   for (auto _ : state) {
-    auto out = DecodeBlockFiltered(block, l.schema(), filter_columns,
-                                   late_columns, filter, &sel);
+    auto out = DecodeBlockFiltered(l.block, l.rows.schema(), l.filter_columns,
+                                   l.late_columns, filter, &sel);
     survivors = out.ok() ? out->num_rows() : 0;
     benchmark::DoNotOptimize(out);
   }
   state.counters["survivor_frac"] =
-      static_cast<double>(survivors) / kBlockRows;
-  state.SetItemsProcessed(state.iterations() * kBlockRows);
+      static_cast<double>(survivors) / PaperLBlock::kRows;
+  state.SetItemsProcessed(state.iterations() * PaperLBlock::kRows);
 }
 BENCHMARK(BM_DecodeBlockFilteredPaperL);
+
+// One paper-L column of the block above (arg 0: schema index): its stored
+// bytes per row and encoding, decoded whole (arg 1 = 0) or only at the
+// rows the scan's predicate keeps (arg 1 = 1), as a late column is.
+void BM_DecodePaperLColumn(benchmark::State& state) {
+  const PaperLBlock& l = PaperLBlock::Get();
+  const size_t column = static_cast<size_t>(state.range(0));
+  const bool selected = state.range(1) != 0;
+  const ColumnChunk& chunk = l.block.columnar->chunks[column];
+  std::vector<uint32_t> sel(PaperLBlock::kRows);
+  std::iota(sel.begin(), sel.end(), 0u);
+  HJ_CHECK(l.predicate->Filter(l.rows, &sel).ok());
+  const DataType type = l.rows.schema()->field(column).type;
+  for (auto _ : state) {
+    auto out = DecodeColumnChunk(chunk, type, selected ? &sel : nullptr);
+    benchmark::DoNotOptimize(out);
+  }
+  state.SetLabel(l.rows.schema()->field(column).name + " " +
+                 ColEncodingName(chunk.encoding) + "+" +
+                 CodecName(chunk.codec));
+  state.counters["bytes_per_row"] =
+      static_cast<double>(chunk.data.size()) / PaperLBlock::kRows;
+  state.SetItemsProcessed(state.iterations() * PaperLBlock::kRows);
+}
+BENCHMARK(BM_DecodePaperLColumn)
+    ->ArgsProduct({{0, 1, 2, 3, 4, 5}, {0, 1}})
+    ->ArgNames({"col", "sel"});
 
 void BM_HashTableBuild(benchmark::State& state) {
   RecordBatch batch = LogBatch(static_cast<size_t>(state.range(0)));
@@ -286,7 +331,8 @@ BENCHMARK(BM_BatchSerde);
 // scalar baselines run the exact pre-batching code path (classic layout,
 // per-row ForEachMatch + AppendRowFrom); the candidates run what the join
 // drivers now execute (blocked layout, AddKeys/MayContainKeys, ProbeBatch +
-// columnar gather).
+// columnar gather). The scan-decode row compares eager and late decode of
+// one paper-L block.
 
 struct KernelResult {
   std::string name;
@@ -452,11 +498,49 @@ KernelResult CompareHtProbeMaterialize() {
           kProbeKeys / cand / 1e6};
 }
 
+KernelResult CompareScanDecodePaperL() {
+  // The JEN scan's decode of one paper-L block, 200 times over: eagerly
+  // (every scanned column decoded for every row, then the predicate, then
+  // a gather) against late materialization (DecodeBlockFiltered: the
+  // filter columns for every row, the late ones at the survivors only).
+  constexpr int kBlocks = 200;
+  const PaperLBlock& l = PaperLBlock::Get();
+  const SchemaPtr& schema = l.rows.schema();
+  std::vector<size_t> scanned = l.filter_columns;
+  scanned.insert(scanned.end(), l.late_columns.begin(), l.late_columns.end());
+  const RowFilter filter = l.Filter();
+  std::vector<uint32_t> sel;
+  size_t base_rows = 0;
+  const double base = BestSeconds(3, [&] {
+    for (int i = 0; i < kBlocks; ++i) {
+      RecordBatch batch =
+          DecodeColumnarBlock(*l.block.columnar, schema, scanned).value();
+      sel.resize(batch.num_rows());
+      std::iota(sel.begin(), sel.end(), 0u);
+      HJ_CHECK(filter(batch, &sel).ok());
+      base_rows = batch.Gather(sel).num_rows();
+    }
+  });
+  size_t cand_rows = 0;
+  const double cand = BestSeconds(3, [&] {
+    for (int i = 0; i < kBlocks; ++i) {
+      cand_rows = DecodeBlockFiltered(l.block, schema, l.filter_columns,
+                                      l.late_columns, filter, &sel)
+                      .value()
+                      .num_rows();
+    }
+  });
+  HJ_CHECK_EQ(base_rows, cand_rows);  // both keep the same survivors
+  const size_t rows = size_t{kBlocks} * PaperLBlock::kRows;
+  return {"scan_decode_paper_l", rows, rows / base / 1e6, rows / cand / 1e6};
+}
+
 int RunKernelComparisons(const std::string& out_path) {
   std::vector<KernelResult> results;
   results.push_back(CompareBloomAdd());
   results.push_back(CompareBloomProbe());
   results.push_back(CompareHtProbeMaterialize());
+  results.push_back(CompareScanDecodePaperL());
 
   FILE* f = std::fopen(out_path.c_str(), "w");
   if (f == nullptr) {
@@ -472,7 +556,7 @@ int RunKernelComparisons(const std::string& out_path) {
                  "\"candidate_mkeys_per_s\": %.2f, \"speedup\": %.2f}%s\n",
                  r.name.c_str(), r.keys, r.baseline_mkeys, r.candidate_mkeys,
                  r.speedup(), i + 1 < results.size() ? "," : "");
-    std::printf("%-22s %8zu keys  scalar %8.2f Mkeys/s  batched %8.2f "
+    std::printf("%-22s %8zu keys  baseline %8.2f Mkeys/s  candidate %8.2f "
                 "Mkeys/s  speedup %.2fx\n",
                 r.name.c_str(), r.keys, r.baseline_mkeys, r.candidate_mkeys,
                 r.speedup());

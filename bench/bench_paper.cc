@@ -125,6 +125,7 @@ struct Panel {
   std::vector<const char*> counters = {};
   std::vector<Check> checks = {};
   bool traced = false;
+  uint32_t rows_per_block = 32 * 1024;  ///< HDFS block size of L
 };
 
 /// Generated data loaded into a throttled warehouse, ready to run arms on.
@@ -132,7 +133,8 @@ class BenchCell {
  public:
   static Result<std::unique_ptr<BenchCell>> Create(
       const BenchConfig& bench, const SimulationConfig& sim,
-      const SelectivitySpec& spec, HdfsFormat format, bool cluster_l) {
+      const SelectivitySpec& spec, HdfsFormat format, bool cluster_l,
+      uint32_t rows_per_block) {
     auto cell = std::make_unique<BenchCell>();
     HJ_ASSIGN_OR_RETURN(Workload workload,
                         Workload::Generate(bench.workload, spec));
@@ -152,7 +154,7 @@ class BenchCell {
     cell->warehouse_ = std::make_unique<HybridWarehouse>(sim);
     LoadOptions load;
     load.hdfs.format = format;
-    load.hdfs.rows_per_block = 32 * 1024;
+    load.hdfs.rows_per_block = rows_per_block;
     HJ_RETURN_IF_ERROR(
         LoadWorkload(cell->warehouse_.get(), *cell->workload_, load));
 
@@ -249,7 +251,8 @@ Status RunPanel(const BenchConfig& bench, const Panel& panel, PanelRuns* out,
             sim.trace.enabled = panel.traced;
             if (arm.edit_sim) arm.edit_sim(&sim);
             auto created = BenchCell::Create(bench, sim, spec, panel.format,
-                                             arm.cluster_l);
+                                             arm.cluster_l,
+                                             panel.rows_per_block);
             if (!created.ok()) return fail(created.status().ToString());
             slot = std::move(*created);
           }
@@ -525,16 +528,23 @@ std::vector<Panel> PaperTable(const BenchConfig& bench) {
       {"Bloom variant is not slower overall (the paper's pick)",
        [](Runs p) { return p.SumWall(0) <= p.SumWall(1) * 1.1; }}};
 
-  // Engine choices DESIGN.md calls out, on Table 1's cell.
+  // Engine choices DESIGN.md calls out, on Table 1's cell. L is cut into
+  // at least two blocks per JEN worker of the widest arm (8) at every
+  // scale, so that adding workers or moving blocks has blocks to spread.
+  constexpr uint64_t kWidestJen = 8;
+  const auto scaling_block_rows = static_cast<uint32_t>(
+      std::clamp<uint64_t>(bench.workload.l_rows / (2 * kWidestJen), 1,
+                           32 * 1024));
   auto scaling = [&](std::string id, const char* title, HdfsFormat format,
                      std::vector<Arm> arms, Check check,
                      std::vector<const char*> counters = {}) {
     t.push_back({"scaling", std::move(id), title, format, 0.1, {0.4}, {0.2},
                  {0.1}, std::move(arms), std::move(counters),
                  {std::move(check)}});
+    t.back().rows_per_block = scaling_block_rows;
   };
   std::vector<Arm> width;
-  for (uint32_t n : {2u, 4u, 8u}) {
+  for (uint32_t n : {2u, 4u, uint32_t{kWidestJen}}) {
     width.emplace_back("zigzag, " + std::to_string(n) + " JEN workers", kZz,
                        [n](SimulationConfig* sim) { sim->jen_workers = n; });
   }

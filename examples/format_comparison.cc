@@ -1,7 +1,8 @@
 // Shows what the HDFS storage format costs (§5.4 of the paper): writes the
 // same log table as delimited text and as the columnar format, then
-// compares on-disk size, per-column encodings, scan bytes with projection
-// pushdown, and end-to-end zigzag join time on both.
+// compares on-disk size, per-column encodings (plain, rle, dict, and the
+// random-access for and fsst), scan bytes with projection pushdown, and
+// end-to-end zigzag join time on both.
 
 #include <cstdio>
 
@@ -74,13 +75,16 @@ int main() {
                           ->Fetch((*blocks)[0].block_id);
         if (stored.ok()) {
           const SchemaPtr& schema = Workload::LSchema();
-          std::printf("per-column encodings of block 0:\n");
+          std::printf("per-column encodings of block 0 (for and fsst are "
+                      "read at a scan's survivors only):\n");
           for (size_t c = 0; c < (*stored)->columnar->chunks.size(); ++c) {
             const ColumnChunk& chunk = (*stored)->columnar->chunks[c];
-            std::printf("  %-18s %-6s codec=%-5s %8zu bytes%s\n",
+            std::printf("  %-18s %-6s codec=%-5s %8zu bytes %5.2f B/row%s\n",
                         schema->field(c).name.c_str(),
                         ColEncodingName(chunk.encoding),
                         CodecName(chunk.codec), chunk.data.size(),
+                        static_cast<double>(chunk.data.size()) /
+                            chunk.num_rows,
                         chunk.has_stats ? "  [min/max]" : "");
           }
         }

@@ -1,13 +1,20 @@
 #include "hdfs/format.h"
 
 #include <algorithm>
+#include <array>
+#include <bit>
 #include <charconv>
+#include <cstdint>
 #include <cstdio>
+#include <cstring>
 #include <functional>
 #include <numeric>
+#include <optional>
+#include <type_traits>
 #include <unordered_map>
 
 #include "common/binary_io.h"
+#include "common/check.h"
 #include "expr/scalar_functions.h"
 
 namespace hybridjoin {
@@ -30,6 +37,10 @@ const char* ColEncodingName(ColEncoding enc) {
       return "rle";
     case ColEncoding::kDict:
       return "dict";
+    case ColEncoding::kFor:
+      return "for";
+    case ColEncoding::kFsst:
+      return "fsst";
   }
   return "unknown";
 }
@@ -112,12 +123,18 @@ Result<int32_t> ParseTime(const char* begin, const char* end) {
 
 }  // namespace
 
-std::vector<uint8_t> EncodeText(const RecordBatch& batch) {
+std::vector<uint8_t> EncodeText(const RecordBatch& batch, size_t begin,
+                                size_t end) {
+  end = std::min(end, batch.num_rows());
+  begin = std::min(begin, end);
   std::string out;
   // Rough reserve: 12 bytes per numeric field, strings by size.
-  out.reserve(batch.ByteSize() * 2 + batch.num_rows() * 2);
+  if (batch.num_rows() > 0) {
+    out.reserve((batch.ByteSize() * 2 + batch.num_rows() * 2) *
+                (end - begin) / batch.num_rows());
+  }
   const size_t cols = batch.num_columns();
-  for (size_t r = 0; r < batch.num_rows(); ++r) {
+  for (size_t r = begin; r < end; ++r) {
     for (size_t c = 0; c < cols; ++c) {
       if (c > 0) out.push_back('|');
       const ColumnVector& col = batch.column(c);
@@ -323,10 +340,599 @@ std::optional<std::vector<uint8_t>> EncodeDictStrings(
   return w.Release();
 }
 
-}  // namespace
+// --- Bit packing: kFor values and kFsst end offsets ------------------------
 
-ColumnChunk EncodeColumnChunk(const ColumnVector& column,
-                              const ColumnarWriteOptions& options) {
+/// Bytes holding `n` values of `width` bits.
+size_t PackedBytes(uint64_t n, uint32_t width) {
+  return static_cast<size_t>((n * width + 7) / 8);
+}
+
+/// Appends `n` values of `width` bits, LSB first, padded with zero bits to a
+/// byte; `value(i)` is row i's value and must fit in `width` bits.
+template <typename ValueFn>
+void AppendPacked(size_t n, uint32_t width, ValueFn value,
+                  std::vector<uint8_t>* out) {
+  const size_t start = out->size();
+  const size_t bytes = PackedBytes(n, width);
+  // Nine bytes of slack let each value be OR-ed in with one 8-byte store
+  // and, past 56 bits, one more byte.
+  out->resize(start + bytes + 9, 0);
+  uint8_t* p = out->data() + start;
+  if (width > 0) {
+    for (size_t i = 0; i < n; ++i) {
+      const uint64_t bit = uint64_t{i} * width;
+      uint8_t* q = p + (bit >> 3);
+      const unsigned shift = bit & 7;
+      const uint64_t v = value(i);
+      uint64_t word;
+      std::memcpy(&word, q, 8);
+      word |= v << shift;
+      std::memcpy(q, &word, 8);
+      if (shift + width > 64) q[8] |= static_cast<uint8_t>(v >> (64 - shift));
+    }
+  }
+  out->resize(start + bytes);
+}
+
+/// Random access to values packed by AppendPacked into exactly
+/// PackedBytes(n, width) bytes. No read leaves those bytes.
+class PackedReader {
+ public:
+  PackedReader(const uint8_t* data, size_t size, uint32_t width)
+      : data_(data),
+        size_(size),
+        width_(width),
+        mask_(width == 64 ? ~uint64_t{0} : (uint64_t{1} << width) - 1) {}
+
+  uint64_t operator[](uint64_t i) const {
+    const uint64_t bit = i * width_;
+    const size_t byte = static_cast<size_t>(bit >> 3);
+    const unsigned shift = bit & 7;
+    uint64_t word = 0;  // little-endian host, as for the plain encodings
+    if (byte + 8 <= size_) {
+      std::memcpy(&word, data_ + byte, 8);
+    } else if (byte < size_) {
+      std::memcpy(&word, data_ + byte, size_ - byte);
+    }
+    uint64_t v = word >> shift;
+    // Only a value wider than 56 bits reaches a ninth byte, which then
+    // holds its top bits and so lies inside the buffer.
+    if (shift + width_ > 64) v |= uint64_t{data_[byte + 8]} << (64 - shift);
+    return v & mask_;
+  }
+
+  /// Calls fn(row, value) for rows [0, n) in order: the rows whose eight
+  /// bytes from their first are inside the buffer in one branch-free loop,
+  /// the last few through operator[].
+  template <typename Fn>
+  void ForEach(uint64_t n, Fn&& fn) const {
+    uint64_t row = 0;
+    if (width_ > 0 && width_ <= 56 && size_ >= 8) {
+      const uint64_t fast =
+          std::min<uint64_t>(n, ((size_ - 8) * 8 + 7) / width_ + 1);
+      for (uint64_t bit = 0; row < fast; ++row, bit += width_) {
+        uint64_t word;
+        std::memcpy(&word, data_ + (bit >> 3), 8);
+        fn(row, (word >> (bit & 7)) & mask_);
+      }
+    }
+    for (; row < n; ++row) fn(row, (*this)[row]);
+  }
+
+ private:
+  const uint8_t* data_;
+  size_t size_;
+  uint32_t width_;
+  uint64_t mask_;
+};
+
+/// Checks that a packed run is exactly PackedBytes(n, width) bytes and that
+/// the bits after its last value are zero.
+Status CheckPacked(size_t size, const uint8_t* data, uint64_t n, uint32_t width,
+                   const char* what) {
+  if (size != PackedBytes(n, width)) {
+    return Status::IOError(std::string("columnar: bad ") + what +
+                           " payload size");
+  }
+  const unsigned used = (n * width) & 7;
+  if (used != 0 && (data[size - 1] >> used) != 0) {
+    return Status::IOError(std::string("columnar: ") + what +
+                           " padding bits set");
+  }
+  return Status::OK();
+}
+
+// --- kFor -------------------------------------------------------------------
+
+/// A kFor layout: the minimum, and the bit width of `max - min` computed in
+/// unsigned arithmetic, so every range up to the full type is legal.
+template <typename T>
+struct ForLayout {
+  std::make_unsigned_t<T> base = 0;
+  uint32_t width = 0;
+
+  explicit ForLayout(const std::vector<T>& v) {
+    using U = std::make_unsigned_t<T>;
+    if (v.empty()) return;
+    const auto [mn, mx] = std::minmax_element(v.begin(), v.end());
+    base = static_cast<U>(*mn);
+    width = static_cast<uint32_t>(
+        std::bit_width(static_cast<U>(static_cast<U>(*mx) - base)));
+  }
+
+  size_t Bytes(size_t n) const { return sizeof(T) + 1 + PackedBytes(n, width); }
+};
+
+template <typename T>
+std::vector<uint8_t> EncodeFor(const std::vector<T>& v) {
+  using U = std::make_unsigned_t<T>;
+  const ForLayout<T> layout(v);
+  std::vector<uint8_t> out(sizeof(U) + 1);
+  std::memcpy(out.data(), &layout.base, sizeof(U));
+  out[sizeof(U)] = static_cast<uint8_t>(layout.width);
+  AppendPacked(
+      v.size(), layout.width,
+      [&](size_t i) -> uint64_t {
+        return static_cast<U>(static_cast<U>(v[i]) - layout.base);
+      },
+      &out);
+  return out;
+}
+
+/// Decodes a kFor chunk: every row, or only the rows of `sel`.
+template <typename T>
+Status DecodeFor(std::string_view raw, uint32_t num_rows,
+                 const std::vector<uint32_t>* sel, std::vector<T>* out) {
+  using U = std::make_unsigned_t<T>;
+  if (raw.size() < sizeof(U) + 1) {
+    return Status::IOError("columnar: truncated FOR header");
+  }
+  U base;
+  std::memcpy(&base, raw.data(), sizeof(U));
+  const uint32_t width = static_cast<uint8_t>(raw[sizeof(U)]);
+  if (width > 8 * sizeof(U)) {
+    return Status::IOError("columnar: FOR bit width exceeds the column type");
+  }
+  const auto* packed = reinterpret_cast<const uint8_t*>(raw.data()) +
+                       sizeof(U) + 1;
+  const size_t size = raw.size() - sizeof(U) - 1;
+  HJ_RETURN_IF_ERROR(CheckPacked(size, packed, num_rows, width, "FOR"));
+  const PackedReader deltas(packed, size, width);
+  auto value = [base](uint64_t delta) {
+    return static_cast<T>(static_cast<U>(base + static_cast<U>(delta)));
+  };
+  if (sel == nullptr) {
+    out->resize(num_rows);
+    T* dst = out->data();
+    deltas.ForEach(num_rows,
+                   [&](uint64_t row, uint64_t d) { dst[row] = value(d); });
+  } else {
+    out->resize(sel->size());
+    T* dst = out->data();
+    for (size_t k = 0; k < sel->size(); ++k) dst[k] = value(deltas[(*sel)[k]]);
+  }
+  return Status::OK();
+}
+
+// --- kFsst ------------------------------------------------------------------
+
+constexpr uint8_t kFsstEscape = 255;
+constexpr size_t kFsstMaxSymbols = 255;
+constexpr uint32_t kFsstMaxSymbolBytes = 8;
+/// Training reads about this many bytes of a chunk, whatever its size...
+constexpr size_t kFsstSampleBytes = 16 * 1024;
+/// ...and at most this prefix of any one string.
+constexpr size_t kFsstSampleStringBytes = 256;
+static_assert(kFsstSampleBytes + kFsstSampleStringBytes < (1 << 15),
+              "training counts must fit 16 bits");
+/// Rounds of count-then-pick; each round's symbols seed the next.
+constexpr int kFsstTrainingRounds = 5;
+
+/// A symbol as its bytes, zero-padded to a u64, and its length.
+struct FsstSymbol {
+  uint64_t bytes = 0;
+  uint32_t len = 0;
+};
+
+uint64_t LoadPrefix(const char* p, size_t n) {
+  uint64_t v = 0;
+  if (n >= 8) {
+    std::memcpy(&v, p, 8);
+  } else {
+    std::memcpy(&v, p, n);
+  }
+  return v;
+}
+
+uint64_t LowBytesMask(uint32_t len) {
+  return len >= 8 ? ~uint64_t{0} : (uint64_t{1} << (8 * len)) - 1;
+}
+
+/// The first three bytes of a symbol or of the input.
+uint32_t Prefix3(uint64_t bytes) {
+  return static_cast<uint32_t>(bytes & 0xffffff);
+}
+
+/// Greedy longest-match lookup over a symbol table, FSST style: a symbol
+/// of three or more bytes is found by its first three bytes in a small
+/// open-addressing table, and a direct table holds the best match of at
+/// most two bytes for every two-byte prefix. Only the first symbol of three
+/// or more bytes with a given three-byte prefix is ever matched (trained
+/// tables have one). A match is packed as (length << 8) | code, with
+/// kFsstEscape and length 1 where no symbol matches. Build() reuses the
+/// tables' memory.
+class FsstMatcher {
+ public:
+  FsstMatcher() : short_(1 << 16), long_(kSlots) {}
+
+  void Build(const std::vector<FsstSymbol>& table) {
+    single_.fill(Packed(kFsstEscape, 1));
+    for (LongSymbol& slot : long_) slot.len = 0;
+    for (size_t c = 0; c < table.size(); ++c) {
+      const FsstSymbol& sym = table[c];
+      const auto code = static_cast<uint8_t>(c);
+      if (sym.len == 1) {
+        single_[sym.bytes & 0xff] = Packed(code, 1);
+      } else if (sym.len >= 3) {
+        uint32_t at = Slot(Prefix3(sym.bytes));
+        while (long_[at].len != 0 &&
+               Prefix3(long_[at].bytes) != Prefix3(sym.bytes)) {
+          at = (at + 1) & (kSlots - 1);
+        }
+        if (long_[at].len == 0) {
+          long_[at] = {sym.bytes, LowBytesMask(sym.len), sym.len, code};
+        }
+      }
+    }
+    for (uint32_t b0 = 0; b0 < 256; ++b0) {
+      std::fill_n(short_.begin() + (b0 << 8), 256, single_[b0]);
+    }
+    for (size_t c = 0; c < table.size(); ++c) {
+      if (table[c].len == 2) {
+        short_[Key2(table[c].bytes)] = Packed(static_cast<uint8_t>(c), 2);
+      }
+    }
+  }
+
+  /// The longest symbol at the start of `word`, the next `remaining` (>= 1)
+  /// input bytes zero-padded to eight.
+  uint16_t Match(uint64_t word, size_t remaining) const {
+    if (remaining >= 3) {
+      const uint32_t prefix = Prefix3(word);
+      for (uint32_t at = Slot(prefix); long_[at].len != 0;
+           at = (at + 1) & (kSlots - 1)) {
+        const LongSymbol& sym = long_[at];
+        if (Prefix3(sym.bytes) != prefix) continue;
+        if (sym.len <= remaining && ((word ^ sym.bytes) & sym.mask) == 0) {
+          return Packed(sym.code, sym.len);
+        }
+        break;
+      }
+    }
+    if (remaining >= 2) return short_[Key2(word)];
+    return single_[word & 0xff];
+  }
+
+  static uint8_t CodeOf(uint16_t match) { return match & 0xff; }
+  static uint32_t LengthOf(uint16_t match) { return match >> 8; }
+
+ private:
+  struct LongSymbol {
+    uint64_t bytes = 0;
+    uint64_t mask = 0;
+    uint32_t len = 0;  // 0: empty slot
+    uint8_t code = 0;
+  };
+  static constexpr uint32_t kSlots = 1024;  // four per long symbol at most
+
+  static uint16_t Packed(uint8_t code, uint32_t len) {
+    return static_cast<uint16_t>(len << 8 | code);
+  }
+  static uint32_t Key2(uint64_t word) {
+    return static_cast<uint32_t>((word & 0xff) << 8 | (word >> 8 & 0xff));
+  }
+  static uint32_t Slot(uint32_t prefix) {
+    return prefix * 0x9E3779B1u >> 22;  // 10 bits
+  }
+
+  std::array<uint16_t, 256> single_;
+  std::vector<uint16_t> short_;
+  std::vector<LongSymbol> long_;
+};
+
+std::vector<FsstSymbol> ToFsstSymbols(const std::vector<std::string>& table) {
+  HJ_CHECK(table.size() <= kFsstMaxSymbols) << "FSST table too large";
+  std::vector<FsstSymbol> out;
+  out.reserve(table.size());
+  for (const std::string& s : table) {
+    HJ_CHECK(!s.empty() && s.size() <= kFsstMaxSymbolBytes)
+        << "FSST symbols are 1-8 bytes";
+    out.push_back({LoadPrefix(s.data(), s.size()),
+                   static_cast<uint32_t>(s.size())});
+  }
+  return out;
+}
+
+/// Every row's code bytes for `table`, and each row's end offset.
+void FsstCompress(const std::vector<std::string>& strings,
+                  const std::vector<FsstSymbol>& table, FsstMatcher* matcher,
+                  std::vector<uint8_t>* codes, std::vector<uint64_t>* ends) {
+  matcher->Build(table);
+  size_t bytes = 0;
+  for (const std::string& s : strings) bytes += s.size();
+  codes->resize(2 * bytes);  // an escape is two code bytes, a symbol one
+  uint8_t* out = codes->data();
+  ends->resize(strings.size());
+  for (size_t row = 0; row < strings.size(); ++row) {
+    const std::string& s = strings[row];
+    for (size_t pos = 0; pos < s.size();) {
+      const uint16_t m =
+          matcher->Match(LoadPrefix(s.data() + pos, s.size() - pos),
+                         s.size() - pos);
+      *out++ = FsstMatcher::CodeOf(m);
+      if (FsstMatcher::CodeOf(m) == kFsstEscape) {
+        *out++ = static_cast<uint8_t>(s[pos]);
+      }
+      pos += FsstMatcher::LengthOf(m);
+    }
+    (*ends)[row] = static_cast<uint64_t>(out - codes->data());
+  }
+  codes->resize(static_cast<size_t>(out - codes->data()));
+}
+
+/// A kFsst chunk's parts, read in place.
+struct FsstView {
+  uint32_t num_symbols = 0;
+  std::array<uint64_t, 256> symbol{};  // zero-padded bytes per code
+  std::array<uint8_t, 256> length{};
+  const uint8_t* codes = nullptr;
+  uint32_t codes_size = 0;
+  const uint8_t* ends = nullptr;  // packed end offsets
+  size_t ends_size = 0;
+  uint32_t ends_width = 0;
+};
+
+/// Parses and fully validates a kFsst chunk of `num_rows` rows: the symbol
+/// lengths, the exact payload size, end offsets that ascend to the code
+/// count, and every code byte (a symbol, or an escape with its byte inside
+/// the same row).
+Status ParseFsst(std::string_view raw, uint32_t num_rows, FsstView* v) {
+  BinaryReader r(raw.data(), raw.size());
+  std::string_view count, lengths, symbols, width, codes_size, codes;
+  if (!r.ReadSpan(1, &count) ||
+      !r.ReadSpan(static_cast<uint8_t>(count[0]), &lengths)) {
+    return Status::IOError("columnar: truncated FSST symbol table");
+  }
+  v->num_symbols = static_cast<uint8_t>(count[0]);
+  size_t total = 0;
+  for (size_t code = 0; code < lengths.size(); ++code) {
+    const uint32_t len = static_cast<uint8_t>(lengths[code]);
+    if (len == 0 || len > kFsstMaxSymbolBytes) {
+      return Status::IOError("columnar: bad FSST symbol length");
+    }
+    v->length[code] = static_cast<uint8_t>(len);
+    total += len;
+  }
+  if (!r.ReadSpan(total, &symbols)) {
+    return Status::IOError("columnar: truncated FSST symbol table");
+  }
+  for (size_t code = 0, at = 0; code < lengths.size(); ++code) {
+    v->symbol[code] = LoadPrefix(symbols.data() + at, v->length[code]);
+    at += v->length[code];
+  }
+  if (!r.ReadSpan(1, &width) || !r.ReadSpan(4, &codes_size)) {
+    return Status::IOError("columnar: truncated FSST header");
+  }
+  v->ends_width = static_cast<uint8_t>(width[0]);
+  if (v->ends_width > 32) {
+    return Status::IOError("columnar: FSST offset width exceeds 32 bits");
+  }
+  std::memcpy(&v->codes_size, codes_size.data(), 4);
+  if (!r.ReadSpan(v->codes_size, &codes)) {
+    return Status::IOError("columnar: truncated FSST codes");
+  }
+  v->codes = reinterpret_cast<const uint8_t*>(codes.data());
+  v->ends = reinterpret_cast<const uint8_t*>(raw.data()) + r.position();
+  v->ends_size = r.remaining();
+  HJ_RETURN_IF_ERROR(
+      CheckPacked(v->ends_size, v->ends, num_rows, v->ends_width, "FSST"));
+
+  const PackedReader ends(v->ends, v->ends_size, v->ends_width);
+  uint64_t prev = 0;
+  bool descends = false;
+  ends.ForEach(num_rows, [&](uint64_t, uint64_t end) {
+    descends |= end < prev;
+    prev = end;
+  });
+  if (descends || prev != v->codes_size) {
+    return Status::IOError("columnar: FSST offsets must ascend to the codes");
+  }
+  // Without an escape or a code past the table every byte is a symbol, so
+  // one branch-free pass settles it; otherwise walk each row's codes.
+  uint8_t top = 0;
+  for (uint32_t k = 0; k < v->codes_size; ++k) top = std::max(top, v->codes[k]);
+  if (top < v->num_symbols) return Status::OK();
+  uint64_t begin = 0;
+  for (uint32_t row = 0; row < num_rows; ++row) {
+    const uint64_t end = ends[row];
+    for (uint64_t at = begin; at < end;) {
+      const uint8_t code = v->codes[at++];
+      if (code == kFsstEscape) {
+        if (at == end) {
+          return Status::IOError("columnar: FSST escape ends a string");
+        }
+        ++at;
+      } else if (code >= v->num_symbols) {
+        return Status::IOError("columnar: FSST code past the symbol table");
+      }
+    }
+    begin = end;
+  }
+  return Status::OK();
+}
+
+/// Decodes a kFsst chunk: every row, or only the rows of `sel`.
+Status DecodeFsst(std::string_view raw, uint32_t num_rows,
+                  const std::vector<uint32_t>* sel,
+                  std::vector<std::string>* out) {
+  FsstView v;
+  HJ_RETURN_IF_ERROR(ParseFsst(raw, num_rows, &v));
+  const PackedReader ends(v.ends, v.ends_size, v.ends_width);
+  // Each code writes a whole u64 and advances by its length, so a row of k
+  // code bytes needs 8k bytes of room.
+  std::vector<char> buf(256);
+  auto build = [&](uint32_t row) {
+    const uint64_t begin = row == 0 ? 0 : ends[row - 1];
+    const uint64_t end = ends[row];
+    if (buf.size() < 8 * (end - begin)) buf.resize(8 * (end - begin));
+    char* dst = buf.data();
+    for (const uint8_t *c = v.codes + begin, *c_end = v.codes + end;
+         c < c_end;) {
+      const uint8_t code = *c++;
+      if (code != kFsstEscape) {
+        std::memcpy(dst, &v.symbol[code], 8);
+        dst += v.length[code];
+      } else {
+        *dst++ = static_cast<char>(*c++);
+      }
+    }
+    out->emplace_back(buf.data(), dst - buf.data());
+  };
+  if (sel == nullptr) {
+    out->reserve(num_rows);
+    for (uint32_t row = 0; row < num_rows; ++row) build(row);
+  } else {
+    out->reserve(sel->size());
+    for (uint32_t row : *sel) build(row);
+  }
+  return Status::OK();
+}
+
+/// Training candidates: distinct symbols with their summed gains, in an
+/// open-addressing table that TakeBest() empties again.
+class CandidateSet {
+ public:
+  CandidateSet() : slots_(kSlots) {}
+
+  void Add(FsstSymbol symbol, uint32_t gain) {
+    size_t at = (symbol.bytes * 0x9E3779B97F4A7C15ull + symbol.len) >>
+                (64 - kSlotBits);
+    while (slots_[at].len != 0 && (slots_[at].bytes != symbol.bytes ||
+                                   slots_[at].len != symbol.len)) {
+      at = (at + 1) & (kSlots - 1);
+    }
+    if (slots_[at].len == 0) {
+      slots_[at] = {symbol.bytes, 0, static_cast<uint8_t>(symbol.len)};
+      used_.push_back(static_cast<uint32_t>(at));
+    }
+    slots_[at].gain += gain;
+  }
+
+  /// Up to `n` symbols, at most one of three or more bytes per three-byte
+  /// prefix (see FsstMatcher): every one-byte symbol first, so the sample's
+  /// data needs no escape and its chunk validates in one pass (see
+  /// ParseFsst); then the largest gains. Ties go by length and bytes, so
+  /// the table does not depend on insertion order.
+  std::vector<FsstSymbol> TakeBest(size_t n) {
+    std::vector<Slot> ranked;
+    ranked.reserve(used_.size());
+    for (uint32_t at : used_) {
+      ranked.push_back(slots_[at]);
+      slots_[at] = Slot{};
+    }
+    used_.clear();
+    auto better = [](const Slot& x, const Slot& y) {
+      if ((x.len == 1) != (y.len == 1)) return x.len == 1;
+      if (x.gain != y.gain) return x.gain > y.gain;
+      if (x.len != y.len) return x.len > y.len;
+      return x.bytes < y.bytes;
+    };
+    // Sort only a head a few prefix clashes cannot exhaust, then the rest
+    // if they do.
+    size_t sorted = std::min(ranked.size(), 2 * n + 256);
+    std::nth_element(ranked.begin(), ranked.begin() + sorted, ranked.end(),
+                     better);
+    std::sort(ranked.begin(), ranked.begin() + sorted, better);
+    std::vector<FsstSymbol> out;
+    std::vector<uint32_t> prefixes;
+    for (size_t i = 0; i < ranked.size() && out.size() < n; ++i) {
+      if (i == sorted) {
+        std::sort(ranked.begin() + sorted, ranked.end(), better);
+        sorted = ranked.size();
+      }
+      const Slot& c = ranked[i];
+      if (c.len >= 3) {
+        const uint32_t prefix = Prefix3(c.bytes);
+        if (std::find(prefixes.begin(), prefixes.end(), prefix) !=
+            prefixes.end()) {
+          continue;
+        }
+        prefixes.push_back(prefix);
+      }
+      out.push_back({c.bytes, c.len});
+    }
+    return out;
+  }
+
+ private:
+  struct Slot {
+    uint64_t bytes = 0;
+    uint32_t gain = 0;
+    uint8_t len = 0;  // 0: empty
+  };
+  // A round has under 2^15 candidates: the sample's units, 256 bytes and
+  // its distinct unit pairs, each under 2^15. Twice that keeps probes short.
+  static constexpr uint32_t kSlotBits = 16;
+  static constexpr uint32_t kSlots = 1u << kSlotBits;
+
+  std::vector<Slot> slots_;
+  std::vector<uint32_t> used_;
+};
+
+/// Units of a training round: a symbol's code, or kFsstEscapedUnit + b for
+/// an escaped byte b.
+constexpr uint32_t kFsstEscapedUnit = kFsstMaxSymbols;
+constexpr uint32_t kFsstUnits = kFsstEscapedUnit + 256;
+
+/// Per-thread FSST buffers, reused from chunk to chunk: the matcher's 128
+/// KB prefix table, the pair counts and the candidate table are large, and
+/// a fresh allocation that size is page-faulted in on every use.
+struct FsstScratch {
+  FsstMatcher matcher;
+  std::vector<uint16_t> pair_count =
+      std::vector<uint16_t>(kFsstUnits * kFsstUnits);
+  CandidateSet candidates;
+
+  static FsstScratch& ForThisThread() {
+    thread_local FsstScratch scratch;
+    return scratch;
+  }
+};
+
+/// Up to kFsstSampleBytes of evenly spaced rows, each cut to
+/// kFsstSampleStringBytes.
+std::vector<std::string_view> FsstSample(
+    const std::vector<std::string>& strings) {
+  size_t total = 0;
+  for (const std::string& s : strings) {
+    total += std::min(s.size(), kFsstSampleStringBytes);
+  }
+  const size_t step = std::max<size_t>(1, total / kFsstSampleBytes);
+  std::vector<std::string_view> sample;
+  size_t taken = 0;
+  for (size_t row = 0; row < strings.size() && taken < kFsstSampleBytes;
+       row += step) {
+    const std::string& s = strings[row];
+    sample.emplace_back(s.data(), std::min(s.size(), kFsstSampleStringBytes));
+    taken += sample.back().size();
+  }
+  return sample;
+}
+
+/// The smaller of plain and RLE or dictionary, compressed with the codec
+/// when that shrinks it: every encoding but kFor and kFsst.
+ColumnChunk EncodeSequential(const ColumnVector& column,
+                             const ColumnarWriteOptions& options) {
   ColumnChunk chunk;
   chunk.type = column.type();
   chunk.num_rows = static_cast<uint32_t>(column.size());
@@ -403,6 +1009,180 @@ ColumnChunk EncodeColumnChunk(const ColumnVector& column,
   return chunk;
 }
 
+/// Whether a string column's codes fit kFsst's u32 code count: each byte
+/// costs at most two code bytes.
+bool FsstFits(const std::vector<std::string>& strings) {
+  uint64_t total = 0;
+  for (const std::string& s : strings) total += s.size();
+  return 2 * total <= UINT32_MAX;
+}
+
+}  // namespace
+
+std::vector<std::string> TrainFsstTable(
+    const std::vector<std::string>& strings) {
+  const std::vector<std::string_view> sample = FsstSample(strings);
+  std::array<bool, 256> seen{};
+  for (std::string_view s : sample) {
+    for (char c : s) seen[static_cast<uint8_t>(c)] = true;
+  }
+  FsstScratch& scratch = FsstScratch::ForThisThread();
+  // Counts fit 16 bits: the sample is under 2^15 bytes, so under 2^15 units.
+  std::array<uint16_t, kFsstUnits> unit_count{};
+  std::vector<uint32_t> pairs;  // the pair_count slots in use
+  std::vector<FsstSymbol> table;
+  for (int round = 0; round < kFsstTrainingRounds; ++round) {
+    // Compress the sample with the current table, counting each unit and
+    // each pair of consecutive units within a string.
+    scratch.matcher.Build(table);
+    for (std::string_view s : sample) {
+      uint32_t prev = kFsstUnits;
+      for (size_t pos = 0; pos < s.size();) {
+        const uint16_t m = scratch.matcher.Match(
+            LoadPrefix(s.data() + pos, s.size() - pos), s.size() - pos);
+        const uint8_t code = FsstMatcher::CodeOf(m);
+        const uint32_t unit =
+            code == kFsstEscape
+                ? kFsstEscapedUnit + static_cast<uint8_t>(s[pos])
+                : code;
+        ++unit_count[unit];
+        if (prev != kFsstUnits) {
+          const uint32_t pair = prev * kFsstUnits + unit;
+          if (scratch.pair_count[pair]++ == 0) pairs.push_back(pair);
+        }
+        prev = unit;
+        pos += FsstMatcher::LengthOf(m);
+      }
+    }
+    auto symbol_of = [&](uint32_t unit) {
+      return unit < kFsstEscapedUnit ? table[unit]
+                                     : FsstSymbol{unit - kFsstEscapedUnit, 1};
+    };
+    // Candidates are the units, every byte of the sample, and the
+    // concatenations of counted pairs (cut to 8 bytes); a candidate's gain
+    // is the bytes it would have covered.
+    CandidateSet& candidates = scratch.candidates;
+    for (uint32_t unit = 0; unit < kFsstUnits; ++unit) {
+      if (unit_count[unit] == 0) continue;
+      const FsstSymbol sym = symbol_of(unit);
+      candidates.Add(sym, unit_count[unit] * sym.len);
+      unit_count[unit] = 0;
+    }
+    for (uint32_t byte = 0; byte < 256; ++byte) {
+      if (seen[byte]) candidates.Add({byte, 1}, 0);
+    }
+    for (uint32_t pair : pairs) {
+      const FsstSymbol a = symbol_of(pair / kFsstUnits);
+      const FsstSymbol b = symbol_of(pair % kFsstUnits);
+      const uint32_t count = scratch.pair_count[pair];
+      scratch.pair_count[pair] = 0;
+      if (a.len == kFsstMaxSymbolBytes) continue;
+      const uint32_t len = std::min(a.len + b.len, kFsstMaxSymbolBytes);
+      candidates.Add({(a.bytes | b.bytes << (8 * a.len)) & LowBytesMask(len),
+                      len},
+                     count * len);
+    }
+    pairs.clear();
+    table = candidates.TakeBest(kFsstMaxSymbols);
+  }
+  std::vector<std::string> out;
+  out.reserve(table.size());
+  for (const FsstSymbol& s : table) {
+    char bytes[8];
+    std::memcpy(bytes, &s.bytes, 8);
+    out.emplace_back(bytes, s.len);
+  }
+  return out;
+}
+
+ColumnChunk EncodeFsstChunk(const ColumnVector& column,
+                            const std::vector<std::string>& table) {
+  HJ_CHECK(column.physical_type() == PhysicalType::kString)
+      << "kFsst encodes strings";
+  const std::vector<FsstSymbol> symbols = ToFsstSymbols(table);
+  std::vector<uint8_t> codes;
+  std::vector<uint64_t> ends;
+  FsstCompress(column.str(), symbols, &FsstScratch::ForThisThread().matcher,
+               &codes, &ends);
+  HJ_CHECK(codes.size() <= UINT32_MAX) << "FSST chunk too large";
+  const uint32_t width =
+      static_cast<uint32_t>(std::bit_width(uint64_t{codes.size()}));
+
+  BinaryWriter w(1 + 9 * table.size() + 5 + codes.size() +
+                 PackedBytes(ends.size(), width));
+  w.PutU8(static_cast<uint8_t>(table.size()));
+  for (const std::string& s : table) w.PutU8(static_cast<uint8_t>(s.size()));
+  for (const std::string& s : table) w.PutRaw(s.data(), s.size());
+  w.PutU8(static_cast<uint8_t>(width));
+  w.PutU32(static_cast<uint32_t>(codes.size()));
+  w.PutRaw(codes.data(), codes.size());
+  std::vector<uint8_t> data = w.Release();
+  AppendPacked(ends.size(), width, [&](size_t i) { return ends[i]; }, &data);
+
+  ColumnChunk chunk;
+  chunk.type = column.type();
+  chunk.encoding = ColEncoding::kFsst;
+  chunk.num_rows = static_cast<uint32_t>(column.size());
+  chunk.data = std::move(data);
+  return chunk;
+}
+
+ColumnChunk EncodeForChunk(const ColumnVector& column) {
+  ColumnChunk chunk;
+  chunk.type = column.type();
+  chunk.encoding = ColEncoding::kFor;
+  chunk.num_rows = static_cast<uint32_t>(column.size());
+  switch (column.physical_type()) {
+    case PhysicalType::kInt32:
+      chunk.data = EncodeFor(column.i32());
+      break;
+    case PhysicalType::kInt64:
+      chunk.data = EncodeFor(column.i64());
+      break;
+    default:
+      HJ_CHECK(false) << "kFor encodes integer-physical columns";
+  }
+  return chunk;
+}
+
+ColumnChunk EncodeColumnChunk(const ColumnVector& column,
+                              const ColumnarWriteOptions& options) {
+  ColumnChunk chunk = EncodeSequential(column, options);
+  // A random-access encoding replaces that pick only when strictly smaller.
+  std::optional<ColumnChunk> random_access;
+  switch (column.physical_type()) {
+    case PhysicalType::kInt32:
+      if (options.enable_rle &&
+          ForLayout<int32_t>(column.i32()).Bytes(column.size()) <
+              chunk.data.size()) {
+        random_access = EncodeForChunk(column);
+      }
+      break;
+    case PhysicalType::kInt64:
+      if (options.enable_rle &&
+          ForLayout<int64_t>(column.i64()).Bytes(column.size()) <
+              chunk.data.size()) {
+        random_access = EncodeForChunk(column);
+      }
+      break;
+    case PhysicalType::kString:
+      if (options.enable_dictionary && options.codec != Codec::kNone &&
+          FsstFits(column.str())) {
+        random_access = EncodeFsstChunk(column, TrainFsstTable(column.str()));
+      }
+      break;
+    case PhysicalType::kFloat64:
+      break;
+  }
+  if (random_access.has_value() &&
+      random_access->data.size() < chunk.data.size()) {
+    chunk.encoding = random_access->encoding;
+    chunk.codec = Codec::kNone;
+    chunk.data = std::move(random_access->data);
+  }
+  return chunk;
+}
+
 Result<ColumnVector> DecodeColumnChunk(const ColumnChunk& chunk,
                                        DataType type,
                                        const std::vector<uint32_t>* sel) {
@@ -430,6 +1210,28 @@ Result<ColumnVector> DecodeColumnChunk(const ColumnChunk& chunk,
   }
 
   ColumnVector out(type);
+  // Random-access chunks build only the selected rows.
+  if (chunk.encoding == ColEncoding::kFor) {
+    switch (PhysicalTypeOf(type)) {
+      case PhysicalType::kInt32:
+        HJ_RETURN_IF_ERROR(
+            DecodeFor(raw, chunk.num_rows, sel, &out.mutable_i32()));
+        return out;
+      case PhysicalType::kInt64:
+        HJ_RETURN_IF_ERROR(
+            DecodeFor(raw, chunk.num_rows, sel, &out.mutable_i64()));
+        return out;
+      default:
+        return Status::IOError("columnar: FOR chunk of a non-integer type");
+    }
+  }
+  if (chunk.encoding == ColEncoding::kFsst) {
+    if (PhysicalTypeOf(type) != PhysicalType::kString) {
+      return Status::IOError("columnar: FSST chunk of a non-string type");
+    }
+    HJ_RETURN_IF_ERROR(DecodeFsst(raw, chunk.num_rows, sel, &out.mutable_str()));
+    return out;
+  }
   switch (PhysicalTypeOf(type)) {
     case PhysicalType::kInt32:
       HJ_RETURN_IF_ERROR(DecodeInts(chunk.encoding, raw, chunk.num_rows,
@@ -511,7 +1313,7 @@ Result<ColumnVector> DecodeColumnChunk(const ColumnChunk& chunk,
   if (out.size() != chunk.num_rows) {
     return Status::IOError("columnar: decoded row count mismatch");
   }
-  // Fixed-width and RLE chunks decode whole, then gather.
+  // Plain and RLE chunks decode whole, then gather.
   if (sel != nullptr) return out.Gather(*sel);
   return out;
 }

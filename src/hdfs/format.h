@@ -5,9 +5,12 @@
 // (§5.4). We implement both:
 //   - kText:     pipe-delimited rows; scanning must parse every byte and
 //                projection cannot reduce I/O.
-//   - kColumnar: per-block column chunks with dictionary/RLE encodings, an
-//                LZ byte codec, min/max stats for chunk skipping, and
-//                projection pushdown (only requested chunks are read).
+//   - kColumnar: per-block column chunks with plain, RLE, dictionary,
+//                frame-of-reference bit-packed (kFor) and FSST (kFsst)
+//                encodings, an LZ byte codec, min/max stats for chunk
+//                skipping, and projection pushdown (only requested chunks
+//                are read). kFor and kFsst are random-access by row, so a
+//                late-materializing scan reads them at its survivors only.
 
 #ifndef HYBRIDJOIN_HDFS_FORMAT_H_
 #define HYBRIDJOIN_HDFS_FORMAT_H_
@@ -32,9 +35,11 @@ const char* HdfsFormatName(HdfsFormat format);
 // Text format
 // ---------------------------------------------------------------------------
 
-/// Renders a batch as '|'-delimited text, one row per line. Dates are
-/// rendered ISO (yyyy-mm-dd) and times as hh:mm:ss, like real log files.
-std::vector<uint8_t> EncodeText(const RecordBatch& batch);
+/// Renders rows [begin, end) of a batch (all of them by default) as
+/// '|'-delimited text, one row per line. Dates are rendered ISO
+/// (yyyy-mm-dd) and times as hh:mm:ss, like real log files.
+std::vector<uint8_t> EncodeText(const RecordBatch& batch, size_t begin = 0,
+                                size_t end = SIZE_MAX);
 
 /// Parses text back into a batch of `schema`. The whole line is always
 /// parsed (no projection pushdown — that is the point of the text format);
@@ -47,7 +52,29 @@ Result<RecordBatch> DecodeText(const uint8_t* data, size_t size,
 // Columnar format
 // ---------------------------------------------------------------------------
 
-enum class ColEncoding : uint8_t { kPlain = 0, kRle = 1, kDict = 2 };
+/// How a chunk's values are laid out before the byte codec.
+///   - kPlain: fixed-width values, or varint-length-prefixed strings.
+///   - kRle:   (varint run length, zigzag varint value) pairs.
+///   - kDict:  a varint-counted string dictionary, then a varint code per row.
+///   - kFor:   integer-physical only. The chunk's minimum (4 bytes for the
+///             32-bit types, 8 for int64), a bit width w (at most the
+///             physical width), then each row's value minus the minimum in
+///             w bits, LSB first, padded with zero bits to a byte. Row i is
+///             at bit i * w, so any row is read without its neighbours.
+///   - kFsst:  strings only (Boncz, Neumann and Leis, VLDB 2020). A symbol
+///             table (a count of at most 255, one length of 1-8 per
+///             symbol, the symbol bytes), a bit width w, a u32 code-byte
+///             count, the code bytes of every row back to back, then each
+///             row's end offset into the codes in w bits. A code byte below
+///             the count stands for its symbol; 255 escapes the next byte.
+/// kFor and kFsst are written with Codec::kNone and read in place.
+enum class ColEncoding : uint8_t {
+  kPlain = 0,
+  kRle = 1,
+  kDict = 2,
+  kFor = 3,
+  kFsst = 4,
+};
 
 const char* ColEncodingName(ColEncoding enc);
 
@@ -82,22 +109,48 @@ struct ColumnarBlock {
 /// Options controlling the columnar writer.
 struct ColumnarWriteOptions {
   Codec codec = Codec::kLz;
+  /// Allows kDict and, when `codec` compresses, kFsst for strings.
   bool enable_dictionary = true;
+  /// Allows kRle and kFor for integers.
   bool enable_rle = true;
   bool write_stats = true;
 };
 
-/// Encodes one column, choosing the cheapest of the enabled encodings.
+/// Encodes one column, choosing the smallest of the enabled encodings: the
+/// smaller of plain and RLE or dictionary, compressed with `codec` when
+/// that shrinks it; then kFor or kFsst replaces that pick only when it is
+/// strictly smaller still.
 ColumnChunk EncodeColumnChunk(const ColumnVector& column,
                               const ColumnarWriteOptions& options);
+
+/// An integer-physical column as a kFor chunk, whatever its size.
+ColumnChunk EncodeForChunk(const ColumnVector& column);
+
+/// Trains an FSST symbol table for `strings`: at most 255 symbols of 1-8
+/// bytes, picked by greedy compression gain over a bounded sample, so the
+/// cost does not grow with the chunk.
+std::vector<std::string> TrainFsstTable(const std::vector<std::string>& strings);
+
+/// A string column as a kFsst chunk with `table` (at most 255 symbols of
+/// 1-8 bytes), whatever its size. Compression is greedy longest match;
+/// bytes no symbol covers are escaped, and of several symbols of three or
+/// more bytes that share their first three only the first is used (a
+/// trained table has no such pair).
+ColumnChunk EncodeFsstChunk(const ColumnVector& column,
+                            const std::vector<std::string>& table);
 
 /// Decodes a chunk back into a column vector of `type`. With `sel` (strictly
 /// ascending row indexes), returns only those rows, equal to
 /// `DecodeColumnChunk(chunk, type).Gather(*sel)`: the whole chunk is still
-/// decompressed and validated, but unselected strings are skipped by their
-/// length or dictionary code instead of being built. A kNone chunk is read
-/// in place, without a copy. Every malformed chunk is an IOError; a type
-/// mismatch is Internal and a bad `sel` InvalidArgument.
+/// decompressed and validated, but only the selected rows are built. kFor
+/// and kFsst rows are read at the selected positions; unselected plain and
+/// dictionary strings are skipped by their length or code; plain and RLE
+/// integers decode whole and are gathered. A kNone chunk is read in place,
+/// without a copy. Validation covers every row even when none is selected:
+/// lengths, run counts, dictionary and FSST codes, FSST offsets (ascending
+/// to the code count), bit widths and exact payload sizes. Every malformed
+/// chunk is an IOError; a type mismatch is Internal and a bad `sel`
+/// InvalidArgument.
 Result<ColumnVector> DecodeColumnChunk(
     const ColumnChunk& chunk, DataType type,
     const std::vector<uint32_t>* sel = nullptr);

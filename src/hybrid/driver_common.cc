@@ -24,6 +24,7 @@ Execution::Execution(EngineContext* ctx, JoinAlgorithm algorithm,
               ? memory_budget_bytes
               : ctx->config().query_memory_budget_bytes)),
       governor_scope_(governor_.get()),
+      own_since_us_(ctx->tracer().NowMicros()),
       tag_base_(ctx->network().AllocateTagBlock(kTagBlock)) {
   // Visible to SHOW PROCESSLIST / KILL from here on. Registration happens
   // before any worker spawns, so a worker's first cancellation check can
@@ -102,6 +103,7 @@ ExecutionReport Execution::BuildReport() {
                      ctx_->metrics().ScopedSnapshot(query_id_,
                                                     MetricNodeKey(node))});
   }
+  RecordOwnSpan(trace::span::kDriverFinish);
   const std::vector<trace::TraceEvent> events = ctx_->tracer().Take(query_id_);
   std::map<std::string, LatencyHistogram> per_name;
   for (const trace::TraceEvent& e : events) {
@@ -125,6 +127,23 @@ ExecutionReport Execution::BuildReport() {
   return report;
 }
 
+void Execution::RecordOwnSpan(const char* name) {
+  trace::Tracer& tracer = ctx_->tracer();
+  const int64_t now = tracer.NowMicros();
+  if (tracer.enabled()) {
+    trace::TraceEvent event;
+    event.name = name;
+    event.category = trace::span::kCatDriver;
+    event.role = "driver";
+    event.tid = trace::Tracer::CurrentThreadId();
+    event.start_us = own_since_us_;
+    event.dur_us = now - own_since_us_;
+    event.query_id = query_id_;
+    tracer.Record(event);
+  }
+  own_since_us_ = now;
+}
+
 uint64_t Execution::NewTag() {
   HJ_CHECK_LT(tags_used_, kTagBlock) << "execution ran out of stage tags";
   return tag_base_ + tags_used_++;
@@ -132,6 +151,7 @@ uint64_t Execution::NewTag() {
 
 Status Execution::RunWorkers(const WorkerFn& db_worker,
                              const WorkerFn& jen_worker) {
+  RecordOwnSpan(trace::span::kDriverSetup);
   std::vector<WorkerThread> threads;
   threads.reserve(ctx_->num_db_workers() + ctx_->num_jen_workers());
   auto spawn = [&](NodeId node, const char* role, const char* span,
@@ -174,6 +194,7 @@ Status Execution::RunWorkers(const WorkerFn& db_worker,
           jen_worker);
   }
   for (WorkerThread& thread : threads) thread.Join();
+  own_since_us_ = ctx_->tracer().NowMicros();
   std::lock_guard<std::mutex> lock(mu_);
   return first_error_;
 }

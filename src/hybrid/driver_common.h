@@ -117,6 +117,11 @@ class Execution {
  private:
   ExecutionReport BuildReport();
 
+  /// Records the driver thread's own time since `own_since_us_` as a
+  /// driver-category span `name` of this query (when tracing), and
+  /// restarts that clock.
+  void RecordOwnSpan(const char* name);
+
   /// Tags per execution; the adaptive path's two rounds use at most 14.
   static constexpr uint64_t kTagBlock = 64;
 
@@ -127,6 +132,9 @@ class Execution {
   std::unique_ptr<MemoryGovernor> governor_;
   MemoryGovernor::Scope governor_scope_;  ///< driver-thread installation
   Stopwatch stopwatch_;
+  /// Tracer clock at construction, then at each round's join: the start
+  /// of the driver thread's next span (driver.setup, driver.finish).
+  int64_t own_since_us_;
   uint64_t tag_base_;
   uint64_t tags_used_ = 0;
   std::mutex mu_;

@@ -53,12 +53,12 @@ class HybridWarehouse {
   // --- HDFS-side data loading. ---
 
   /// Writes batches as one HDFS table (text or columnar) and registers it
-  /// in HCatalog.
+  /// in HCatalog, encoding blocks on the exec pool when there is one.
   Status WriteHdfsTable(const std::string& name, const SchemaPtr& schema,
                         const HdfsWriteOptions& options,
                         const std::vector<RecordBatch>& batches) {
     HdfsTableWriter writer(&ctx_->namenode(), &ctx_->hcatalog(), name,
-                           schema, options);
+                           schema, options, ctx_->exec_pool());
     HJ_RETURN_IF_ERROR(writer.Open());
     for (const RecordBatch& batch : batches) {
       HJ_RETURN_IF_ERROR(writer.Append(batch));

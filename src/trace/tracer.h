@@ -184,9 +184,14 @@ inline constexpr char kDbScan[] = "edw.scan";
 inline constexpr char kDbBloomBuild[] = "edw.bloom_build";
 inline constexpr char kDbJoin[] = "edw.join";
 inline constexpr char kDbIngest[] = "edw.ingest";
-// Whole-thread driver spans (the "top-level" coverage spans).
+// Whole-thread driver spans (the "top-level" coverage spans): one per
+// worker per round, and the driver thread's own time around them — stage
+// setup before a round's workers spawn, then joining the last round and
+// assembling the report.
 inline constexpr char kDriverDbWorker[] = "driver.db_worker";
 inline constexpr char kDriverJenWorker[] = "driver.jen_worker";
+inline constexpr char kDriverSetup[] = "driver.setup";
+inline constexpr char kDriverFinish[] = "driver.finish";
 // Categories.
 inline constexpr char kCatDriver[] = "driver";
 inline constexpr char kCatScan[] = "scan";

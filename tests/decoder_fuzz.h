@@ -6,7 +6,9 @@
 // the token-at-a-time LZ decoder and the copying column-chunk decoder. They
 // differ from the originals in two places: the bounds test is written
 // `n > remaining`, so a length near 2^64 cannot wrap it (the originals read
-// past the buffer), and empty memcpys are skipped. `Mutate` corrupts a
+// past the buffer), and empty memcpys are skipped. For the kFor and kFsst
+// encodings, which came later, the oracle is a bit-at-a-time reference
+// decoder that decodes every row and then gathers. `Mutate` corrupts a
 // valid stream the ways a bad disk or a bad writer would.
 
 #ifndef HYBRIDJOIN_TESTS_DECODER_FUZZ_H_
@@ -15,7 +17,9 @@
 #include <algorithm>
 #include <cstring>
 #include <functional>
+#include <string>
 #include <string_view>
+#include <type_traits>
 #include <vector>
 
 #include "common/binary_io.h"
@@ -205,6 +209,94 @@ Result<std::vector<T>> DecodeRleInts(const std::vector<uint8_t>& data,
   return out;
 }
 
+/// Reads `n` values of `width` bits packed LSB first from `raw[at..]`, one
+/// bit at a time: the bytes must be exactly enough and the bits after the
+/// last value zero.
+inline Result<std::vector<uint64_t>> ReadPackedBits(
+    const std::vector<uint8_t>& raw, size_t at, uint64_t n, uint32_t width) {
+  const uint64_t bits = n * width;
+  if (raw.size() - at != (bits + 7) / 8) {
+    return Status::IOError("packed: bad size");
+  }
+  auto bit = [&](uint64_t i) { return (raw[at + i / 8] >> (i % 8)) & 1; };
+  std::vector<uint64_t> out(n);
+  for (uint64_t i = 0; i < n; ++i) {
+    for (uint32_t b = 0; b < width; ++b) {
+      out[i] |= static_cast<uint64_t>(bit(i * width + b)) << b;
+    }
+  }
+  for (uint64_t i = bits; i < (raw.size() - at) * 8; ++i) {
+    if (bit(i) != 0) return Status::IOError("packed: padding bit set");
+  }
+  return out;
+}
+
+/// Reference kFor decoder: the minimum, the width, the packed deltas.
+template <typename T>
+Result<std::vector<T>> DecodeForInts(const std::vector<uint8_t>& raw,
+                                     uint32_t num_rows) {
+  using U = std::make_unsigned_t<T>;
+  if (raw.size() < sizeof(U) + 1) return Status::IOError("for: short header");
+  U base;
+  std::memcpy(&base, raw.data(), sizeof(U));
+  const uint32_t width = raw[sizeof(U)];
+  if (width > 8 * sizeof(U)) return Status::IOError("for: width too large");
+  HJ_ASSIGN_OR_RETURN(std::vector<uint64_t> deltas,
+                      ReadPackedBits(raw, sizeof(U) + 1, num_rows, width));
+  std::vector<T> out;
+  for (uint64_t d : deltas) {
+    out.push_back(static_cast<T>(static_cast<U>(base + static_cast<U>(d))));
+  }
+  return out;
+}
+
+/// Reference kFsst decoder: the symbol table, the width, the code count,
+/// the codes, the packed end offsets; each row decoded code by code.
+inline Result<std::vector<std::string>> DecodeFsstStrings(
+    const std::vector<uint8_t>& raw, uint32_t num_rows) {
+  auto fail = [](const char* why) { return Status::IOError(why); };
+  Reader r(raw);
+  HJ_ASSIGN_OR_RETURN(std::string_view count, r.GetView(1));
+  const size_t num_symbols = static_cast<uint8_t>(count[0]);
+  HJ_ASSIGN_OR_RETURN(std::string_view lengths, r.GetView(num_symbols));
+  std::vector<std::string> symbols;
+  for (char len : lengths) {
+    if (len < 1 || len > 8) return fail("fsst: bad symbol length");
+    HJ_ASSIGN_OR_RETURN(std::string_view sym, r.GetView(len));
+    symbols.emplace_back(sym);
+  }
+  HJ_ASSIGN_OR_RETURN(std::string_view width, r.GetView(1));
+  if (static_cast<uint8_t>(width[0]) > 32) return fail("fsst: wide offsets");
+  HJ_ASSIGN_OR_RETURN(std::string_view size_bytes, r.GetView(4));
+  uint32_t codes_size;
+  std::memcpy(&codes_size, size_bytes.data(), 4);
+  HJ_ASSIGN_OR_RETURN(std::string_view codes, r.GetView(codes_size));
+  HJ_ASSIGN_OR_RETURN(std::vector<uint64_t> ends,
+                      ReadPackedBits(raw, r.position(), num_rows,
+                                     static_cast<uint8_t>(width[0])));
+  std::vector<std::string> out;
+  uint64_t begin = 0;
+  for (uint64_t end : ends) {
+    if (end < begin || end > codes_size) return fail("fsst: bad offset");
+    std::string s;
+    for (uint64_t k = begin; k < end; ++k) {
+      const uint8_t code = static_cast<uint8_t>(codes[k]);
+      if (code == 255) {
+        if (k + 1 == end) return fail("fsst: escape ends a string");
+        s.push_back(codes[++k]);
+      } else if (code >= symbols.size()) {
+        return fail("fsst: code past the table");
+      } else {
+        s += symbols[code];
+      }
+    }
+    out.push_back(std::move(s));
+    begin = end;
+  }
+  if (begin != codes_size) return fail("fsst: offsets end before the codes");
+  return out;
+}
+
 inline Result<ColumnVector> DecodeColumnChunk(
     const ColumnChunk& chunk, DataType type,
     const std::vector<uint32_t>* sel = nullptr) {
@@ -225,7 +317,10 @@ inline Result<ColumnVector> DecodeColumnChunk(
   ColumnVector out(type);
   switch (PhysicalTypeOf(type)) {
     case PhysicalType::kInt32: {
-      if (chunk.encoding == ColEncoding::kRle) {
+      if (chunk.encoding == ColEncoding::kFor) {
+        HJ_ASSIGN_OR_RETURN(out.mutable_i32(),
+                            DecodeForInts<int32_t>(raw, chunk.num_rows));
+      } else if (chunk.encoding == ColEncoding::kRle) {
         HJ_ASSIGN_OR_RETURN(std::vector<int32_t> v,
                             DecodeRleInts<int32_t>(raw, chunk.num_rows));
         out.mutable_i32() = std::move(v);
@@ -243,7 +338,10 @@ inline Result<ColumnVector> DecodeColumnChunk(
       break;
     }
     case PhysicalType::kInt64: {
-      if (chunk.encoding == ColEncoding::kRle) {
+      if (chunk.encoding == ColEncoding::kFor) {
+        HJ_ASSIGN_OR_RETURN(out.mutable_i64(),
+                            DecodeForInts<int64_t>(raw, chunk.num_rows));
+      } else if (chunk.encoding == ColEncoding::kRle) {
         HJ_ASSIGN_OR_RETURN(std::vector<int64_t> v,
                             DecodeRleInts<int64_t>(raw, chunk.num_rows));
         out.mutable_i64() = std::move(v);
@@ -283,6 +381,14 @@ inline Result<ColumnVector> DecodeColumnChunk(
       Reader r(raw);
       auto& v = out.mutable_str();
       v.reserve(sel != nullptr ? sel->size() : chunk.num_rows);
+      if (chunk.encoding == ColEncoding::kFsst) {
+        HJ_ASSIGN_OR_RETURN(std::vector<std::string> all,
+                            DecodeFsstStrings(raw, chunk.num_rows));
+        for (uint32_t i = 0; i < chunk.num_rows; ++i) {
+          if (selected(i)) v.push_back(std::move(all[i]));
+        }
+        return out;
+      }
       if (chunk.encoding == ColEncoding::kDict) {
         HJ_ASSIGN_OR_RETURN(uint64_t dict_size, r.GetVarint());
         if (dict_size > chunk.num_rows) {

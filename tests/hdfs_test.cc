@@ -247,6 +247,79 @@ TEST_F(TableWriterTest, WritesBlocksAndRegisters) {
   EXPECT_EQ(decoded->column(0).i32()[99], 99);
 }
 
+TEST_F(TableWriterTest, PoolEncodesTheSameBlocksInOrder) {
+  auto schema = Schema::Make({{"k", DataType::kInt32},
+                              {"d", DataType::kDate},
+                              {"s", DataType::kString}});
+  // Batches smaller than a block, spanning several, and ending mid-block.
+  std::vector<RecordBatch> batches;
+  int row = 0;
+  for (int n : {30, 250, 70, 400, 1, 99, 333}) {
+    RecordBatch b(schema);
+    for (int i = 0; i < n; ++i, ++row) {
+      b.AppendRow({Value(int32_t{row * 7919 % 5000}),
+                   Value(int32_t{16000 + row % 365}),
+                   Value("g" + std::to_string(row % 13) + "/products/item" +
+                         std::to_string(row * 31 % 1000))});
+    }
+    batches.push_back(std::move(b));
+  }
+  for (HdfsFormat format : {HdfsFormat::kColumnar, HdfsFormat::kText}) {
+    SCOPED_TRACE(HdfsFormatName(format));
+    HdfsWriteOptions options;
+    options.format = format;
+    options.rows_per_block = 100;
+    // Each write gets its own DataNodes: block ids restart per NameNode.
+    auto write = [&](ThreadPool* pool) {
+      std::vector<std::unique_ptr<DataNode>> nodes;
+      std::vector<DataNode*> ptrs;
+      for (uint32_t i = 0; i < 2; ++i) {
+        nodes.push_back(std::make_unique<DataNode>(i, DataNodeConfig{}));
+        ptrs.push_back(nodes.back().get());
+      }
+      NameNode nn(ptrs, 1);
+      HCatalog catalog;
+      HdfsTableWriter writer(&nn, &catalog, "L", schema, options, pool);
+      EXPECT_TRUE(writer.Open().ok());
+      for (const RecordBatch& b : batches) EXPECT_TRUE(writer.Append(b).ok());
+      EXPECT_TRUE(writer.Close().ok());
+      EXPECT_EQ(writer.rows_written(), static_cast<uint64_t>(row));
+      std::vector<std::shared_ptr<const StoredBlock>> stored;
+      const std::vector<BlockInfo> blocks =
+          nn.GetBlocks("/warehouse/L").value();
+      for (const BlockInfo& info : blocks) {
+        stored.push_back(
+            ptrs[info.replicas[0].node]->Fetch(info.block_id).value());
+      }
+      return stored;
+    };
+    ThreadPool pool(3);
+    const auto sequential = write(nullptr);
+    const auto parallel = write(&pool);
+    ASSERT_EQ(sequential.size(), 12u);  // 1183 rows in blocks of 100
+    ASSERT_EQ(parallel.size(), sequential.size());
+    for (size_t b = 0; b < sequential.size(); ++b) {
+      const StoredBlock& x = *sequential[b];
+      const StoredBlock& y = *parallel[b];
+      ASSERT_EQ(x.num_rows, y.num_rows) << "block " << b;
+      if (format == HdfsFormat::kText) {
+        EXPECT_EQ(*x.text, *y.text) << "block " << b;
+        continue;
+      }
+      ASSERT_EQ(x.columnar->chunks.size(), y.columnar->chunks.size());
+      for (size_t c = 0; c < x.columnar->chunks.size(); ++c) {
+        const ColumnChunk& cx = x.columnar->chunks[c];
+        const ColumnChunk& cy = y.columnar->chunks[c];
+        EXPECT_EQ(cx.encoding, cy.encoding);
+        EXPECT_EQ(cx.codec, cy.codec);
+        EXPECT_EQ(cx.data, cy.data) << "block " << b << " column " << c;
+        EXPECT_EQ(cx.min_val, cy.min_val);
+        EXPECT_EQ(cx.max_val, cy.max_val);
+      }
+    }
+  }
+}
+
 TEST_F(TableWriterTest, SchemaMismatchRejected) {
   NameNode nn(ptrs_, 1);
   HCatalog catalog;

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <functional>
 #include <mutex>
 #include <numeric>
 #include <set>
@@ -435,11 +436,50 @@ class LateMaterializationTest : public JenFixture {
     EXPECT_EQ(got, want);
   }
 
+  /// Scans a copy of table "t"'s first block, with `edit` applied to its
+  /// chunks and stored under a fresh block id, under a predicate that drops
+  /// every row (chunk skipping off, so the block is read) and with `late`
+  /// projected: the late chunk is validated but no row of it is built.
+  Status ScanEdited(const std::function<void(ColumnarBlock*)>& edit,
+                    const std::string& late) {
+    auto plan = MakeCoordinator().PlanScan("t");
+    if (!plan.ok()) return plan.status();
+    BlockAssignment a = plan->per_worker[0].front();
+    HJ_ASSIGN_OR_RETURN(auto stored,
+                        datanodes_[a.replica.node]->Fetch(a.info.block_id));
+    auto columnar = std::make_shared<ColumnarBlock>(*stored->columnar);
+    edit(columnar.get());
+    auto copy = std::make_shared<StoredBlock>(*stored);
+    copy->columnar = columnar;
+    a.info.block_id = (1u << 30) + next_block_++;
+    HJ_RETURN_IF_ERROR(datanodes_[a.replica.node]->StoreBlock(
+        a.info.block_id, a.replica.disk, copy));
+    JenConfig no_skip;
+    no_skip.chunk_skipping = false;
+    ScanTask task;
+    task.meta = plan->meta;
+    task.blocks = {a};
+    task.predicate = Cmp("v", CmpOp::kGt, 100);  // v is 0..9: drops all
+    task.projection = {late};
+    size_t rows = 0;
+    Status st = MakeWorker(a.replica.node, no_skip)
+                    .ScanBlocks(task,
+                                [&](RecordBatch&& b) {
+                                  rows += b.num_rows();
+                                  return Status::OK();
+                                },
+                                nullptr);
+    EXPECT_EQ(rows, 0u);
+    return st;
+  }
+
   static BloomFilter EvenKeys() {
     BloomFilter bloom(BloomParams::ForKeys(1000));
     for (int32_t k = 0; k < 2000; k += 2) bloom.Add(k);
     return bloom;
   }
+
+  uint32_t next_block_ = 0;
 };
 
 TEST_F(LateMaterializationTest, ProjectionIncludesPredicateColumn) {
@@ -467,48 +507,52 @@ TEST_F(LateMaterializationTest, BloomColumnNotProjected) {
 
 TEST_F(LateMaterializationTest, CorruptLateChunkFailsEvenWhenNoRowSurvives) {
   WriteTable("t", 100, HdfsFormat::kColumnar);
-  auto plan = MakeCoordinator().PlanScan("t");
-  ASSERT_TRUE(plan.ok());
-  const BlockAssignment original = plan->per_worker[0].front();
-  auto stored =
-      datanodes_[original.replica.node]->Fetch(original.info.block_id);
-  ASSERT_TRUE(stored.ok());
+  EXPECT_TRUE(ScanEdited([](ColumnarBlock*) {}, "s").ok());
+  // The "s" chunk with a trailing garbage byte.
+  const Status st = ScanEdited(
+      [](ColumnarBlock* b) { b->chunks[2].data.push_back(0x7f); }, "s");
+  EXPECT_TRUE(st.IsIOError()) << st;
+}
 
-  // A copy of the block whose "s" chunk (late: projected, not filtered on)
-  // carries a trailing garbage byte, stored under a fresh block id.
-  auto columnar = std::make_shared<ColumnarBlock>(*(*stored)->columnar);
-  columnar->chunks[2].data.push_back(0x7f);
-  auto corrupt = std::make_shared<StoredBlock>(**stored);
-  corrupt->columnar = columnar;
-  BlockAssignment assignment = original;
-  assignment.info.block_id = 1u << 30;
-  ASSERT_TRUE(datanodes_[assignment.replica.node]
-                  ->StoreBlock(assignment.info.block_id,
-                               assignment.replica.disk, corrupt)
-                  .ok());
-
-  // Chunk skipping off so the block is read although no row can pass.
-  JenConfig no_skip;
-  no_skip.chunk_skipping = false;
-  auto scan = [&](const BlockAssignment& a) {
-    ScanTask task;
-    task.meta = plan->meta;
-    task.blocks = {a};
-    task.predicate = Cmp("v", CmpOp::kGt, 100);  // v is 0..9: drops all
-    task.projection = {"s"};
-    size_t rows = 0;
-    Status st = MakeWorker(a.replica.node, no_skip)
-                    .ScanBlocks(task,
-                                [&](RecordBatch&& b) {
-                                  rows += b.num_rows();
-                                  return Status::OK();
-                                },
-                                nullptr);
-    EXPECT_EQ(rows, 0u);
-    return st;
+TEST_F(LateMaterializationTest,
+       CorruptRandomAccessLateChunksFailEvenWhenNoRowSurvives) {
+  WriteTable("t", 100, HdfsFormat::kColumnar);
+  // Re-encodes chunk `c` of the block with `encode`, then applies `corrupt`.
+  auto recode = [](size_t c,
+                   std::function<ColumnChunk(const ColumnVector&)> encode,
+                   std::function<void(std::vector<uint8_t>*)> corrupt) {
+    return [=](ColumnarBlock* b) {
+      ColumnChunk& chunk = b->chunks[c];
+      const ColumnVector col = DecodeColumnChunk(chunk, chunk.type).value();
+      const bool stats = chunk.has_stats;
+      const int64_t mn = chunk.min_val, mx = chunk.max_val;
+      chunk = encode(col);
+      chunk.has_stats = stats;
+      chunk.min_val = mn;
+      chunk.max_val = mx;
+      corrupt(&chunk.data);
+    };
   };
-  EXPECT_TRUE(scan(original).ok());
-  const Status st = scan(assignment);
+  auto for_chunk = [](const ColumnVector& col) { return EncodeForChunk(col); };
+  auto fsst_chunk = [](const ColumnVector& col) {
+    return EncodeFsstChunk(col, {"row", "1"});
+  };
+  auto intact = [](std::vector<uint8_t>*) {};
+  EXPECT_TRUE(ScanEdited(recode(0, for_chunk, intact), "k").ok());
+  EXPECT_TRUE(ScanEdited(recode(2, fsst_chunk, intact), "s").ok());
+
+  // kFor: a bit width wider than int32.
+  Status st = ScanEdited(
+      recode(0, for_chunk, [](std::vector<uint8_t>* d) { (*d)[4] = 33; }),
+      "k");
+  EXPECT_TRUE(st.IsIOError()) << st;
+  // kFsst: the first code byte past the two-symbol table.
+  st = ScanEdited(recode(2, fsst_chunk,
+                         [](std::vector<uint8_t>* d) {
+                           // count, 2 lengths, 4 symbol bytes, width, u32
+                           (*d)[1 + 2 + 4 + 1 + 4] = 2;
+                         }),
+                  "s");
   EXPECT_TRUE(st.IsIOError()) << st;
 }
 

@@ -402,21 +402,40 @@ TEST(TraceEndToEndTest, TracedZigzagProducesHistogramsAndLoadableTrace) {
   ASSERT_TRUE(events.is_array());
 
   // Top-level driver spans must cover >= 90% of the measured wall time.
+  // The driver thread's own spans (setup before the workers spawn, join
+  // and report after) do not overlap the worker spans.
   double min_start = 1e18;
   double max_end = 0.0;
   int driver_spans = 0;
+  double workers_start = 1e18, workers_end = 0.0;
+  double setup_end = -1.0, finish_start = -1.0;
   for (const JsonValue& e : events.items()) {
     if (At(e, "ph").AsString() != "X") continue;
     EXPECT_GE(At(e, "dur").AsDouble(), 0.0);
     if (At(e, "cat").AsString() == "driver") {
       ++driver_spans;
       const double ts = At(e, "ts").AsDouble();
+      const double end = ts + At(e, "dur").AsDouble();
       min_start = std::min(min_start, ts);
-      max_end = std::max(max_end, ts + At(e, "dur").AsDouble());
+      max_end = std::max(max_end, end);
+      const std::string& name = At(e, "name").AsString();
+      if (name == trace::span::kDriverSetup) {
+        setup_end = end;
+      } else if (name == trace::span::kDriverFinish) {
+        finish_start = ts;
+      } else {
+        workers_start = std::min(workers_start, ts);
+        workers_end = std::max(workers_end, end);
+      }
     }
   }
-  EXPECT_EQ(driver_spans, 2 + 2);  // one per DB worker + one per JEN worker
+  // One per DB worker + one per JEN worker, then setup and finish.
+  EXPECT_EQ(driver_spans, 2 + 2 + 2);
   EXPECT_GE((max_end - min_start) * 1e-6, 0.9 * report.wall_seconds);
+  ASSERT_GE(setup_end, 0.0);
+  ASSERT_GE(finish_start, 0.0);
+  EXPECT_LE(setup_end, workers_start);
+  EXPECT_GE(finish_start, workers_end);
 
   std::remove(trace_path.c_str());
 }
