@@ -5,8 +5,9 @@
 //
 // Besides the google-benchmark suite, main() first runs fixed before/after
 // comparisons of the batched cache-conscious kernels against their scalar
-// baselines, and of the late-materializing paper-L scan decode against an
-// eager one, and writes them to BENCH_kernels.json (path overridable with
+// baselines, of the late-materializing paper-L scan decode against an eager
+// one, and of the band walk against filtering every equi-match, and writes
+// them to BENCH_kernels.json (path overridable with
 // --kernels_out=FILE); CI uploads that file as the perf-trend artifact.
 
 #include <benchmark/benchmark.h>
@@ -21,7 +22,7 @@
 #include "common/compress.h"
 #include "common/random.h"
 #include "common/stopwatch.h"
-#include "exec/join_hash_table.h"
+#include "exec/join_prober.h"
 #include "hdfs/format.h"
 #include "workload/generator.h"
 
@@ -332,7 +333,8 @@ BENCHMARK(BM_BatchSerde);
 // per-row ForEachMatch + AppendRowFrom); the candidates run what the join
 // drivers now execute (blocked layout, AddKeys/MayContainKeys, ProbeBatch +
 // columnar gather). The scan-decode row compares eager and late decode of
-// one paper-L block.
+// one paper-L block; the band row compares the paper's post-join band
+// filtered after the equi-join against the band walk.
 
 struct KernelResult {
   std::string name;
@@ -535,12 +537,77 @@ KernelResult CompareScanDecodePaperL() {
   return {"scan_decode_paper_l", rows, rows / base / 1e6, rows / cand / 1e6};
 }
 
+KernelResult CompareHtProbeBandPaper() {
+  // The paper's join shape: about 40 build rows per key, and a post-join
+  // band, T.v - B.x BETWEEN 0 AND 1 over a 30-day window, that keeps about
+  // 6.6% of the equi-matches. Both arms run JoinProber into a count per
+  // group; the baseline's table is not ordered by B.x, so it lists every
+  // equi-match and filters it, while the candidate's is, so it walks only
+  // the band.
+  constexpr int32_t kKeys = 8192;
+  constexpr int32_t kRowsPerKey = 40;
+  constexpr int32_t kDays = 30;
+  constexpr size_t kProbeRows = 1 << 16;
+  constexpr size_t kBatchRows = 4096;
+  auto build_schema = Schema::Make({{"k", DataType::kInt32},
+                                    {"x", DataType::kDate},
+                                    {"grp", DataType::kInt32}});
+  auto probe_schema =
+      Schema::Make({{"k", DataType::kInt32}, {"v", DataType::kDate}});
+  Rng rng(105);
+  std::vector<RecordBatch> build;
+  for (int32_t i = 0; i < kKeys * kRowsPerKey; ++i) {
+    if (i % kBatchRows == 0) build.emplace_back(build_schema);
+    RecordBatch& b = build.back();
+    b.mutable_column(0).mutable_i32().push_back(
+        static_cast<int32_t>(rng.Uniform(kKeys)));
+    b.mutable_column(1).mutable_i32().push_back(
+        static_cast<int32_t>(rng.Uniform(kDays)));
+    b.mutable_column(2).mutable_i32().push_back(
+        static_cast<int32_t>(rng.Uniform(200)));
+  }
+  std::vector<RecordBatch> probe;
+  for (size_t i = 0; i < kProbeRows; ++i) {
+    if (i % kBatchRows == 0) probe.emplace_back(probe_schema);
+    RecordBatch& b = probe.back();
+    b.mutable_column(0).mutable_i32().push_back(
+        static_cast<int32_t>(rng.Uniform(kKeys)));
+    b.mutable_column(1).mutable_i32().push_back(
+        static_cast<int32_t>(rng.Uniform(kDays)));
+  }
+  const PredicatePtr band = DiffRange("T.v", "B.x", 0, 1);
+  const AggSpec agg_spec = AggSpec::CountStar("B.grp", false);
+
+  auto run = [&](std::optional<size_t> band_column, int64_t* out_rows) {
+    JoinHashTable table(0, 1, /*governor=*/nullptr, band_column);
+    for (const RecordBatch& b : build) HJ_CHECK_OK(table.AddBatch(b));
+    table.Finalize();
+    return BestSeconds(3, [&] {
+      HashAggregator agg(agg_spec);
+      JoinProber prober(&table, build_schema, "B", probe_schema, "T", 0, band,
+                        &agg, nullptr);
+      for (const RecordBatch& b : probe) HJ_CHECK_OK(prober.ProbeBatch(b));
+      HJ_CHECK_OK(prober.Flush());
+      *out_rows = prober.output_rows();
+      benchmark::DoNotOptimize(agg.Partial().num_rows());
+    });
+  };
+  int64_t base_rows = 0;
+  int64_t cand_rows = 0;
+  const double base = run(std::nullopt, &base_rows);
+  const double cand = run(/*band_column=*/1, &cand_rows);
+  HJ_CHECK_EQ(base_rows, cand_rows);  // both keep the same joined rows
+  return {"ht_probe_band_paper", kProbeRows, kProbeRows / base / 1e6,
+          kProbeRows / cand / 1e6};
+}
+
 int RunKernelComparisons(const std::string& out_path) {
   std::vector<KernelResult> results;
   results.push_back(CompareBloomAdd());
   results.push_back(CompareBloomProbe());
   results.push_back(CompareHtProbeMaterialize());
   results.push_back(CompareScanDecodePaperL());
+  results.push_back(CompareHtProbeBandPaper());
 
   FILE* f = std::fopen(out_path.c_str(), "w");
   if (f == nullptr) {

@@ -15,7 +15,8 @@
 // runner, BenchCell::Run: a discarded warm-up run, then max(repeats, 2)
 // measured runs, of which the best is reported and every one is kept. In
 // every cell each arm's result rows must equal the first arm's byte for
-// byte. After a panel its shape checks ("who wins") are printed.
+// byte. After a panel its shape checks ("who wins") are printed; they judge
+// each arm's median run, which one lucky or unlucky run cannot flip.
 //
 // The JSON has one row per (exhibit, panel, cell, arm), named
 // "exhibit/panel/cell/arm", with wall_seconds (the best run), runs_s and
@@ -66,6 +67,7 @@ struct Arm {
 /// One arm measured in one cell.
 struct Measured {
   double best = 0;           ///< fastest measured run (s)
+  double median = 0;         ///< median measured run (s)
   std::vector<double> runs;  ///< every measured run (s)
   QueryResult last;          ///< rows and report of the last measured run
 };
@@ -76,12 +78,15 @@ struct PanelRuns {
   /// The panels of its exhibit run so far, by id (checks across panels).
   const std::map<std::string, PanelRuns>* exhibit = nullptr;
 
-  double Wall(size_t cell, size_t arm) const { return cells[cell][arm].best; }
+  /// The median run of one arm in one cell: what the shape checks judge.
+  double Wall(size_t cell, size_t arm) const {
+    return cells[cell][arm].median;
+  }
   int64_t Count(size_t cell, size_t arm, const char* metric) const {
     return cells[cell][arm].last.report.Counter(metric);
   }
   size_t Last() const { return cells.size() - 1; }
-  /// The best wall among arms [first, last] in one cell.
+  /// The lowest wall among arms [first, last] in one cell.
   double BestOf(size_t cell, size_t first, size_t last) const {
     double best = Wall(cell, first);
     for (size_t a = first + 1; a <= last; ++a) {
@@ -191,7 +196,12 @@ class BenchCell {
       HJ_ASSIGN_OR_RETURN(m.last, once());
       m.runs.push_back(m.last.report.wall_seconds);
     }
-    m.best = *std::min_element(m.runs.begin(), m.runs.end());
+    std::vector<double> sorted = m.runs;
+    std::sort(sorted.begin(), sorted.end());
+    const size_t mid = sorted.size() / 2;
+    m.best = sorted.front();
+    m.median = sorted.size() % 2 == 1 ? sorted[mid]
+                                      : (sorted[mid - 1] + sorted[mid]) / 2;
     return m;
   }
 

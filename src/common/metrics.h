@@ -105,7 +105,7 @@ class Metrics {
   }
 
   /// Raises the named gauge of the calling thread's slice to `value` if it
-  /// is below it (e.g. the worst hash-table chain length). Folds by maximum.
+  /// is below it (e.g. the longest hash-table bucket run). Folds by maximum.
   void Max(const std::string& name, int64_t value) {
     Write(name, {value, /*gauge=*/true});
   }
@@ -293,6 +293,10 @@ inline constexpr const char kDbTuplesAfterFilter[] = "edw.tuples_after_filter";
 inline constexpr const char kDbTuplesShuffledInternal[] =
     "edw.tuples_shuffled_internal";
 inline constexpr const char kJoinOutputTuples[] = "join.output_tuples";
+// Build rows the band walk read (JoinHashTable::ProbeBand): the rows inside
+// each probe row's band plus the one that ended each walk. Beside
+// join.output_tuples it shows how much of the equi-join the band skipped.
+inline constexpr const char kJoinBandVisited[] = "join.band_visited";
 inline constexpr const char kBloomFiltersSent[] = "bloom.filters_sent";
 inline constexpr const char kBloomBytesSent[] = "bloom.bytes_sent";
 inline constexpr const char kHdfsBytesRead[] = "hdfs.bytes_read";

@@ -78,6 +78,15 @@ GraceHashJoin::GraceHashJoin(SchemaPtr build_schema, std::string build_alias,
                             : (governor_ != nullptr ? governor_->budget()
                                                     : 0)) {
   HJ_CHECK_GT(options_.num_partitions, 0u);
+  // Every table this join builds is ordered by the band's build column, so
+  // each prober walks only the band.
+  if (auto band = ExtractJoinBand(
+          post_join_predicate_,
+          MakeJoinedSchema(build_schema_, build_alias_, probe_schema_,
+                           probe_alias_),
+          build_schema_->num_fields())) {
+    band_column_ = band->build_column;
+  }
   HJ_CHECK(spill_ != nullptr);
   partitions_.resize(options_.num_partitions);
   for (auto& p : partitions_) p.build_pending = RecordBatch(build_schema_);
@@ -278,7 +287,7 @@ Status GraceHashJoin::FinishBuild(ThreadPool* pool) {
   }
   // Every byte the table will hold is charged above, so it charges nobody.
   table_ = std::make_unique<JoinHashTable>(build_key_, options_.num_partitions,
-                                           /*governor=*/nullptr);
+                                           /*governor=*/nullptr, band_column_);
   HJ_RETURN_IF_ERROR(table_->AddBatchesParallel(std::move(resident), pool));
   HJ_RETURN_IF_ERROR(table_->FinalizeParallel(pool));
   RecordTableShape();
@@ -414,7 +423,7 @@ Status GraceHashJoin::BlockNestedJoin(SpillArea::FileId build_file,
   // not matter.
   size_t start = 0;
   while (true) {
-    JoinHashTable table(build_key_, 1, /*governor=*/nullptr);
+    JoinHashTable table(build_key_, 1, /*governor=*/nullptr, band_column_);
     uint64_t chunk_bytes = 0;
     size_t chunk_rows = 0;
     uint64_t charged = 0;
@@ -488,7 +497,7 @@ Status GraceHashJoin::JoinSpilledPair(SpillArea::FileId build_file,
     }
     return Status::OK();
   }
-  JoinHashTable table(build_key_, 1, /*governor=*/nullptr);
+  JoinHashTable table(build_key_, 1, /*governor=*/nullptr, band_column_);
   HJ_RETURN_IF_ERROR(spill_->ForEach(
       build_file, build_schema_, [&](RecordBatch&& batch) {
         return table.AddBatch(std::move(batch));

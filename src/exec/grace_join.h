@@ -35,7 +35,10 @@
 // callback goes inert at FinishBuild, when the resident table freezes).
 //
 // Equivalent output to JoinHashTable + JoinProber; every surviving joined
-// row feeds the same HashAggregator. For morsel-parallel probing use
+// row feeds the same HashAggregator. When the post-join predicate has a
+// band (ExtractJoinBand), every table the join builds — resident, spilled
+// pair, block-nested-loop chunk — is ordered by the band's build column,
+// so every prober walks only the band. For morsel-parallel probing use
 // MakeProbeThread: each probe thread gets its own prober over the shared
 // frozen table and its own thread-local aggregator partial, while rows of
 // spilled partitions divert to the (thread-safe) spill writer. Contains()
@@ -48,6 +51,7 @@
 
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <vector>
 
 #include "exec/join_prober.h"
@@ -179,6 +183,9 @@ class GraceHashJoin {
   std::string probe_alias_;
   size_t probe_key_;
   PredicatePtr post_join_predicate_;
+  /// The post-join band's build column (ExtractJoinBand), which orders
+  /// every table this join builds; unset without a band.
+  std::optional<size_t> band_column_;
   HashAggregator* aggregator_;
   Metrics* metrics_;
   SpillArea* spill_;

@@ -1,21 +1,33 @@
-// JoinHashTable: the chained hash table every join variant builds on one
-// side and probes with the other. Single-writer build, then frozen and
-// probed concurrently. The table can be key-space partitioned into shards
-// (high hash bits pick the shard, low bits the bucket) so the build and the
-// bucket-directory finalize parallelize across threads; a one-shard table
-// is bit-compatible with the historical unsharded layout.
+// JoinHashTable: the hash table every join variant builds on one side and
+// probes with the other. Single-writer build, then frozen and probed
+// concurrently. The table can be key-space partitioned into shards (high
+// hash bits pick the shard, low bits the bucket) so the build and the
+// finalize parallelize across threads; a one-shard table is bit-compatible
+// with the historical unsharded layout.
 //
-// Probe determinism under sharding: equal keys hash equally, so they land
-// in one shard, and within a shard entries keep global insertion order.
-// ForEachMatch/ProbeBatch therefore emit matches for any key in exactly the
-// order the unsharded table would — the join output is byte-identical for
-// every shard count.
+// Layout: bucket-contiguous (CSR). Finalize permutes each shard's entries
+// in place so every bucket's entries are one run, ordered by
+// (key, band, batch, row), and `offsets` holds num_buckets + 1 run
+// boundaries. A key's build rows are therefore one contiguous run.
+//
+// Band: a table built with a band column stores that int32 column's value
+// in every entry, so each key's run is ordered by it and ProbeBand can
+// binary-search a probe row's band [p + lo, p + hi] and walk only the rows
+// inside it. Without a band column every band value is 0.
+//
+// Order contract: (batch, row) is insertion order, so ForEachMatch and
+// ProbeBatch emit a key's matches in ascending band value, ties in
+// insertion order — plain insertion order without a band column. Equal
+// keys hash equally, so they land in one shard, where (batch, row) is still
+// global insertion order: the join output is byte-identical for every shard
+// count.
 
 #ifndef HYBRIDJOIN_EXEC_JOIN_HASH_TABLE_H_
 #define HYBRIDJOIN_EXEC_JOIN_HASH_TABLE_H_
 
 #include <algorithm>
 #include <cstdint>
+#include <optional>
 #include <span>
 #include <vector>
 
@@ -44,10 +56,14 @@ class JoinHashTable {
   /// bucket storage (1 = the classic single-partition table); shard choice
   /// never changes probe results, only which internal arrays hold them.
   /// `governor` is charged for what the table holds (null: nobody, for
-  /// owners that charge the table's footprint themselves).
+  /// owners that charge the table's footprint themselves). `band_column`,
+  /// when set, is an int32-physical column of every added batch that orders
+  /// each key's rows for ProbeBand.
   explicit JoinHashTable(size_t key_column, uint32_t num_shards = 1,
-                         MemoryGovernor* governor = MemoryGovernor::Current())
+                         MemoryGovernor* governor = MemoryGovernor::Current(),
+                         std::optional<size_t> band_column = std::nullopt)
       : key_column_(key_column),
+        band_column_(band_column),
         shards_(num_shards == 0 ? 1 : num_shards),
         reservation_(governor) {}
 
@@ -63,7 +79,7 @@ class JoinHashTable {
   Status AddBatchesParallel(std::vector<RecordBatch> batches,
                             ThreadPool* pool);
 
-  /// Builds every shard's bucket directory serially. Idempotent.
+  /// Lays out every shard's bucket runs serially. Idempotent.
   void Finalize();
 
   /// Parallel Finalize: one task per shard on `pool` (nullptr falls back to
@@ -87,8 +103,8 @@ class JoinHashTable {
 
   /// Bytes the table holds for `rows` entries beyond the batches themselves.
   static uint64_t EntryBytes(size_t rows);
-  /// Bytes of the bucket directory Finalize builds over `entries` entries of
-  /// one shard.
+  /// Bytes of the run offsets Finalize builds over `entries` entries of one
+  /// shard. Finalize needs no other scratch: it permutes in place.
   static uint64_t BucketBytes(size_t entries);
 
   bool finalized() const { return finalized_; }
@@ -99,6 +115,7 @@ class JoinHashTable {
   }
   const std::vector<RecordBatch>& batches() const { return batches_; }
   size_t key_column() const { return key_column_; }
+  std::optional<size_t> band_column() const { return band_column_; }
 
   uint32_t num_shards() const { return static_cast<uint32_t>(shards_.size()); }
   size_t shard_rows(uint32_t shard) const {
@@ -106,11 +123,11 @@ class JoinHashTable {
   }
 
   // Build-shape diagnostics, valid after Finalize (surfaced as metrics by
-  // the drivers; a max chain far above the ~2x-slack load factor flags key
-  // skew that chain walks will pay for on every probe).
+  // the drivers; a longest bucket run far above the ~2x-slack load factor
+  // flags key skew that every probe of that key pays for).
   size_t num_buckets() const {
     size_t n = 0;
-    for (const Shard& s : shards_) n += s.buckets.size();
+    for (const Shard& s : shards_) n += s.num_buckets();
     return n;
   }
   double load_factor() const {
@@ -119,38 +136,35 @@ class JoinHashTable {
                         : static_cast<double>(num_rows()) /
                               static_cast<double>(buckets);
   }
+  /// The longest bucket run.
   size_t max_chain_length() const {
     size_t n = 0;
-    for (const Shard& s : shards_) n = std::max(n, s.max_chain_length);
+    for (const Shard& s : shards_) n = std::max(n, s.max_run);
     return n;
   }
 
   /// Invokes fn(batch_index, row_index) for every row whose key equals
-  /// `key`. Must be finalized.
+  /// `key`, in the order of the contract above. Must be finalized.
   template <typename Fn>
   void ForEachMatch(int64_t key, Fn&& fn) const {
     const uint64_t h = HashInt64(static_cast<uint64_t>(key), kProbeSeed);
     const Shard& s = shards_[ShardOf(h)];
-    if (s.buckets.empty()) return;
-    uint32_t e = s.buckets[h & s.bucket_mask];
-    while (e != kNil) {
+    if (s.offsets.empty()) return;
+    const uint64_t b = h & s.bucket_mask;
+    for (uint32_t e = s.offsets[b]; e < s.offsets[b + 1]; ++e) {
       const Entry& entry = s.entries[e];
       if (entry.key == key) fn(entry.batch, entry.row);
-      e = entry.next;
     }
   }
 
-  /// True if any row has this key (early-out point lookup: stops at the
-  /// first hit instead of walking the rest of the chain).
+  /// True if any row has this key (stops at the first hit).
   bool Contains(int64_t key) const {
     const uint64_t h = HashInt64(static_cast<uint64_t>(key), kProbeSeed);
     const Shard& s = shards_[ShardOf(h)];
-    if (s.buckets.empty()) return false;
-    uint32_t e = s.buckets[h & s.bucket_mask];
-    while (e != kNil) {
-      const Entry& entry = s.entries[e];
-      if (entry.key == key) return true;
-      e = entry.next;
+    if (s.offsets.empty()) return false;
+    const uint64_t b = h & s.bucket_mask;
+    for (uint32_t e = s.offsets[b]; e < s.offsets[b + 1]; ++e) {
+      if (s.entries[e].key == key) return true;
     }
     return false;
   }
@@ -158,32 +172,55 @@ class JoinHashTable {
   /// Batched probe kernel: appends one JoinMatch per hit for every key of
   /// the span (probe_row = index within the span), in exactly the order
   /// the scalar ForEachMatch loop would produce — ascending probe row,
-  /// chain order within a row. Hashes the whole window first, prefetches
-  /// bucket heads, then entries, then walks the chains, so the dependent
+  /// contract order within a row. Hashes the whole window first, prefetches
+  /// the run offsets, then the runs, then walks them, so the dependent
   /// loads overlap instead of serializing on cache misses.
   void ProbeBatch(std::span<const int64_t> keys,
                   std::vector<JoinMatch>* out) const;
   void ProbeBatch(std::span<const int32_t> keys,
                   std::vector<JoinMatch>* out) const;
 
+  /// What a ProbeBand call saw, added to by every call.
+  struct BandStats {
+    int64_t equi_matches = 0;  ///< rows with the probe key, in or out of band
+    int64_t visited = 0;       ///< rows the band walks read
+  };
+
+  /// Band probe: like ProbeBatch, but for probe row i appends only the
+  /// matches whose band value lies in [bands[i] + lo_offset,
+  /// bands[i] + hi_offset] (int64, saturating), by binary search for the
+  /// lower bound in the key's run and a walk to the upper bound. Emits
+  /// exactly ProbeBatch's matches that pass that test, in the same order.
+  /// Meaningful only on a table built with a band column.
+  void ProbeBand(std::span<const int64_t> keys, std::span<const int32_t> bands,
+                 int64_t lo_offset, int64_t hi_offset,
+                 std::vector<JoinMatch>* out, BandStats* stats) const;
+  void ProbeBand(std::span<const int32_t> keys, std::span<const int32_t> bands,
+                 int64_t lo_offset, int64_t hi_offset,
+                 std::vector<JoinMatch>* out, BandStats* stats) const;
+
  private:
-  static constexpr uint32_t kNil = 0xffffffffu;
   static constexpr uint64_t kProbeSeed = 0x7ab1eULL;
 
   struct Entry {
     int64_t key;
     uint32_t batch;
     uint32_t row;
-    uint32_t next;
+    int32_t band;  ///< the band column's value; 0 without one
   };
+  static_assert(sizeof(Entry) == 24, "entries must not grow");
 
   /// One key-space partition: its entries (global insertion order
-  /// restricted to the shard) and its bucket directory.
+  /// restricted to the shard until Finalize lays them out in bucket runs)
+  /// and the runs' boundaries: bucket b is entries[offsets[b], offsets[b+1]).
   struct Shard {
     std::vector<Entry> entries;
-    std::vector<uint32_t> buckets;
+    std::vector<uint32_t> offsets;
     uint64_t bucket_mask = 0;
-    size_t max_chain_length = 0;
+    size_t max_run = 0;
+    size_t num_buckets() const {
+      return offsets.empty() ? 0 : offsets.size() - 1;
+    }
   };
 
   /// Shard selection from the hash's high 32 bits (the bucket index uses
@@ -194,25 +231,38 @@ class JoinHashTable {
   }
   uint32_t ShardOf(uint64_t h) const { return ShardFor(h, shards_.size()); }
 
-  /// Bucket-directory size for one shard: the power of two >= 2x its
-  /// entries, at least 16; none for an empty shard.
+  /// Bucket count for one shard: the power of two >= 2x its entries, at
+  /// least 16; none for an empty shard.
   static size_t BucketCount(size_t entries);
 
-  /// Appends one batch's entries to the per-shard vectors of `out` (sized
-  /// num_shards); `batch_index` is the batch's index in batches_.
+  /// Appends one batch's entries, in row order, to `shard_out(shard)` (a
+  /// std::vector<Entry>&); `batch_index` is the batch's index in batches_.
+  /// Appends nothing on error.
+  template <typename ShardOut>
   Status ExtractEntries(const RecordBatch& batch, uint32_t batch_index,
-                        std::vector<std::vector<Entry>>* out) const;
+                        ShardOut&& shard_out) const;
+
+  /// Walks the bucket run of every key in windows, prefetching as
+  /// ProbeBatch describes, and calls visit(j, key, first, last) with [first,
+  /// last) the entries of key j's bucket.
+  template <typename Key, typename Visit>
+  void ForEachBucketRun(const Key* keys, size_t n, Visit&& visit) const;
 
   template <typename Key>
   void ProbeBatchImpl(const Key* keys, size_t n,
                       std::vector<JoinMatch>* out) const;
+  template <typename Key>
+  void ProbeBandImpl(const Key* keys, const int32_t* bands, size_t n,
+                     int64_t lo_offset, int64_t hi_offset,
+                     std::vector<JoinMatch>* out, BandStats* stats) const;
 
   size_t key_column_;
+  std::optional<size_t> band_column_;
   std::vector<RecordBatch> batches_;
   std::vector<Shard> shards_;
   bool finalized_ = false;
-  /// Charges retained batches + entries (and, at finalize, the bucket
-  /// directories) against the governor given at construction; released
+  /// Charges retained batches + entries (and, at finalize, the run
+  /// offsets) against the governor given at construction; released
   /// wholesale on destruction. Grown only from the single-writer build path,
   /// never from shard-parallel workers.
   MemoryReservation reservation_;

@@ -28,7 +28,6 @@ JoinProber::JoinProber(const JoinHashTable* build, SchemaPtr build_schema,
     : build_(build),
       probe_schema_(std::move(probe_schema)),
       probe_key_column_(probe_key_column),
-      post_join_predicate_(std::move(post_join_predicate)),
       aggregator_(aggregator),
       metrics_(metrics),
       options_(options),
@@ -37,12 +36,18 @@ JoinProber::JoinProber(const JoinHashTable* build, SchemaPtr build_schema,
       build_width_(build_schema->num_fields()),
       pending_(joined_schema_) {
   HJ_CHECK(build_->finalized()) << "probe against non-finalized hash table";
-  // Split the joined columns into those the post-join predicate reads and
-  // the rest. A name the joined schema lacks is left to Filter to report.
-  std::vector<std::string> read;
-  if (post_join_predicate_ != nullptr) {
-    post_join_predicate_->CollectColumns(&read);
+  // The walk applies the band only when the table is ordered by its column.
+  band_ = ExtractJoinBand(post_join_predicate, joined_schema_, build_width_);
+  if (band_.has_value() && build_->band_column() == band_->build_column) {
+    residual_ = band_->residual;
+  } else {
+    band_.reset();
+    residual_ = std::move(post_join_predicate);
   }
+  // Split the joined columns into those the residual reads and the rest. A
+  // name the joined schema lacks is left to Filter to report.
+  std::vector<std::string> read;
+  if (residual_ != nullptr) residual_->CollectColumns(&read);
   for (const std::string& name : read) {
     auto idx = joined_schema_->IndexOf(name);
     if (idx.ok()) filter_columns_.push_back(*idx);
@@ -142,8 +147,8 @@ Status JoinProber::AppendMatches(const RecordBatch& probe_batch,
     probe_rows_.resize(count);
     for (size_t j = 0; j < count; ++j) probe_rows_[j] = rows[j].probe_row;
   };
-  if (post_join_predicate_ != nullptr) {
-    // Filter on the predicate's columns, gathered for every match; keep
+  if (residual_ != nullptr) {
+    // Filter on the residual's columns, gathered for every match; keep
     // those columns for the survivors and narrow the match list to them.
     set_probe_rows(m, n);
     for (size_t k = 0; k < filter_columns_.size(); ++k) {
@@ -153,7 +158,7 @@ Status JoinProber::AppendMatches(const RecordBatch& probe_batch,
     }
     sel_.resize(n);
     for (uint32_t j = 0; j < n; ++j) sel_[j] = j;
-    HJ_RETURN_IF_ERROR(post_join_predicate_->Filter(filter_batch_, &sel_));
+    HJ_RETURN_IF_ERROR(residual_->Filter(filter_batch_, &sel_));
     for (size_t k = 0; k < filter_columns_.size(); ++k) {
       pending_.mutable_column(filter_columns_[k])
           .GatherAppendFrom(filter_batch_.column(k), sel_.data(), sel_.size());
@@ -176,19 +181,39 @@ Status JoinProber::ProbeBatch(const RecordBatch& batch) {
     return Status::InvalidArgument("probe key column out of range");
   }
   const ColumnVector& key_col = batch.column(probe_key_column_);
+  std::span<const int32_t> bands;
+  if (band_.has_value()) {
+    if (band_->probe_column >= batch.num_columns() ||
+        batch.column(band_->probe_column).physical_type() !=
+            PhysicalType::kInt32) {
+      return Status::InvalidArgument("probe band column must be int32");
+    }
+    bands = batch.column(band_->probe_column).i32();
+  }
 
   matches_.clear();
+  auto probe = [&](auto keys) {
+    if (!band_.has_value()) {
+      build_->ProbeBatch(keys, &matches_);
+      join_matches_ += static_cast<int64_t>(matches_.size());
+      return;
+    }
+    JoinHashTable::BandStats stats;
+    build_->ProbeBand(keys, bands, band_->lo_offset, band_->hi_offset,
+                      &matches_, &stats);
+    join_matches_ += stats.equi_matches;
+    band_visited_ += stats.visited;
+  };
   switch (key_col.physical_type()) {
     case PhysicalType::kInt32:
-      build_->ProbeBatch(std::span<const int32_t>(key_col.i32()), &matches_);
+      probe(std::span<const int32_t>(key_col.i32()));
       break;
     case PhysicalType::kInt64:
-      build_->ProbeBatch(std::span<const int64_t>(key_col.i64()), &matches_);
+      probe(std::span<const int64_t>(key_col.i64()));
       break;
     default:
       return Status::InvalidArgument("probe key must be integer-typed");
   }
-  join_matches_ += static_cast<int64_t>(matches_.size());
 
   // Filter the match list in chunks of output_batch_rows, aggregating the
   // buffered survivors whenever a chunk's worth has accumulated.
@@ -205,6 +230,10 @@ Status JoinProber::ProbeBatch(const RecordBatch& batch) {
 }
 
 Status JoinProber::Flush() {
+  if (metrics_ != nullptr && band_visited_ > 0) {
+    metrics_->Add(metric::kJoinBandVisited, band_visited_);
+  }
+  band_visited_ = 0;
   const size_t rows = pending_.num_rows();
   if (rows == 0) return Status::OK();
   output_rows_ += static_cast<int64_t>(rows);

@@ -7,16 +7,24 @@
 // single-node reference executor deliberately does not use it, so the tests
 // that compare against that oracle also check this prober.
 //
-// The probe is batched: the whole key column goes through
-// JoinHashTable::ProbeBatch, and the resulting match list is processed in
-// chunks, column-at-a-time (one type dispatch per column per chunk). Each
-// chunk is late-materialized: only the columns the post-join predicate reads
-// are gathered for every match; the others are gathered for survivors only.
+// The probe is batched and runs in two steps:
+// 1. The walk. When the post-join predicate has a band conjunct
+//    (ExtractJoinBand) and the table was built with that band's build
+//    column, JoinHashTable::ProbeBand binary-searches each probe row's band
+//    in its key's run and walks only the rows inside it. Otherwise
+//    JoinHashTable::ProbeBatch lists every equi-match.
+// 2. The residual: the rest of the post-join predicate (all of it without
+//    a band), evaluated on the walk's matches in chunks, column-at-a-time.
+//    Each chunk is late-materialized: only the columns the residual reads
+//    are gathered for every match; the others for survivors only.
+// Either way the survivors, and their order, are those of "every
+// equi-match in table order, then the whole predicate".
 
 #ifndef HYBRIDJOIN_EXEC_JOIN_PROBER_H_
 #define HYBRIDJOIN_EXEC_JOIN_PROBER_H_
 
 #include <memory>
+#include <optional>
 #include <string>
 
 #include "common/metrics.h"
@@ -56,7 +64,8 @@ class JoinProber {
   /// ProbeBatch.
   Status Flush();
 
-  /// Joined rows that matched the equi-join (before the post-join filter).
+  /// Joined rows that matched the equi-join (before the post-join filter;
+  /// with a band, counted from the key runs' lengths).
   int64_t join_matches() const { return join_matches_; }
   /// Rows that survived the post-join predicate.
   int64_t output_rows() const { return output_rows_; }
@@ -76,7 +85,7 @@ class JoinProber {
   void GatherColumn(size_t c, const RecordBatch& probe_batch,
                     const JoinMatch* m, size_t n, ColumnVector* dst) const;
 
-  /// Filters the matches `m[0, n)` by the post-join predicate and appends the
+  /// Filters the matches `m[0, n)` by the residual and appends the
   /// survivors onto pending_ as joined rows.
   Status AppendMatches(const RecordBatch& probe_batch, const JoinMatch* m,
                        size_t n);
@@ -84,7 +93,11 @@ class JoinProber {
   const JoinHashTable* build_;
   SchemaPtr probe_schema_;
   size_t probe_key_column_;
-  PredicatePtr post_join_predicate_;
+  /// The band the walk applies, when the table is ordered by its column.
+  std::optional<JoinBand> band_;
+  /// What the walk leaves to filter: the post-join predicate without the
+  /// band conjunct, or all of it without a band; may be null.
+  PredicatePtr residual_;
   HashAggregator* aggregator_;
   Metrics* metrics_;
   JoinProberOptions options_;
@@ -92,8 +105,8 @@ class JoinProber {
   SchemaPtr joined_schema_;
   size_t build_width_;
   std::vector<BuildSource> build_sources_;
-  /// Joined-schema indexes of the columns the post-join predicate reads,
-  /// and of every other column. Without a predicate, all columns are late.
+  /// Joined-schema indexes of the columns the residual reads, and of every
+  /// other column. Without a residual, all columns are late.
   std::vector<size_t> filter_columns_;
   std::vector<size_t> late_columns_;
   RecordBatch filter_batch_;           ///< filter columns of one chunk
@@ -104,6 +117,7 @@ class JoinProber {
   std::vector<uint32_t> sel_;          ///< scratch, reused across chunks
   int64_t join_matches_ = 0;
   int64_t output_rows_ = 0;
+  int64_t band_visited_ = 0;  ///< not yet added to metrics_
 };
 
 /// Builds the prefixed joined schema: build fields as "<build_alias>.<name>"

@@ -1,6 +1,7 @@
 #include "expr/predicate.h"
 
 #include <algorithm>
+#include <limits>
 
 namespace hybridjoin {
 
@@ -290,6 +291,11 @@ class DiffRangePredicate final : public Predicate {
     out->push_back(col_b_);
   }
 
+  const std::string& col_a() const { return col_a_; }
+  const std::string& col_b() const { return col_b_; }
+  int64_t lo() const { return lo_; }
+  int64_t hi() const { return hi_; }
+
  private:
   std::string col_a_;
   std::string col_b_;
@@ -363,6 +369,9 @@ class CompoundPredicate final : public Predicate {
     return out + ")";
   }
 
+  Kind kind() const { return kind_; }
+  const std::vector<PredicatePtr>& children() const { return children_; }
+
  private:
   Kind kind_;
   std::vector<PredicatePtr> children_;
@@ -408,7 +417,79 @@ class NotPredicate final : public Predicate {
   PredicatePtr child_;
 };
 
+/// Appends the conjuncts of `p`, flattening nested ANDs.
+void FlattenConjuncts(const PredicatePtr& p, std::vector<PredicatePtr>* out) {
+  const auto* compound = dynamic_cast<const CompoundPredicate*>(p.get());
+  if (compound == nullptr || compound->kind() != CompoundPredicate::Kind::kAnd) {
+    out->push_back(p);
+    return;
+  }
+  for (const PredicatePtr& child : compound->children()) {
+    FlattenConjuncts(child, out);
+  }
+}
+
+/// -v, saturating: -INT64_MIN becomes INT64_MAX. Off by one there, but a
+/// band offset that large puts the bound past every int32 either way.
+int64_t SatNeg(int64_t v) {
+  return v == std::numeric_limits<int64_t>::min()
+             ? std::numeric_limits<int64_t>::max()
+             : -v;
+}
+
 }  // namespace
+
+std::optional<JoinBand> ExtractJoinBand(const PredicatePtr& predicate,
+                                        const SchemaPtr& joined,
+                                        size_t build_width) {
+  if (predicate == nullptr) return std::nullopt;
+  std::vector<PredicatePtr> conjuncts;
+  FlattenConjuncts(predicate, &conjuncts);
+  for (size_t i = 0; i < conjuncts.size(); ++i) {
+    const auto* diff =
+        dynamic_cast<const DiffRangePredicate*>(conjuncts[i].get());
+    if (diff == nullptr) continue;
+    auto a = joined->IndexOf(diff->col_a());
+    auto b = joined->IndexOf(diff->col_b());
+    if (!a.ok() || !b.ok()) continue;
+    if (PhysicalTypeOf(joined->field(*a).type) != PhysicalType::kInt32 ||
+        PhysicalTypeOf(joined->field(*b).type) != PhysicalType::kInt32) {
+      continue;
+    }
+    const bool a_build = *a < build_width;
+    if (a_build == (*b < build_width)) continue;  // both on one side
+    JoinBand band;
+    if (a_build) {
+      // lo <= x - p <= hi  <=>  p + lo <= x <= p + hi
+      band.build_column = *a;
+      band.probe_column = *b - build_width;
+      band.lo_offset = diff->lo();
+      band.hi_offset = diff->hi();
+    } else {
+      // lo <= p - x <= hi  <=>  p - hi <= x <= p - lo
+      band.build_column = *b;
+      band.probe_column = *a - build_width;
+      band.lo_offset = SatNeg(diff->hi());
+      band.hi_offset = SatNeg(diff->lo());
+    }
+    std::vector<PredicatePtr> rest = conjuncts;
+    rest.erase(rest.begin() + static_cast<std::ptrdiff_t>(i));
+    // Every other conjunct must evaluate on the joined schema (checked one
+    // by one: AND stops at its first empty selection). One that fails
+    // keeps the whole predicate on the plain path, which reports it.
+    const RecordBatch empty(joined);
+    for (const PredicatePtr& p : rest) {
+      if (!p->FilterAll(empty).ok()) return std::nullopt;
+    }
+    if (rest.size() == 1) {
+      band.residual = rest.front();
+    } else if (rest.size() > 1) {
+      band.residual = And(std::move(rest));
+    }
+    return band;
+  }
+  return std::nullopt;
+}
 
 const char* CmpOpName(CmpOp op) {
   switch (op) {

@@ -8,11 +8,16 @@
 //   prefix match on a string column
 //   a - b BETWEEN lo AND hi     (two int32 columns, e.g. date arithmetic)
 //   AND / OR / NOT / TRUE
+//
+// ExtractJoinBand finds the band a join's post-join predicate puts on one
+// build column against one probe column, so the hash join can walk only the
+// build rows inside it (exec/join_prober.h).
 
 #ifndef HYBRIDJOIN_EXPR_PREDICATE_H_
 #define HYBRIDJOIN_EXPR_PREDICATE_H_
 
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -113,6 +118,31 @@ PredicatePtr And(std::vector<PredicatePtr> children);
 PredicatePtr Or(std::vector<PredicatePtr> children);
 PredicatePtr Not(PredicatePtr child);
 PredicatePtr True();
+
+/// A band conjunct of a join's post-join predicate: a probe row whose band
+/// column holds p can only join build rows whose band column lies in
+/// [p + lo_offset, p + hi_offset] (int64, saturating).
+struct JoinBand {
+  size_t build_column = 0;  ///< index in the build schema
+  size_t probe_column = 0;  ///< index in the probe schema
+  int64_t lo_offset = 0;
+  int64_t hi_offset = 0;
+  /// The other conjuncts, still to be evaluated on the band's rows; null
+  /// when the band is the whole predicate.
+  PredicatePtr residual;
+};
+
+/// Finds the first top-level conjunct of `predicate` (nested ANDs are
+/// flattened) of the form DiffRange(a, b, lo, hi) where one of a, b is a
+/// build column and the other a probe column, both int32-physical.
+/// `joined` is the schema the predicate reads: the `build_width` build
+/// fields, then the probe fields. Returns nullopt when there is no such
+/// conjunct, and also when the residual fails on `joined` (a missing column
+/// or a type error), so such a predicate reports its error from the plain
+/// filter path exactly as before.
+std::optional<JoinBand> ExtractJoinBand(const PredicatePtr& predicate,
+                                        const SchemaPtr& joined,
+                                        size_t build_width);
 
 }  // namespace hybridjoin
 

@@ -37,6 +37,7 @@ constexpr PhaseRule kExactRules[] = {
     {"edw.bloom_build", "bloom"},
     {"jen.build", "build"},
     {"join.output_tuples", "probe"},
+    {"join.band_visited", "probe"},
     {"jen.probe", "probe"},
     {"edw.join", "probe"},
     {"jen.aggregate", "aggregate"},

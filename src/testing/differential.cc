@@ -68,6 +68,48 @@ bool CellsEqual(const ColumnVector& a, const ColumnVector& b, size_t row) {
   return false;
 }
 
+/// The post-join predicate of a case. Every shape but the last two has a
+/// band the join walks (ExtractJoinBand); the dates of both sides lie in
+/// [date_base_days, date_base_days + date_window_days).
+PredicatePtr RandomPostJoinPredicate(SplitMix* rng,
+                                     const WorkloadConfig& workload) {
+  const std::string t = "T.predAfterJoin";
+  const std::string l = "L.predAfterJoin";
+  const auto date = [&](uint64_t offset) {
+    return Value(static_cast<int32_t>(workload.date_base_days + offset));
+  };
+  switch (rng->Range(0, 7)) {
+    case 0:  // the paper's
+      return DiffRange(t, l, 0, 1);
+    case 1:  // the same band, swapped orientation
+      return DiffRange(l, t, -1, 0);
+    case 2: {  // wide
+      const auto lo = -static_cast<int64_t>(rng->Range(3, 12));
+      return DiffRange(t, l, lo, static_cast<int64_t>(rng->Range(3, 12)));
+    }
+    case 3: {  // negative
+      const auto hi = -static_cast<int64_t>(rng->Range(1, 8));
+      return DiffRange(t, l, hi - static_cast<int64_t>(rng->Range(0, 3)), hi);
+    }
+    case 4: {  // empty: lo > hi
+      const auto lo = static_cast<int64_t>(rng->Range(0, 4));
+      return DiffRange(t, l, lo, lo - static_cast<int64_t>(rng->Range(1, 3)));
+    }
+    case 5: {  // a band and a one-sided literal, left as the residual
+      const bool t_side = rng->Range(0, 1) == 0;
+      return And({DiffRange(t, l, 0, 1),
+                  Cmp(t_side ? t : l, rng->Range(0, 1) == 0 ? CmpOp::kLt
+                                                             : CmpOp::kGe,
+                      date(rng->Range(5, 25)))});
+    }
+    case 6:  // a band under OR: nothing to walk
+      return Or({DiffRange(t, l, 0, 1),
+                 Cmp(l, CmpOp::kEq, date(rng->Range(0, 29)))});
+    default:
+      return nullptr;
+  }
+}
+
 }  // namespace
 
 const std::vector<std::string>& DifferentialVariants() {
@@ -182,6 +224,7 @@ DiffCase MakeRandomCase(uint64_t seed, bool full_key_windows) {
   c.format = (rng.Next() & 1) ? HdfsFormat::kText : HdfsFormat::kColumnar;
   const uint32_t kBlockRows[] = {512, 1024, 2048, 4096};
   c.rows_per_block = kBlockRows[rng.Range(0, 3)];
+  c.post_join_predicate = RandomPostJoinPredicate(&rng, c.workload);
 
   std::ostringstream os;
   os << "keys=" << c.workload.num_join_keys << " t=" << c.workload.t_rows
@@ -189,7 +232,10 @@ DiffCase MakeRandomCase(uint64_t seed, bool full_key_windows) {
      << " batch=" << c.workload.batch_rows << " spec={" << c.spec.sigma_t
      << "," << c.spec.sigma_l << "," << c.spec.st << "," << c.spec.sl << "}"
      << " m=" << c.db_workers << " n=" << c.jen_workers
-     << " fmt=" << HdfsFormatName(c.format) << " rpb=" << c.rows_per_block;
+     << " fmt=" << HdfsFormatName(c.format) << " rpb=" << c.rows_per_block
+     << " post=" << (c.post_join_predicate != nullptr
+                         ? c.post_join_predicate->ToString()
+                         : "none");
   c.summary = os.str();
   return c;
 }
@@ -285,7 +331,8 @@ DiffCaseReport RunDifferentialCase(uint64_t seed,
     report.setup_error = workload.status();
     return report;
   }
-  const HybridQuery query = workload->MakeQuery();
+  HybridQuery query = workload->MakeQuery();
+  query.post_join_predicate = c.post_join_predicate;
 
   auto expected =
       RunReferenceJoin({workload->t_rows()}, workload->l_batches(), query);

@@ -39,7 +39,8 @@ std::optional<std::string> CompareBatches(const RecordBatch& expected,
                                           const RecordBatch& actual);
 
 /// One seed-derived differential case: workload shape, selectivity targets
-/// (re-drawn until the solver accepts them), cluster sizes, HDFS layout.
+/// (re-drawn until the solver accepts them), cluster sizes, HDFS layout,
+/// post-join predicate.
 struct DiffCase {
   WorkloadConfig workload;
   SelectivitySpec spec;
@@ -47,6 +48,11 @@ struct DiffCase {
   uint32_t jen_workers = 3;
   HdfsFormat format = HdfsFormat::kColumnar;
   uint32_t rows_per_block = 4096;
+  /// The query's post-join predicate, over T.predAfterJoin and
+  /// L.predAfterJoin: the paper's band, its swapped orientation, a wide,
+  /// negative or empty band, a band with a one-sided residual, a band under
+  /// OR (no band to walk), or none.
+  PredicatePtr post_join_predicate;
   std::string summary;  ///< one line for logs
 };
 

@@ -11,6 +11,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <set>
+
 #include "hybrid/reference.h"
 #include "testing/differential.h"
 #include "workload/loader.h"
@@ -87,6 +90,39 @@ TEST(DifferentialSuite, FailingReportPrintsExecThreads) {
   EXPECT_FALSE(report.ok());
   EXPECT_NE(report.Summary().find("--exec_threads=4"), std::string::npos)
       << report.Summary();
+}
+
+TEST(DifferentialSuite, CasesDrawEveryPostJoinShape) {
+  // The post-join predicate comes from the case seed: the sweeps' seeds
+  // cover every band shape the join walks and the ones it cannot.
+  std::set<std::string> shapes;
+  for (uint64_t seed = 0; seed < 200; ++seed) {
+    const PredicatePtr p = MakeRandomCase(seed).post_join_predicate;
+    if (p == nullptr) {
+      shapes.insert("none");
+      continue;
+    }
+    const std::string text = p->ToString();
+    long long lo = 0;
+    long long hi = 0;
+    if (text.front() == '(') {
+      shapes.insert(text.find(" OR ") != std::string::npos ? "band under or"
+                                                            : "band and cmp");
+    } else if (text.rfind("L.", 0) == 0) {
+      shapes.insert("swapped");
+    } else if (std::sscanf(text.c_str(),
+                           "T.predAfterJoin - L.predAfterJoin BETWEEN %lld "
+                           "AND %lld",
+                           &lo, &hi) == 2) {
+      shapes.insert(lo > hi ? "empty"
+                    : hi < 0 ? "negative"
+                    : lo == 0 && hi == 1 ? "paper"
+                                         : "wide");
+    }
+  }
+  EXPECT_EQ(shapes, (std::set<std::string>{"band and cmp", "band under or",
+                                           "empty", "negative", "none",
+                                           "paper", "swapped", "wide"}));
 }
 
 TEST(DifferentialSuite, SeedReproducesIdenticalOutcome) {

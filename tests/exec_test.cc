@@ -1,11 +1,16 @@
 // Unit tests for the shared execution primitives: JoinHashTable,
-// HashAggregator and JoinProber.
+// HashAggregator and JoinProber, and the band walk through JoinProber and
+// GraceHashJoin.
 
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <map>
+#include <optional>
 
 #include "common/hash.h"
+#include "common/random.h"
+#include "exec/grace_join.h"
 #include "exec/join_prober.h"
 
 namespace hybridjoin {
@@ -97,7 +102,7 @@ TEST(JoinHashTableTest, ScalesPastResize) {
 // ------------------------- Sharded JoinHashTable --------------------------
 
 std::vector<RecordBatch> ShardTestBatches() {
-  // Heavy duplication across batches so match order (reverse insertion) is
+  // Heavy duplication across batches so match order (insertion order) is
   // actually exercised, plus negative keys and a batch-boundary split.
   std::vector<RecordBatch> batches;
   RecordBatch a(BuildSchema()), b(BuildSchema()), c(BuildSchema());
@@ -400,6 +405,297 @@ TEST(JoinProberTest, FlushesAcrossBatchBoundaries) {
   ASSERT_TRUE(prober.Flush().ok());
   EXPECT_EQ(prober.output_rows(), 10);
   EXPECT_EQ(agg.Finish().num_rows(), 10u);
+}
+
+// ------------------------------- Band walk --------------------------------
+
+SchemaPtr BandJoinSchema() {
+  return MakeJoinedSchema(
+      Schema::Make({{"k", DataType::kInt32},
+                    {"x", DataType::kDate},
+                    {"grp", DataType::kInt32},
+                    {"s", DataType::kString},
+                    {"big", DataType::kInt64}}),
+      "B",
+      Schema::Make({{"k", DataType::kInt32},
+                    {"v", DataType::kInt32},
+                    {"w", DataType::kInt32}}),
+      "P");
+}
+
+TEST(ExtractJoinBandTest, BothOrientations) {
+  const SchemaPtr joined = BandJoinSchema();
+  // lo <= p - x <= hi: x in [p - hi, p - lo].
+  auto band = ExtractJoinBand(DiffRange("P.v", "B.x", 0, 1), joined, 5);
+  ASSERT_TRUE(band.has_value());
+  EXPECT_EQ(band->build_column, 1u);
+  EXPECT_EQ(band->probe_column, 1u);
+  EXPECT_EQ(band->lo_offset, -1);
+  EXPECT_EQ(band->hi_offset, 0);
+  EXPECT_EQ(band->residual, nullptr);
+  // lo <= x - p <= hi: x in [p + lo, p + hi].
+  band = ExtractJoinBand(DiffRange("B.x", "P.w", -1, 0), joined, 5);
+  ASSERT_TRUE(band.has_value());
+  EXPECT_EQ(band->build_column, 1u);
+  EXPECT_EQ(band->probe_column, 2u);
+  EXPECT_EQ(band->lo_offset, -1);
+  EXPECT_EQ(band->hi_offset, 0);
+}
+
+TEST(ExtractJoinBandTest, SaturatesAtTheInt64Range) {
+  const SchemaPtr joined = BandJoinSchema();
+  constexpr int64_t kMin = std::numeric_limits<int64_t>::min();
+  constexpr int64_t kMax = std::numeric_limits<int64_t>::max();
+  auto band = ExtractJoinBand(DiffRange("P.v", "B.x", kMin, kMax), joined, 5);
+  ASSERT_TRUE(band.has_value());
+  EXPECT_EQ(band->lo_offset, -kMax);
+  EXPECT_EQ(band->hi_offset, kMax);  // -kMin, saturated
+  band = ExtractJoinBand(DiffRange("B.x", "P.v", kMin, kMax), joined, 5);
+  ASSERT_TRUE(band.has_value());
+  EXPECT_EQ(band->lo_offset, kMin);
+  EXPECT_EQ(band->hi_offset, kMax);
+}
+
+TEST(ExtractJoinBandTest, ResidualKeepsTheOtherConjuncts) {
+  const SchemaPtr joined = BandJoinSchema();
+  auto band = ExtractJoinBand(
+      And({Cmp("P.w", CmpOp::kLt, Value(int32_t{50})),
+           And({DiffRange("P.v", "B.x", 0, 1), StrPrefix("B.s", "a")})}),
+      joined, 5);
+  ASSERT_TRUE(band.has_value());
+  ASSERT_NE(band->residual, nullptr);
+  EXPECT_EQ(band->residual->ToString(), "(P.w < 50 AND B.s LIKE 'a%')");
+
+  band = ExtractJoinBand(And({DiffRange("P.v", "B.x", 0, 1),
+                              Cmp("B.grp", CmpOp::kGe, Value(int32_t{2}))}),
+                         joined, 5);
+  ASSERT_TRUE(band.has_value());
+  ASSERT_NE(band->residual, nullptr);
+  EXPECT_EQ(band->residual->ToString(), "B.grp >= 2");
+
+  // The first qualifying DiffRange is the band; a same-side one stays in
+  // the residual.
+  band = ExtractJoinBand(And({DiffRange("B.x", "B.grp", 0, 9),
+                              DiffRange("B.x", "P.v", -2, 2)}),
+                         joined, 5);
+  ASSERT_TRUE(band.has_value());
+  EXPECT_EQ(band->probe_column, 1u);
+  ASSERT_NE(band->residual, nullptr);
+  EXPECT_EQ(band->residual->ToString(), "B.x - B.grp BETWEEN 0 AND 9");
+}
+
+TEST(ExtractJoinBandTest, NoBandTakesThePlainPath) {
+  const SchemaPtr joined = BandJoinSchema();
+  const PredicatePtr band = DiffRange("P.v", "B.x", 0, 1);
+  const std::vector<std::pair<std::string, PredicatePtr>> none = {
+      {"null", nullptr},
+      {"no DiffRange", Cmp("P.w", CmpOp::kLt, Value(int32_t{50}))},
+      {"under OR", Or({band, Cmp("P.w", CmpOp::kLt, Value(int32_t{50}))})},
+      {"under NOT", Not(band)},
+      {"both build columns", DiffRange("B.x", "B.grp", 0, 1)},
+      {"both probe columns", DiffRange("P.v", "P.w", 0, 1)},
+      {"string column", DiffRange("P.v", "B.s", 0, 1)},
+      {"int64 column", DiffRange("P.v", "B.big", 0, 1)},
+      {"missing column", DiffRange("P.v", "B.nope", 0, 1)},
+      {"residual with a missing column",
+       And({band, Cmp("B.nope", CmpOp::kLt, Value(int32_t{1}))})},
+      {"residual with a type error",
+       And({band, Cmp("B.s", CmpOp::kLt, Value(int32_t{1}))})},
+  };
+  for (const auto& [name, pred] : none) {
+    EXPECT_FALSE(ExtractJoinBand(pred, joined, 5).has_value()) << name;
+  }
+}
+
+struct BandJoinInputs {
+  SchemaPtr build_schema = Schema::Make({{"k", DataType::kInt32},
+                                         {"x", DataType::kDate},
+                                         {"grp", DataType::kInt32}});
+  SchemaPtr probe_schema = Schema::Make({{"k", DataType::kInt32},
+                                         {"v", DataType::kDate},
+                                         {"w", DataType::kInt32}});
+  std::vector<RecordBatch> build;
+  std::vector<RecordBatch> probe;
+};
+
+/// `build_rows` rows over `keys` keys and a 30-day band domain (40 rows per
+/// key is the paper's L' shape); `keys` = 1 makes every build row share one
+/// key.
+BandJoinInputs MakeBandJoinInputs(int32_t keys, int32_t build_rows) {
+  BandJoinInputs in;
+  Rng rng(31);
+  RecordBatch b(in.build_schema);
+  for (int32_t i = 0; i < build_rows; ++i) {
+    b.AppendRow({Value(static_cast<int32_t>(rng.Uniform(keys))),
+                 Value(static_cast<int32_t>(rng.Uniform(30))),
+                 Value(static_cast<int32_t>(rng.Uniform(9)))});
+    if (b.num_rows() == 500) {
+      in.build.push_back(std::move(b));
+      b = RecordBatch(in.build_schema);
+    }
+  }
+  if (b.num_rows() > 0) in.build.push_back(std::move(b));
+  RecordBatch p(in.probe_schema);
+  for (int32_t i = 0; i < 3000; ++i) {
+    p.AppendRow({Value(static_cast<int32_t>(rng.Uniform(keys + 3))),
+                 Value(static_cast<int32_t>(rng.Uniform(32))),
+                 Value(static_cast<int32_t>(rng.Uniform(100)))});
+    if (p.num_rows() == 700) {
+      in.probe.push_back(std::move(p));
+      p = RecordBatch(in.probe_schema);
+    }
+  }
+  if (p.num_rows() > 0) in.probe.push_back(std::move(p));
+  return in;
+}
+
+AggSpec BandAgg() {
+  AggSpec spec;
+  spec.group_column = "B.grp";
+  spec.items = {{AggOp::kCountStar, "", "n"},
+                {AggOp::kSum, "P.w", "sum_w"},
+                {AggOp::kMin, "B.x", "min_x"}};
+  return spec;
+}
+
+struct ProbeRun {
+  RecordBatch result;
+  int64_t join_matches = 0;
+  int64_t output_rows = 0;
+  int64_t band_visited = 0;
+};
+
+ProbeRun ProbeWith(const BandJoinInputs& in, const PredicatePtr& pred,
+                   std::optional<size_t> band_column) {
+  JoinHashTable table(0, 4, /*governor=*/nullptr, band_column);
+  for (RecordBatch b : in.build) HJ_CHECK_OK(table.AddBatch(std::move(b)));
+  table.Finalize();
+  Metrics metrics;
+  HashAggregator agg(BandAgg());
+  JoinProberOptions options;
+  options.output_batch_rows = 5;  // chunks split mid-match-list
+  JoinProber prober(&table, in.build_schema, "B", in.probe_schema, "P", 0,
+                    pred, &agg, &metrics, options);
+  for (const RecordBatch& b : in.probe) HJ_CHECK_OK(prober.ProbeBatch(b));
+  HJ_CHECK_OK(prober.Flush());
+  EXPECT_EQ(metrics.Get(metric::kJoinOutputTuples), prober.output_rows());
+  return {agg.Finish(), prober.join_matches(), prober.output_rows(),
+          metrics.Get(metric::kJoinBandVisited)};
+}
+
+void ExpectSameResult(const RecordBatch& want, const RecordBatch& got) {
+  ASSERT_EQ(want.num_rows(), got.num_rows());
+  ASSERT_EQ(want.num_columns(), got.num_columns());
+  for (size_t c = 0; c < want.num_columns(); ++c) {
+    for (size_t r = 0; r < want.num_rows(); ++r) {
+      EXPECT_EQ(want.column(c).GetValue(r), got.column(c).GetValue(r))
+          << "column " << c << " row " << r;
+    }
+  }
+}
+
+std::vector<std::pair<std::string, PredicatePtr>> BandPredicates() {
+  return {
+      {"paper band", DiffRange("P.v", "B.x", 0, 1)},
+      {"swapped", DiffRange("B.x", "P.v", -1, 0)},
+      {"wide", DiffRange("P.v", "B.x", -10, 25)},
+      {"negative", DiffRange("P.v", "B.x", -4, -2)},
+      {"empty", DiffRange("P.v", "B.x", 1, 0)},
+      {"band and residual",
+       And({Cmp("B.grp", CmpOp::kGe, Value(int32_t{3})),
+            DiffRange("P.v", "B.x", -2, 2),
+            Cmp("P.w", CmpOp::kLt, Value(int32_t{60}))})},
+  };
+}
+
+TEST(JoinProberBandTest, BandWalkEqualsTheFullFilter) {
+  const BandJoinInputs in = MakeBandJoinInputs(120, 120 * 40);
+  const SchemaPtr joined =
+      MakeJoinedSchema(in.build_schema, "B", in.probe_schema, "P");
+  for (const auto& [name, pred] : BandPredicates()) {
+    SCOPED_TRACE(name);
+    const auto band = ExtractJoinBand(pred, joined, 3);
+    ASSERT_TRUE(band.has_value());
+    const ProbeRun plain = ProbeWith(in, pred, std::nullopt);
+    const ProbeRun walked = ProbeWith(in, pred, band->build_column);
+    EXPECT_EQ(walked.join_matches, plain.join_matches);
+    EXPECT_EQ(walked.output_rows, plain.output_rows);
+    ExpectSameResult(plain.result, walked.result);
+    EXPECT_EQ(plain.band_visited, 0);  // an unordered table: no walk
+    EXPECT_LE(walked.band_visited, walked.join_matches);
+    if (name != "empty") {
+      EXPECT_GT(walked.output_rows, 0);
+      EXPECT_GE(walked.band_visited, walked.output_rows);
+    }
+  }
+}
+
+TEST(JoinProberBandTest, PlainPathErrorsAreKept) {
+  // A residual that cannot evaluate keeps the whole predicate on the plain
+  // path, which reports the error on the first probe with an equi-match.
+  const BandJoinInputs in = MakeBandJoinInputs(10, 400);
+  JoinHashTable table(0, 1, /*governor=*/nullptr, /*band_column=*/1);
+  for (RecordBatch b : in.build) ASSERT_TRUE(table.AddBatch(std::move(b)).ok());
+  table.Finalize();
+  HashAggregator agg(BandAgg());
+  JoinProber prober(&table, in.build_schema, "B", in.probe_schema, "P", 0,
+                    And({Cmp("B.nope", CmpOp::kLt, Value(int32_t{1})),
+                         DiffRange("P.v", "B.x", 1, 0)}),
+                    &agg, nullptr);
+  EXPECT_FALSE(prober.ProbeBatch(in.probe[0]).ok());
+}
+
+RecordBatch GraceBandJoin(const BandJoinInputs& in, const PredicatePtr& pred,
+                          uint64_t budget, Metrics* metrics,
+                          uint32_t* spilled) {
+  SpillArea spill(0, 0, metrics);
+  HashAggregator agg(BandAgg());
+  GraceJoinOptions options;
+  options.memory_budget_bytes = budget;
+  options.num_partitions = 8;
+  GraceHashJoin join(in.build_schema, "B", 0, in.probe_schema, "P", 0, pred,
+                     &agg, metrics, &spill, options);
+  for (RecordBatch b : in.build) HJ_CHECK_OK(join.AddBuild(std::move(b)));
+  HJ_CHECK_OK(join.FinishBuild());
+  for (const RecordBatch& b : in.probe) HJ_CHECK_OK(join.AddProbe(b));
+  HJ_CHECK_OK(join.Finish());
+  *spilled = join.spilled_partitions();
+  return agg.Finish();
+}
+
+TEST(GraceJoinBandTest, SpilledPairsAndBlockNestedLoopMatchResident) {
+  // One key: every build row shares it, so re-salting cannot split the
+  // spilled pair and it falls back to the block-nested loop.
+  for (int32_t keys : {120, 1}) {
+    SCOPED_TRACE("keys=" + std::to_string(keys));
+    const BandJoinInputs in =
+        MakeBandJoinInputs(keys, keys == 1 ? 1000 : keys * 40);
+    for (const auto& [name, pred] : BandPredicates()) {
+      SCOPED_TRACE(name);
+      const ProbeRun plain = ProbeWith(in, pred, std::nullopt);
+      Metrics resident_metrics, tiny_metrics;
+      uint32_t resident_spilled = 99, tiny_spilled = 0;
+      const RecordBatch resident =
+          GraceBandJoin(in, pred, 0, &resident_metrics, &resident_spilled);
+      const RecordBatch tiny =
+          GraceBandJoin(in, pred, 2048, &tiny_metrics, &tiny_spilled);
+      EXPECT_EQ(resident_spilled, 0u);
+      EXPECT_GT(tiny_spilled, 0u);
+      if (keys == 1) {
+        EXPECT_EQ(tiny_metrics.Get(metric::kJoinRepartitionDepth), 3);
+      }
+      ExpectSameResult(plain.result, resident);
+      ExpectSameResult(plain.result, tiny);
+      EXPECT_EQ(resident_metrics.Get(metric::kJoinOutputTuples),
+                plain.output_rows);
+      EXPECT_EQ(tiny_metrics.Get(metric::kJoinOutputTuples),
+                plain.output_rows);
+      if (name != "empty") {
+        EXPECT_GT(resident_metrics.Get(metric::kJoinBandVisited), 0);
+        EXPECT_GT(tiny_metrics.Get(metric::kJoinBandVisited), 0);
+      }
+    }
+  }
 }
 
 }  // namespace

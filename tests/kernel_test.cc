@@ -1,17 +1,20 @@
 // Equivalence tests for the batched cache-conscious kernels: the batched
 // Bloom Add/MayContain paths must be bit-identical to the scalar ones in
 // both layouts, ProbeBatch must reproduce the scalar ForEachMatch output in
-// exact order, and the wire format must round-trip the layout and reject
+// exact order, ProbeBand must reproduce "every equi-match, then DiffRange"
+// in exact order, and the wire format must round-trip the layout and reject
 // inconsistent encodings.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstring>
+#include <limits>
 
 #include "bloom/bloom_filter.h"
 #include "common/random.h"
 #include "exec/join_hash_table.h"
+#include "expr/predicate.h"
 #include "jen/exchange.h"
 
 namespace hybridjoin {
@@ -338,6 +341,203 @@ TEST(ProbeBatchTest, BuildShapeStats) {
   empty.Finalize();
   EXPECT_EQ(empty.load_factor(), 0.0);
   EXPECT_EQ(empty.max_chain_length(), 0u);
+}
+
+// ------------------------------- ProbeBand --------------------------------
+
+constexpr int32_t kI32Min = std::numeric_limits<int32_t>::min();
+constexpr int32_t kI32Max = std::numeric_limits<int32_t>::max();
+constexpr int64_t kI64Min = std::numeric_limits<int64_t>::min();
+constexpr int64_t kI64Max = std::numeric_limits<int64_t>::max();
+
+SchemaPtr BandBuildSchema() {
+  return Schema::Make({{"k", DataType::kInt64}, {"x", DataType::kInt32}});
+}
+
+/// Build batches with paper-like runs (about 40 rows per key over a narrow
+/// band domain) plus the edge shapes: keys with one row, a key whose rows
+/// all share one band value, and band values at the int32 extremes.
+std::vector<RecordBatch> BandBuildBatches() {
+  Rng rng(91);
+  std::vector<RecordBatch> batches;
+  for (int b = 0; b < 3; ++b) {
+    RecordBatch batch(BandBuildSchema());
+    for (int i = 0; i < 800; ++i) {
+      batch.AppendRow({Value(static_cast<int64_t>(rng.Uniform(60))),
+                       Value(static_cast<int32_t>(rng.Uniform(30)))});
+    }
+    batches.push_back(std::move(batch));
+  }
+  RecordBatch edges(BandBuildSchema());
+  for (int64_t k = 1000; k < 1010; ++k) {
+    edges.AppendRow({Value(k), Value(static_cast<int32_t>(k % 7))});
+  }
+  for (int i = 0; i < 50; ++i) {
+    edges.AppendRow({Value(int64_t{2000}), Value(int32_t{7})});
+  }
+  for (int32_t x : {kI32Min, kI32Max, 0, kI32Min, kI32Max, -1}) {
+    edges.AppendRow({Value(int64_t{3000}), Value(x)});
+  }
+  batches.push_back(std::move(edges));
+  return batches;
+}
+
+struct BandProbe {
+  std::vector<int64_t> keys;
+  std::vector<int32_t> values;
+};
+
+BandProbe BandProbeRows() {
+  BandProbe p;
+  Rng rng(92);
+  for (int i = 0; i < 600; ++i) {
+    p.keys.push_back(static_cast<int64_t>(rng.Uniform(70)));  // some miss
+    p.values.push_back(static_cast<int32_t>(rng.Uniform(34)) - 2);
+  }
+  for (int64_t k : {1000, 1003, 1009, 2000, 2000, 3000, 3000, 3000, 3000}) {
+    for (int32_t v : {kI32Min, -1, 0, 7, 8, kI32Max}) {
+      p.keys.push_back(k);
+      p.values.push_back(v);
+    }
+  }
+  return p;
+}
+
+/// The oracle: every equi-match in ForEachMatch order, then the DiffRange
+/// test evaluated as written (`probe_first`: p - x, else x - p).
+std::vector<JoinMatch> EquiThenDiffRange(const JoinHashTable& table,
+                                         const BandProbe& probe,
+                                         bool probe_first, int64_t lo,
+                                         int64_t hi) {
+  std::vector<JoinMatch> out;
+  for (uint32_t i = 0; i < probe.keys.size(); ++i) {
+    table.ForEachMatch(probe.keys[i], [&](uint32_t b, uint32_t r) {
+      const int64_t x = table.batches()[b].column(1).i32()[r];
+      const int64_t p = probe.values[i];
+      const int64_t diff = probe_first ? p - x : x - p;
+      if (diff >= lo && diff <= hi) out.push_back({i, b, r});
+    });
+  }
+  return out;
+}
+
+TEST(ProbeBandTest, EqualsEveryEquiMatchThenDiffRangeInOrder) {
+  const BandProbe probe = BandProbeRows();
+  const SchemaPtr joined = Schema::Make(
+      {{"B.k", DataType::kInt64}, {"B.x", DataType::kInt32},
+       {"P.k", DataType::kInt64}, {"P.v", DataType::kInt32}});
+  const std::vector<std::pair<int64_t, int64_t>> ranges = {
+      {0, 1},         {-1, 0},           {-5, 20},       {-3, -2},
+      {1, 0},         {kI64Min, kI64Max}, {kI64Min, 0},  {0, kI64Max},
+      {kI64Min, kI64Min}, {kI64Max, kI64Max}, {kI64Max, kI64Min}};
+  for (uint32_t shards : {1u, 16u}) {
+    JoinHashTable table(0, shards, /*governor=*/nullptr, /*band_column=*/1);
+    for (RecordBatch& b : BandBuildBatches()) {
+      ASSERT_TRUE(table.AddBatch(std::move(b)).ok());
+    }
+    table.Finalize();
+    std::vector<JoinMatch> equi;
+    table.ProbeBatch(std::span<const int64_t>(probe.keys), &equi);
+
+    for (bool probe_first : {true, false}) {
+      for (const auto& [lo, hi] : ranges) {
+        SCOPED_TRACE("shards=" + std::to_string(shards) +
+                     " probe_first=" + std::to_string(probe_first) +
+                     " lo=" + std::to_string(lo) + " hi=" + std::to_string(hi));
+        const PredicatePtr pred = probe_first ? DiffRange("P.v", "B.x", lo, hi)
+                                              : DiffRange("B.x", "P.v", lo, hi);
+        const auto band = ExtractJoinBand(pred, joined, 2);
+        ASSERT_TRUE(band.has_value());
+        EXPECT_EQ(band->build_column, 1u);
+        EXPECT_EQ(band->probe_column, 1u);
+        EXPECT_EQ(band->residual, nullptr);
+
+        const std::vector<JoinMatch> expected =
+            EquiThenDiffRange(table, probe, probe_first, lo, hi);
+        std::vector<JoinMatch> got;
+        JoinHashTable::BandStats stats;
+        table.ProbeBand(std::span<const int64_t>(probe.keys),
+                        std::span<const int32_t>(probe.values),
+                        band->lo_offset, band->hi_offset, &got, &stats);
+        EXPECT_EQ(stats.equi_matches, static_cast<int64_t>(equi.size()));
+        EXPECT_GE(stats.visited, static_cast<int64_t>(got.size()));
+        EXPECT_LE(stats.visited, static_cast<int64_t>(equi.size()));
+        ASSERT_EQ(got.size(), expected.size());
+        for (size_t i = 0; i < got.size(); ++i) {
+          ASSERT_EQ(got[i].probe_row, expected[i].probe_row) << "at " << i;
+          ASSERT_EQ(got[i].batch, expected[i].batch) << "at " << i;
+          ASSERT_EQ(got[i].row, expected[i].row) << "at " << i;
+        }
+        // The order contract: per probe row, band ascending, ties in
+        // insertion order.
+        for (size_t i = 1; i < got.size(); ++i) {
+          if (got[i].probe_row != got[i - 1].probe_row) continue;
+          const auto band_of = [&](const JoinMatch& m) {
+            return table.batches()[m.batch].column(1).i32()[m.row];
+          };
+          const int32_t prev = band_of(got[i - 1]);
+          const int32_t cur = band_of(got[i]);
+          ASSERT_LE(prev, cur) << "at " << i;
+          if (prev == cur) {
+            ASSERT_LT(std::make_pair(got[i - 1].batch, got[i - 1].row),
+                      std::make_pair(got[i].batch, got[i].row))
+                << "at " << i;
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST(ProbeBandTest, Int32KeysMatchInt64Keys) {
+  const BandProbe probe = BandProbeRows();
+  std::vector<int32_t> keys32(probe.keys.begin(), probe.keys.end());
+  JoinHashTable table(0, 4, /*governor=*/nullptr, /*band_column=*/1);
+  for (RecordBatch& b : BandBuildBatches()) {
+    ASSERT_TRUE(table.AddBatch(std::move(b)).ok());
+  }
+  table.Finalize();
+  std::vector<JoinMatch> want, got;
+  JoinHashTable::BandStats want_stats, got_stats;
+  table.ProbeBand(std::span<const int64_t>(probe.keys),
+                  std::span<const int32_t>(probe.values), -1, 0, &want,
+                  &want_stats);
+  table.ProbeBand(std::span<const int32_t>(keys32),
+                  std::span<const int32_t>(probe.values), -1, 0, &got,
+                  &got_stats);
+  ASSERT_FALSE(want.empty());
+  ASSERT_EQ(got.size(), want.size());
+  for (size_t i = 0; i < got.size(); ++i) {
+    EXPECT_EQ(got[i].probe_row, want[i].probe_row);
+    EXPECT_EQ(got[i].batch, want[i].batch);
+    EXPECT_EQ(got[i].row, want[i].row);
+  }
+  EXPECT_EQ(got_stats.equi_matches, want_stats.equi_matches);
+  EXPECT_EQ(got_stats.visited, want_stats.visited);
+}
+
+TEST(ProbeBandTest, WithoutBandColumnMatchesKeepInsertionOrder) {
+  JoinHashTable table(0, 16);
+  for (RecordBatch& b : BandBuildBatches()) {
+    ASSERT_TRUE(table.AddBatch(std::move(b)).ok());
+  }
+  table.Finalize();
+  for (int64_t k : {0, 17, 59, 1004, 2000, 3000}) {
+    std::vector<std::pair<uint32_t, uint32_t>> order;
+    table.ForEachMatch(k, [&](uint32_t b, uint32_t r) {
+      order.emplace_back(b, r);
+    });
+    ASSERT_FALSE(order.empty()) << "key " << k;
+    EXPECT_TRUE(std::is_sorted(order.begin(), order.end())) << "key " << k;
+  }
+}
+
+TEST(ProbeBandTest, RejectsNonInt32BandColumn) {
+  JoinHashTable table(0, 1, /*governor=*/nullptr, /*band_column=*/0);
+  EXPECT_FALSE(table.AddBatch(KeyBatch({1, 2})).ok());  // int64 band column
+  JoinHashTable missing(0, 1, /*governor=*/nullptr, /*band_column=*/5);
+  EXPECT_FALSE(missing.AddBatch(KeyBatch({1, 2})).ok());
+  EXPECT_EQ(missing.num_rows(), 0u);
 }
 
 // ------------------------------ BufferPool --------------------------------

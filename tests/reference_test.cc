@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <map>
+#include <optional>
 
 #include "common/metrics.h"
 #include "common/random.h"
@@ -172,6 +173,9 @@ TEST(ReferenceOracleTest, JoinProberMatchesNestedLoopForEveryPredicateShape) {
       {"probe columns only",
        Cmp("T.indPred", CmpOp::kGe, Value(int32_t{s.t_ind_lit / 2}))},
       {"both sides", DiffRange("T.predAfterJoin", "L.predAfterJoin", 0, 1)},
+      {"both sides, swapped",
+       DiffRange("L.predAfterJoin", "T.predAfterJoin", -1, 0)},
+      {"empty band", DiffRange("T.predAfterJoin", "L.predAfterJoin", 1, 0)},
       {"string column", StrPrefix("L.groupByExtractCol", "g1")},
       {"or/not",
        Or({Not(DiffRange("T.predAfterJoin", "L.predAfterJoin", -3, 3)),
@@ -183,10 +187,22 @@ TEST(ReferenceOracleTest, JoinProberMatchesNestedLoopForEveryPredicateShape) {
     SCOPED_TRACE(name);
     const ProbeOutcome expected =
         NestedLoopProbe(l_prime, t_prime, joined_schema, post);
-    ASSERT_GT(expected.output_rows, 0);
+    if (name == "empty band") {
+      ASSERT_EQ(expected.output_rows, 0);
+      ASSERT_GT(expected.join_matches, 0);
+    } else {
+      ASSERT_GT(expected.output_rows, 0);
+    }
     if (post != nullptr) ASSERT_LT(expected.output_rows, expected.join_matches);
 
-    JoinHashTable table(/*key_column=*/0);
+    // Built the way GraceHashJoin builds it: ordered by the band's build
+    // column when the predicate has a band, so those cases take the walk.
+    const auto band =
+        ExtractJoinBand(post, joined_schema, l_schema->num_fields());
+    JoinHashTable table(/*key_column=*/0, 1, /*governor=*/nullptr,
+                        band.has_value()
+                            ? std::optional<size_t>(band->build_column)
+                            : std::nullopt);
     for (const RecordBatch& b : l_prime) ASSERT_TRUE(table.AddBatch(b).ok());
     table.Finalize();
     Metrics metrics;
@@ -209,6 +225,11 @@ TEST(ReferenceOracleTest, JoinProberMatchesNestedLoopForEveryPredicateShape) {
     EXPECT_EQ(prober.join_matches(), expected.join_matches);
     EXPECT_EQ(prober.output_rows(), expected.output_rows);
     EXPECT_EQ(metrics.Get(metric::kJoinOutputTuples), expected.output_rows);
+    if (band.has_value()) {
+      EXPECT_GT(metrics.Get(metric::kJoinBandVisited), 0);
+    } else {
+      EXPECT_EQ(metrics.Get(metric::kJoinBandVisited), 0);
+    }
     const RecordBatch result = agg.Finish();
     ASSERT_EQ(result.num_rows(), expected.counts.size());
     size_t i = 0;
