@@ -38,12 +38,12 @@ Status HashAggregator::Update(const RecordBatch& batch,
   const ColumnVector& gc = batch.column(group_col);
 
   // Resolve aggregate input columns once per batch.
-  std::vector<const ColumnVector*> agg_cols(spec_.items.size(), nullptr);
+  agg_cols_.assign(spec_.items.size(), nullptr);
   for (size_t i = 0; i < spec_.items.size(); ++i) {
     if (spec_.items[i].op == AggOp::kCountStar) continue;
     HJ_ASSIGN_OR_RETURN(size_t c,
                         batch.schema()->IndexOf(spec_.items[i].column));
-    agg_cols[i] = &batch.column(c);
+    agg_cols_[i] = &batch.column(c);
   }
 
   for (uint32_t r : sel) {
@@ -67,7 +67,7 @@ Status HashAggregator::Update(const RecordBatch& batch,
               "group column must be integer-typed (or use extract_group)");
       }
     }
-    HJ_RETURN_IF_ERROR(FoldRow(group, agg_cols, r));
+    HJ_RETURN_IF_ERROR(FoldRow(group, agg_cols_, r));
   }
   ChargeNewGroups();
   return Status::OK();

@@ -103,6 +103,8 @@ class HashAggregator {
                  uint32_t row);
 
   AggSpec spec_;
+  /// Update's aggregate input columns, kept to reuse the allocation.
+  std::vector<const ColumnVector*> agg_cols_;
   std::unordered_map<int64_t, State> groups_;
   size_t groups_charged_ = 0;
   MemoryReservation reservation_;

@@ -85,7 +85,7 @@ JoinProber::JoinProber(const JoinHashTable* build, SchemaPtr build_schema,
           gc.per_batch.push_back(col.f64().data());
           break;
         case PhysicalType::kString:
-          gc.per_batch.push_back(col.str().data());
+          gc.per_batch.push_back(&col.str());
           break;
       }
     }
@@ -130,12 +130,17 @@ void JoinProber::GatherColumn(size_t c, const RecordBatch& probe_batch,
       break;
     }
     case PhysicalType::kString: {
-      auto& o = dst->mutable_str();
+      // Sum the rows' bytes first, so the buffer grows once.
+      auto row = [&](size_t j) {
+        return (*static_cast<const StringColumn*>(
+            src.per_batch[m[j].batch]))[m[j].row];
+      };
+      size_t total = 0;
+      for (size_t j = 0; j < n; ++j) total += row(j).size();
+      StringColumn& o = dst->mutable_str();
       o.reserve(o.size() + n);
-      for (size_t j = 0; j < n; ++j) {
-        o.push_back(static_cast<const std::string*>(
-            src.per_batch[m[j].batch])[m[j].row]);
-      }
+      char* out = o.BeginWrite(total, 0);
+      for (size_t j = 0; j < n; ++j) out = o.WriteRow(out, row(j));
       break;
     }
   }

@@ -76,7 +76,8 @@ class JoinProber {
   /// without per-row variant dispatch.
   struct BuildSource {
     PhysicalType type;
-    std::vector<const void*> per_batch;  ///< typed data() per build batch
+    /// Per build batch: the typed data(), or for a string the StringColumn.
+    std::vector<const void*> per_batch;
   };
 
   /// Appends joined column `c` (build columns first, then probe columns)

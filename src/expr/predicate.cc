@@ -153,10 +153,10 @@ class CmpPredicate final : public Predicate {
           return Status::InvalidArgument("non-string literal vs string col '" +
                                          column_ + "'");
         }
-        const std::string& lit = literal_.as_string();
-        const auto& data = cv.str();
+        const std::string_view lit = literal_.as_string();
+        const StringColumn& data = cv.str();
         for (uint32_t r : *sel) {
-          if (ApplyCmp<std::string, std::string>(op_, data[r], lit)) {
+          if (ApplyCmp(op_, data[r], lit)) {
             (*sel)[out++] = r;
           }
         }
@@ -214,11 +214,10 @@ class StrPrefixPredicate final : public Predicate {
       return Status::InvalidArgument("prefix predicate on non-string column '" +
                                      column_ + "'");
     }
-    const auto& data = cv.str();
+    const StringColumn& data = cv.str();
     size_t out = 0;
     for (uint32_t r : *sel) {
-      if (data[r].size() >= prefix_.size() &&
-          data[r].compare(0, prefix_.size(), prefix_) == 0) {
+      if (data[r].starts_with(prefix_)) {
         (*sel)[out++] = r;
       }
     }

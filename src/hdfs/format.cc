@@ -183,6 +183,23 @@ Result<RecordBatch> DecodeText(const uint8_t* data, size_t size,
   const char* p = reinterpret_cast<const char*>(data);
   const char* end = p + size;
   const size_t num_fields = schema->num_fields();
+  // Size every column once: a row per line, and for a string column at most
+  // the block's bytes less each row's separators and newline (the last
+  // line's may be missing).
+  size_t rows = 0;
+  for (const char* q = p; q < end; ++rows) {
+    const char* nl = static_cast<const char*>(memchr(q, '\n', end - q));
+    q = nl == nullptr ? end : nl + 1;
+  }
+  const size_t field_bytes = size + 1 - std::min(size + 1, rows * num_fields);
+  for (size_t c = 0; c < out.num_columns(); ++c) {
+    ColumnVector& col = out.mutable_column(c);
+    if (col.physical_type() == PhysicalType::kString) {
+      col.mutable_str().Reserve(rows, field_bytes);
+    } else {
+      col.Reserve(rows);
+    }
+  }
   while (p < end) {
     const char* line_end =
         static_cast<const char*>(memchr(p, '\n', end - p));
@@ -221,7 +238,8 @@ Result<RecordBatch> DecodeText(const uint8_t* data, size_t size,
             break;
           }
           case DataType::kString:
-            dst.mutable_str().emplace_back(field, field_end);
+            dst.mutable_str().push_back(
+                std::string_view(field, field_end - field));
             break;
           case DataType::kDate: {
             HJ_ASSIGN_OR_RETURN(int32_t v, ParseDate(field, field_end));
@@ -308,23 +326,20 @@ Status DecodeInts(ColEncoding encoding, std::string_view raw, uint32_t num_rows,
   return Status::OK();
 }
 
-std::vector<uint8_t> EncodePlainStrings(const std::vector<std::string>& v) {
-  size_t total = 0;
-  for (const auto& s : v) total += s.size() + 2;
-  BinaryWriter w(total);
-  for (const auto& s : v) w.PutString(s);
+std::vector<uint8_t> EncodePlainStrings(const StringColumn& v) {
+  BinaryWriter w(v.bytes() + 2 * v.size());
+  for (std::string_view s : v) w.PutString(s);
   return w.Release();
 }
 
 /// Dictionary encoding; returns nullopt when the dictionary would not help
 /// (too many distinct values).
-std::optional<std::vector<uint8_t>> EncodeDictStrings(
-    const std::vector<std::string>& v) {
+std::optional<std::vector<uint8_t>> EncodeDictStrings(const StringColumn& v) {
   std::unordered_map<std::string_view, uint32_t> dict;
   std::vector<std::string_view> entries;
   std::vector<uint32_t> codes;
   codes.reserve(v.size());
-  for (const auto& s : v) {
+  for (std::string_view s : v) {
     auto [it, inserted] = dict.try_emplace(s, dict.size());
     if (inserted) {
       entries.push_back(s);
@@ -654,17 +669,16 @@ std::vector<FsstSymbol> ToFsstSymbols(const std::vector<std::string>& table) {
 }
 
 /// Every row's code bytes for `table`, and each row's end offset.
-void FsstCompress(const std::vector<std::string>& strings,
+void FsstCompress(const StringColumn& strings,
                   const std::vector<FsstSymbol>& table, FsstMatcher* matcher,
                   std::vector<uint8_t>* codes, std::vector<uint64_t>* ends) {
   matcher->Build(table);
-  size_t bytes = 0;
-  for (const std::string& s : strings) bytes += s.size();
-  codes->resize(2 * bytes);  // an escape is two code bytes, a symbol one
+  // An escape is two code bytes, a symbol one.
+  codes->resize(2 * strings.bytes());
   uint8_t* out = codes->data();
   ends->resize(strings.size());
   for (size_t row = 0; row < strings.size(); ++row) {
-    const std::string& s = strings[row];
+    const std::string_view s = strings[row];
     for (size_t pos = 0; pos < s.size();) {
       const uint16_t m =
           matcher->Match(LoadPrefix(s.data() + pos, s.size() - pos),
@@ -771,23 +785,52 @@ Status ParseFsst(std::string_view raw, uint32_t num_rows, FsstView* v) {
   return Status::OK();
 }
 
-/// Decodes a kFsst chunk: every row, or only the rows of `sel`.
+/// Decodes a kFsst chunk: every row, or only the rows of `sel`. A first
+/// pass sums the rows' decoded bytes; the second expands each row straight
+/// into the column, each symbol as one whole u64 store, so the buffer has
+/// kFsstMaxSymbolBytes of slack past the last row.
 Status DecodeFsst(std::string_view raw, uint32_t num_rows,
-                  const std::vector<uint32_t>* sel,
-                  std::vector<std::string>* out) {
+                  const std::vector<uint32_t>* sel, StringColumn* out) {
   FsstView v;
   HJ_RETURN_IF_ERROR(ParseFsst(raw, num_rows, &v));
+  const size_t rows = sel == nullptr ? num_rows : sel->size();
+  if (rows == 0) return Status::OK();
   const PackedReader ends(v.ends, v.ends_size, v.ends_width);
-  // Each code writes a whole u64 and advances by its length, so a row of k
-  // code bytes needs 8k bytes of room.
-  std::vector<char> buf(256);
-  auto build = [&](uint32_t row) {
-    const uint64_t begin = row == 0 ? 0 : ends[row - 1];
-    const uint64_t end = ends[row];
-    if (buf.size() < 8 * (end - begin)) buf.resize(8 * (end - begin));
-    char* dst = buf.data();
-    for (const uint8_t *c = v.codes + begin, *c_end = v.codes + end;
-         c < c_end;) {
+  auto for_each_row = [&](auto&& fn) {
+    if (sel == nullptr) {
+      uint64_t begin = 0;
+      ends.ForEach(num_rows, [&](uint64_t, uint64_t end) {
+        fn(v.codes + begin, v.codes + end);
+        begin = end;
+      });
+    } else {
+      for (uint32_t row : *sel) {
+        fn(v.codes + (row == 0 ? 0 : ends[row - 1]), v.codes + ends[row]);
+      }
+    }
+  };
+  size_t total = 0;
+  auto add_bytes = [&](const uint8_t* c, const uint8_t* c_end) {
+    while (c < c_end) {
+      const uint8_t code = *c++;
+      if (code != kFsstEscape) {
+        total += v.length[code];
+      } else {
+        ++c;
+        ++total;
+      }
+    }
+  };
+  // Every row's codes are contiguous, so a whole chunk is one run.
+  if (sel == nullptr) {
+    add_bytes(v.codes, v.codes + v.codes_size);
+  } else {
+    for_each_row(add_bytes);
+  }
+  out->reserve(rows);
+  char* dst = out->BeginWrite(total, kFsstMaxSymbolBytes);
+  for_each_row([&](const uint8_t* c, const uint8_t* c_end) {
+    while (c < c_end) {
       const uint8_t code = *c++;
       if (code != kFsstEscape) {
         std::memcpy(dst, &v.symbol[code], 8);
@@ -796,15 +839,9 @@ Status DecodeFsst(std::string_view raw, uint32_t num_rows,
         *dst++ = static_cast<char>(*c++);
       }
     }
-    out->emplace_back(buf.data(), dst - buf.data());
-  };
-  if (sel == nullptr) {
-    out->reserve(num_rows);
-    for (uint32_t row = 0; row < num_rows; ++row) build(row);
-  } else {
-    out->reserve(sel->size());
-    for (uint32_t row : *sel) build(row);
-  }
+    out->EndRow(dst);
+  });
+  out->FinishWrite();
   return Status::OK();
 }
 
@@ -911,10 +948,9 @@ struct FsstScratch {
 
 /// Up to kFsstSampleBytes of evenly spaced rows, each cut to
 /// kFsstSampleStringBytes.
-std::vector<std::string_view> FsstSample(
-    const std::vector<std::string>& strings) {
+std::vector<std::string_view> FsstSample(const StringColumn& strings) {
   size_t total = 0;
-  for (const std::string& s : strings) {
+  for (std::string_view s : strings) {
     total += std::min(s.size(), kFsstSampleStringBytes);
   }
   const size_t step = std::max<size_t>(1, total / kFsstSampleBytes);
@@ -922,8 +958,7 @@ std::vector<std::string_view> FsstSample(
   size_t taken = 0;
   for (size_t row = 0; row < strings.size() && taken < kFsstSampleBytes;
        row += step) {
-    const std::string& s = strings[row];
-    sample.emplace_back(s.data(), std::min(s.size(), kFsstSampleStringBytes));
+    sample.push_back(strings[row].substr(0, kFsstSampleStringBytes));
     taken += sample.back().size();
   }
   return sample;
@@ -1011,16 +1046,13 @@ ColumnChunk EncodeSequential(const ColumnVector& column,
 
 /// Whether a string column's codes fit kFsst's u32 code count: each byte
 /// costs at most two code bytes.
-bool FsstFits(const std::vector<std::string>& strings) {
-  uint64_t total = 0;
-  for (const std::string& s : strings) total += s.size();
-  return 2 * total <= UINT32_MAX;
+bool FsstFits(const StringColumn& strings) {
+  return 2 * uint64_t{strings.bytes()} <= UINT32_MAX;
 }
 
 }  // namespace
 
-std::vector<std::string> TrainFsstTable(
-    const std::vector<std::string>& strings) {
+std::vector<std::string> TrainFsstTable(const StringColumn& strings) {
   const std::vector<std::string_view> sample = FsstSample(strings);
   std::array<bool, 256> seen{};
   for (std::string_view s : sample) {
@@ -1229,7 +1261,8 @@ Result<ColumnVector> DecodeColumnChunk(const ColumnChunk& chunk,
     if (PhysicalTypeOf(type) != PhysicalType::kString) {
       return Status::IOError("columnar: FSST chunk of a non-string type");
     }
-    HJ_RETURN_IF_ERROR(DecodeFsst(raw, chunk.num_rows, sel, &out.mutable_str()));
+    HJ_RETURN_IF_ERROR(
+        DecodeFsst(raw, chunk.num_rows, sel, &out.mutable_str()));
     return out;
   }
   switch (PhysicalTypeOf(type)) {
@@ -1248,24 +1281,13 @@ Result<ColumnVector> DecodeColumnChunk(const ColumnChunk& chunk,
       HJ_RETURN_IF_ERROR(DecodePlain(raw, chunk.num_rows, &out.mutable_f64()));
       break;
     case PhysicalType::kString: {
-      // Every row's bytes are walked and validated; only the selected rows
-      // become strings. `next` is the next selected row still to be built.
-      const uint32_t* next = sel != nullptr ? sel->data() : nullptr;
-      const uint32_t* const sel_end = next + (sel != nullptr ? sel->size() : 0);
-      auto selected = [&](uint32_t row) {
-        if (sel == nullptr) return true;
-        if (next == sel_end || *next != row) return false;
-        ++next;
-        return true;
-      };
       BinaryReader r(raw.data(), raw.size());
       // A varint length, then that many bytes.
-      auto read_string = [&r](std::string_view* s) {
+      auto read_string = [](BinaryReader* in, std::string_view* s) {
         uint64_t len;
-        return r.ReadVarint(&len) && r.ReadSpan(len, s);
+        return in->ReadVarint(&len) && in->ReadSpan(len, s);
       };
-      auto& v = out.mutable_str();
-      v.reserve(sel != nullptr ? sel->size() : chunk.num_rows);
+      std::vector<std::string_view> dict;
       if (chunk.encoding == ColEncoding::kDict) {
         uint64_t dict_size;
         if (!r.ReadVarint(&dict_size)) {
@@ -1274,39 +1296,61 @@ Result<ColumnVector> DecodeColumnChunk(const ColumnChunk& chunk,
         if (dict_size > chunk.num_rows) {
           return Status::IOError("columnar: dict larger than chunk");
         }
-        std::vector<std::string_view> dict(dict_size);
+        dict.resize(dict_size);
         for (auto& e : dict) {
-          if (!read_string(&e)) {
+          if (!read_string(&r, &e)) {
             return Status::IOError("columnar: truncated dict entry");
           }
         }
-        for (uint32_t i = 0; i < chunk.num_rows; ++i) {
-          uint64_t code;
-          if (!r.ReadVarint(&code)) {
-            return Status::IOError("columnar: truncated dict code");
-          }
-          if (code >= dict.size()) {
-            return Status::IOError("columnar: dict code out of range");
-          }
-          if (selected(i)) v.emplace_back(dict[code]);
-        }
-      } else if (chunk.encoding == ColEncoding::kPlain) {
-        std::string_view s;
-        for (uint32_t i = 0; i < chunk.num_rows; ++i) {
-          if (!read_string(&s)) {
-            return Status::IOError("columnar: truncated plain string");
-          }
-          if (selected(i)) v.emplace_back(s);
-        }
-      } else {
+      } else if (chunk.encoding != ColEncoding::kPlain) {
         return Status::IOError("columnar: bad string encoding");
       }
-      if (!r.AtEnd()) {
-        return Status::IOError("columnar: trailing bytes in string chunk");
-      }
-      if (out.size() != (sel != nullptr ? sel->size() : chunk.num_rows)) {
-        return Status::IOError("columnar: decoded row count mismatch");
-      }
+      // Walks and validates every row, calling fn(value) on the selected
+      // ones. The first walk sums their bytes, so the second copies them
+      // into a buffer sized once.
+      auto for_each_selected = [&](auto&& fn) -> Status {
+        BinaryReader in = r;
+        const uint32_t* next = sel != nullptr ? sel->data() : nullptr;
+        const uint32_t* const sel_end = next + (sel != nullptr ? sel->size() : 0);
+        for (uint32_t i = 0; i < chunk.num_rows; ++i) {
+          std::string_view s;
+          if (chunk.encoding == ColEncoding::kPlain) {
+            if (!read_string(&in, &s)) {
+              return Status::IOError("columnar: truncated plain string");
+            }
+          } else {
+            uint64_t code;
+            if (!in.ReadVarint(&code)) {
+              return Status::IOError("columnar: truncated dict code");
+            }
+            if (code >= dict.size()) {
+              return Status::IOError("columnar: dict code out of range");
+            }
+            s = dict[code];
+          }
+          if (sel == nullptr) {
+            fn(s);
+          } else if (next != sel_end && *next == i) {
+            ++next;
+            fn(s);
+          }
+        }
+        if (!in.AtEnd()) {
+          return Status::IOError("columnar: trailing bytes in string chunk");
+        }
+        return Status::OK();
+      };
+      size_t total = 0;
+      HJ_RETURN_IF_ERROR(
+          for_each_selected([&](std::string_view s) { total += s.size(); }));
+      // `sel` holds ascending rows of the chunk, so each was visited.
+      const size_t rows = sel != nullptr ? sel->size() : chunk.num_rows;
+      if (rows == 0) return out;
+      StringColumn& v = out.mutable_str();
+      v.reserve(rows);
+      char* dst = v.BeginWrite(total, 0);
+      HJ_RETURN_IF_ERROR(for_each_selected(
+          [&](std::string_view s) { dst = v.WriteRow(dst, s); }));
       return out;
     }
   }

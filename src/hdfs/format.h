@@ -129,7 +129,7 @@ ColumnChunk EncodeForChunk(const ColumnVector& column);
 /// Trains an FSST symbol table for `strings`: at most 255 symbols of 1-8
 /// bytes, picked by greedy compression gain over a bounded sample, so the
 /// cost does not grow with the chunk.
-std::vector<std::string> TrainFsstTable(const std::vector<std::string>& strings);
+std::vector<std::string> TrainFsstTable(const StringColumn& strings);
 
 /// A string column as a kFsst chunk with `table` (at most 255 symbols of
 /// 1-8 bytes), whatever its size. Compression is greedy longest match;

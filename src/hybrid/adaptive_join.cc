@@ -265,7 +265,7 @@ Result<QueryResult> RunAdaptiveJoin(EngineContext* ctx,
         idx.push_back(col.value());
       }
       if (resolved) {
-        const RecordBatch projected = sampled->Project(idx);
+        const RecordBatch projected = std::move(*sampled).Project(idx);
         sample_bytes = projected.ByteSize();
         sample_rows = projected.num_rows();
       }

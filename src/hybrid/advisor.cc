@@ -206,7 +206,7 @@ Result<QueryEstimates> EstimateQuery(EngineContext* ctx,
       HJ_ASSIGN_OR_RETURN(size_t i, sample.schema()->IndexOf(name));
       idx.push_back(i);
     }
-    const RecordBatch projected = sample.Project(idx);
+    const RecordBatch projected = std::move(sample).Project(idx);
     db_row_bytes = static_cast<double>(projected.ByteSize()) /
                    static_cast<double>(projected.num_rows());
   }

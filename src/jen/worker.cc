@@ -299,7 +299,7 @@ Status JenWorker::ScanImpl(const ScanTask& task,
           DecodeBlockFiltered(*item->block, task.meta.schema, columns.filter,
                               columns.late, filter, &sel));
       if (survivors.empty()) continue;
-      HJ_RETURN_IF_ERROR(consume(survivors.Project(out_indexes)));
+      HJ_RETURN_IF_ERROR(consume(std::move(survivors).Project(out_indexes)));
     }
   };
 

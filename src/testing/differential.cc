@@ -48,8 +48,11 @@ std::string CellToString(const ColumnVector& col, size_t row) {
       return std::to_string(col.i64()[row]);
     case PhysicalType::kFloat64:
       return std::to_string(col.f64()[row]);
-    case PhysicalType::kString:
-      return "\"" + col.str()[row] + "\"";
+    case PhysicalType::kString: {
+      std::string quoted = "\"";
+      quoted.append(col.str()[row]).push_back('"');
+      return quoted;
+    }
   }
   return "?";
 }

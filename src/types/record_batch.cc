@@ -1,6 +1,40 @@
 #include "types/record_batch.h"
 
+#include <string_view>
+
 namespace hybridjoin {
+
+namespace {
+
+/// Reads `rows` length-prefixed strings into `out` in two passes: the first
+/// validates them and sums their bytes, so the second copies each into a
+/// buffer sized once.
+Status ReadStrings(BinaryReader* in, uint64_t rows, StringColumn* out) {
+  BinaryReader scan = *in;
+  size_t total = 0;
+  for (uint64_t r = 0; r < rows; ++r) {
+    uint64_t len;
+    std::string_view s;
+    if (!scan.ReadVarint(&len)) {
+      return Status::OutOfRange("truncated or overlong varint");
+    }
+    if (!scan.ReadSpan(len, &s)) {
+      return Status::OutOfRange("binary read past end of buffer");
+    }
+    total += s.size();
+  }
+  char* dst = out->BeginWrite(total, 0);
+  for (uint64_t r = 0; r < rows; ++r) {
+    uint64_t len = 0;
+    std::string_view s;
+    in->ReadVarint(&len);
+    in->ReadSpan(len, &s);
+    dst = out->WriteRow(dst, s);
+  }
+  return Status::OK();
+}
+
+}  // namespace
 
 void RecordBatch::SerializeTo(BinaryWriter* out) const {
   out->PutVarint(num_rows());
@@ -18,7 +52,7 @@ void RecordBatch::SerializeTo(BinaryWriter* out) const {
         out->PutRaw(col.f64().data(), col.f64().size() * sizeof(double));
         break;
       case PhysicalType::kString:
-        for (const auto& s : col.str()) out->PutString(s);
+        for (std::string_view s : col.str()) out->PutString(s);
         break;
     }
   }
@@ -71,14 +105,9 @@ Result<RecordBatch> RecordBatch::Deserialize(BinaryReader* in,
         HJ_RETURN_IF_ERROR(in->GetRaw(v.data(), num_rows * sizeof(double)));
         break;
       }
-      case PhysicalType::kString: {
-        auto& v = col.mutable_str();
-        for (uint64_t r = 0; r < num_rows; ++r) {
-          HJ_ASSIGN_OR_RETURN(std::string s, in->GetString());
-          v.push_back(std::move(s));
-        }
+      case PhysicalType::kString:
+        HJ_RETURN_IF_ERROR(ReadStrings(in, num_rows, &col.mutable_str()));
         break;
-      }
     }
     cols.push_back(std::move(col));
   }

@@ -5,6 +5,7 @@
 #ifndef HYBRIDJOIN_TYPES_RECORD_BATCH_H_
 #define HYBRIDJOIN_TYPES_RECORD_BATCH_H_
 
+#include <algorithm>
 #include <cstdint>
 #include <memory>
 #include <vector>
@@ -74,10 +75,24 @@ class RecordBatch {
   }
 
   /// New batch with only the columns at `indices`, in that order.
-  RecordBatch Project(const std::vector<size_t>& indices) const {
+  RecordBatch Project(const std::vector<size_t>& indices) const& {
     std::vector<ColumnVector> cols;
     cols.reserve(indices.size());
     for (size_t i : indices) cols.push_back(columns_[i]);
+    return RecordBatch(schema_->Project(indices), std::move(cols));
+  }
+  /// The same, moving the columns out of this batch instead of copying
+  /// them; a column listed twice is copied for all but its last use.
+  RecordBatch Project(const std::vector<size_t>& indices) && {
+    std::vector<ColumnVector> cols;
+    cols.reserve(indices.size());
+    for (auto it = indices.begin(); it != indices.end(); ++it) {
+      if (std::find(it + 1, indices.end(), *it) != indices.end()) {
+        cols.push_back(columns_[*it]);
+      } else {
+        cols.push_back(std::move(columns_[*it]));
+      }
+    }
     return RecordBatch(schema_->Project(indices), std::move(cols));
   }
 

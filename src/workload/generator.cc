@@ -203,7 +203,7 @@ Result<Workload> Workload::Generate(const WorkloadConfig& config,
                     static_cast<unsigned>(rng.Uniform(500)),
                     static_cast<unsigned>(rng.Uniform(20)),
                     static_cast<unsigned long long>(rng.Next() & 0xffffffff));
-      d1.emplace_back(buf);
+      d1.push_back(buf);
       d2.push_back(static_cast<int32_t>(rng.Uniform(1 << 20)));
       d3.push_back(static_cast<int32_t>(rng.Uniform(86400)));
     }
@@ -242,11 +242,11 @@ Result<Workload> Workload::Generate(const WorkloadConfig& config,
         std::snprintf(buf, sizeof(buf), "g%u/products/item%05u",
                       static_cast<unsigned>(rng.Uniform(config.num_groups)),
                       static_cast<unsigned>(rng.Uniform(100000)));
-        grp.emplace_back(buf);
+        grp.push_back(buf);
         std::snprintf(buf, sizeof(buf), "%08llx",
                       static_cast<unsigned long long>(rng.Next() &
                                                       0xffffffff));
-        dummy.emplace_back(buf);
+        dummy.push_back(buf);
       }
       w.l_.push_back(std::move(batch));
       remaining -= n;

@@ -385,7 +385,7 @@ inline Result<ColumnVector> DecodeColumnChunk(
         HJ_ASSIGN_OR_RETURN(std::vector<std::string> all,
                             DecodeFsstStrings(raw, chunk.num_rows));
         for (uint32_t i = 0; i < chunk.num_rows; ++i) {
-          if (selected(i)) v.push_back(std::move(all[i]));
+          if (selected(i)) v.push_back(all[i]);
         }
         return out;
       }
@@ -404,13 +404,13 @@ inline Result<ColumnVector> DecodeColumnChunk(
           if (code >= dict.size()) {
             return Status::IOError("columnar: dict code out of range");
           }
-          if (selected(i)) v.emplace_back(dict[code]);
+          if (selected(i)) v.push_back(dict[code]);
         }
       } else if (chunk.encoding == ColEncoding::kPlain) {
         for (uint32_t i = 0; i < chunk.num_rows; ++i) {
           HJ_ASSIGN_OR_RETURN(uint64_t len, r.GetVarint());
           HJ_ASSIGN_OR_RETURN(std::string_view s, r.GetView(len));
-          if (selected(i)) v.emplace_back(s);
+          if (selected(i)) v.push_back(s);
         }
       } else {
         return Status::IOError("columnar: bad string encoding");

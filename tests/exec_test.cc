@@ -43,7 +43,7 @@ TEST(JoinHashTableTest, FindsAllDuplicates) {
 
   std::multiset<std::string> matches;
   table.ForEachMatch(1, [&](uint32_t b, uint32_t r) {
-    matches.insert(table.batches()[b].column(1).str()[r]);
+    matches.emplace(table.batches()[b].column(1).str()[r]);
   });
   EXPECT_EQ(matches, (std::multiset<std::string>{"a", "c", "d"}));
   EXPECT_TRUE(table.Contains(3));

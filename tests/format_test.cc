@@ -415,7 +415,7 @@ TEST(RandomAccessEncodingTest, FsstRoundTripsEdgeCases) {
   const ColumnChunk escaped = EncodeFsstChunk(mixed, {});
   ASSERT_EQ(escaped.data.at(0), 0u);
   size_t bytes = 0;
-  for (const std::string& s : mixed.str()) bytes += s.size();
+  for (std::string_view s : mixed.str()) bytes += s.size();
   // Two code bytes per input byte: every one is an escape.
   EXPECT_EQ(escaped.data.size(), 1 + 1 + 4 + 2 * bytes +
                                      (600 * std::bit_width(2 * bytes) + 7) / 8);
@@ -425,7 +425,7 @@ TEST(RandomAccessEncodingTest, FsstRoundTripsEdgeCases) {
   ColumnVector empty(DataType::kString);
   ExpectRoundTrip(EncodeFsstChunk(empty, trained), empty);
   ColumnVector blanks(DataType::kString);
-  blanks.mutable_str().assign(40, "");
+  for (int i = 0; i < 40; ++i) blanks.mutable_str().push_back("");
   ExpectRoundTrip(EncodeFsstChunk(blanks, trained), blanks);
 }
 
@@ -776,7 +776,7 @@ std::vector<ColumnChunk> ChunkCorpus() {
     std::snprintf(buf, sizeof(buf), "g%u/products/item%05u",
                   static_cast<unsigned>(rng.Uniform(200)),
                   static_cast<unsigned>(rng.Uniform(100000)));
-    group.mutable_str().emplace_back(buf);
+    group.mutable_str().push_back(buf);
     few.mutable_str().push_back("store" + std::to_string(rng.Uniform(12)));
   }
   add(group, ColEncoding::kPlain);

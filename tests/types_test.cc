@@ -171,5 +171,131 @@ TEST(ColumnVectorTest, GetAndAppendValue) {
   EXPECT_EQ(i.ByteSize(), 4u);
 }
 
+// --------------------- String layout: wire and footprint -------------------
+
+/// Rows 0-4 of `s`: empty, 15 bytes, 16 bytes, 300 bytes and non-ASCII
+/// UTF-8 — the short-string-buffer edge and a two-byte varint length.
+RecordBatch GoldenBatch() {
+  auto schema =
+      Schema::Make({{"id", DataType::kInt32}, {"s", DataType::kString}});
+  std::string s300;
+  for (int i = 0; i < 300; ++i) s300.push_back(static_cast<char>('a' + i % 26));
+  const std::vector<std::string> strs = {
+      "", "fifteen-bytes!!", "sixteen-bytes!!!", s300,
+      "na\xc3\xafve \xe6\x97\xa5\xe6\x9c\xac"};
+  RecordBatch b(schema);
+  for (size_t i = 0; i < strs.size(); ++i) {
+    b.AppendRow({Value(static_cast<int32_t>(i)), Value(strs[i])});
+  }
+  return b;
+}
+
+std::string Hex(const std::vector<uint8_t>& bytes) {
+  static const char kDigits[] = "0123456789abcdef";
+  std::string out;
+  for (uint8_t b : bytes) {
+    out.push_back(kDigits[b >> 4]);
+    out.push_back(kDigits[b & 15]);
+  }
+  return out;
+}
+
+// The bytes the one-std::string-per-row layout put on the wire: a varint
+// row count and column count, then per column its type byte and rows (int32
+// little-endian; a string as a varint length plus its bytes).
+TEST(StringLayoutTest, WireBytesAreUnchanged) {
+  const RecordBatch b = GoldenBatch();
+  EXPECT_EQ(
+      Hex(b.Serialize()),
+      "050200000000000100000002000000030000000400000003000f666966746565"
+      "6e2d62797465732121107369787465656e2d6279746573212121ac0261626364"
+      "65666768696a6b6c6d6e6f707172737475767778797a6162636465666768696a"
+      "6b6c6d6e6f707172737475767778797a6162636465666768696a6b6c6d6e6f70"
+      "7172737475767778797a6162636465666768696a6b6c6d6e6f70717273747576"
+      "7778797a6162636465666768696a6b6c6d6e6f707172737475767778797a6162"
+      "636465666768696a6b6c6d6e6f707172737475767778797a6162636465666768"
+      "696a6b6c6d6e6f707172737475767778797a6162636465666768696a6b6c6d6e"
+      "6f707172737475767778797a6162636465666768696a6b6c6d6e6f7071727374"
+      "75767778797a6162636465666768696a6b6c6d6e6f707172737475767778797a"
+      "6162636465666768696a6b6c6d6e6f707172737475767778797a616263646566"
+      "6768696a6b6c6d6e0d6e61c3af766520e697a5e69cac");
+  auto decoded = RecordBatch::Deserialize(b.Serialize(), b.schema());
+  ASSERT_TRUE(decoded.ok()) << decoded.status();
+  EXPECT_EQ(decoded->column(1).str(), b.column(1).str());
+  EXPECT_EQ(decoded->column(1).str()[3].size(), 300u);
+}
+
+// Memory-governor charges and spill choices read ByteSize: a string row
+// still counts its bytes plus two.
+TEST(StringLayoutTest, ByteSizeIsBytesPlusTwoPerRow) {
+  const RecordBatch b = GoldenBatch();
+  size_t expected = 0;
+  for (std::string_view s : b.column(1).str()) expected += s.size() + 2;
+  EXPECT_EQ(expected, 354u);
+  EXPECT_EQ(b.column(1).ByteSize(), expected);
+  EXPECT_EQ(b.ByteSize(), 8 + 5 * 4 + expected);
+  EXPECT_EQ(ColumnVector(DataType::kString).ByteSize(), 0u);
+}
+
+TEST(StringLayoutTest, TruncationKeepsItsStatusCode) {
+  const RecordBatch b = GoldenBatch();
+  const std::vector<uint8_t> bytes = b.Serialize();
+  ASSERT_EQ(bytes[58], 0xac);  // the 300-byte row's two-byte length
+  // Cut inside that length, inside its bytes, and one byte short.
+  for (size_t cut : {size_t{59}, size_t{200}, bytes.size() - 1}) {
+    SCOPED_TRACE(cut);
+    const std::vector<uint8_t> truncated(bytes.begin(), bytes.begin() + cut);
+    auto decoded = RecordBatch::Deserialize(truncated, b.schema());
+    ASSERT_FALSE(decoded.ok());
+    EXPECT_EQ(decoded.status().code(), StatusCode::kOutOfRange);
+  }
+}
+
+TEST(StringLayoutTest, AppendsFromItsOwnColumn) {
+  // Growing the buffer moves it, so a self-append must not read through a
+  // view taken before the growth.
+  ColumnVector c(DataType::kString);
+  c.AppendValue(Value(std::string(40, 'x')));
+  c.AppendValue(Value(""));
+  for (int i = 0; i < 6; ++i) c.AppendFrom(c, 0);
+  const std::vector<uint32_t> rows = {0, 1, 7, 3};
+  c.GatherAppendFrom(c, rows.data(), rows.size());
+  ASSERT_EQ(c.size(), 12u);
+  for (size_t r : {0, 2, 7, 8, 11}) EXPECT_EQ(c.str()[r], std::string(40, 'x'));
+  EXPECT_EQ(c.str()[1], "");
+  EXPECT_EQ(c.str()[9], "");
+  EXPECT_EQ(c.str().bytes(), 10 * 40u);
+}
+
+TEST(StringLayoutTest, ClearKeepsTheColumnUsable) {
+  ColumnVector c(DataType::kString);
+  c.AppendValue(Value("abc"));
+  c.Clear();
+  EXPECT_EQ(c.size(), 0u);
+  EXPECT_EQ(c.ByteSize(), 0u);
+  c.AppendValue(Value("de"));
+  ASSERT_EQ(c.size(), 1u);
+  EXPECT_EQ(c.str()[0], "de");
+  EXPECT_EQ(c.ByteSize(), 4u);
+}
+
+TEST(RecordBatchTest, RvalueProjectMovesColumns) {
+  RecordBatch b = MakeBatch();
+  const RecordBatch copied = b.Project({2, 0, 2});
+  const void* bytes = b.column(2).str()[0].data();
+  RecordBatch moved = std::move(b).Project({2, 0, 2});
+  ASSERT_EQ(moved.num_columns(), 3u);
+  EXPECT_EQ(moved.schema()->ToString(), copied.schema()->ToString());
+  for (size_t c = 0; c < 3; ++c) {
+    EXPECT_EQ(moved.column(c).ByteSize(), copied.column(c).ByteSize());
+  }
+  EXPECT_EQ(moved.column(0).str(), copied.column(0).str());
+  EXPECT_EQ(moved.column(2).str(), copied.column(2).str());
+  EXPECT_EQ(moved.column(1).i32(), copied.column(1).i32());
+  // The last use of a column takes its buffer; an earlier one copies.
+  EXPECT_NE(moved.column(0).str()[0].data(), bytes);
+  EXPECT_EQ(moved.column(2).str()[0].data(), bytes);
+}
+
 }  // namespace
 }  // namespace hybridjoin
