@@ -1,6 +1,7 @@
 // Shared settings of the benches that run the paper's workload: the scaled
-// workload and cluster size, the throttled testbed configuration, and the
-// printed preamble and shape-check lines.
+// workload and cluster size, the throttled testbed configuration, the
+// printed preamble and shape-check lines, and the {"rows": [...]} writer
+// every BENCH_*.json goes through.
 //
 // Environment overrides:
 //   HJ_BENCH_TROWS / HJ_BENCH_LROWS / HJ_BENCH_KEYS   workload scale
@@ -13,9 +14,12 @@
 
 #include <cstdio>
 #include <cstdlib>
+#include <fstream>
 #include <string>
+#include <vector>
 
 #include "hybrid/warehouse.h"
+#include "obs/json.h"
 #include "workload/loader.h"
 
 namespace hybridjoin {
@@ -102,6 +106,24 @@ inline void PrintPreamble(const char* exhibit, const char* description,
 /// Records a qualitative shape check ("who wins") in the output.
 inline void ShapeCheck(const char* claim, bool holds) {
   std::printf("shape-check: %-58s %s\n", claim, holds ? "[OK]" : "[MISS]");
+}
+
+/// Writes `rows` as {"rows": [...]}, one row per line so a baseline diffs by
+/// row. Each row names itself with a "name" member, which perfcheck keys
+/// the array by. False when the file cannot be written.
+inline bool WriteRows(const std::string& path,
+                      const std::vector<obs::JsonValue>& rows) {
+  std::ofstream out(path);
+  out << "{\"rows\": [";
+  for (size_t i = 0; i < rows.size(); ++i) {
+    out << (i == 0 ? "\n" : ",\n") << rows[i].Dump();
+  }
+  if (!(out << "\n]}\n").flush()) {
+    std::fprintf(stderr, "cannot write %s\n", path.c_str());
+    return false;
+  }
+  std::printf("\nwrote %zu rows to %s\n", rows.size(), path.c_str());
+  return true;
 }
 
 }  // namespace bench

@@ -6,9 +6,11 @@
 // limit queueing and then being shed on deadline (never crashing), plus an
 // observability-overhead cell (16 streams plain vs with the full plane on;
 // overhead_pct gated by tools/perfcheck --max_overhead_pct). Writes
-// BENCH_concurrency.json (path overridable with --out=PATH) in the same
-// perfcheck-gateable shape as the fig-8 artifact: *_us and *_seconds leaves
-// are wall-family gated, queries_per_second is an ungated trend column.
+// BENCH_concurrency.json (path overridable with --out=PATH) as
+// {"rows": [...]}, the row shape of BENCH_paper.json: one row per stream
+// count ("streams=N"), an "admission" row and an "observability" row.
+// *_us and *_seconds leaves are wall-family gated by perfcheck,
+// queries_per_second is an ungated trend column.
 //
 // With >1 query in flight the substrate overlaps executions, so 4-stream
 // throughput above 1-stream throughput is the headline check (asserted
@@ -27,6 +29,7 @@
 #include <thread>
 #include <vector>
 
+#include "bench_common.h"
 #include "common/histogram.h"
 #include "common/stopwatch.h"
 #include "server/warehouse_server.h"
@@ -231,50 +234,41 @@ AdmissionResult RunAdmissionShed(HybridWarehouse* hw) {
   return r;
 }
 
-int WriteJson(const std::string& path,
-              const std::vector<StreamResult>& sweep,
-              const AdmissionResult& admission,
-              const OverheadResult& overhead) {
-  FILE* f = std::fopen(path.c_str(), "w");
-  if (f == nullptr) {
-    std::fprintf(stderr, "cannot open %s\n", path.c_str());
-    return 1;
+/// The sweep, the admission scenario and the overhead cell as rows of one
+/// {"rows": [...]} document.
+std::vector<obs::JsonValue> Rows(const std::vector<StreamResult>& sweep,
+                                 const AdmissionResult& admission,
+                                 const OverheadResult& overhead) {
+  using obs::JsonValue;
+  std::vector<JsonValue> rows;
+  for (const StreamResult& r : sweep) {
+    JsonValue& row = rows.emplace_back(JsonValue::Object());
+    row.Set("name", JsonValue::Str("streams=" + std::to_string(r.streams)));
+    row.Set("queries", JsonValue::Int(r.queries));
+    row.Set("wall_seconds", JsonValue::Number(r.wall_seconds));
+    row.Set("queries_per_second", JsonValue::Number(r.qps));
+    row.Set("p50_us", JsonValue::Int(r.p50_us));
+    row.Set("p99_us", JsonValue::Int(r.p99_us));
+    row.Set("queued", JsonValue::Int(r.queued));
+    row.Set("shed", JsonValue::Int(r.shed));
   }
-  std::fprintf(f, "{\n  \"concurrency\": {\n    \"sweep\": [\n");
-  for (size_t i = 0; i < sweep.size(); ++i) {
-    const StreamResult& r = sweep[i];
-    std::fprintf(
-        f,
-        "      {\"streams\": %u, \"queries\": %lld, "
-        "\"wall_seconds\": %.6f, \"queries_per_second\": %.2f, "
-        "\"p50_us\": %lld, \"p99_us\": %lld, \"queued\": %lld, "
-        "\"shed\": %lld}%s\n",
-        r.streams, static_cast<long long>(r.queries), r.wall_seconds, r.qps,
-        static_cast<long long>(r.p50_us), static_cast<long long>(r.p99_us),
-        static_cast<long long>(r.queued), static_cast<long long>(r.shed),
-        i + 1 < sweep.size() ? "," : "");
-  }
-  std::fprintf(f, "    ],\n");
-  std::fprintf(
-      f,
-      "    \"admission\": {\"limit\": %u, \"max_queued\": %zu, "
-      "\"offered\": %d, \"admitted\": %lld, \"queued_granted\": %lld, "
-      "\"shed\": %lld, \"errors_other\": %d},\n",
-      admission.limit, admission.max_queued, admission.offered,
-      static_cast<long long>(admission.admitted),
-      static_cast<long long>(admission.queued_granted),
-      static_cast<long long>(admission.shed), admission.errors_other);
-  std::fprintf(
-      f,
-      "    \"observability\": {\"streams\": %u, "
-      "\"wall_seconds_plain\": %.6f, \"wall_seconds_observed\": %.6f, "
-      "\"overhead_pct\": %.3f}\n",
-      overhead.streams, overhead.wall_seconds_plain,
-      overhead.wall_seconds_observed, overhead.overhead_pct);
-  std::fprintf(f, "  }\n}\n");
-  std::fclose(f);
-  std::printf("wrote %s\n", path.c_str());
-  return 0;
+  JsonValue& shed = rows.emplace_back(JsonValue::Object());
+  shed.Set("name", JsonValue::Str("admission"));
+  shed.Set("limit", JsonValue::Int(admission.limit));
+  shed.Set("max_queued", JsonValue::Int(admission.max_queued));
+  shed.Set("offered", JsonValue::Int(admission.offered));
+  shed.Set("admitted", JsonValue::Int(admission.admitted));
+  shed.Set("queued_granted", JsonValue::Int(admission.queued_granted));
+  shed.Set("shed", JsonValue::Int(admission.shed));
+  shed.Set("errors_other", JsonValue::Int(admission.errors_other));
+  JsonValue& obs = rows.emplace_back(JsonValue::Object());
+  obs.Set("name", JsonValue::Str("observability"));
+  obs.Set("streams", JsonValue::Int(overhead.streams));
+  obs.Set("wall_seconds_plain", JsonValue::Number(overhead.wall_seconds_plain));
+  obs.Set("wall_seconds_observed",
+          JsonValue::Number(overhead.wall_seconds_observed));
+  obs.Set("overhead_pct", JsonValue::Number(overhead.overhead_pct));
+  return rows;
 }
 
 int Run(const std::string& out_path) {
@@ -332,7 +326,7 @@ int Run(const std::string& out_path) {
       overhead.streams, overhead.wall_seconds_plain,
       overhead.wall_seconds_observed, overhead.overhead_pct);
 
-  return WriteJson(out_path, sweep, admission, overhead);
+  return bench::WriteRows(out_path, Rows(sweep, admission, overhead)) ? 0 : 1;
 }
 
 }  // namespace

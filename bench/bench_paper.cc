@@ -1,45 +1,55 @@
 // The paper's evaluation (§5) as one table: Table 1, Figures 8-15 and the
 // ablations that share their workload knobs (Bloom sizing, second-filter
-// kind, scaling). Each row of the table is one panel of one exhibit.
+// kind, scaling, memory-pressure spilling, skew-aware shuffle, adaptive
+// join location, intra-node threads). Each row of the table is one panel
+// of one exhibit.
 //
 //   bench_paper [--exhibit=NAME]... [--out=PATH]
 //
-// --exhibit (table1, fig8 ... fig15, bloom, semijoin, scaling) may repeat;
-// without it every exhibit runs. --out names the JSON file (default
-// BENCH_paper.json). Workload scale and repeats come from the
-// HJ_BENCH_* variables (bench_common.h).
+// --exhibit (table1, fig8 ... fig15, bloom, semijoin, scaling, spill, skew,
+// adaptive, parallelism) may repeat; without it every exhibit runs. --out
+// names the JSON file (default BENCH_paper.json). Workload scale and
+// repeats come from the HJ_BENCH_* variables (bench_common.h).
 //
-// A panel fixes an HDFS format and sigma_T; its cells are the cross product
-// of its sigma_L, S_T' and S_L' values. Every arm of the panel (an
-// algorithm, or an ablation variant of one) runs in every cell through one
+// A panel fixes an HDFS format and sigma_T, and may edit the workload shape
+// and the simulated cluster; its cells are the cross product of its
+// sigma_L, S_T' and S_L' values. Every arm of the panel (an algorithm, an
+// ablation variant of one, or ExecuteAuto) runs in every cell through one
 // runner, BenchCell::Run: a discarded warm-up run, then max(repeats, 2)
-// measured runs, of which the best is reported and every one is kept. In
-// every cell each arm's result rows must equal the first arm's byte for
-// byte. After a panel its shape checks ("who wins") are printed; they judge
-// each arm's median run, which one lucky or unlucky run cannot flip.
+// measured runs, of which the best is reported and every one is kept. Every
+// run's result rows must equal the cell's single-node RunReferenceJoin
+// result byte for byte, so the arms of a cell agree with each other too.
+// After a panel its checks are printed; they judge each arm's median run
+// (the faster of two), which one lucky or unlucky run cannot flip. Most are
+// shape claims ("who wins"); a blocking check is a bound that exits 1.
 //
 // The JSON has one row per (exhibit, panel, cell, arm), named
 // "exhibit/panel/cell/arm", with wall_seconds (the best run), runs_s and
-// the counters the panel prints. fig8 is traced: its rows also carry the
-// per-phase span summaries, and the profile of its last run is written to
-// PROFILE_fig8.json. A failed generate, load or query, or a result
-// mismatch, exits 1 and names the exhibit and cell.
+// the counters the panel prints (of the median run). fig8 is traced: its
+// rows also carry the per-phase span summaries, and the profile of its
+// last arm's median run is written to PROFILE_fig8.json. A failed
+// generate, load or query, a result mismatch or a failed blocking check
+// exits 1 and names the exhibit and cell.
 
 #include <algorithm>
+#include <chrono>
 #include <cinttypes>
-#include <fstream>
 #include <functional>
 #include <map>
 #include <memory>
+#include <numeric>
 #include <optional>
 #include <ranges>
 #include <set>
+#include <thread>
 #include <tuple>
 #include <vector>
 
 #include "bench_common.h"
+#include "exec/spill.h"
+#include "hybrid/advisor.h"
 #include "hybrid/algorithms.h"
-#include "obs/json.h"
+#include "hybrid/reference.h"
 #include "testing/differential.h"
 
 using namespace hybridjoin;
@@ -48,31 +58,51 @@ using obs::JsonValue;
 
 namespace {
 
-/// What runs in every cell of a panel: an algorithm, or an ablation
-/// variant of one.
+/// How one arm executes the cell's query on its warehouse.
+using RunFn =
+    std::function<Result<QueryResult>(HybridWarehouse*, const HybridQuery&)>;
+
+/// What runs in every cell of a panel: an algorithm, an ablation variant of
+/// one, or any other way to execute the query.
 struct Arm {
+  Arm(std::string label, RunFn run,
+      std::function<void(SimulationConfig*)> edit_sim = nullptr)
+      : label(std::move(label)), run(std::move(run)),
+        edit_sim(std::move(edit_sim)) {}
   Arm(std::string label, JoinAlgorithm algorithm,
       std::function<void(SimulationConfig*)> edit_sim = nullptr)
-      : label(std::move(label)), algorithm(algorithm),
-        edit_sim(std::move(edit_sim)) {}
+      : Arm(std::move(label),
+            [algorithm](HybridWarehouse* hw, const HybridQuery& query) {
+              return hw->Execute(query, algorithm);
+            },
+            std::move(edit_sim)) {}
 
   std::string label;  ///< printed, and the last part of the JSON row name
-  JoinAlgorithm algorithm;
+  RunFn run;
   std::function<void(SimulationConfig*)> edit_sim;  ///< config ablation
-  /// Driver ablation: runs the zigzag driver with these options.
-  std::optional<JoinDriverOptions> driver;
   bool cluster_l = false;  ///< L sorted on corPred before it is loaded
+  /// > 0: the query memory budget is this multiple of the cell's first
+  /// arm's join.mem_peak_bytes.
+  double budget_of_first_peak = 0;
 };
+
+double Median(std::vector<double> v) {
+  std::ranges::sort(v);
+  const size_t mid = v.size() / 2;
+  return v.size() % 2 == 1 ? v[mid] : (v[mid - 1] + v[mid]) / 2;
+}
 
 /// One arm measured in one cell.
 struct Measured {
   double best = 0;           ///< fastest measured run (s)
   double median = 0;         ///< median measured run (s)
   std::vector<double> runs;  ///< every measured run (s)
-  QueryResult last;          ///< rows and report of the last measured run
+  /// The run at the median wall (the faster of an even count's middle two).
+  QueryResult median_run;
+  uint64_t budget = 0;  ///< query memory budget it ran under (0: none)
 };
 
-/// A panel's measurements, with the accessors its shape checks use.
+/// A panel's measurements, with the accessors its checks use.
 struct PanelRuns {
   std::vector<std::vector<Measured>> cells;  ///< [cell][arm], table order
   /// The panels of its exhibit run so far, by id (checks across panels).
@@ -82,8 +112,25 @@ struct PanelRuns {
   double Wall(size_t cell, size_t arm) const {
     return cells[cell][arm].median;
   }
+  const ExecutionReport& Report(size_t cell, size_t arm) const {
+    return cells[cell][arm].median_run.report;
+  }
   int64_t Count(size_t cell, size_t arm, const char* metric) const {
-    return cells[cell][arm].last.report.Counter(metric);
+    return Report(cell, arm).Counter(metric);
+  }
+  /// The algorithm that executed (after any adaptive pivot).
+  JoinAlgorithm Ran(size_t cell, size_t arm) const {
+    return Report(cell, arm).algorithm;
+  }
+  /// Max over median wall of the JEN workers: the probe-side straggler.
+  double JenSkew(size_t cell, size_t arm) const {
+    std::vector<double> walls;
+    for (const auto& [node, us] : Report(cell, arm).profile.worker_wall_us) {
+      if (node.starts_with("hdfs:")) walls.push_back(us);
+    }
+    if (walls.empty()) return 0;
+    const double median = Median(walls);
+    return median > 0 ? std::ranges::max(walls) / median : 0;
   }
   size_t Last() const { return cells.size() - 1; }
   /// The lowest wall among arms [first, last] in one cell.
@@ -116,6 +163,7 @@ using Runs = const PanelRuns&;
 struct Check {
   const char* claim;
   std::function<bool(Runs)> holds;
+  bool blocking = false;  ///< a bound, not a shape: failing it exits 1
 };
 
 /// One row of the table.
@@ -131,6 +179,13 @@ struct Panel {
   std::vector<Check> checks = {};
   bool traced = false;
   uint32_t rows_per_block = 32 * 1024;  ///< HDFS block size of L
+  /// Shape edit applied after the HJ_BENCH_* scaling, so it can pin a shape.
+  std::function<void(WorkloadConfig*)> edit_workload = nullptr;
+  /// Cluster edit applied before each arm's own.
+  std::function<void(SimulationConfig*)> edit_sim = nullptr;
+  /// Idle time before every run, so each starts with full NIC token
+  /// buckets instead of the burst credit its predecessor left.
+  std::chrono::milliseconds pause{0};
 };
 
 /// Generated data loaded into a throttled warehouse, ready to run arms on.
@@ -179,29 +234,42 @@ class BenchCell {
     return cell;
   }
 
+  /// The single-node oracle every run of the cell must reproduce.
+  Result<RecordBatch> Reference() const {
+    return RunReferenceJoin({workload_->t_rows()}, workload_->l_batches(),
+                            workload_->MakeQuery());
+  }
+
   /// Warm-up run (discarded, paper methodology), then max(repeats, 2)
-  /// measured runs.
-  Result<Measured> Run(const Arm& arm, int repeats) {
+  /// measured runs, each `pause` after the last and each checked against
+  /// `reference`.
+  Result<Measured> Run(const Arm& arm, int repeats,
+                       std::chrono::milliseconds pause,
+                       const RecordBatch& reference) {
     const HybridQuery query = workload_->MakeQuery();
-    EngineContext* ctx = &warehouse_->context();
     auto once = [&]() -> Result<QueryResult> {
-      if (!arm.driver) return warehouse_->Execute(query, arm.algorithm);
-      HJ_ASSIGN_OR_RETURN(PreparedQuery prepared, PrepareQuery(ctx, query));
-      return RunRepartitionFamilyJoin(ctx, prepared, /*use_db_bloom=*/true,
-                                      /*zigzag=*/true, *arm.driver);
+      std::this_thread::sleep_for(pause);
+      HJ_ASSIGN_OR_RETURN(QueryResult result, arm.run(warehouse_.get(), query));
+      if (auto diff = testing_support::CompareBatches(reference, result.rows)) {
+        return Status::Internal(
+            "rows differ from the single-node reference: " + *diff);
+      }
+      return result;
     };
     HJ_RETURN_IF_ERROR(once().status());
     Measured m;
+    std::vector<QueryResult> results;
     for (int i = 0; i < std::max(repeats, 2); ++i) {
-      HJ_ASSIGN_OR_RETURN(m.last, once());
-      m.runs.push_back(m.last.report.wall_seconds);
+      HJ_ASSIGN_OR_RETURN(QueryResult result, once());
+      m.runs.push_back(result.report.wall_seconds);
+      results.push_back(std::move(result));
     }
-    std::vector<double> sorted = m.runs;
-    std::sort(sorted.begin(), sorted.end());
-    const size_t mid = sorted.size() / 2;
-    m.best = sorted.front();
-    m.median = sorted.size() % 2 == 1 ? sorted[mid]
-                                      : (sorted[mid - 1] + sorted[mid]) / 2;
+    std::vector<size_t> order(m.runs.size());
+    std::iota(order.begin(), order.end(), 0);
+    std::ranges::sort(order, {}, [&](size_t i) { return m.runs[i]; });
+    m.best = m.runs[order.front()];
+    m.median = Median(m.runs);
+    m.median_run = std::move(results[order[(order.size() - 1) / 2]]);
     return m;
   }
 
@@ -212,6 +280,7 @@ class BenchCell {
 
 JsonValue RowJson(const std::string& name, const Measured& m,
                   const Panel& panel) {
+  const ExecutionReport& report = m.median_run.report;
   JsonValue row = JsonValue::Object();
   row.Set("name", JsonValue::Str(name));
   row.Set("wall_seconds", JsonValue::Number(m.best));
@@ -219,11 +288,11 @@ JsonValue RowJson(const std::string& name, const Measured& m,
   for (double r : m.runs) runs.Append(JsonValue::Number(r));
   JsonValue& counters = row.Set("counters", JsonValue::Object());
   for (const char* c : panel.counters) {
-    counters.Set(c, JsonValue::Int(m.last.report.Counter(c)));
+    counters.Set(c, JsonValue::Int(report.Counter(c)));
   }
   if (!panel.traced) return row;
   JsonValue& phases = row.Set("phases", JsonValue::Array());
-  for (const auto& [phase, h] : m.last.report.histograms) {
+  for (const auto& [phase, h] : report.histograms) {
     phases.Append(obs::SummaryToJson(h)).Set("name", JsonValue::Str(phase));
   }
   return row;
@@ -231,8 +300,9 @@ JsonValue RowJson(const std::string& name, const Measured& m,
 
 /// Runs every cell of `panel`, printing one line per (cell, arm) and
 /// appending one JSON row each to `rows`.
-Status RunPanel(const BenchConfig& bench, const Panel& panel, PanelRuns* out,
+Status RunPanel(BenchConfig bench, const Panel& panel, PanelRuns* out,
                 std::vector<JsonValue>* rows) {
+  if (panel.edit_workload) panel.edit_workload(&bench.workload);
   std::printf("\n--- %s(%s): %s; %s, sigma_T=%g ---\n%8s %6s %6s  %-44s %9s",
               panel.exhibit, panel.id.c_str(), panel.title,
               HdfsFormatName(panel.format), panel.sigma_t, "sigma_L", "S_T'",
@@ -249,37 +319,46 @@ Status RunPanel(const BenchConfig& bench, const Panel& panel, PanelRuns* out,
           return Status::Internal(cell + (": " + what));
         };
         const SelectivitySpec spec{panel.sigma_t, sigma_l, st, sl};
+        std::optional<RecordBatch> reference;
         std::unique_ptr<BenchCell> shared;
         std::vector<Measured> measured;
         for (const Arm& arm : panel.arms) {
-          // Arms without a config edit or layout change share one cell.
+          uint64_t budget = 0;
+          if (arm.budget_of_first_peak > 0 && !measured.empty()) {
+            const int64_t peak = measured[0].median_run.report.Counter(
+                metric::kJoinMemPeakBytes);
+            budget = static_cast<uint64_t>(arm.budget_of_first_peak *
+                                           std::max<int64_t>(peak, 1));
+          }
+          // Arms without a config edit, layout change or budget share one
+          // cell; the others get a fresh warehouse each.
           std::unique_ptr<BenchCell> own;
           std::unique_ptr<BenchCell>& slot =
-              arm.edit_sim || arm.cluster_l ? own : shared;
+              arm.edit_sim || arm.cluster_l || budget > 0 ? own : shared;
           if (slot == nullptr) {
             SimulationConfig sim = MakeSimConfig(bench);
-            sim.trace.enabled = panel.traced;
+            if (panel.edit_sim) panel.edit_sim(&sim);
             if (arm.edit_sim) arm.edit_sim(&sim);
+            sim.trace.enabled = panel.traced;
+            sim.query_memory_budget_bytes = budget;
             auto created = BenchCell::Create(bench, sim, spec, panel.format,
                                              arm.cluster_l,
                                              panel.rows_per_block);
             if (!created.ok()) return fail(created.status().ToString());
             slot = std::move(*created);
           }
-          auto m = slot->Run(arm, bench.repeats);
-          if (!m.ok()) return fail(arm.label + ": " + m.status().ToString());
-          const auto diff = measured.empty()
-                                ? std::nullopt
-                                : testing_support::CompareBatches(
-                                      measured[0].last.rows, m->last.rows);
-          if (diff) {
-            return fail(arm.label + " rows differ from " +
-                        panel.arms[0].label + "'s: " + *diff);
+          if (!reference) {
+            auto ref = slot->Reference();
+            if (!ref.ok()) return fail("reference: " + ref.status().ToString());
+            reference = std::move(*ref);
           }
+          auto m = slot->Run(arm, bench.repeats, panel.pause, *reference);
+          if (!m.ok()) return fail(arm.label + ": " + m.status().ToString());
+          m->budget = budget;
           std::printf("%8g %6g %6g  %-44s %9.3f", sigma_l, st, sl,
                       arm.label.c_str(), m->best);
           for (const char* c : panel.counters) {
-            std::printf(" %24" PRId64, m->last.report.Counter(c));
+            std::printf(" %24" PRId64, m->median_run.report.Counter(c));
           }
           std::printf("\n");
           rows->push_back(RowJson(cell + ("/" + arm.label), *m, panel));
@@ -290,7 +369,7 @@ Status RunPanel(const BenchConfig& bench, const Panel& panel, PanelRuns* out,
     }
   }
   if (!panel.traced) return Status::OK();
-  return out->cells.back().back().last.report.profile.WriteJson(
+  return out->cells.back().back().median_run.report.profile.WriteJson(
       std::string("PROFILE_") + panel.exhibit + ".json");
 }
 
@@ -309,6 +388,29 @@ std::vector<Arm> Algorithms(std::initializer_list<JoinAlgorithm> algorithms) {
   std::vector<Arm> arms;
   for (JoinAlgorithm a : algorithms) arms.emplace_back(JoinAlgorithmName(a), a);
   return arms;
+}
+
+/// The zigzag driver with ablation options.
+RunFn ZigzagWith(JoinDriverOptions options) {
+  return [options](HybridWarehouse* hw,
+                   const HybridQuery& query) -> Result<QueryResult> {
+    HJ_ASSIGN_OR_RETURN(PreparedQuery prepared,
+                        PrepareQuery(&hw->context(), query));
+    return RunRepartitionFamilyJoin(&hw->context(), prepared,
+                                    /*use_db_bloom=*/true, /*zigzag=*/true,
+                                    options);
+  };
+}
+
+/// The engine's defaults: no simulated bandwidth limit anywhere. Keeps the
+/// worker counts, Bloom sizing and tracing the bench chose.
+void Unthrottle(SimulationConfig* sim) {
+  SimulationConfig plain;
+  plain.db.num_workers = sim->db.num_workers;
+  plain.jen_workers = sim->jen_workers;
+  plain.bloom = sim->bloom;
+  plain.trace = sim->trace;
+  *sim = plain;
 }
 
 std::vector<Panel> PaperTable(const BenchConfig& bench) {
@@ -522,11 +624,12 @@ std::vector<Panel> PaperTable(const BenchConfig& bench) {
   // The paper picks Bloom filters over the exact semijoin of related work
   // (§6): a fixed small filter with ~5% false positives against shipping
   // every T' key across the interconnect and back.
-  Arm semijoin("zigzag(exact semijoin)", kZz);
-  semijoin.driver.emplace().second_filter = SecondFilterKind::kExactSemijoin;
+  JoinDriverOptions exact;
+  exact.second_filter = SecondFilterKind::kExactSemijoin;
   t.push_back({"semijoin", "second_filter", "zigzag's second filter",
                kColumnar, 0.1, {0.4}, {0.5, 0.2, 0.05}, {0.1},
-               {Arm("zigzag", kZz), semijoin},
+               {Arm("zigzag", kZz),
+                Arm("zigzag(exact semijoin)", ZigzagWith(exact))},
                {kSent, "semijoin.key_bytes_sent"}});
   t.back().checks = {
       {"semijoin ships <= tuples than Bloom (no false positives)",
@@ -586,11 +689,11 @@ std::vector<Panel> PaperTable(const BenchConfig& bench) {
   // §4.4 builds on the shuffled L' so the build overlaps the scan on the
   // paper's 8-core nodes; where that overlap saves nothing the classic
   // build-on-the-smaller-side plan can win, so either may lead here.
-  Arm build_on_db("zigzag, build on T''", kZz);
-  build_on_db.driver.emplace().build_on_db_data = true;
+  JoinDriverOptions build_on_db;
+  build_on_db.build_on_db_data = true;
   scaling("build_side", "zigzag hash-build side", kColumnar,
           {Arm("zigzag, build on L' (paper)", kZz),
-           build_on_db},
+           Arm("zigzag, build on T''", ZigzagWith(build_on_db))},
           {"both build sides are within 2x (choice is regime-dependent)",
            [](Runs p) {
              return p.Wall(0, 0) <= p.Wall(0, 1) * 2.0 &&
@@ -605,6 +708,218 @@ std::vector<Panel> PaperTable(const BenchConfig& bench) {
                })},
           {"db-side join is interconnect-bound (10x switch helps)",
            [](Runs p) { return p.Wall(0, 1) < p.Wall(0, 0); }});
+
+  // Memory-governed joins (the paper's §4.4 future work): zigzag under a
+  // per-query MemoryGovernor budget from 8x down to 1/8x of the unlimited
+  // run's own join.mem_peak_bytes (an upper bound on the build side, so 8x
+  // never spills), on one slower spill disk per worker. Spilling, recursive
+  // repartitioning and the block-nested-loop fallback may change the spill
+  // traffic and the time, never the answer.
+  //
+  // The budget is a bound, not an estimate: a peak past it by more than
+  // kRunwayBytes exits 1. The join charges what it holds and spills
+  // rather than overshoot, so what passes the budget is state that cannot
+  // spill and that MemoryGovernor::Reserve admits over budget by design:
+  // exchange payloads in flight, morsel queue slots and aggregation groups.
+  // The last dominates here: 200 groups at 64 B (HashAggregator's per-group
+  // charge) in each of the 4 JEN partials, the final merge and DB worker
+  // 0's result is ~77 KiB when they coexist.
+  constexpr int64_t kRunwayBytes = 128 * 1024;
+  std::vector<Arm> budgets = {Arm("zigzag, unlimited", kZz)};
+  for (double x : {8.0, 4.0, 2.0, 1.0, 1.0 / 2, 1.0 / 4, 1.0 / 8}) {
+    char label[48];
+    std::snprintf(label, sizeof(label), "zigzag, budget %gx peak", x);
+    budgets.emplace_back(label, kZz).budget_of_first_peak = x;
+  }
+  t.push_back({"spill", "budget", "zigzag under a per-query memory budget",
+               kColumnar, 0.1, {0.4}, {0.5}, {0.5}, std::move(budgets),
+               {metric::kSpillBytesWritten, metric::kSpilledPartitions,
+                metric::kJoinRepartitionDepth, metric::kJoinMemPeakBytes}});
+  t.back().edit_sim = [](SimulationConfig* sim) {
+    sim->jen.spill_write_bps = sim->datanode.disk_read_bps / 4;
+    sim->jen.spill_read_bps = sim->datanode.disk_read_bps / 4;
+  };
+  constexpr size_t kTightest = 7;
+  t.back().checks = {
+      {"8x budget completes without spilling",
+       [](Runs p) {
+         return p.Count(0, 1, metric::kSpillBytesWritten) == 0 &&
+                p.Count(0, 1, metric::kSpilledPartitions) == 0;
+       }},
+      {"1/8x budget forces spilling",
+       [](Runs p) {
+         return p.Count(0, kTightest, metric::kSpillBytesWritten) > 0;
+       }},
+      {"full spilling costs time vs the loosest budget",
+       [](Runs p) { return p.Wall(0, kTightest) > p.Wall(0, 1); }},
+      {"every budgeted peak stays within budget + runway",
+       [](Runs p) {
+         bool bounded = true;
+         for (size_t a = 1; a < p.cells[0].size(); ++a) {
+           const int64_t peak = p.Count(0, a, metric::kJoinMemPeakBytes);
+           const auto budget = static_cast<int64_t>(p.cells[0][a].budget);
+           if (peak <= budget + kRunwayBytes) continue;
+           bounded = false;
+           std::fprintf(stderr, "arm %zu: peak %" PRId64 " B > budget %" PRId64
+                        " B + runway %" PRId64 " B\n",
+                        a, peak, budget, kRunwayBytes);
+         }
+         return bounded;
+       },
+       /*blocking=*/true}};
+
+  // Skew-aware shuffle: repartition(BF) under a Zipf key draw with the
+  // hybrid hot-key route off and on. Under skew the agreed hash sends every
+  // row of a hot key to one JEN worker, which straggles while the others
+  // idle; the route broadcasts hot build rows, keeps hot probe rows local
+  // and repartitions cold keys. Full key windows (S_T' = S_L' = 1) let the
+  // hot keys join wherever their hash lands.
+  for (double s : {0.0, 0.8, 1.0, 1.2}) {
+    char id[16];
+    std::snprintf(id, sizeof(id), "s=%g", s);
+    t.push_back({"skew", id, "hot-key route off vs on under Zipf skew",
+                 kColumnar, 0.5, {0.5}, {1.0}, {1.0},
+                 {Arm("repartition(BF), hot route off", kRepBf,
+                      [](SimulationConfig* sim) { sim->skew.enabled = false; }),
+                  Arm("repartition(BF), hot route on", kRepBf,
+                      [](SimulationConfig* sim) { sim->skew.enabled = true; })},
+                 {metric::kShuffleHotKeys, metric::kShuffleBroadcastBytes,
+                  metric::kShuffleHotRowsProbe}});
+    // A slim build side and a fat probe side: with Zipf on both tables the
+    // output grows as t_hot x l_hot, identically with the route on or off,
+    // and would drown the shuffle straggler; only the probe side, which
+    // the route rebalances, needs scale.
+    t.back().edit_workload = [s](WorkloadConfig* w) {
+      w->zipf_s = s;
+      w->t_rows = std::min<uint64_t>(w->t_rows, 1024);
+      w->l_rows = std::min<uint64_t>(w->l_rows, 96 * 1024);
+      w->num_join_keys = std::min<uint64_t>(w->num_join_keys, 2048);
+    };
+    // A wide JEN fleet makes the fair share small, which is when the
+    // straggler hurts most. A fast DB NIC keeps the paper's under-provisioned
+    // ingest from masking the JEN shuffle, and throttled JEN NICs make the
+    // hot key's receiver the bottleneck.
+    t.back().edit_sim = [](SimulationConfig* sim) {
+      sim->jen_workers = std::max<uint32_t>(sim->jen_workers, 8);
+      sim->net.db_nic_bps = 12 * 1024 * 1024;
+      sim->net.hdfs_nic_bps = 512 * 1024;
+    };
+    // Small blocks, so every JEN worker holds a slice of the probe table
+    // and the kept hot rows do not become a CPU straggler on two workers.
+    t.back().rows_per_block = 2 * 1024;
+  }
+  t[t.size() - 4].checks = {
+      {"uniform workload picks no hot keys",
+       [](Runs p) {
+         return p.Count(0, 1, metric::kShuffleHotKeys) == 0 &&
+                p.Count(0, 1, metric::kShuffleBroadcastBytes) == 0;
+       }},
+      {"uniform wall regression stays within noise (<= 15%)",
+       [](Runs p) { return p.Wall(0, 1) <= p.Wall(0, 0) * 1.15; }}};
+  t.back().checks = {
+      {"s=1.2 engages the hot route",
+       [](Runs p) { return p.Count(0, 1, metric::kShuffleHotKeys) > 0; }},
+      {"s=1.2 hybrid wins >= 1.5x wall",
+       [](Runs p) { return p.Wall(0, 1) * 1.5 <= p.Wall(0, 0); }},
+      {"s=1.2 hybrid flattens the worker-wall skew",
+       [](Runs p) { return p.JenSkew(0, 1) < p.JenSkew(0, 0); }}};
+
+  // Adaptive join location (hybrid/adaptive_join.cc): can the mid-query
+  // decision point recover from a misleading estimate, and what does it
+  // cost when the estimate was fine? In the misleading panel T is stored
+  // sorted on corPred, so the estimator's one sampled batch sees no
+  // qualifying row and the advisor picks broadcast for a "tiny" T'; the
+  // throttled switch makes broadcasting the real T' (20% of T) expensive.
+  // The accurate panel stores T in random order. The shape is pinned, not
+  // scaled: the sampled batch landing in the non-qualifying region is a
+  // property of exactly this shape.
+  const RunFn advisor_pick = [](HybridWarehouse* hw, const HybridQuery& query)
+      -> Result<QueryResult> {
+    HJ_ASSIGN_OR_RETURN(QueryEstimates est,
+                        EstimateQuery(&hw->context(), query));
+    return hw->Execute(query, AdviseAlgorithm(hw->context(), est).algorithm);
+  };
+  const RunFn adaptive = [](HybridWarehouse* hw, const HybridQuery& query) {
+    return hw->ExecuteAuto(query);
+  };
+  for (const bool misleading : {true, false}) {
+    std::vector<Arm> arms = {Arm("advisor's pick, static", advisor_pick),
+                             Arm("ExecuteAuto (adaptive)", adaptive)};
+    if (misleading) arms.emplace_back("zigzag (oracle)", kZz);
+    t.push_back({"adaptive", misleading ? "misleading" : "accurate",
+                 misleading ? "T clustered on corPred misleads the estimate"
+                            : "T in random order: an accurate estimate",
+                 kColumnar, 0.2, {0.1}, {0.5}, {0.5}, std::move(arms),
+                 {metric::kAdvisorEstimatedDbBytes,
+                  metric::kAdvisorObservedDbBytes, metric::kAdvisorPivoted}});
+    // 16 stored batches per DB worker, with the qualifying 20% clustered
+    // into the first ~3 when misleading.
+    t.back().edit_workload = [misleading](WorkloadConfig* w) {
+      w->num_join_keys = 2048;
+      w->t_rows = 64 * 1024;
+      w->l_rows = 192 * 1024;
+      w->batch_rows = 16 * 1024;
+      w->cluster_t_by_pred = misleading;
+    };
+    // The cost asymmetry on an otherwise unthrottled cluster: a slow switch
+    // makes the broadcast mispick pay for the real T', and a modest JEN NIC
+    // keeps the estimated zigzag shuffle above the scan, so the misled
+    // advisor prefers broadcast in the first place.
+    t.back().edit_sim = [](SimulationConfig* sim) {
+      Unthrottle(sim);
+      sim->db.num_workers = 2;
+      sim->jen_workers = 3;
+      sim->db.batch_rows = 4096;
+      sim->exec_threads = 1;
+      sim->net.hdfs_nic_bps = 2 * 1024 * 1024;
+      sim->net.cross_switch_bps = 512 * 1024;
+    };
+    t.back().rows_per_block = 64 * 1024;
+    // The NIC buckets accrue burst credit while idle (full again after
+    // <= 125 ms at these rates). A run whose network phases interleave with
+    // CPU phases, as the decision point's do, would otherwise ride credit
+    // that a back-to-back static run had drained: once a nonsensical
+    // "negative overhead" for the adaptive layer.
+    t.back().pause = std::chrono::milliseconds(150);
+  }
+  t[t.size() - 2].checks = {
+      {"clustered layout misleads the estimator (est T' = 0)",
+       [](Runs p) {
+         return p.Count(0, 1, metric::kAdvisorEstimatedDbBytes) == 0 &&
+                p.Count(0, 1, metric::kAdvisorObservedDbBytes) > 0;
+       }},
+      {"misled advisor picks broadcast",
+       [](Runs p) { return p.Ran(0, 0) == kBcast; }},
+      {"decision point pivots off the mispick",
+       [](Runs p) {
+         return p.Count(0, 1, metric::kAdvisorPivoted) > 0 &&
+                p.Ran(0, 1) == p.Ran(0, 2) && p.Ran(0, 1) != p.Ran(0, 0);
+       }},
+      {"adaptive recovers >= 50% of the mispick-vs-oracle gap", [](Runs p) {
+         const double gap = p.Wall(0, 0) - p.Wall(0, 2);
+         return gap > 0 && (p.Wall(0, 0) - p.Wall(0, 1)) / gap >= 0.5;
+       }}};
+  t.back().checks = {
+      {"accurate stats stay on the initial pick",
+       [](Runs p) {
+         return p.Count(0, 1, metric::kAdvisorPivoted) == 0 &&
+                p.Ran(0, 1) == p.Ran(0, 0);
+       }},
+      {"accurate-stats overhead <= 5%",
+       [](Runs p) { return p.Wall(0, 1) <= p.Wall(0, 0) * 1.05; }}};
+
+  // Intra-node morsel parallelism on Table 1's cell with no simulated
+  // bandwidth limit, so CPU is what the threads share.
+  std::vector<Arm> threads;
+  for (uint32_t n : {1u, 2u, 4u, 8u}) {
+    threads.emplace_back(
+        "zigzag, exec_threads=" + std::to_string(n), kZz,
+        [n](SimulationConfig* sim) { sim->exec_threads = n; });
+  }
+  t.push_back({"parallelism", "exec_threads",
+               "intra-node threads on an unthrottled cluster", kColumnar, 0.1,
+               {0.4}, {0.2}, {0.1}, std::move(threads), {kShuffled, kSent}});
+  t.back().edit_sim = Unthrottle;
   return t;
 }
 
@@ -635,6 +950,7 @@ int main(int argc, char** argv) {
   PrintPreamble("Paper exhibits", "Table 1, Figures 8-15 and ablations",
                 bench);
   std::vector<JsonValue> rows;
+  std::vector<std::string> failed;  // blocking checks that failed
   // [exhibit][panel id]
   std::map<std::string, std::map<std::string, PanelRuns>> runs;
   for (const Panel& panel : table) {
@@ -646,19 +962,17 @@ int main(int argc, char** argv) {
       return 1;
     }
     for (const Check& check : panel.checks) {
-      ShapeCheck(check.claim, check.holds(panel_runs));
+      const bool holds = check.holds(panel_runs);
+      ShapeCheck(check.claim, holds);
+      if (!holds && check.blocking) {
+        failed.push_back(std::string(panel.exhibit) + "/" + panel.id + ": " +
+                         check.claim);
+      }
     }
   }
-  // {"rows": [...]} with one row per line, so a baseline diffs by row.
-  std::ofstream out(out_path);
-  out << "{\"rows\": [";
-  for (size_t i = 0; i < rows.size(); ++i) {
-    out << (i == 0 ? "\n" : ",\n") << rows[i].Dump();
+  if (!WriteRows(out_path, rows)) return 1;
+  for (const std::string& f : failed) {
+    std::fprintf(stderr, "bench_paper: blocking check failed: %s\n", f.c_str());
   }
-  if (!(out << "\n]}\n").flush()) {
-    std::fprintf(stderr, "bench_paper: cannot write %s\n", out_path.c_str());
-    return 1;
-  }
-  std::printf("\nwrote %zu rows to %s\n", rows.size(), out_path.c_str());
-  return 0;
+  return failed.empty() ? 0 : 1;
 }

@@ -3,10 +3,12 @@
 // flags regressions on the wall-time / bytes-moved / skew metric families.
 //
 // The comparison is schema-agnostic: both documents are flattened to
-// dotted-path -> number maps (arrays of objects are keyed by their "name" /
-// "algorithm" / "subfigure" member when present, by position otherwise), so
-// one tool gates every report shape the repo emits. Two leaves on one path
-// are an error rather than one silently replacing the other.
+// dotted-path -> number maps (arrays of objects are keyed by their "name"
+// member when present, by position otherwise), so one tool gates every
+// report shape the repo emits. Two leaves on one path are an error rather
+// than one silently replacing the other. A bench row that keeps every
+// measured run in runs_s has its wall_seconds judged on the median run of
+// each document instead of on the best.
 // tools/perfcheck.cc is the CLI; CI runs it non-blocking against the
 // committed baselines.
 
@@ -25,7 +27,8 @@ namespace obs {
 
 struct PerfcheckOptions {
   /// Max allowed wall-time increase, percent of baseline ("wall" /
-  /// "*_seconds" / "*_us" leaves).
+  /// "*_seconds" / "*_us" leaves; the median of runs_s for a row's
+  /// wall_seconds).
   double max_wall_pct = 20.0;
   /// Max allowed increase on byte-counter leaves ("*bytes*"), percent.
   double max_bytes_pct = 25.0;

@@ -261,7 +261,7 @@ TEST(AdaptiveOverheadTest, AccurateStatsStayAndOverheadIsBounded) {
   ASSERT_TRUE(fixed.ok());
   // Wall-clock bound is deliberately loose (2x) to stay robust on loaded CI
   // machines; the tight (<5%) overhead claim is the benchmark exhibit's
-  // (bench/bench_ablation_adaptive.cc), measured over repetitions.
+  // (bench_paper --exhibit=adaptive), judged on the median of repeated runs.
   EXPECT_LT(adaptive->report.wall_seconds,
             2.0 * fixed->report.wall_seconds + 0.25);
 }

@@ -524,15 +524,15 @@ TEST(PerfcheckTest, FlattenKeysArraysByNameMember) {
   EXPECT_DOUBLE_EQ(flat->at("plain.1"), 20.0);
 }
 
-// Two cells keyed only by panel flatten onto one path; the second must not
+// Two rows with one name flatten onto one path; the second must not
 // silently replace the first, or a regression in the first is never gated.
 TEST(PerfcheckTest, DuplicatePathIsAnError) {
   const JsonValue doc = MustParse(
-      R"({"cells": [{"subfigure": "a", "wall_seconds": 1.0},
-                    {"subfigure": "a", "wall_seconds": 2.0}]})");
+      R"({"rows": [{"name": "fig8/a", "wall_seconds": 1.0},
+                   {"name": "fig8/a", "wall_seconds": 2.0}]})");
   const auto flat = FlattenNumericLeaves(doc);
   ASSERT_FALSE(flat.ok());
-  EXPECT_NE(flat.status().message().find("cells.a.wall_seconds"),
+  EXPECT_NE(flat.status().message().find("rows.fig8/a.wall_seconds"),
             std::string::npos);
   const JsonValue unique = MustParse(R"({"wall_seconds": 1.0})");
   EXPECT_FALSE(ComparePerf(doc, unique, {}).ok());
@@ -549,6 +549,33 @@ TEST(PerfcheckTest, FlagsWallRegressionPastThreshold) {
   ASSERT_EQ(r.regressions.size(), 1u);
   EXPECT_EQ(r.regressions[0].family, "wall");
   EXPECT_EQ(r.regressions[0].path, "wall_seconds");
+}
+
+// A row that keeps its runs is judged on their median: one run that got
+// slower, or one lucky baseline run, does not flag it.
+TEST(PerfcheckTest, RowWallIsJudgedOnTheMedianRun) {
+  const JsonValue base = MustParse(
+      R"({"rows": [{"name": "r", "wall_seconds": 0.8,
+                    "runs_s": [0.8, 1.0, 1.0]}]})");
+  const JsonValue cur = MustParse(
+      R"({"rows": [{"name": "r", "wall_seconds": 1.0,
+                    "runs_s": [1.0, 1.05, 1.3]}]})");
+  // The best run moved +25%, the median +5%.
+  EXPECT_TRUE(ComparePerf(base, cur, {})->regressions.empty());
+}
+
+TEST(PerfcheckTest, RowWhoseEveryRunDoubledIsFlagged) {
+  const JsonValue base = MustParse(
+      R"({"rows": [{"name": "r", "wall_seconds": 1.0,
+                    "runs_s": [1.0, 1.2]}]})");
+  const JsonValue cur = MustParse(
+      R"({"rows": [{"name": "r", "wall_seconds": 2.0,
+                    "runs_s": [2.0, 2.4]}]})");
+  const PerfcheckResult r = *ComparePerf(base, cur, {});
+  ASSERT_EQ(r.regressions.size(), 1u);
+  EXPECT_EQ(r.regressions[0].path, "rows.r.wall_seconds");
+  EXPECT_DOUBLE_EQ(r.regressions[0].baseline, 1.1);  // the medians
+  EXPECT_DOUBLE_EQ(r.regressions[0].current, 2.2);
 }
 
 TEST(PerfcheckTest, TinyBaselinesAreNoiseNotRegressions) {
