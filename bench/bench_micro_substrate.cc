@@ -149,11 +149,11 @@ struct PaperLBlock {
   RecordBatch rows;
   StoredBlock block;
   PredicatePtr predicate;
-  // The scan's split: corPred and indPred for the local predicate, joinKey
-  // for the Bloom filter, decoded for every row; predAfterJoin and
-  // groupByExtractCol only for the rows the predicate keeps.
-  std::vector<size_t> filter_columns = {0, 1, 2};
-  std::vector<size_t> late_columns = {3, 4};
+  // The scan's split: both conjuncts (corPred, indPred) run on the encoded
+  // chunks and leave no residual, so the projection (joinKey, predAfterJoin,
+  // groupByExtractCol) is decoded only at the rows they keep.
+  PushdownSplit split;
+  std::vector<size_t> projection = {0, 3, 4};
 
   static const PaperLBlock& Get() {
     static const PaperLBlock* block = [] {
@@ -172,28 +172,26 @@ struct PaperLBlock {
       b->block.columnar = std::make_shared<const ColumnarBlock>(
           EncodeColumnarBlock(b->rows, ColumnarWriteOptions{}));
       b->predicate = workload->MakeQuery().hdfs.predicate;
+      b->split = SplitPushdown(b->predicate, b->rows.schema());
+      HJ_CHECK(b->split.residual == nullptr);
       return b;
     }();
     return *block;
   }
 
-  RowFilter Filter() const {
-    return [this](const RecordBatch& batch, std::vector<uint32_t>* sel) {
-      return predicate->Filter(batch, sel);
-    };
-  }
+  std::vector<ScanStage> Stages() const { return {{projection, nullptr}}; }
 };
 
 // The JEN scan kernel on paper L: the block decoded with the scan's
-// filter/late split.
+// pushed conjuncts and stages.
 void BM_DecodeBlockFilteredPaperL(benchmark::State& state) {
   const PaperLBlock& l = PaperLBlock::Get();
-  const RowFilter filter = l.Filter();
+  const std::vector<ScanStage> stages = l.Stages();
   std::vector<uint32_t> sel;
   size_t survivors = 0;
   for (auto _ : state) {
-    auto out = DecodeBlockFiltered(l.block, l.rows.schema(), l.filter_columns,
-                                   l.late_columns, filter, &sel);
+    auto out = DecodeBlockFiltered(l.block, l.rows.schema(), l.split.pushed,
+                                   stages, &sel);
     survivors = out.ok() ? out->num_rows() : 0;
     benchmark::DoNotOptimize(out);
   }
@@ -503,36 +501,37 @@ KernelResult CompareHtProbeMaterialize() {
 KernelResult CompareScanDecodePaperL() {
   // The JEN scan's decode of one paper-L block, 200 times over: eagerly
   // (every scanned column decoded for every row, then the predicate, then
-  // a gather) against late materialization (DecodeBlockFiltered: the
-  // filter columns for every row, the late ones at the survivors only).
+  // a gather of the projection) against DecodeBlockFiltered (the pushed
+  // conjuncts on the encoded chunks, then the projection at their
+  // survivors only).
   constexpr int kBlocks = 200;
   const PaperLBlock& l = PaperLBlock::Get();
   const SchemaPtr& schema = l.rows.schema();
-  std::vector<size_t> scanned = l.filter_columns;
-  scanned.insert(scanned.end(), l.late_columns.begin(), l.late_columns.end());
-  const RowFilter filter = l.Filter();
+  const std::vector<size_t> scanned = {0, 1, 2, 3, 4};
+  const std::vector<ScanStage> stages = l.Stages();
   std::vector<uint32_t> sel;
-  size_t base_rows = 0;
+  RecordBatch base_out;
   const double base = BestSeconds(3, [&] {
     for (int i = 0; i < kBlocks; ++i) {
       RecordBatch batch =
           DecodeColumnarBlock(*l.block.columnar, schema, scanned).value();
       sel.resize(batch.num_rows());
       std::iota(sel.begin(), sel.end(), 0u);
-      HJ_CHECK(filter(batch, &sel).ok());
-      base_rows = batch.Gather(sel).num_rows();
+      HJ_CHECK(l.predicate->Filter(batch, &sel).ok());
+      base_out = batch.Project(l.projection).Gather(sel);
     }
   });
-  size_t cand_rows = 0;
+  RecordBatch cand_out;
   const double cand = BestSeconds(3, [&] {
     for (int i = 0; i < kBlocks; ++i) {
-      cand_rows = DecodeBlockFiltered(l.block, schema, l.filter_columns,
-                                      l.late_columns, filter, &sel)
-                      .value()
-                      .num_rows();
+      cand_out =
+          DecodeBlockFiltered(l.block, schema, l.split.pushed, stages, &sel)
+              .value();
     }
   });
-  HJ_CHECK_EQ(base_rows, cand_rows);  // both keep the same survivors
+  // Both keep the same survivors, byte for byte.
+  HJ_CHECK_EQ(base_out.num_rows(), cand_out.num_rows());
+  HJ_CHECK(base_out.Serialize() == cand_out.Serialize());
   const size_t rows = size_t{kBlocks} * PaperLBlock::kRows;
   return {"scan_decode_paper_l", rows, rows / base / 1e6, rows / cand / 1e6};
 }

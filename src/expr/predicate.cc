@@ -1,7 +1,9 @@
 #include "expr/predicate.h"
 
 #include <algorithm>
+#include <functional>
 #include <limits>
+#include <string_view>
 
 namespace hybridjoin {
 
@@ -63,23 +65,38 @@ Result<Value> DeserializeValue(BinaryReader* in) {
   return Status::IOError("bad literal tag in predicate");
 }
 
-template <typename T, typename U>
-bool ApplyCmp(CmpOp op, const T& a, const U& b) {
+/// Narrows `sel` to the rows r with `value(r) <op> literal`: one
+/// branch-free loop per op.
+template <typename ValueAt, typename Lit>
+void NarrowCmp(CmpOp op, ValueAt&& value, const Lit& literal,
+               std::vector<uint32_t>* sel) {
+  auto narrow = [&](auto cmp) {
+    NarrowSelection(sel, [&](uint32_t r) { return cmp(value(r), literal); });
+  };
   switch (op) {
     case CmpOp::kEq:
-      return a == b;
+      return narrow(std::equal_to<>());
     case CmpOp::kNe:
-      return a != b;
+      return narrow(std::not_equal_to<>());
     case CmpOp::kLt:
-      return a < b;
+      return narrow(std::less<>());
     case CmpOp::kLe:
-      return a <= b;
+      return narrow(std::less_equal<>());
     case CmpOp::kGt:
-      return a > b;
+      return narrow(std::greater<>());
     case CmpOp::kGe:
-      return a >= b;
+      return narrow(std::greater_equal<>());
   }
-  return false;
+}
+
+template <typename T>
+void NarrowInts(const std::vector<T>& data, CmpOp op, int64_t literal,
+                std::vector<uint32_t>* sel) {
+  using U = std::make_unsigned_t<T>;
+  const IntCmpTest<T> test = IntCmpTest<T>::Make(op, literal);
+  const T* values = data.data();
+  NarrowSelection(sel,
+                  [&](uint32_t r) { return test(static_cast<U>(values[r])); });
 }
 
 class TruePredicate final : public Predicate {
@@ -104,66 +121,38 @@ class CmpPredicate final : public Predicate {
                 std::vector<uint32_t>* sel) const override {
     HJ_ASSIGN_OR_RETURN(size_t col, batch.schema()->IndexOf(column_));
     const ColumnVector& cv = batch.column(col);
-    size_t out = 0;
     switch (cv.physical_type()) {
-      case PhysicalType::kInt32: {
-        if (!literal_.is_int32() && !literal_.is_int64()) {
-          return Status::InvalidArgument("non-integer literal vs int32 col '" +
-                                         column_ + "'");
-        }
-        const int64_t lit = literal_.AsInt64Lenient();
-        const auto& data = cv.i32();
-        for (uint32_t r : *sel) {
-          if (ApplyCmp<int64_t, int64_t>(op_, data[r], lit)) {
-            (*sel)[out++] = r;
-          }
-        }
-        break;
-      }
+      case PhysicalType::kInt32:
       case PhysicalType::kInt64: {
         if (!literal_.is_int32() && !literal_.is_int64()) {
-          return Status::InvalidArgument("non-integer literal vs int64 col '" +
-                                         column_ + "'");
+          return Status::InvalidArgument(
+              std::string("non-integer literal vs ") +
+              (cv.physical_type() == PhysicalType::kInt32 ? "int32" : "int64") +
+              " col '" + column_ + "'");
         }
-        const int64_t lit = literal_.AsInt64Lenient();
-        const auto& data = cv.i64();
-        for (uint32_t r : *sel) {
-          if (ApplyCmp<int64_t, int64_t>(op_, data[r], lit)) {
-            (*sel)[out++] = r;
-          }
-        }
-        break;
+        return NarrowIntColumn(cv, op_, literal_.AsInt64Lenient(), sel);
       }
       case PhysicalType::kFloat64: {
         if (!literal_.is_float64()) {
           return Status::InvalidArgument("non-double literal vs float64 col '" +
                                          column_ + "'");
         }
-        const double lit = literal_.as_float64();
-        const auto& data = cv.f64();
-        for (uint32_t r : *sel) {
-          if (ApplyCmp<double, double>(op_, data[r], lit)) {
-            (*sel)[out++] = r;
-          }
-        }
-        break;
+        const double* data = cv.f64().data();
+        NarrowCmp(op_, [data](uint32_t r) { return data[r]; },
+                  literal_.as_float64(), sel);
+        return Status::OK();
       }
       case PhysicalType::kString: {
         if (!literal_.is_string()) {
           return Status::InvalidArgument("non-string literal vs string col '" +
                                          column_ + "'");
         }
-        const std::string_view lit = literal_.as_string();
         const StringColumn& data = cv.str();
-        for (uint32_t r : *sel) {
-          if (ApplyCmp(op_, data[r], lit)) {
-            (*sel)[out++] = r;
-          }
-        }
-        break;
+        NarrowCmp(op_, [&data](uint32_t r) { return data[r]; },
+                  std::string_view(literal_.as_string()), sel);
+        return Status::OK();
       }
     }
-    sel->resize(out);
     return Status::OK();
   }
 
@@ -215,13 +204,8 @@ class StrPrefixPredicate final : public Predicate {
                                      column_ + "'");
     }
     const StringColumn& data = cv.str();
-    size_t out = 0;
-    for (uint32_t r : *sel) {
-      if (data[r].starts_with(prefix_)) {
-        (*sel)[out++] = r;
-      }
-    }
-    sel->resize(out);
+    NarrowSelection(sel,
+                    [&](uint32_t r) { return data[r].starts_with(prefix_); });
     return Status::OK();
   }
 
@@ -260,15 +244,13 @@ class DiffRangePredicate final : public Predicate {
         cb.physical_type() != PhysicalType::kInt32) {
       return Status::InvalidArgument("DiffRange requires int32 columns");
     }
-    const auto& da = ca.i32();
-    const auto& db = cb.i32();
-    size_t out = 0;
-    for (uint32_t r : *sel) {
+    const int32_t* da = ca.i32().data();
+    const int32_t* db = cb.i32().data();
+    NarrowSelection(sel, [&](uint32_t r) {
       const int64_t diff =
           static_cast<int64_t>(da[r]) - static_cast<int64_t>(db[r]);
-      if (diff >= lo_ && diff <= hi_) (*sel)[out++] = r;
-    }
-    sel->resize(out);
+      return diff >= lo_ && diff <= hi_;
+    });
     return Status::OK();
   }
 
@@ -437,6 +419,49 @@ int64_t SatNeg(int64_t v) {
 }
 
 }  // namespace
+
+Status NarrowIntColumn(const ColumnVector& column, CmpOp op, int64_t literal,
+                       std::vector<uint32_t>* sel) {
+  switch (column.physical_type()) {
+    case PhysicalType::kInt32:
+      NarrowInts(column.i32(), op, literal, sel);
+      return Status::OK();
+    case PhysicalType::kInt64:
+      NarrowInts(column.i64(), op, literal, sel);
+      return Status::OK();
+    default:
+      return Status::InvalidArgument("integer comparison on a " +
+                                     std::string(DataTypeName(column.type())) +
+                                     " column");
+  }
+}
+
+PushdownSplit SplitPushdown(const PredicatePtr& predicate,
+                            const SchemaPtr& schema) {
+  PushdownSplit split;
+  if (predicate == nullptr) return split;
+  std::vector<PredicatePtr> conjuncts;
+  FlattenConjuncts(predicate, &conjuncts);
+  const RecordBatch empty(schema);
+  std::vector<PredicatePtr> rest;
+  for (const PredicatePtr& p : conjuncts) {
+    if (!p->FilterAll(empty).ok()) return {{}, predicate};
+    // An integer literal passed the check above only against an integer
+    // column.
+    const auto* cmp = dynamic_cast<const CmpPredicate*>(p.get());
+    if (cmp != nullptr && cmp->IsConjunctiveIntCmps()) {
+      cmp->CollectConjunctiveIntCmps(&split.pushed);
+    } else if (dynamic_cast<const TruePredicate*>(p.get()) == nullptr) {
+      rest.push_back(p);
+    }
+  }
+  if (rest.size() == 1) {
+    split.residual = rest.front();
+  } else if (rest.size() > 1) {
+    split.residual = And(std::move(rest));
+  }
+  return split;
+}
 
 std::optional<JoinBand> ExtractJoinBand(const PredicatePtr& predicate,
                                         const SchemaPtr& joined,

@@ -16,9 +16,13 @@
 #ifndef HYBRIDJOIN_EXPR_PREDICATE_H_
 #define HYBRIDJOIN_EXPR_PREDICATE_H_
 
+#include <algorithm>
+#include <cstdint>
+#include <limits>
 #include <memory>
 #include <optional>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "common/binary_io.h"
@@ -98,6 +102,127 @@ class Predicate {
     return Deserialize(&r);
   }
 };
+
+// ---------------------------------------------------------------------------
+// Filter kernels, shared with the columnar scan (hdfs/format.cc).
+// ---------------------------------------------------------------------------
+
+/// Keeps the rows r of `sel` with keep(r), in order. Every row is written
+/// and the output position advances only past kept ones, so the loop does
+/// not branch on the outcome.
+template <typename Keep>
+void NarrowSelection(std::vector<uint32_t>* sel, Keep&& keep) {
+  uint32_t* rows = sel->data();
+  size_t out = 0;
+  for (size_t i = 0, n = sel->size(); i < n; ++i) {
+    const uint32_t r = rows[i];
+    rows[out] = r;
+    out += keep(r) ? 1 : 0;
+  }
+  sel->resize(out);
+}
+
+/// `v <op> literal` over the values v of integer type T as one range test
+/// in T's unsigned twin U: v passes when (U(v) - lo <= span) != negate,
+/// modulo 2^bits. The op is data, so a filter loop has no branch on it.
+template <typename T>
+struct IntCmpTest {
+  using U = std::make_unsigned_t<T>;
+  U lo = 0;
+  U span = std::numeric_limits<U>::max();
+  bool negate = false;
+
+  /// The test for `op literal`, with `literal` outside T clamped exactly.
+  static IntCmpTest Make(CmpOp op, int64_t literal) {
+    constexpr int64_t kMin = std::numeric_limits<T>::min();
+    constexpr int64_t kMax = std::numeric_limits<T>::max();
+    // The passing values are [lo, hi] within T, or none of T (`none`);
+    // kNe negates kEq.
+    int64_t lo = kMin, hi = kMax;
+    bool none = false;
+    IntCmpTest test;
+    switch (op) {
+      case CmpOp::kNe:
+        test.negate = true;
+        [[fallthrough]];
+      case CmpOp::kEq:
+        none = literal < kMin || literal > kMax;
+        lo = hi = literal;
+        break;
+      case CmpOp::kLt:
+        none = literal <= kMin;
+        if (!none) hi = std::min(literal - 1, kMax);
+        break;
+      case CmpOp::kLe:
+        none = literal < kMin;
+        hi = std::min(literal, kMax);
+        break;
+      case CmpOp::kGt:
+        none = literal >= kMax;
+        if (!none) lo = std::max(literal + 1, kMin);
+        break;
+      case CmpOp::kGe:
+        none = literal > kMax;
+        lo = std::max(literal, kMin);
+        break;
+    }
+    if (none) {
+      // The full range, negated: nothing passes (everything, for kNe).
+      test.negate = !test.negate;
+      return test;
+    }
+    test.lo = static_cast<U>(static_cast<T>(lo));
+    test.span = static_cast<U>(static_cast<U>(static_cast<T>(hi)) - test.lo);
+    return test;
+  }
+
+  bool operator()(U v) const {
+    return (static_cast<U>(v - lo) <= span) != negate;
+  }
+
+  /// The same test on v + base (mod 2^bits): a kFor chunk's packed deltas
+  /// are compared against literal - base.
+  IntCmpTest Rebased(U base) const {
+    IntCmpTest test = *this;
+    test.lo = static_cast<U>(lo - base);
+    return test;
+  }
+
+  /// Whether every value in [0, max] passes, none does, or it depends on
+  /// the value. The values in the range are the cyclic interval
+  /// [lo, lo + span].
+  enum class Outcome { kNone, kSome, kAll };
+  Outcome Decide(U max) const {
+    const U from_zero = static_cast<U>(U{0} - lo);  // where 0 sits in it
+    const bool all_in = span >= max && from_zero <= span - max;
+    const bool none_in = lo > max && span < from_zero;
+    if (all_in) return negate ? Outcome::kNone : Outcome::kAll;
+    if (none_in) return negate ? Outcome::kAll : Outcome::kNone;
+    return Outcome::kSome;
+  }
+};
+
+/// Narrows `sel` to the rows of `column` whose value passes `op literal`
+/// (IntCmpTest). InvalidArgument unless the column is integer-physical.
+Status NarrowIntColumn(const ColumnVector& column, CmpOp op, int64_t literal,
+                       std::vector<uint32_t>* sel);
+
+/// A scan predicate split for columnar evaluation. `pushed` holds its
+/// top-level conjuncts (nested ANDs flattened) of the form `column <op>
+/// integer literal` over an integer-physical column; `residual` is the AND
+/// of the other conjuncts, null when there is none. A row passes the
+/// predicate exactly when it passes every pushed conjunct and the residual.
+struct PushdownSplit {
+  std::vector<ConjunctiveIntCmp> pushed;
+  PredicatePtr residual;
+};
+
+/// Splits `predicate` (null: nothing to split) over the columns of
+/// `schema`. When a conjunct fails on `schema` (a missing column or a type
+/// error), nothing is pushed and the whole predicate is the residual, so
+/// it reports the error exactly as unsplit.
+PushdownSplit SplitPushdown(const PredicatePtr& predicate,
+                            const SchemaPtr& schema);
 
 // ---------------------------------------------------------------------------
 // Constructors (factory functions keep call sites compact).

@@ -394,16 +394,50 @@ void AppendPacked(size_t n, uint32_t width, ValueFn value,
 class PackedReader {
  public:
   PackedReader(const uint8_t* data, size_t size, uint32_t width)
-      : data_(data),
-        size_(size),
+      : data_(width == 0 ? kZeros : data),
+        size_(width == 0 ? sizeof(kZeros) : size),
         width_(width),
-        mask_(width == 64 ? ~uint64_t{0} : (uint64_t{1} << width) - 1) {}
+        mask_(width == 64 ? ~uint64_t{0} : (uint64_t{1} << width) - 1),
+        // Width 0 reads every row at bit 0 of eight zero bytes; a width
+        // past 56 can need a ninth byte, so it takes the slow path.
+        fast_rows_(width == 0 ? UINT64_MAX
+                   : width <= 56 && size >= 8
+                       ? ((size - 8) * 8 + 7) / width + 1
+                       : 0) {}
 
+  /// Row i's value. The rows whose eight bytes from their first are inside
+  /// the buffer, all but the last few, take one inline load.
   uint64_t operator[](uint64_t i) const {
+    if (i < fast_rows_) [[likely]] {
+      const uint64_t bit = i * width_;
+      uint64_t word;  // little-endian host, as for the plain encodings
+      std::memcpy(&word, data_ + (bit >> 3), 8);
+      return (word >> (bit & 7)) & mask_;
+    }
+    return Tail(i);
+  }
+
+  /// Calls fn(row, value) for rows [0, n) in order.
+  template <typename Fn>
+  void ForEach(uint64_t n, Fn&& fn) const {
+    uint64_t row = 0;
+    const uint64_t fast = std::min(n, fast_rows_);
+    for (uint64_t bit = 0; row < fast; ++row, bit += width_) {
+      uint64_t word;
+      std::memcpy(&word, data_ + (bit >> 3), 8);
+      fn(row, (word >> (bit & 7)) & mask_);
+    }
+    for (; row < n; ++row) fn(row, Tail(row));
+  }
+
+ private:
+  static constexpr uint8_t kZeros[8] = {};
+
+  [[gnu::noinline]] uint64_t Tail(uint64_t i) const {
     const uint64_t bit = i * width_;
     const size_t byte = static_cast<size_t>(bit >> 3);
     const unsigned shift = bit & 7;
-    uint64_t word = 0;  // little-endian host, as for the plain encodings
+    uint64_t word = 0;
     if (byte + 8 <= size_) {
       std::memcpy(&word, data_ + byte, 8);
     } else if (byte < size_) {
@@ -416,29 +450,11 @@ class PackedReader {
     return v & mask_;
   }
 
-  /// Calls fn(row, value) for rows [0, n) in order: the rows whose eight
-  /// bytes from their first are inside the buffer in one branch-free loop,
-  /// the last few through operator[].
-  template <typename Fn>
-  void ForEach(uint64_t n, Fn&& fn) const {
-    uint64_t row = 0;
-    if (width_ > 0 && width_ <= 56 && size_ >= 8) {
-      const uint64_t fast =
-          std::min<uint64_t>(n, ((size_ - 8) * 8 + 7) / width_ + 1);
-      for (uint64_t bit = 0; row < fast; ++row, bit += width_) {
-        uint64_t word;
-        std::memcpy(&word, data_ + (bit >> 3), 8);
-        fn(row, (word >> (bit & 7)) & mask_);
-      }
-    }
-    for (; row < n; ++row) fn(row, (*this)[row]);
-  }
-
- private:
   const uint8_t* data_;
   size_t size_;
   uint32_t width_;
   uint64_t mask_;
+  uint64_t fast_rows_;
 };
 
 /// Checks that a packed run is exactly PackedBytes(n, width) bytes and that
@@ -494,26 +510,50 @@ std::vector<uint8_t> EncodeFor(const std::vector<T>& v) {
   return out;
 }
 
+/// A kFor chunk's header and packed deltas, read in place.
+template <typename T>
+struct ForView {
+  std::make_unsigned_t<T> base = 0;
+  uint32_t width = 0;
+  const uint8_t* packed = nullptr;
+  size_t size = 0;
+
+  PackedReader Deltas() const { return PackedReader(packed, size, width); }
+  /// The largest delta the width can hold: base + MaxDelta() bounds the
+  /// chunk's values.
+  std::make_unsigned_t<T> MaxDelta() const {
+    return static_cast<std::make_unsigned_t<T>>(
+        width == 64 ? ~uint64_t{0} : (uint64_t{1} << width) - 1);
+  }
+};
+
+/// Parses and fully validates a kFor chunk of `num_rows` rows: the header,
+/// the exact payload size and the padding bits.
+template <typename T>
+Status ParseFor(std::string_view raw, uint32_t num_rows, ForView<T>* v) {
+  using U = std::make_unsigned_t<T>;
+  if (raw.size() < sizeof(U) + 1) {
+    return Status::IOError("columnar: truncated FOR header");
+  }
+  std::memcpy(&v->base, raw.data(), sizeof(U));
+  v->width = static_cast<uint8_t>(raw[sizeof(U)]);
+  if (v->width > 8 * sizeof(U)) {
+    return Status::IOError("columnar: FOR bit width exceeds the column type");
+  }
+  v->packed = reinterpret_cast<const uint8_t*>(raw.data()) + sizeof(U) + 1;
+  v->size = raw.size() - sizeof(U) - 1;
+  return CheckPacked(v->size, v->packed, num_rows, v->width, "FOR");
+}
+
 /// Decodes a kFor chunk: every row, or only the rows of `sel`.
 template <typename T>
 Status DecodeFor(std::string_view raw, uint32_t num_rows,
                  const std::vector<uint32_t>* sel, std::vector<T>* out) {
   using U = std::make_unsigned_t<T>;
-  if (raw.size() < sizeof(U) + 1) {
-    return Status::IOError("columnar: truncated FOR header");
-  }
-  U base;
-  std::memcpy(&base, raw.data(), sizeof(U));
-  const uint32_t width = static_cast<uint8_t>(raw[sizeof(U)]);
-  if (width > 8 * sizeof(U)) {
-    return Status::IOError("columnar: FOR bit width exceeds the column type");
-  }
-  const auto* packed = reinterpret_cast<const uint8_t*>(raw.data()) +
-                       sizeof(U) + 1;
-  const size_t size = raw.size() - sizeof(U) - 1;
-  HJ_RETURN_IF_ERROR(CheckPacked(size, packed, num_rows, width, "FOR"));
-  const PackedReader deltas(packed, size, width);
-  auto value = [base](uint64_t delta) {
+  ForView<T> v;
+  HJ_RETURN_IF_ERROR(ParseFor(raw, num_rows, &v));
+  const PackedReader deltas = v.Deltas();
+  auto value = [base = v.base](uint64_t delta) {
     return static_cast<T>(static_cast<U>(base + static_cast<U>(delta)));
   };
   if (sel == nullptr) {
@@ -524,7 +564,8 @@ Status DecodeFor(std::string_view raw, uint32_t num_rows,
   } else {
     out->resize(sel->size());
     T* dst = out->data();
-    for (size_t k = 0; k < sel->size(); ++k) dst[k] = value(deltas[(*sel)[k]]);
+    const uint32_t* rows = sel->data();
+    for (size_t k = 0; k < sel->size(); ++k) dst[k] = value(deltas[rows[k]]);
   }
   return Status::OK();
 }
@@ -1050,6 +1091,125 @@ bool FsstFits(const StringColumn& strings) {
   return 2 * uint64_t{strings.bytes()} <= UINT32_MAX;
 }
 
+/// The chunk's encoded bytes: in place when uncompressed, else
+/// decompressed into `buffer`.
+Result<std::string_view> ChunkBytes(const ColumnChunk& chunk,
+                                    std::vector<uint8_t>* buffer) {
+  if (chunk.codec == Codec::kNone) {
+    return std::string_view(reinterpret_cast<const char*>(chunk.data.data()),
+                            chunk.data.size());
+  }
+  HJ_ASSIGN_OR_RETURN(
+      *buffer, Decompress(chunk.codec, chunk.data.data(), chunk.data.size()));
+  return std::string_view(reinterpret_cast<const char*>(buffer->data()),
+                          buffer->size());
+}
+
+/// Narrows `sel` (ascending rows of `raw`, an integer chunk of T) to the
+/// rows that pass `test`, in the chunk's encoding, and validates the whole
+/// chunk as DecodeColumnChunk does whatever survives.
+template <typename T>
+Status NarrowChunkAs(ColEncoding encoding, std::string_view raw,
+                     uint32_t num_rows, const IntCmpTest<T>& test,
+                     std::vector<uint32_t>* sel) {
+  using U = std::make_unsigned_t<T>;
+  switch (encoding) {
+    case ColEncoding::kFor: {
+      ForView<T> v;
+      HJ_RETURN_IF_ERROR(ParseFor(raw, num_rows, &v));
+      const IntCmpTest<T> on_deltas = test.Rebased(v.base);
+      switch (on_deltas.Decide(v.MaxDelta())) {
+        case IntCmpTest<T>::Outcome::kAll:
+          return Status::OK();
+        case IntCmpTest<T>::Outcome::kNone:
+          sel->clear();
+          return Status::OK();
+        case IntCmpTest<T>::Outcome::kSome:
+          break;
+      }
+      const PackedReader deltas = v.Deltas();
+      if (sel->size() == num_rows) {
+        // Every row is selected: unpack in order.
+        uint32_t* rows = sel->data();
+        size_t out = 0;
+        deltas.ForEach(num_rows, [&](uint64_t row, uint64_t d) {
+          rows[out] = static_cast<uint32_t>(row);
+          out += on_deltas(static_cast<U>(d)) ? 1 : 0;
+        });
+        sel->resize(out);
+      } else {
+        NarrowSelection(sel, [&](uint32_t r) {
+          return on_deltas(static_cast<U>(deltas[r]));
+        });
+      }
+      return Status::OK();
+    }
+    case ColEncoding::kPlain: {
+      if (raw.size() != size_t{num_rows} * sizeof(T)) {
+        return Status::IOError("columnar: bad plain chunk size");
+      }
+      const char* values = raw.data();
+      NarrowSelection(sel, [&](uint32_t r) {
+        T v;
+        std::memcpy(&v, values + size_t{r} * sizeof(T), sizeof(T));
+        return test(static_cast<U>(v));
+      });
+      return Status::OK();
+    }
+    case ColEncoding::kRle: {
+      // Each run is tested once; the selected rows inside it keep or drop
+      // together.
+      uint32_t* rows = sel->data();
+      const size_t n = sel->size();
+      size_t at = 0, out = 0;
+      BinaryReader r(raw.data(), raw.size());
+      for (size_t filled = 0; filled < num_rows;) {
+        uint64_t count;
+        int64_t value;
+        if (!r.ReadVarint(&count) || !r.ReadSignedVarint(&value)) {
+          return Status::IOError("columnar: truncated RLE run");
+        }
+        if (count == 0 || count > num_rows - filled) {
+          return Status::IOError("columnar: bad RLE run");
+        }
+        filled += count;
+        const size_t keep = test(static_cast<U>(static_cast<T>(value))) ? 1 : 0;
+        for (; at < n && rows[at] < filled; ++at) {
+          rows[out] = rows[at];
+          out += keep;
+        }
+      }
+      if (!r.AtEnd()) return Status::IOError("columnar: RLE trailing bytes");
+      sel->resize(out);
+      return Status::OK();
+    }
+    default:
+      return Status::IOError("columnar: bad integer encoding");
+  }
+}
+
+/// Narrows `sel` to the rows of `chunk`, an integer column of `type`, whose
+/// value passes `cmp`; see NarrowChunkAs.
+Status NarrowChunk(const ColumnChunk& chunk, DataType type,
+                   const ConjunctiveIntCmp& cmp, std::vector<uint32_t>* sel) {
+  if (PhysicalTypeOf(type) != PhysicalTypeOf(chunk.type)) {
+    return Status::Internal("columnar: chunk type mismatch");
+  }
+  std::vector<uint8_t> buffer;
+  HJ_ASSIGN_OR_RETURN(std::string_view raw, ChunkBytes(chunk, &buffer));
+  switch (PhysicalTypeOf(type)) {
+    case PhysicalType::kInt32:
+      return NarrowChunkAs(chunk.encoding, raw, chunk.num_rows,
+                           IntCmpTest<int32_t>::Make(cmp.op, cmp.literal), sel);
+    case PhysicalType::kInt64:
+      return NarrowChunkAs(chunk.encoding, raw, chunk.num_rows,
+                           IntCmpTest<int64_t>::Make(cmp.op, cmp.literal), sel);
+    default:
+      return Status::InvalidArgument("pushed conjunct on non-integer column '" +
+                                     cmp.column + "'");
+  }
+}
+
 }  // namespace
 
 std::vector<std::string> TrainFsstTable(const StringColumn& strings) {
@@ -1228,18 +1388,8 @@ Result<ColumnVector> DecodeColumnChunk(const ColumnChunk& chunk,
     return Status::InvalidArgument(
         "columnar: selection must be ascending rows of the chunk");
   }
-  // An uncompressed chunk is read in place; only a compressed one needs a
-  // buffer to decompress into.
-  std::string_view raw(reinterpret_cast<const char*>(chunk.data.data()),
-                       chunk.data.size());
   std::vector<uint8_t> decompressed;
-  if (chunk.codec != Codec::kNone) {
-    HJ_ASSIGN_OR_RETURN(
-        decompressed,
-        Decompress(chunk.codec, chunk.data.data(), chunk.data.size()));
-    raw = std::string_view(reinterpret_cast<const char*>(decompressed.data()),
-                           decompressed.size());
-  }
+  HJ_ASSIGN_OR_RETURN(std::string_view raw, ChunkBytes(chunk, &decompressed));
 
   ColumnVector out(type);
   // Random-access chunks build only the selected rows.
@@ -1397,32 +1547,50 @@ Result<RecordBatch> DecodeColumnarBlock(
 // Filtering scan
 // ---------------------------------------------------------------------------
 
-Result<RecordBatch> DecodeBlockFiltered(const StoredBlock& block,
-                                        const SchemaPtr& schema,
-                                        const std::vector<size_t>& filter_columns,
-                                        const std::vector<size_t>& late_columns,
-                                        const RowFilter& filter,
-                                        std::vector<uint32_t>* sel) {
-  std::vector<size_t> all = filter_columns;
-  all.insert(all.end(), late_columns.begin(), late_columns.end());
+Result<RecordBatch> DecodeBlockFiltered(
+    const StoredBlock& block, const SchemaPtr& schema,
+    const std::vector<ConjunctiveIntCmp>& pushed,
+    const std::vector<ScanStage>& stages, std::vector<uint32_t>* sel) {
+  // The stages' columns, in order, then the pushed conjuncts' that no stage
+  // lists: every chunk the scan reads.
+  std::vector<size_t> listed;
+  for (const ScanStage& stage : stages) {
+    listed.insert(listed.end(), stage.columns.begin(), stage.columns.end());
+  }
+  const size_t output_width = listed.size();
+  std::vector<size_t> pushed_at;  // each conjunct's position in `listed`
+  for (const ConjunctiveIntCmp& cmp : pushed) {
+    HJ_ASSIGN_OR_RETURN(size_t idx, schema->IndexOf(cmp.column));
+    auto it = std::find(listed.begin(), listed.end(), idx);
+    if (it == listed.end()) it = listed.insert(listed.end(), idx);
+    pushed_at.push_back(static_cast<size_t>(it - listed.begin()));
+  }
 
   if (block.format == HdfsFormat::kText) {
-    // Text has no per-column layout: one parse decodes every column, so the
-    // late step is only a gather.
+    // Text has no per-column layout: one parse decodes every listed column
+    // and the filters narrow the parsed rows.
     HJ_ASSIGN_OR_RETURN(
         RecordBatch batch,
-        DecodeText(block.text->data(), block.text->size(), schema, all));
+        DecodeText(block.text->data(), block.text->size(), schema, listed));
     sel->resize(batch.num_rows());
     std::iota(sel->begin(), sel->end(), 0u);
-    HJ_RETURN_IF_ERROR(filter(batch, sel));
-    return batch.Gather(*sel);
+    for (size_t i = 0; i < pushed.size(); ++i) {
+      HJ_RETURN_IF_ERROR(NarrowIntColumn(batch.column(pushed_at[i]),
+                                         pushed[i].op, pushed[i].literal, sel));
+    }
+    for (const ScanStage& stage : stages) {
+      if (stage.filter) HJ_RETURN_IF_ERROR(stage.filter(batch, sel));
+    }
+    std::vector<size_t> output(output_width);
+    std::iota(output.begin(), output.end(), size_t{0});
+    return std::move(batch).Project(output).Gather(*sel);
   }
 
   const ColumnarBlock& columnar = *block.columnar;
   if (columnar.chunks.size() != schema->num_fields()) {
     return Status::Internal("columnar: chunk count != schema fields");
   }
-  for (size_t idx : all) {
+  for (size_t idx : listed) {
     if (idx >= columnar.chunks.size()) {
       return Status::InvalidArgument("projection index out of range");
     }
@@ -1430,33 +1598,46 @@ Result<RecordBatch> DecodeBlockFiltered(const StoredBlock& block,
       return Status::IOError("columnar: chunk row count != block row count");
     }
   }
-  std::vector<ColumnVector> early;
-  early.reserve(filter_columns.size());
-  for (size_t idx : filter_columns) {
-    HJ_ASSIGN_OR_RETURN(
-        ColumnVector col,
-        DecodeColumnChunk(columnar.chunks[idx], schema->field(idx).type));
-    early.push_back(std::move(col));
-  }
-  RecordBatch early_batch(schema->Project(filter_columns), std::move(early));
   sel->resize(columnar.num_rows);
   std::iota(sel->begin(), sel->end(), 0u);
-  HJ_RETURN_IF_ERROR(filter(early_batch, sel));
+  for (size_t i = 0; i < pushed.size(); ++i) {
+    const size_t idx = listed[pushed_at[i]];
+    HJ_RETURN_IF_ERROR(NarrowChunk(columnar.chunks[idx],
+                                   schema->field(idx).type, pushed[i], sel));
+  }
 
-  // Late columns: every chunk is still decompressed and validated, but only
-  // the surviving rows are built.
+  // Each stage's columns are built at the rows kept so far; a filter's
+  // survivors are positions into them, so every column read so far is
+  // gathered down to those.
   std::vector<ColumnVector> cols;
-  cols.reserve(all.size());
-  for (size_t c = 0; c < early_batch.num_columns(); ++c) {
-    cols.push_back(early_batch.column(c).Gather(*sel));
+  cols.reserve(output_width);
+  std::vector<uint32_t> kept;
+  size_t read = 0;
+  for (const ScanStage& stage : stages) {
+    for (size_t idx : stage.columns) {
+      HJ_ASSIGN_OR_RETURN(ColumnVector col,
+                          DecodeColumnChunk(columnar.chunks[idx],
+                                            schema->field(idx).type, sel));
+      cols.push_back(std::move(col));
+    }
+    read += stage.columns.size();
+    if (!stage.filter) continue;
+    const std::vector<size_t> so_far(listed.begin(), listed.begin() + read);
+    RecordBatch batch(schema->Project(so_far), std::move(cols));
+    kept.resize(sel->size());
+    std::iota(kept.begin(), kept.end(), 0u);
+    HJ_RETURN_IF_ERROR(stage.filter(batch, &kept));
+    cols.clear();
+    for (size_t c = 0; c < batch.num_columns(); ++c) {
+      cols.push_back(std::move(batch.mutable_column(c)));
+    }
+    if (kept.size() == sel->size()) continue;  // every row passed
+    for (ColumnVector& col : cols) col = col.Gather(kept);
+    for (size_t k = 0; k < kept.size(); ++k) (*sel)[k] = (*sel)[kept[k]];
+    sel->resize(kept.size());
   }
-  for (size_t idx : late_columns) {
-    HJ_ASSIGN_OR_RETURN(ColumnVector col,
-                        DecodeColumnChunk(columnar.chunks[idx],
-                                          schema->field(idx).type, sel));
-    cols.push_back(std::move(col));
-  }
-  return RecordBatch(schema->Project(all), std::move(cols));
+  listed.resize(output_width);
+  return RecordBatch(schema->Project(listed), std::move(cols));
 }
 
 }  // namespace hybridjoin

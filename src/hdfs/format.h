@@ -10,7 +10,9 @@
 //                encodings, an LZ byte codec, min/max stats for chunk
 //                skipping, and projection pushdown (only requested chunks
 //                are read). kFor and kFsst are random-access by row, so a
-//                late-materializing scan reads them at its survivors only.
+//                late-materializing scan reads them at its survivors only,
+//                and a scan's integer conjuncts run on the chunks as
+//                stored (DecodeBlockFiltered).
 
 #ifndef HYBRIDJOIN_HDFS_FORMAT_H_
 #define HYBRIDJOIN_HDFS_FORMAT_H_
@@ -23,6 +25,7 @@
 
 #include "common/compress.h"
 #include "common/result.h"
+#include "expr/predicate.h"
 #include "types/record_batch.h"
 
 namespace hybridjoin {
@@ -187,24 +190,45 @@ struct StoredBlock {
 // Filtering scan
 // ---------------------------------------------------------------------------
 
-/// Narrows `sel` (on entry, every row of `batch`) to the rows a scan keeps.
-/// Must keep `sel` ascending.
+/// Narrows `sel`, the rows still selected as ascending indexes into
+/// `batch`, to the rows a scan keeps. Must keep `sel` ascending.
 using RowFilter =
     std::function<Status(const RecordBatch& batch, std::vector<uint32_t>* sel)>;
 
-/// Decodes one stored block for a filtering scan, late-materialized: the
-/// `filter_columns` are decoded for every row and passed to `filter`, then
-/// the `late_columns` are built only for the rows left in `sel`. Returns
-/// those rows with schema `schema->Project(filter_columns ++ late_columns)`.
-/// A columnar block decompresses and validates every listed chunk even when
-/// no row survives; a text block is parsed once, so its late step is a
-/// gather. `sel` is caller-owned scratch and holds the survivors on return.
-Result<RecordBatch> DecodeBlockFiltered(const StoredBlock& block,
-                                        const SchemaPtr& schema,
-                                        const std::vector<size_t>& filter_columns,
-                                        const std::vector<size_t>& late_columns,
-                                        const RowFilter& filter,
-                                        std::vector<uint32_t>* sel);
+/// One step of a filtering scan: `columns` (schema indexes, none listed by
+/// another stage) are read at the rows still selected, then `filter`, when
+/// set, narrows them.
+struct ScanStage {
+  std::vector<size_t> columns;
+  RowFilter filter;
+};
+
+/// Decodes one stored block for a filtering scan. A row is kept when it
+/// passes every `pushed` conjunct (over integer-physical columns; see
+/// SplitPushdown) and then every stage's filter. Returns the kept rows with
+/// schema `schema->Project(stage columns, in stage order)`; a column a
+/// pushed conjunct reads is returned only when a stage lists it.
+///
+/// A columnar block runs the pushed conjuncts on each chunk in its
+/// encoding: a kFor chunk compares its packed deltas against
+/// literal - base, and its header (base and bit width) bounds the chunk's
+/// values, which accepts or rejects the whole chunk without a pass over its
+/// rows when it settles the conjunct; plain values and RLE runs are
+/// compared as stored. Each stage then decodes its columns only at the rows
+/// the steps before it kept, and its filter sees those columns and the
+/// earlier stages', at those rows. Every chunk a conjunct or a stage reads
+/// is still decompressed and validated in full, even when no row survives.
+///
+/// A text block has no per-column layout: one parse decodes every listed
+/// column, the conjuncts and filters narrow the parsed rows (each filter
+/// sees the whole parse), and the kept rows are gathered.
+///
+/// `sel` is caller-owned scratch and holds the kept rows' block indexes on
+/// return.
+Result<RecordBatch> DecodeBlockFiltered(
+    const StoredBlock& block, const SchemaPtr& schema,
+    const std::vector<ConjunctiveIntCmp>& pushed,
+    const std::vector<ScanStage>& stages, std::vector<uint32_t>* sel);
 
 }  // namespace hybridjoin
 

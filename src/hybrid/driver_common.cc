@@ -291,6 +291,7 @@ Exchange::Sender::Sender(Exchange* exchange, NodeId self,
                                  spec_.receivers.size() + 1,
                                  RecordBatch(spec_.schema)));
     kept_.resize(threads);
+    routing_.resize(threads);
   }
   HJ_CHECK_GT(spec_.send_threads, 0u);
   send_threads_.reserve(spec_.send_threads);
@@ -351,25 +352,52 @@ void Exchange::Sender::Append(uint32_t thread, const RecordBatch& batch) {
     return;
   }
   std::vector<RecordBatch>& pending = pending_[thread];
+  Routing& routing = routing_[thread];
   const auto parts = static_cast<uint32_t>(spec_.receivers.size());
+  const auto rows = static_cast<uint32_t>(batch.num_rows());
+  // Each row's slot, then the rows grouped by slot in row order.
   const ColumnVector& key = batch.column(spec_.key_column);
-  for (uint32_t r = 0; r < batch.num_rows(); ++r) {
+  routing.slot.resize(rows);
+  routing.start.assign(pending.size() + 1, 0);
+  for (uint32_t r = 0; r < rows; ++r) {
     const int64_t k = KeyAt(key, r);
-    const size_t slot = hot_ != nullptr && hot_->Contains(k) ? parts
-                        : spec_.route == Route::kAgreedHash
-                            ? AgreedPartition(k, parts)
-                            : DbPartition(k, parts);
-    pending[slot].AppendRowFrom(batch, r);
-    if (pending[slot].num_rows() >= spec_.flush_rows) Emit(thread, slot);
+    const uint32_t slot = hot_ != nullptr && hot_->Contains(k) ? parts
+                          : spec_.route == Route::kAgreedHash
+                              ? AgreedPartition(k, parts)
+                              : DbPartition(k, parts);
+    routing.slot[r] = slot;
+    ++routing.start[slot + 1];
+  }
+  std::partial_sum(routing.start.begin(), routing.start.end(),
+                   routing.start.begin());
+  routing.cursor.assign(routing.start.begin(), routing.start.end() - 1);
+  routing.rows.resize(rows);
+  for (uint32_t r = 0; r < rows; ++r) {
+    routing.rows[routing.cursor[routing.slot[r]]++] = r;
+  }
+  // Each slot's rows in runs that end where its pending batch reaches
+  // flush_rows, so every emitted batch holds the rows, in the order, that
+  // row-at-a-time routing would give it.
+  const size_t flush_rows = std::max<size_t>(spec_.flush_rows, 1);
+  for (size_t slot = 0; slot < pending.size(); ++slot) {
+    const uint32_t* run = routing.rows.data() + routing.start[slot];
+    size_t left = routing.start[slot + 1] - routing.start[slot];
+    while (left > 0) {
+      const size_t take = std::min(left, flush_rows - pending[slot].num_rows());
+      pending[slot].GatherAppendFrom(batch, run, take);
+      run += take;
+      left -= take;
+      if (pending[slot].num_rows() >= flush_rows) Emit(thread, slot);
+    }
   }
 }
 
 void Exchange::Sender::Emit(uint32_t thread, size_t slot) {
-  RecordBatch batch =
-      std::exchange(pending_[thread][slot], RecordBatch(spec_.schema));
+  RecordBatch& batch = pending_[thread][slot];
   if (slot < spec_.receivers.size()) {
     trace::Span span(tracer_, spec_.send_span, trace::span::kCatExchange);
     SendTo(static_cast<uint32_t>(slot), batch);
+    batch.Clear();
     return;
   }
   // A hot row took the hybrid route: the hot set shaped this exchange.
@@ -382,9 +410,10 @@ void Exchange::Sender::Emit(uint32_t thread, size_t slot) {
                 static_cast<int64_t>(batch.ByteSize() *
                                      spec_.receivers.size()));
     Ship(spec_.receivers, batch);
+    batch.Clear();
   } else {
     exchange_->governor_->Reserve(batch.ByteSize());
-    kept_[thread].push_back(std::move(batch));
+    kept_[thread].push_back(std::exchange(batch, RecordBatch(spec_.schema)));
   }
 }
 

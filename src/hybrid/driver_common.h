@@ -242,6 +242,16 @@ class Exchange {
     /// then one of hot rows; and the hot rows kept local.
     std::vector<std::vector<RecordBatch>> pending_;
     std::vector<std::vector<RecordBatch>> kept_;
+    /// Append's scratch per producer thread: each row's slot, where each
+    /// slot's rows start in `rows` (one past the last slot: the row count),
+    /// a fill cursor per slot, and the rows grouped by slot in row order.
+    struct Routing {
+      std::vector<uint32_t> slot;
+      std::vector<uint32_t> start;
+      std::vector<uint32_t> cursor;
+      std::vector<uint32_t> rows;
+    };
+    std::vector<Routing> routing_;
     std::shared_ptr<BufferPool> pool_;
     /// Queued payloads are in-flight memory of the query, charged to its
     /// governor per destination (each Item pins the payload) and released

@@ -14,33 +14,30 @@ namespace hybridjoin {
 
 namespace {
 
-/// True when chunk stats prove no row can satisfy `cmp`.
+/// True when chunk stats prove no row can satisfy `cmp`: no value in
+/// [min_val, max_val] passes it.
 bool StatsRefute(const ConjunctiveIntCmp& cmp, int64_t min_val,
                  int64_t max_val) {
-  switch (cmp.op) {
-    case CmpOp::kEq:
-      return cmp.literal < min_val || cmp.literal > max_val;
-    case CmpOp::kNe:
-      return min_val == max_val && min_val == cmp.literal;
-    case CmpOp::kLt:
-      return min_val >= cmp.literal;
-    case CmpOp::kLe:
-      return min_val > cmp.literal;
-    case CmpOp::kGt:
-      return max_val <= cmp.literal;
-    case CmpOp::kGe:
-      return max_val < cmp.literal;
-  }
-  return false;
+  const auto base = static_cast<uint64_t>(min_val);
+  return IntCmpTest<int64_t>::Make(cmp.op, cmp.literal)
+             .Rebased(base)
+             .Decide(static_cast<uint64_t>(max_val) - base) ==
+         IntCmpTest<int64_t>::Outcome::kNone;
 }
 
-/// The scan's two column sets, as schema indexes in schema order: `filter`
-/// holds what the predicate and the Bloom filter read and is decoded for
-/// every row; `late` holds the rest of the projection and is decoded only
-/// for rows that pass both filters.
+/// How a scan reads a block: the predicate split into the conjuncts run on
+/// encoded chunks and the residual, and the columns, as schema indexes in
+/// schema order, of the steps after the pushed conjuncts. `residual` holds
+/// what the residual predicate reads, `bloom` the Bloom key column unless
+/// the residual reads it too, and `late` the rest of the projection; each
+/// is decoded only at the rows the steps before it keep. `read` is every
+/// chunk the scan reads, pushed columns included.
 struct ScanColumns {
-  std::vector<size_t> filter;
+  PushdownSplit split;
+  std::vector<size_t> residual;
+  std::vector<size_t> bloom;
   std::vector<size_t> late;
+  std::vector<size_t> read;
 };
 
 Result<ScanColumns> SplitScanColumns(const ScanTask& task) {
@@ -55,17 +52,35 @@ Result<ScanColumns> SplitScanColumns(const ScanTask& task) {
     indexes.erase(std::unique(indexes.begin(), indexes.end()), indexes.end());
     return indexes;
   };
-  std::vector<std::string> filter_names;
-  if (task.predicate != nullptr) {
-    task.predicate->CollectColumns(&filter_names);
-  }
-  if (task.bloom != nullptr) filter_names.push_back(task.bloom_column);
+  auto minus = [](const std::vector<size_t>& a, const std::vector<size_t>& b) {
+    std::vector<size_t> out;
+    std::set_difference(a.begin(), a.end(), b.begin(), b.end(),
+                        std::back_inserter(out));
+    return out;
+  };
   ScanColumns cols;
-  HJ_ASSIGN_OR_RETURN(cols.filter, indexes_of(filter_names));
+  std::vector<std::string> names;
+  if (task.predicate != nullptr) task.predicate->CollectColumns(&names);
+  if (task.bloom != nullptr) names.push_back(task.bloom_column);
+  names.insert(names.end(), task.projection.begin(), task.projection.end());
+  HJ_ASSIGN_OR_RETURN(cols.read, indexes_of(names));
+
+  cols.split = SplitPushdown(task.predicate, task.meta.schema);
+  names.clear();
+  if (cols.split.residual != nullptr) {
+    cols.split.residual->CollectColumns(&names);
+  }
+  HJ_ASSIGN_OR_RETURN(cols.residual, indexes_of(names));
+  if (task.bloom != nullptr) {
+    HJ_ASSIGN_OR_RETURN(size_t key,
+                        task.meta.schema->IndexOf(task.bloom_column));
+    if (!std::binary_search(cols.residual.begin(), cols.residual.end(), key)) {
+      cols.bloom.push_back(key);
+    }
+  }
   HJ_ASSIGN_OR_RETURN(std::vector<size_t> projected,
                       indexes_of(task.projection));
-  std::set_difference(projected.begin(), projected.end(), cols.filter.begin(),
-                      cols.filter.end(), std::back_inserter(cols.late));
+  cols.late = minus(minus(projected, cols.residual), cols.bloom);
   return cols;
 }
 
@@ -190,10 +205,8 @@ Status JenWorker::ScanImpl(const ScanTask& task,
         if (skip) {
           read_bytes = config_.footer_read_bytes;
         } else {
-          for (const auto* set : {&columns.filter, &columns.late}) {
-            for (size_t idx : *set) {
-              read_bytes += block->columnar->chunks[idx].ByteSize();
-            }
+          for (size_t idx : columns.read) {
+            read_bytes += block->columnar->chunks[idx].ByteSize();
           }
         }
       } else {
@@ -234,13 +247,16 @@ Status JenWorker::ScanImpl(const ScanTask& task,
     queue.Close();
   });
 
-  // Process side: decode the filter columns -> predicate -> Bloom -> decode
-  // the late columns for the survivors -> projection -> per-thread consumer.
-  // The queue is the only work dispenser; the abort flag and the error slot
-  // are the only other shared state.
+  // Process side: the pushed conjuncts on the encoded chunks -> the
+  // residual predicate -> Bloom -> the late columns for the survivors ->
+  // projection -> per-thread consumer. The queue is the only work
+  // dispenser; the abort flag and the error slot are the only other shared
+  // state.
   Status process_status;
-  // Indexes of projection columns within the decoded (filter ++ late) batch.
-  std::vector<size_t> decoded = columns.filter;
+  // Indexes of projection columns within the decoded (residual ++ bloom ++
+  // late) batch.
+  std::vector<size_t> decoded = columns.residual;
+  decoded.insert(decoded.end(), columns.bloom.begin(), columns.bloom.end());
   decoded.insert(decoded.end(), columns.late.begin(), columns.late.end());
   SchemaPtr decoded_schema = task.meta.schema->Project(decoded);
   std::vector<size_t> out_indexes;
@@ -269,22 +285,27 @@ Status JenWorker::ScanImpl(const ScanTask& task,
   auto process_loop = [&](const ScanConsumer& consume,
                           ScanStats* pst) -> Status {
     std::vector<uint32_t> sel;
-    const RowFilter filter = [&](const RecordBatch& batch,
-                                 std::vector<uint32_t>* rows) -> Status {
-      pst->rows_scanned += static_cast<int64_t>(rows->size());
-      if (task.predicate != nullptr) {
-        HJ_RETURN_IF_ERROR(task.predicate->Filter(batch, rows));
-      }
-      const size_t after_pred = rows->size();
-      if (task.bloom != nullptr) {
+    std::vector<ScanStage> stages(3);
+    stages[0].columns = columns.residual;
+    if (columns.split.residual != nullptr) {
+      stages[0].filter = [&](const RecordBatch& batch,
+                             std::vector<uint32_t>* rows) {
+        return columns.split.residual->Filter(batch, rows);
+      };
+    }
+    stages[1].columns = columns.bloom;
+    if (task.bloom != nullptr) {
+      stages[1].filter = [&](const RecordBatch& batch,
+                             std::vector<uint32_t>* rows) -> Status {
+        const size_t after_pred = rows->size();
         HJ_RETURN_IF_ERROR(
             FilterByBloom(batch, task.bloom_column, *task.bloom, rows));
-      }
-      pst->rows_dropped_by_bloom +=
-          static_cast<int64_t>(after_pred - rows->size());
-      pst->rows_after_filter += static_cast<int64_t>(rows->size());
-      return Status::OK();
-    };
+        pst->rows_dropped_by_bloom +=
+            static_cast<int64_t>(after_pred - rows->size());
+        return Status::OK();
+      };
+    }
+    stages[2].columns = columns.late;
     for (;;) {
       if (aborted.load(std::memory_order_relaxed)) return Status::OK();
       std::optional<ReadItem> item;
@@ -296,8 +317,10 @@ Status JenWorker::ScanImpl(const ScanTask& task,
       if (!item.has_value()) return Status::OK();
       HJ_ASSIGN_OR_RETURN(
           RecordBatch survivors,
-          DecodeBlockFiltered(*item->block, task.meta.schema, columns.filter,
-                              columns.late, filter, &sel));
+          DecodeBlockFiltered(*item->block, task.meta.schema,
+                              columns.split.pushed, stages, &sel));
+      pst->rows_scanned += item->block->num_rows;
+      pst->rows_after_filter += static_cast<int64_t>(sel.size());
       if (survivors.empty()) continue;
       HJ_RETURN_IF_ERROR(consume(std::move(survivors).Project(out_indexes)));
     }

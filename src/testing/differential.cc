@@ -113,6 +113,56 @@ PredicatePtr RandomPostJoinPredicate(SplitMix* rng,
   }
 }
 
+/// The L scan predicate of a case, over corPred and indPred (both in
+/// [0, pred_domain)), groupByExtractCol ("g<group>/products/item<n>") and
+/// predAfterJoin; null keeps the workload's corPred < a AND indPred < b.
+/// The shapes cover every op, literals outside the columns' range, OR, NOT,
+/// and conjunctions whose residual cannot run on the encoded chunks.
+PredicatePtr RandomLPredicate(SplitMix* rng, const WorkloadConfig& workload) {
+  const auto domain = static_cast<uint64_t>(workload.pred_domain);
+  const auto lit = [&](uint64_t lo, uint64_t hi) {
+    return Value(static_cast<int32_t>(rng->Range(lo, hi)));
+  };
+  const std::string column = rng->Range(0, 1) == 0 ? "corPred" : "indPred";
+  switch (rng->Range(0, 7)) {
+    case 0: {  // one comparison, any op
+      const auto op = static_cast<CmpOp>(rng->Range(0, 5));
+      return Cmp(column, op, lit(0, domain - 1));
+    }
+    case 1: {  // a literal below or above every value
+      const auto op = static_cast<CmpOp>(rng->Range(0, 5));
+      const auto outside = static_cast<int64_t>(rng->Range(1, domain));
+      return Cmp(column, op,
+                 Value(rng->Range(0, 1) == 0
+                           ? -outside
+                           : static_cast<int64_t>(domain) - 1 + outside));
+    }
+    case 2:  // OR: nothing to push
+      return Or({Cmp("corPred", CmpOp::kLt, lit(0, domain / 3)),
+                 Cmp("indPred", CmpOp::kGe, lit(domain / 2, domain - 1))});
+    case 3:  // NOT
+      return Not(Cmp(column, CmpOp::kLt, lit(0, domain - 1)));
+    case 4:  // a pushed conjunct and a string-prefix residual
+      return And({Cmp(column, CmpOp::kLe, lit(domain / 4, domain - 1)),
+                  StrPrefix("groupByExtractCol",
+                            "g" + std::to_string(rng->Range(1, 9)))});
+    case 5: {  // pushed conjuncts and a DiffRange residual
+      const auto lo = -static_cast<int64_t>(rng->Range(0, domain / 2));
+      return And({Cmp("indPred", CmpOp::kGe, lit(0, domain / 4)),
+                  DiffRange("corPred", "indPred", lo,
+                            lo + static_cast<int64_t>(rng->Range(0, domain))),
+                  Cmp("corPred", CmpOp::kNe, lit(0, domain - 1))});
+    }
+    case 6:  // a band on L's date, residual beside a pushed conjunct
+      return And({Cmp("predAfterJoin", CmpOp::kGe,
+                      Value(static_cast<int32_t>(workload.date_base_days +
+                                                 rng->Range(0, 20)))),
+                  Not(Cmp(column, CmpOp::kGt, lit(0, domain - 1)))});
+    default:
+      return nullptr;
+  }
+}
+
 }  // namespace
 
 const std::vector<std::string>& DifferentialVariants() {
@@ -228,6 +278,7 @@ DiffCase MakeRandomCase(uint64_t seed, bool full_key_windows) {
   const uint32_t kBlockRows[] = {512, 1024, 2048, 4096};
   c.rows_per_block = kBlockRows[rng.Range(0, 3)];
   c.post_join_predicate = RandomPostJoinPredicate(&rng, c.workload);
+  c.l_predicate = RandomLPredicate(&rng, c.workload);
 
   std::ostringstream os;
   os << "keys=" << c.workload.num_join_keys << " t=" << c.workload.t_rows
@@ -238,7 +289,9 @@ DiffCase MakeRandomCase(uint64_t seed, bool full_key_windows) {
      << " fmt=" << HdfsFormatName(c.format) << " rpb=" << c.rows_per_block
      << " post=" << (c.post_join_predicate != nullptr
                          ? c.post_join_predicate->ToString()
-                         : "none");
+                         : "none")
+     << " lpred="
+     << (c.l_predicate != nullptr ? c.l_predicate->ToString() : "workload");
   c.summary = os.str();
   return c;
 }
@@ -336,6 +389,7 @@ DiffCaseReport RunDifferentialCase(uint64_t seed,
   }
   HybridQuery query = workload->MakeQuery();
   query.post_join_predicate = c.post_join_predicate;
+  if (c.l_predicate != nullptr) query.hdfs.predicate = c.l_predicate;
 
   auto expected =
       RunReferenceJoin({workload->t_rows()}, workload->l_batches(), query);

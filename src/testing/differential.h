@@ -40,7 +40,7 @@ std::optional<std::string> CompareBatches(const RecordBatch& expected,
 
 /// One seed-derived differential case: workload shape, selectivity targets
 /// (re-drawn until the solver accepts them), cluster sizes, HDFS layout,
-/// post-join predicate.
+/// post-join predicate, L scan predicate.
 struct DiffCase {
   WorkloadConfig workload;
   SelectivitySpec spec;
@@ -53,6 +53,12 @@ struct DiffCase {
   /// negative or empty band, a band with a one-sided residual, a band under
   /// OR (no band to walk), or none.
   PredicatePtr post_join_predicate;
+  /// The query's L scan predicate, drawn after every other field so each
+  /// seed's other fields stay as they were: one comparison of any op, a
+  /// literal outside the column's range, an OR, a NOT, or a conjunction
+  /// with a string-prefix, DiffRange or NOT residual; null keeps the
+  /// workload's corPred < a AND indPred < b.
+  PredicatePtr l_predicate;
   std::string summary;  ///< one line for logs
 };
 

@@ -11,6 +11,7 @@
 #ifndef HYBRIDJOIN_TYPES_COLUMN_VECTOR_H_
 #define HYBRIDJOIN_TYPES_COLUMN_VECTOR_H_
 
+#include <algorithm>
 #include <cstdint>
 #include <cstring>
 #include <iterator>
@@ -124,7 +125,8 @@ class StringColumn {
   }
 
   /// Appends rows[0..n) of `src`, which may be this column. Both arrays
-  /// grow once, to the exact size.
+  /// grow at most once: to the exact size when empty, else at least
+  /// doubling, so repeated appends stay amortized.
   void GatherAppendFrom(const StringColumn& src, const uint32_t* rows,
                         size_t n) {
     if (n == 0) return;
@@ -132,7 +134,9 @@ class StringColumn {
     for (size_t j = 0; j < n; ++j) {
       total += src.offsets_[rows[j] + 1] - src.offsets_[rows[j]];
     }
-    reserve(size() + n);
+    if (size() + n + 1 > offsets_.capacity()) {
+      reserve(std::max(size() + n, 2 * size()));
+    }
     char* dst = BeginWrite(total, 0);
     for (size_t j = 0; j < n; ++j) dst = WriteRow(dst, src[rows[j]]);
   }

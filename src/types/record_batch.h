@@ -58,6 +58,20 @@ class RecordBatch {
     }
   }
 
+  /// Appends rows[0..n) of `src` (same layout), a column at a time.
+  void GatherAppendFrom(const RecordBatch& src, const uint32_t* rows,
+                        size_t n) {
+    HJ_DCHECK(src.num_columns() == columns_.size());
+    for (size_t c = 0; c < columns_.size(); ++c) {
+      columns_[c].GatherAppendFrom(src.column(c), rows, n);
+    }
+  }
+
+  /// Empties every column and keeps its allocations.
+  void Clear() {
+    for (auto& c : columns_) c.Clear();
+  }
+
   /// Appends a full row of scalar values (slow path, for tests).
   void AppendRow(const std::vector<Value>& values) {
     HJ_CHECK_EQ(values.size(), columns_.size());

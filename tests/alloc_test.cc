@@ -1,8 +1,8 @@
 // Allocation-count regression tests: building a string row must not
-// allocate. Each case counts the calls to the global operator new that one
-// operation makes on a 1K-row and on a 16K-row input; the counts must be
-// equal, so no step allocates per row, nor per doubling of a growing
-// buffer.
+// allocate, nor may a filtered block scan allocate per row. Each case
+// counts the calls to the global operator new that one operation makes on
+// a 1K-row and on a 16K-row input; the counts must be equal, so no step
+// allocates per row, nor per doubling of a growing buffer.
 
 #include <gtest/gtest.h>
 
@@ -14,11 +14,13 @@
 #include <string>
 #include <vector>
 
+#include "bloom/bloom_filter.h"
 #include "exec/aggregator.h"
 #include "exec/join_hash_table.h"
 #include "exec/join_prober.h"
 #include "hdfs/format.h"
 #include "types/record_batch.h"
+#include "workload/generator.h"
 
 namespace {
 std::atomic<int64_t> g_allocations{0};
@@ -127,8 +129,9 @@ int64_t DecodeAllocations(Encoding encoding, size_t rows, bool selected) {
     scratch.reserve(rows);
     Result<RecordBatch> out = RecordBatch();
     const int64_t n = Allocations([&] {
-      out = selected ? DecodeBlockFiltered(block, batch.schema(), {0}, {1},
-                                           filter, &scratch)
+      out = selected ? DecodeBlockFiltered(block, batch.schema(), {},
+                                           {{{0}, filter}, {{1}, nullptr}},
+                                           &scratch)
                      : DecodeText(block.text->data(), block.text->size(),
                                   batch.schema(), {0, 1});
     });
@@ -168,6 +171,58 @@ TEST(AllocationTest, StringDecodeDoesNotAllocatePerRow) {
                 DecodeAllocations(e, kSmall, selected));
     }
   }
+}
+
+/// DecodeBlockFiltered on one `rows`-row block of the paper's L table
+/// stored as the cpu_resident workload stores it: the paper query's L
+/// conjuncts pushed onto the chunks, a Bloom probe on joinKey at their
+/// survivors, then joinKey's projected neighbours at the Bloom survivors.
+/// The first scan warms the selection scratch; returns the allocations of
+/// the second.
+int64_t FilteredScanAllocations(size_t rows) {
+  WorkloadConfig config;
+  config.t_rows = 4096;
+  config.l_rows = rows;
+  config.batch_rows = static_cast<uint32_t>(rows);
+  auto workload = Workload::Generate(config, SelectivitySpec{});
+  EXPECT_TRUE(workload.ok()) << workload.status();
+  const RecordBatch& l = workload->l_batches().front();
+  StoredBlock block;
+  block.format = HdfsFormat::kColumnar;
+  block.num_rows = static_cast<uint32_t>(rows);
+  block.columnar = std::make_shared<const ColumnarBlock>(
+      EncodeColumnarBlock(l, ColumnarWriteOptions{}));
+  const PushdownSplit split =
+      SplitPushdown(workload->MakeQuery().hdfs.predicate, l.schema());
+  EXPECT_EQ(split.pushed.size(), 2u);
+  EXPECT_EQ(split.residual, nullptr);
+  BloomFilter bloom(BloomParams::ForKeys(config.num_join_keys));
+  for (uint32_t key = 0; key < config.num_join_keys; key += 2) bloom.Add(key);
+  const std::vector<ScanStage> stages = {
+      {{0},
+       [&](const RecordBatch& batch, std::vector<uint32_t>* sel) {
+         bloom.MayContainKeys(std::span<const int32_t>(batch.column(0).i32()),
+                              sel);
+         return Status::OK();
+       }},
+      {{3, 4}, nullptr}};
+  std::vector<uint32_t> scratch;
+  Result<RecordBatch> out = RecordBatch();
+  auto scan = [&] {
+    out = DecodeBlockFiltered(block, l.schema(), split.pushed, stages,
+                              &scratch);
+  };
+  scan();
+  const int64_t n = Allocations(scan);
+  EXPECT_TRUE(out.ok()) << out.status();
+  if (out.ok()) {
+    EXPECT_GT(out->num_rows(), 0u);
+  }
+  return n;
+}
+
+TEST(AllocationTest, FilteredScanDoesNotAllocatePerRow) {
+  EXPECT_EQ(FilteredScanAllocations(kLarge), FilteredScanAllocations(kSmall));
 }
 
 int64_t SerdeAllocations(size_t rows) {

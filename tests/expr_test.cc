@@ -41,6 +41,53 @@ TEST(PredicateTest, CmpOperators) {
   EXPECT_EQ(Eval(Cmp("a", CmpOp::kNe, 5), b).size(), 9u);
 }
 
+TEST(PredicateTest, IntegerCmpMatchesNaiveCompareAtTheExtremes) {
+  // Every op on int32 and int64 columns holding their types' extremes,
+  // against literals at and past those extremes: the branch-free range
+  // test must equal comparing the values widened to int64 (int32) or as
+  // they are (int64).
+  auto schema =
+      Schema::Make({{"i", DataType::kInt32}, {"l", DataType::kInt64}});
+  RecordBatch b(schema);
+  const int64_t values[] = {INT32_MIN, INT32_MIN + 1, -1, 0, 1,
+                            INT32_MAX - 1, INT32_MAX};
+  for (int64_t v : values) {
+    b.AppendRow({Value(static_cast<int32_t>(v)),
+                 Value(v < 0 ? INT64_MIN + (v - INT32_MIN)
+                             : INT64_MAX - (INT32_MAX - v))});
+  }
+  const int64_t literals[] = {INT64_MIN,     INT64_MIN + 1, INT32_MIN - 1LL,
+                              INT32_MIN,     -1,            0,
+                              INT32_MAX,     INT32_MAX + 1LL,
+                              INT64_MAX - 1, INT64_MAX};
+  auto naive = [](CmpOp op, int64_t a, int64_t lit) {
+    switch (op) {
+      case CmpOp::kEq: return a == lit;
+      case CmpOp::kNe: return a != lit;
+      case CmpOp::kLt: return a < lit;
+      case CmpOp::kLe: return a <= lit;
+      case CmpOp::kGt: return a > lit;
+      case CmpOp::kGe: return a >= lit;
+    }
+    return false;
+  };
+  for (CmpOp op : {CmpOp::kEq, CmpOp::kNe, CmpOp::kLt, CmpOp::kLe,
+                   CmpOp::kGt, CmpOp::kGe}) {
+    for (int64_t lit : literals) {
+      for (size_t c = 0; c < 2; ++c) {
+        std::vector<uint32_t> want;
+        for (uint32_t r = 0; r < b.num_rows(); ++r) {
+          const int64_t v =
+              c == 0 ? b.column(0).i32()[r] : b.column(1).i64()[r];
+          if (naive(op, v, lit)) want.push_back(r);
+        }
+        EXPECT_EQ(Eval(Cmp(c == 0 ? "i" : "l", op, Value(lit)), b), want)
+            << CmpOpName(op) << " " << lit << " col " << c;
+      }
+    }
+  }
+}
+
 TEST(PredicateTest, StringCompare) {
   RecordBatch b = TestBatch();
   EXPECT_EQ(Eval(Cmp("s", CmpOp::kEq, Value("g0/x")), b).size(), 4u);

@@ -13,6 +13,7 @@
 #include "common/binary_io.h"
 #include "common/random.h"
 #include "decoder_fuzz.h"
+#include "expr/predicate.h"
 #include "hdfs/format.h"
 
 namespace hybridjoin {
@@ -283,27 +284,30 @@ void ExpectRoundTrip(const ColumnChunk& chunk, const ColumnVector& want) {
   }
 }
 
+/// `rows` values from `lo` spread over `width` bits: the first row holds
+/// `lo` and the last pins the top, so a kFor chunk of them is `width` wide.
+ColumnVector SpreadColumn(DataType type, int64_t lo, uint32_t width,
+                          size_t rows, Rng* rng) {
+  ColumnVector c(type);
+  const uint64_t span = width == 64 ? ~uint64_t{0}
+                                    : (uint64_t{1} << width) - 1;
+  for (size_t i = 0; i < rows; ++i) {
+    const uint64_t delta = i == 0          ? 0
+                           : i + 1 == rows ? span
+                           : span == 0     ? 0
+                                           : rng->Next() % span;
+    const int64_t v = static_cast<int64_t>(static_cast<uint64_t>(lo) + delta);
+    if (c.physical_type() == PhysicalType::kInt64) {
+      c.mutable_i64().push_back(v);
+    } else {
+      c.mutable_i32().push_back(static_cast<int32_t>(v));
+    }
+  }
+  return c;
+}
+
 TEST(RandomAccessEncodingTest, ForRoundTripsEveryWidth) {
   Rng rng(25);
-  // Values from `lo` spread over `width` bits; the last row pins the top.
-  auto column = [&](DataType type, int64_t lo, uint32_t width, size_t rows) {
-    ColumnVector c(type);
-    const uint64_t span = width == 64 ? ~uint64_t{0}
-                                      : (uint64_t{1} << width) - 1;
-    for (size_t i = 0; i < rows; ++i) {
-      const uint64_t delta = i == 0          ? 0
-                             : i + 1 == rows ? span
-                             : span == 0     ? 0
-                                             : rng.Next() % span;
-      const int64_t v = static_cast<int64_t>(static_cast<uint64_t>(lo) + delta);
-      if (c.physical_type() == PhysicalType::kInt64) {
-        c.mutable_i64().push_back(v);
-      } else {
-        c.mutable_i32().push_back(static_cast<int32_t>(v));
-      }
-    }
-    return c;
-  };
   struct Case {
     DataType type;
     int64_t lo;
@@ -331,7 +335,7 @@ TEST(RandomAccessEncodingTest, ForRoundTripsEveryWidth) {
   for (const Case& c : cases) {
     SCOPED_TRACE(std::string(DataTypeName(c.type)) + " width " +
                  std::to_string(c.width) + " rows " + std::to_string(c.rows));
-    const ColumnVector col = column(c.type, c.lo, c.width, c.rows);
+    const ColumnVector col = SpreadColumn(c.type, c.lo, c.width, c.rows, &rng);
     const ColumnChunk chunk = EncodeForChunk(col);
     ASSERT_EQ(chunk.encoding, ColEncoding::kFor);
     ASSERT_EQ(chunk.codec, Codec::kNone);
@@ -825,9 +829,49 @@ bool SameColumn(const ColumnVector& a, const ColumnVector& b) {
   return false;
 }
 
+/// Scans a block holding `chunk` under pushed conjuncts that reject every
+/// row: one on a valid kFor column whose header settles it, with `chunk`
+/// projected, and, for an integer chunk, one on `chunk` itself. Each scan
+/// must still validate `chunk` in full: it succeeds with no row exactly
+/// when `accepted`, and otherwise fails with an IOError.
+void ExpectRejectingScanValidates(const ColumnChunk& chunk, bool accepted) {
+  ColumnVector gate(DataType::kInt32);
+  gate.mutable_i32().assign(chunk.num_rows, 5);
+  StoredBlock block;
+  block.format = HdfsFormat::kColumnar;
+  auto columnar = std::make_shared<ColumnarBlock>();
+  columnar->num_rows = chunk.num_rows;
+  columnar->chunks = {chunk, EncodeForChunk(gate)};
+  block.columnar = columnar;
+  block.num_rows = chunk.num_rows;
+  const SchemaPtr schema =
+      Schema::Make({{"x", chunk.type}, {"gate", DataType::kInt32}});
+  std::vector<std::vector<ConjunctiveIntCmp>> rejecting = {
+      {{"gate", CmpOp::kLt, 5}}};
+  const PhysicalType physical = PhysicalTypeOf(chunk.type);
+  if (physical == PhysicalType::kInt32 || physical == PhysicalType::kInt64) {
+    rejecting.push_back({{"x", CmpOp::kLt, INT64_MIN}});
+  }
+  for (const auto& pushed : rejecting) {
+    SCOPED_TRACE("pushed on " + pushed.front().column);
+    std::vector<uint32_t> sel;
+    const std::vector<ScanStage> stages = {
+        {pushed.front().column == "x" ? std::vector<size_t>{}
+                                      : std::vector<size_t>{0},
+         nullptr}};
+    auto got = DecodeBlockFiltered(block, schema, pushed, stages, &sel);
+    EXPECT_EQ(got.ok(), accepted) << got.status();
+    if (got.ok()) {
+      EXPECT_EQ(got->num_rows(), 0u);
+    } else {
+      EXPECT_TRUE(got.status().IsIOError()) << got.status();
+    }
+  }
+}
+
 /// Both decoders accept or both reject, with every selection; accepted
-/// columns are identical and every rejection is an IOError. Returns whether
-/// the chunk was accepted.
+/// columns are identical and every rejection is an IOError. A scan that
+/// rejects every row agrees too. Returns whether the chunk was accepted.
 bool ExpectChunkAgreesWithLegacy(const ColumnChunk& chunk) {
   std::vector<uint32_t> sparse;
   for (uint32_t r = 0; r < chunk.num_rows; r += 7) sparse.push_back(r);
@@ -846,6 +890,7 @@ bool ExpectChunkAgreesWithLegacy(const ColumnChunk& chunk) {
     }
     if (sel == nullptr) accepted = got.ok();
   }
+  ExpectRejectingScanValidates(chunk, accepted);
   return accepted;
 }
 
@@ -927,8 +972,9 @@ TEST(DecodeBlockFilteredTest, EqualsFullDecodeThenGatherInBothFormats) {
   for (const StoredBlock* block : {&text, &columnar}) {
     SCOPED_TRACE(HdfsFormatName(block->format));
     std::vector<uint32_t> sel;
-    auto got = DecodeBlockFiltered(*block, schema, filter_columns,
-                                   late_columns, filter, &sel);
+    auto got = DecodeBlockFiltered(
+        *block, schema, {},
+        {{filter_columns, filter}, {late_columns, nullptr}}, &sel);
     ASSERT_TRUE(got.ok()) << got.status();
     EXPECT_EQ(sel.size(), 134u);
     const std::vector<size_t> order = {0, 4, 1, 3, 5};
@@ -942,6 +988,270 @@ TEST(DecodeBlockFilteredTest, EqualsFullDecodeThenGatherInBothFormats) {
       }
     }
   }
+}
+
+// ----------------------------- On-chunk filter -----------------------------
+
+StoredBlock ColumnarStored(const RecordBatch& batch,
+                           const ColumnarWriteOptions& options) {
+  StoredBlock block;
+  block.format = HdfsFormat::kColumnar;
+  block.num_rows = static_cast<uint32_t>(batch.num_rows());
+  block.columnar = std::make_shared<const ColumnarBlock>(
+      EncodeColumnarBlock(batch, options));
+  return block;
+}
+
+StoredBlock TextStored(const RecordBatch& batch) {
+  StoredBlock block;
+  block.format = HdfsFormat::kText;
+  block.num_rows = static_cast<uint32_t>(batch.num_rows());
+  block.text = std::make_shared<const std::vector<uint8_t>>(EncodeText(batch));
+  return block;
+}
+
+/// Scans `block` (holding `batch`) as the JEN scan does: `predicate` split
+/// into the conjuncts pushed onto the chunks and the residual, which reads
+/// its columns at their survivors, then the rest of `projection`. Expects
+/// exactly the rows and bytes of decode-then-Predicate::Filter on `batch`,
+/// or the same error.
+void ExpectScanEqualsDecodeThenFilter(const StoredBlock& block,
+                                      const RecordBatch& batch,
+                                      const PredicatePtr& predicate,
+                                      const std::vector<size_t>& projection) {
+  SCOPED_TRACE(predicate->ToString());
+  const SchemaPtr& schema = batch.schema();
+  const Result<std::vector<uint32_t>> want_sel = predicate->FilterAll(batch);
+  const PushdownSplit split = SplitPushdown(predicate, schema);
+  std::vector<std::string> names;
+  if (split.residual != nullptr) split.residual->CollectColumns(&names);
+  std::vector<size_t> residual;
+  for (const std::string& name : names) {
+    // A scan fails on a missing column before it reads a block.
+    const Result<size_t> idx = schema->IndexOf(name);
+    if (!idx.ok()) {
+      EXPECT_FALSE(want_sel.ok());
+      return;
+    }
+    if (std::find(residual.begin(), residual.end(), *idx) == residual.end()) {
+      residual.push_back(*idx);
+    }
+  }
+  std::vector<size_t> rest;
+  for (size_t idx : projection) {
+    if (std::find(residual.begin(), residual.end(), idx) == residual.end()) {
+      rest.push_back(idx);
+    }
+  }
+  RowFilter residual_filter;
+  if (split.residual != nullptr) {
+    residual_filter = [&](const RecordBatch& b, std::vector<uint32_t>* sel) {
+      return split.residual->Filter(b, sel);
+    };
+  }
+  std::vector<uint32_t> sel;
+  auto got = DecodeBlockFiltered(block, schema, split.pushed,
+                                 {{residual, residual_filter}, {rest, nullptr}},
+                                 &sel);
+  if (!want_sel.ok()) {
+    ASSERT_FALSE(got.ok());
+    EXPECT_EQ(got.status().code(), want_sel.status().code()) << got.status();
+    return;
+  }
+  ASSERT_TRUE(got.ok()) << got.status();
+  EXPECT_EQ(sel, *want_sel);
+  std::vector<size_t> order = residual;
+  order.insert(order.end(), rest.begin(), rest.end());
+  const RecordBatch want = batch.Project(order).Gather(*want_sel);
+  ASSERT_EQ(got->num_columns(), want.num_columns());
+  for (size_t c = 0; c < want.num_columns(); ++c) {
+    EXPECT_EQ(got->schema()->field(c).name, want.schema()->field(c).name);
+  }
+  EXPECT_EQ(got->Serialize(), want.Serialize());
+}
+
+const CmpOp kAllOps[] = {CmpOp::kEq, CmpOp::kNe, CmpOp::kLt,
+                         CmpOp::kLe, CmpOp::kGt, CmpOp::kGe};
+
+/// The literals that probe a column spanning [min, max]: just outside both
+/// ends, both ends, the int64 extremes, and `inner` from the column.
+std::vector<int64_t> ProbeLiterals(int64_t min, int64_t max, int64_t inner) {
+  return {min == INT64_MIN ? min : min - 1,
+          min,
+          max,
+          max == INT64_MAX ? max : max + 1,
+          INT64_MIN,
+          INT64_MAX,
+          inner};
+}
+
+/// Every op against every probe literal on the one-column `batch` stored
+/// as `block`: alone, and after a kNe conjunct that narrows the selection
+/// first, so the conjunct also runs on a partial selection.
+void ExpectEveryCmpEqualsDecodeThenFilter(const StoredBlock& block,
+                                          const RecordBatch& batch) {
+  const ColumnVector& col = batch.column(0);
+  auto at = [&](size_t r) { return col.GetValue(r).AsInt64Lenient(); };
+  int64_t min = at(0), max = at(0);
+  for (size_t r = 1; r < col.size(); ++r) {
+    min = std::min(min, at(r));
+    max = std::max(max, at(r));
+  }
+  const int64_t inner = at(col.size() / 2);
+  for (CmpOp op : kAllOps) {
+    for (int64_t lit : ProbeLiterals(min, max, inner)) {
+      const PredicatePtr cmp = Cmp("x", op, Value(lit));
+      ExpectScanEqualsDecodeThenFilter(block, batch, cmp, {0});
+      ExpectScanEqualsDecodeThenFilter(
+          block, batch, And({Cmp("x", CmpOp::kNe, Value(at(0))), cmp}), {0});
+      if (::testing::Test::HasFatalFailure()) return;
+    }
+  }
+}
+
+TEST(OnChunkFilterTest, ForChunksOfEveryWidthEqualDecodeThenFilter) {
+  Rng rng(31);
+  struct Case {
+    DataType type;
+    int64_t lo;
+    uint32_t width;
+  };
+  const std::vector<Case> cases = {
+      {DataType::kInt32, 7, 0},           {DataType::kInt32, -1, 1},
+      {DataType::kInt32, -100, 7},        {DataType::kInt32, -(1 << 30), 31},
+      {DataType::kInt32, INT32_MIN, 32},  {DataType::kDate, 16000, 0},
+      {DataType::kDate, 16000, 1},        {DataType::kDate, 16000, 7},
+      {DataType::kDate, -(1 << 30), 31},  {DataType::kDate, INT32_MIN, 32},
+      {DataType::kInt64, -3, 0},          {DataType::kInt64, 1, 1},
+      {DataType::kInt64, -77, 7},         {DataType::kInt64, -(1LL << 35), 31},
+      {DataType::kInt64, 0, 32},          {DataType::kInt64, 5, 33},
+      {DataType::kInt64, -(1LL << 62), 63},
+      {DataType::kInt64, INT64_MIN, 64},
+  };
+  // Short chunks sit wholly in the packed tail, whose last eight bytes run
+  // past the end; the longer ones end inside it.
+  for (const Case& c : cases) {
+    for (size_t rows : {1, 2, 5, 9, 64, 301}) {
+      SCOPED_TRACE(std::string(DataTypeName(c.type)) + " width " +
+                   std::to_string(c.width) + " rows " + std::to_string(rows));
+      RecordBatch batch(Schema::Make({{"x", c.type}}),
+                        {SpreadColumn(c.type, c.lo, c.width, rows, &rng)});
+      StoredBlock block;
+      block.format = HdfsFormat::kColumnar;
+      block.num_rows = static_cast<uint32_t>(rows);
+      auto columnar = std::make_shared<ColumnarBlock>();
+      columnar->num_rows = block.num_rows;
+      columnar->chunks = {EncodeForChunk(batch.column(0))};
+      ASSERT_EQ(ForWidth(columnar->chunks[0]), rows == 1 ? 0 : c.width);
+      block.columnar = columnar;
+      ExpectEveryCmpEqualsDecodeThenFilter(block, batch);
+      if (HasFatalFailure()) return;
+    }
+  }
+}
+
+TEST(OnChunkFilterTest, PlainAndRleChunksEqualDecodeThenFilter) {
+  Rng rng(32);
+  for (DataType type : {DataType::kInt32, DataType::kDate, DataType::kInt64}) {
+    const bool wide = PhysicalTypeOf(type) == PhysicalType::kInt64;
+    ColumnVector scattered(type), runs(type);
+    for (size_t i = 0; i < 300; ++i) {
+      const int64_t v = static_cast<int64_t>(rng.Uniform(64)) - 20;
+      const int64_t run = static_cast<int64_t>(i / 10 % 5) * 1000 - 7;
+      if (wide) {
+        scattered.mutable_i64().push_back(v * 1000003);
+        runs.mutable_i64().push_back(run);
+      } else {
+        scattered.mutable_i32().push_back(static_cast<int32_t>(16000 + v));
+        runs.mutable_i32().push_back(static_cast<int32_t>(run));
+      }
+    }
+    struct Layout {
+      const ColumnVector* column;
+      bool enable_rle;
+      Codec codec;
+      ColEncoding want;
+    };
+    const Layout layouts[] = {
+        {&scattered, false, Codec::kNone, ColEncoding::kPlain},
+        {&scattered, false, Codec::kLz, ColEncoding::kPlain},
+        {&runs, true, Codec::kNone, ColEncoding::kRle},
+        {&runs, true, Codec::kLz, ColEncoding::kRle}};
+    for (const Layout& l : layouts) {
+      SCOPED_TRACE(std::string(DataTypeName(type)) + " " +
+                   ColEncodingName(l.want) + "+" + CodecName(l.codec));
+      RecordBatch batch(Schema::Make({{"x", type}}), {*l.column});
+      ColumnarWriteOptions options;
+      options.enable_rle = l.enable_rle;
+      options.codec = l.codec;
+      const StoredBlock block = ColumnarStored(batch, options);
+      ASSERT_EQ(block.columnar->chunks[0].encoding, l.want);
+      ExpectEveryCmpEqualsDecodeThenFilter(block, batch);
+      ExpectEveryCmpEqualsDecodeThenFilter(TextStored(batch), batch);
+      if (HasFatalFailure()) return;
+    }
+  }
+}
+
+TEST(OnChunkFilterTest, ResidualShapesEqualDecodeThenFilter) {
+  const RecordBatch b = FullBatch(400);
+  const auto lit = [](int64_t v) { return Value(v); };
+  const std::vector<PredicatePtr> predicates = {
+      And({Cmp("i32", CmpOp::kLt, lit(600)),
+           Cmp("i64", CmpOp::kGe, lit(-300 * 1000003LL))}),
+      Or({Cmp("i32", CmpOp::kLt, lit(30)), Cmp("d", CmpOp::kEq, lit(16005))}),
+      Not(Cmp("i32", CmpOp::kLt, lit(300))),
+      And({Cmp("i32", CmpOp::kGt, lit(99)), StrPrefix("s", "name_1"),
+           Not(Cmp("d", CmpOp::kGt, lit(16050)))}),
+      And({And({Cmp("d", CmpOp::kNe, lit(16003)), True()}),
+           Or({Cmp("t", CmpOp::kLe, lit(50)), Cmp("i64", CmpOp::kLt, lit(0))}),
+           DiffRange("d", "t", 15900, 16050)}),
+      And({Cmp("f", CmpOp::kLt, Value(100.0)),
+           Cmp("i32", CmpOp::kLt, lit(500))}),
+      And({Cmp("s", CmpOp::kGe, Value(std::string("name_3"))),
+           Cmp("i32", CmpOp::kGe, lit(INT64_MAX))}),
+      And({Cmp("i32", CmpOp::kGe, lit(0)), Cmp("i32", CmpOp::kLt, Value("x"))}),
+      And({Cmp("i32", CmpOp::kGe, lit(0)), Cmp("nope", CmpOp::kLt, lit(1))}),
+  };
+  ColumnarWriteOptions no_rle;
+  no_rle.enable_rle = false;
+  const StoredBlock blocks[] = {TextStored(b),
+                                ColumnarStored(b, ColumnarWriteOptions{}),
+                                ColumnarStored(b, no_rle)};
+  for (const StoredBlock& block : blocks) {
+    SCOPED_TRACE(HdfsFormatName(block.format));
+    for (const PredicatePtr& p : predicates) {
+      ExpectScanEqualsDecodeThenFilter(block, b, p, {0, 1, 3, 4});
+    }
+  }
+}
+
+TEST(OnChunkFilterTest, SplitPushesOnlyTopLevelIntegerConjuncts) {
+  const SchemaPtr schema = FullSchema();
+  PushdownSplit split = SplitPushdown(
+      And({And({Cmp("i32", CmpOp::kLt, Value(int64_t{5})), True()}),
+           Cmp("f", CmpOp::kLt, Value(1.0)),
+           Or({Cmp("i64", CmpOp::kEq, Value(int64_t{1}))}),
+           Cmp("d", CmpOp::kGe, Value(int32_t{16001}))}),
+      schema);
+  ASSERT_EQ(split.pushed.size(), 2u);
+  EXPECT_EQ(split.pushed[0].column, "i32");
+  EXPECT_EQ(split.pushed[1].column, "d");
+  ASSERT_NE(split.residual, nullptr);
+  std::vector<std::string> residual_columns;
+  split.residual->CollectColumns(&residual_columns);
+  EXPECT_EQ(residual_columns, (std::vector<std::string>{"f", "i64"}));
+  // A conjunct that fails on the schema keeps the whole predicate.
+  const PredicatePtr bad =
+      And({Cmp("i32", CmpOp::kLt, Value(int64_t{5})),
+           Cmp("s", CmpOp::kLt, Value(int64_t{5}))});
+  split = SplitPushdown(bad, schema);
+  EXPECT_TRUE(split.pushed.empty());
+  EXPECT_EQ(split.residual, bad);
+  split = SplitPushdown(Cmp("i32", CmpOp::kLt, Value(int64_t{5})), schema);
+  EXPECT_EQ(split.pushed.size(), 1u);
+  EXPECT_EQ(split.residual, nullptr);
+  EXPECT_TRUE(SplitPushdown(nullptr, schema).pushed.empty());
 }
 
 }  // namespace
