@@ -328,9 +328,9 @@ BENCHMARK(BM_BatchSerde);
 // Fixed scalar-vs-batched measurements at a working-set size that exceeds L2
 // (a 4 MB filter / 1M-row hash table), reported as BENCH_kernels.json. The
 // scalar baselines run the exact pre-batching code path (classic layout,
-// per-row ForEachMatch + AppendRowFrom); the candidates run what the join
-// drivers now execute (blocked layout, AddKeys/MayContainKeys, ProbeBatch +
-// columnar gather). The scan-decode row compares eager and late decode of
+// per-row ForEachMatch + per-cell AppendFrom); the candidates run what the
+// join drivers now execute (blocked layout, AddKeys/MayContainKeys,
+// ProbeBatch + columnar gather). The scan-decode row compares eager and late decode of
 // one paper-L block; the band row compares the paper's post-join band
 // filtered after the equi-join against the band walk.
 
@@ -457,7 +457,9 @@ KernelResult CompareHtProbeMaterialize() {
     RecordBatch out(schema);
     for (size_t i = 0; i < probe.size(); ++i) {
       table.ForEachMatch(probe[i], [&](uint32_t b, uint32_t r) {
-        out.AppendRowFrom(table.batches()[b], r);
+        for (size_t c = 0; c < out.num_columns(); ++c) {
+          out.mutable_column(c).AppendFrom(table.batches()[b].column(c), r);
+        }
       });
       if (out.num_rows() >= kChunk) {
         base_rows += out.num_rows();

@@ -630,7 +630,7 @@ std::vector<Panel> PaperTable(const BenchConfig& bench) {
                kColumnar, 0.1, {0.4}, {0.5, 0.2, 0.05}, {0.1},
                {Arm("zigzag", kZz),
                 Arm("zigzag(exact semijoin)", ZigzagWith(exact))},
-               {kSent, "semijoin.key_bytes_sent"}});
+               {kSent, metric::kSemijoinKeyBytesSent}});
   t.back().checks = {
       {"semijoin ships <= tuples than Bloom (no false positives)",
        [](Runs p) {

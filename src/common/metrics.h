@@ -299,6 +299,9 @@ inline constexpr const char kJoinOutputTuples[] = "join.output_tuples";
 inline constexpr const char kJoinBandVisited[] = "join.band_visited";
 inline constexpr const char kBloomFiltersSent[] = "bloom.filters_sent";
 inline constexpr const char kBloomBytesSent[] = "bloom.bytes_sent";
+// Bytes of the join-key lists the exact semijoin sends from the DB workers
+// to the JEN workers (SemijoinFilter), its counterpart of bloom.bytes_sent.
+inline constexpr const char kSemijoinKeyBytesSent[] = "semijoin.key_bytes_sent";
 inline constexpr const char kHdfsBytesRead[] = "hdfs.bytes_read";
 inline constexpr const char kHdfsBytesReadRemote[] = "hdfs.bytes_read_remote";
 inline constexpr const char kHdfsBlocksLocal[] = "hdfs.blocks_local";

@@ -5,6 +5,7 @@
 #include <numeric>
 
 #include "common/hash.h"
+#include "types/batch_scatter.h"
 
 namespace hybridjoin {
 
@@ -63,38 +64,24 @@ Status DbCluster::LoadTable(const std::string& name,
   HJ_ASSIGN_OR_RETURN(
       size_t dist_col,
       rows.schema()->IndexOf(table->meta.distribution_column));
-  const ColumnVector& key = rows.column(dist_col);
-  if (key.physical_type() != PhysicalType::kInt32 &&
-      key.physical_type() != PhysicalType::kInt64) {
+  const PhysicalType key_type = rows.column(dist_col).physical_type();
+  if (key_type != PhysicalType::kInt32 && key_type != PhysicalType::kInt64) {
     return Status::InvalidArgument("distribution column must be integer");
-  }
-
-  std::vector<RecordBatch> pending;
-  pending.reserve(config_.num_workers);
-  for (uint32_t w = 0; w < config_.num_workers; ++w) {
-    pending.emplace_back(table->meta.schema);
   }
   // Distribution hash is deliberately different from the JEN "agreed hash";
   // the paper stresses that DB2's internal partitioning is opaque to HDFS.
   constexpr uint64_t kDistSeed = 0xd157ULL;
-  for (size_t r = 0; r < rows.num_rows(); ++r) {
-    const int64_t k = key.physical_type() == PhysicalType::kInt32
-                          ? key.i32()[r]
-                          : key.i64()[r];
-    const uint32_t w = static_cast<uint32_t>(
-        HashInt64(static_cast<uint64_t>(k), kDistSeed) % config_.num_workers);
-    pending[w].AppendRowFrom(rows, r);
-    if (pending[w].num_rows() >= config_.batch_rows) {
-      table->partitions[w].push_back(std::move(pending[w]));
-      pending[w] = RecordBatch(table->meta.schema);
-    }
-  }
-  for (uint32_t w = 0; w < config_.num_workers; ++w) {
-    if (pending[w].num_rows() > 0) {
-      table->partitions[w].push_back(std::move(pending[w]));
-    }
-  }
-  return Status::OK();
+  const uint32_t workers = config_.num_workers;
+  BatchScatter scatter(table->meta.schema, workers, config_.batch_rows,
+                       [table](size_t w, RecordBatch& batch) {
+                         table->partitions[w].push_back(std::move(batch));
+                         return Status::OK();
+                       });
+  HJ_RETURN_IF_ERROR(scatter.Append(rows, dist_col, [workers](int64_t key) {
+    return static_cast<uint32_t>(
+        HashInt64(static_cast<uint64_t>(key), kDistSeed) % workers);
+  }));
+  return scatter.FlushAll();
 }
 
 Status DbCluster::CreateIndex(const std::string& table,

@@ -27,32 +27,6 @@ uint64_t TableBytes(uint64_t batch_bytes, size_t rows) {
          JoinHashTable::BucketBytes(rows);
 }
 
-int64_t KeyAt(const ColumnVector& key, uint32_t row) {
-  return key.physical_type() == PhysicalType::kInt32 ? key.i32()[row]
-                                                     : key.i64()[row];
-}
-
-/// Splits a batch's rows into per-partition selections: by the resident
-/// table's shard function at depth 0, by the depth-salted hash below it.
-std::vector<std::vector<uint32_t>> RouteRows(const RecordBatch& batch,
-                                             size_t key_column,
-                                             uint32_t num_partitions,
-                                             uint32_t depth) {
-  std::vector<std::vector<uint32_t>> routed(num_partitions);
-  const ColumnVector& key = batch.column(key_column);
-  for (uint32_t r = 0; r < batch.num_rows(); ++r) {
-    const int64_t k = KeyAt(key, r);
-    const uint32_t p =
-        depth == 0
-            ? JoinHashTable::ShardOfKey(k, num_partitions)
-            : static_cast<uint32_t>(
-                  HashInt64(static_cast<uint64_t>(k), SaltedSeed(depth)) %
-                  num_partitions);
-    routed[p].push_back(r);
-  }
-  return routed;
-}
-
 }  // namespace
 
 GraceHashJoin::GraceHashJoin(SchemaPtr build_schema, std::string build_alias,
@@ -89,7 +63,11 @@ GraceHashJoin::GraceHashJoin(SchemaPtr build_schema, std::string build_alias,
   }
   HJ_CHECK(spill_ != nullptr);
   partitions_.resize(options_.num_partitions);
-  for (auto& p : partitions_) p.build_pending = RecordBatch(build_schema_);
+  build_scatter_.emplace(build_schema_, 2 * options_.num_partitions,
+                         kPendingFlushRows,
+                         [this](size_t slot, RecordBatch& rows) {
+                           return EmitBuild(slot, rows);
+                         });
   if (governor_ != nullptr && governor_->budget() != 0) {
     spiller_token_ = governor_->RegisterSpiller(
         [this]() -> uint64_t {
@@ -131,13 +109,6 @@ void GraceHashJoin::ForceCharge(uint64_t bytes) {
 void GraceHashJoin::Uncharge(uint64_t bytes) {
   if (governor_ != nullptr) governor_->Release(bytes);
   resident_bytes_ -= bytes;
-}
-
-Status GraceHashJoin::FlushBuildPending(Partition* p) {
-  if (p->build_pending.num_rows() == 0) return Status::OK();
-  HJ_RETURN_IF_ERROR(spill_->Append(p->build_file, p->build_pending));
-  p->build_pending = RecordBatch(build_schema_);
-  return Status::OK();
 }
 
 Status GraceHashJoin::SpillLocked(Partition* victim) {
@@ -203,39 +174,50 @@ Status GraceHashJoin::AddBuild(RecordBatch&& batch) {
   std::lock_guard<std::mutex> lock(mu_);
   if (build_finished_) return Status::Internal("AddBuild after FinishBuild");
   build_rows_ += static_cast<int64_t>(batch.num_rows());
-  auto routed = RouteRows(batch, build_key_, options_.num_partitions, 0);
-  for (uint32_t pi = 0; pi < options_.num_partitions; ++pi) {
-    if (routed[pi].empty()) continue;
-    Partition& p = partitions_[pi];
-    RecordBatch rows = batch.Gather(routed[pi]);
-    const uint64_t bytes =
-        rows.ByteSize() + JoinHashTable::EntryBytes(rows.num_rows());
-    build_bytes_ += bytes;
-    p.rows += rows.num_rows();
-    // Charge before admitting the piece as resident. On refusal, evict the
-    // largest resident partition (possibly this one) and retry; when this
-    // join has nothing left to evict, the piece's own partition goes to
-    // disk — what holds the budget then is someone else's.
-    while (!p.spilled && !TryCharge(bytes)) {
-      Status st;
-      const uint64_t freed = SpillLargestResidentLocked(&st);
-      HJ_RETURN_IF_ERROR(st);
-      if (freed == 0) HJ_RETURN_IF_ERROR(SpillLocked(&p));
-    }
-    if (!p.spilled) {
-      p.build_batches.push_back(std::move(rows));
-      p.resident_bytes += bytes;
-      continue;
-    }
-    // The partition is spilled (maybe just now, by the loop above): the
-    // piece belongs on its spill file, uncharged.
-    for (size_t r = 0; r < rows.num_rows(); ++r) {
-      p.build_pending.AppendRowFrom(rows, r);
-    }
-    if (p.build_pending.num_rows() >= kPendingFlushRows) {
-      HJ_RETURN_IF_ERROR(FlushBuildPending(&p));
-    }
+  const uint32_t parts = options_.num_partitions;
+  HJ_RETURN_IF_ERROR(
+      build_scatter_->Append(batch, build_key_, [&](int64_t key) {
+        const uint32_t p = PartitionOf(key);
+        return partitions_[p].spilled ? p : parts + p;
+      }));
+  // build_bytes_ counts every row as if resident, spilled or not: its
+  // bytes and entry, and a batch header per piece EmitBuild would charge
+  // (one per kPendingFlushRows rows of a partition).
+  build_bytes_ += batch.ByteSize() - RecordBatch::kHeaderBytes;
+  for (uint32_t p = 0; p < parts; ++p) {
+    const size_t rows =
+        build_scatter_->routed(p) + build_scatter_->routed(parts + p);
+    partitions_[p].rows += rows;
+    build_bytes_ += JoinHashTable::EntryBytes(rows) +
+                    (rows + kPendingFlushRows - 1) / kPendingFlushRows *
+                        RecordBatch::kHeaderBytes;
+    HJ_RETURN_IF_ERROR(build_scatter_->Flush(parts + p));
   }
+  return Status::OK();
+}
+
+Status GraceHashJoin::EmitBuild(size_t slot, RecordBatch& rows) {
+  if (slot < partitions_.size()) {
+    return spill_->Append(partitions_[slot].build_file, rows);
+  }
+  Partition& p = partitions_[slot - partitions_.size()];
+  const uint64_t bytes =
+      rows.ByteSize() + JoinHashTable::EntryBytes(rows.num_rows());
+  // Charge before admitting the piece as resident. On refusal, evict the
+  // largest resident partition (possibly this one) and retry; when this
+  // join has nothing left to evict, the piece's own partition goes to
+  // disk — what holds the budget then is someone else's.
+  while (!p.spilled && !TryCharge(bytes)) {
+    Status st;
+    const uint64_t freed = SpillLargestResidentLocked(&st);
+    HJ_RETURN_IF_ERROR(st);
+    if (freed == 0) HJ_RETURN_IF_ERROR(SpillLocked(&p));
+  }
+  // The partition is spilled (maybe just now, by the loop above): the
+  // piece belongs on its spill file, uncharged.
+  if (p.spilled) return spill_->Append(p.build_file, rows);
+  p.build_batches.push_back(std::move(rows));
+  p.resident_bytes += bytes;
   return Status::OK();
 }
 
@@ -273,11 +255,10 @@ Status GraceHashJoin::FinishBuild(ThreadPool* pool) {
       HJ_RETURN_IF_ERROR(st);
       if (freed == 0) break;  // nothing resident, so no buckets either
     }
+    HJ_RETURN_IF_ERROR(build_scatter_->FlushAll());
+    build_scatter_.reset();
     for (Partition& p : partitions_) {
-      if (p.spilled) {
-        HJ_RETURN_IF_ERROR(FlushBuildPending(&p));
-        continue;
-      }
+      if (p.spilled) continue;
       p.resident_bytes += JoinHashTable::BucketBytes(p.rows);
       for (RecordBatch& batch : p.build_batches) {
         resident.push_back(std::move(batch));
@@ -334,45 +315,34 @@ GraceHashJoin::ProbeThread::ProbeThread(GraceHashJoin* parent,
               parent->probe_alias_, parent->probe_key_,
               parent->post_join_predicate_, partial, parent->metrics_) {
   if (parent_->spilled_count_ > 0) {
-    spill_pending_.assign(parent_->partitions_.size(),
-                          RecordBatch(parent_->probe_schema_));
+    // Slot p buffers spilled partition p's rows for its spill file; the
+    // last slot gathers the resident rows to probe.
+    const size_t resident = parent_->partitions_.size();
+    scatter_.emplace(parent_->probe_schema_, resident + 1, kPendingFlushRows,
+                     [this, resident](size_t slot, RecordBatch& rows) {
+                       if (slot == resident) return prober_.ProbeBatch(rows);
+                       return parent_->spill_->Append(
+                           parent_->partitions_[slot].probe_file, rows);
+                     });
   }
 }
 
 Status GraceHashJoin::ProbeThread::Probe(const RecordBatch& batch) {
   // Nothing spilled: the whole batch probes the resident table, unrouted.
-  if (spill_pending_.empty()) return prober_.ProbeBatch(batch);
+  if (!scatter_) return prober_.ProbeBatch(batch);
   // Rows of spilled partitions divert to their spill files; the rest probe
   // as one batch.
-  const ColumnVector& key = batch.column(parent_->probe_key_);
-  std::vector<uint32_t> resident;
-  resident.reserve(batch.num_rows());
-  for (uint32_t r = 0; r < batch.num_rows(); ++r) {
-    const uint32_t pi = parent_->PartitionOf(KeyAt(key, r));
-    const Partition& p = parent_->partitions_[pi];
-    if (!p.spilled) {
-      resident.push_back(r);
-      continue;
-    }
-    RecordBatch& pending = spill_pending_[pi];
-    pending.AppendRowFrom(batch, r);
-    if (pending.num_rows() >= kPendingFlushRows) {
-      HJ_RETURN_IF_ERROR(parent_->spill_->Append(p.probe_file, pending));
-      pending = RecordBatch(parent_->probe_schema_);
-    }
-  }
-  if (resident.size() == batch.num_rows()) return prober_.ProbeBatch(batch);
-  if (resident.empty()) return Status::OK();
-  return prober_.ProbeBatch(batch.Gather(resident));
+  const auto resident = static_cast<uint32_t>(parent_->partitions_.size());
+  HJ_RETURN_IF_ERROR(
+      scatter_->Append(batch, parent_->probe_key_, [&](int64_t key) {
+        const uint32_t p = parent_->PartitionOf(key);
+        return parent_->partitions_[p].spilled ? p : resident;
+      }));
+  return scatter_->Flush(resident);
 }
 
 Status GraceHashJoin::ProbeThread::Flush() {
-  for (size_t pi = 0; pi < spill_pending_.size(); ++pi) {
-    if (spill_pending_[pi].num_rows() == 0) continue;
-    HJ_RETURN_IF_ERROR(parent_->spill_->Append(
-        parent_->partitions_[pi].probe_file, spill_pending_[pi]));
-    spill_pending_[pi] = RecordBatch(parent_->probe_schema_);
-  }
+  if (scatter_) HJ_RETURN_IF_ERROR(scatter_->FlushAll());
   return prober_.Flush();
 }
 
@@ -388,28 +358,20 @@ Status GraceHashJoin::Repartition(SpillArea::FileId src,
                                   const SchemaPtr& schema, size_t key_column,
                                   uint32_t depth,
                                   const std::vector<SpillArea::FileId>& dst) {
-  std::vector<RecordBatch> pending(dst.size(), RecordBatch(schema));
-  HJ_RETURN_IF_ERROR(spill_->ForEach(
-      src, schema, [&](RecordBatch&& batch) -> Status {
-        auto routed = RouteRows(batch, key_column,
-                                static_cast<uint32_t>(dst.size()), depth);
-        for (size_t i = 0; i < dst.size(); ++i) {
-          if (routed[i].empty()) continue;
-          RecordBatch rows = batch.Gather(routed[i]);
-          for (size_t r = 0; r < rows.num_rows(); ++r) {
-            pending[i].AppendRowFrom(rows, r);
-          }
-          if (pending[i].num_rows() >= kPendingFlushRows) {
-            HJ_RETURN_IF_ERROR(spill_->Append(dst[i], pending[i]));
-            pending[i] = RecordBatch(schema);
-          }
-        }
-        return Status::OK();
+  const auto fanout = static_cast<uint32_t>(dst.size());
+  const uint64_t seed = SaltedSeed(depth);
+  BatchScatter scatter(schema, fanout, kPendingFlushRows,
+                       [&](size_t slot, RecordBatch& rows) {
+                         return spill_->Append(dst[slot], rows);
+                       });
+  HJ_RETURN_IF_ERROR(
+      spill_->ForEach(src, schema, [&](RecordBatch&& batch) {
+        return scatter.Append(batch, key_column, [&](int64_t key) {
+          return static_cast<uint32_t>(
+              HashInt64(static_cast<uint64_t>(key), seed) % fanout);
+        });
       }));
-  for (size_t i = 0; i < dst.size(); ++i) {
-    if (pending[i].num_rows() == 0) continue;
-    HJ_RETURN_IF_ERROR(spill_->Append(dst[i], pending[i]));
-  }
+  HJ_RETURN_IF_ERROR(scatter.FlushAll());
   spill_->Drop(src);
   return Status::OK();
 }

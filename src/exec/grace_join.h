@@ -57,6 +57,7 @@
 #include "exec/join_prober.h"
 #include "exec/memory_governor.h"
 #include "exec/spill.h"
+#include "types/batch_scatter.h"
 
 namespace hybridjoin {
 
@@ -111,7 +112,8 @@ class GraceHashJoin {
 
     GraceHashJoin* parent_;
     JoinProber prober_;
-    std::vector<RecordBatch> spill_pending_;  // per partition
+    /// Set once a partition spilled, so the probe routes.
+    std::optional<BatchScatter> scatter_;
   };
 
   /// Valid only after FinishBuild().
@@ -138,7 +140,6 @@ class GraceHashJoin {
     bool spilled = false;
     SpillArea::FileId build_file = 0;
     SpillArea::FileId probe_file = 0;
-    RecordBatch build_pending;  // buffered rows before flush to spill
   };
 
   uint32_t PartitionOf(int64_t key) const;
@@ -159,7 +160,11 @@ class GraceHashJoin {
   /// first) until `want` bytes are freed or nothing evictable remains.
   /// Inert once the build phase is frozen.
   uint64_t SpillForGovernor(uint64_t want);
-  Status FlushBuildPending(Partition* p);
+  /// Requires mu_ held. Where AddBuild's scatter hands rows: slot p (below
+  /// num_partitions) a full batch of spilled partition p's rows for its
+  /// spill file; slot num_partitions + p resident partition p's piece of a
+  /// build batch, charged and kept, or spilled when the budget refuses it.
+  Status EmitBuild(size_t slot, RecordBatch& rows);
   /// Records the resident table's shape under the join.ht_* metrics.
   void RecordTableShape() const;
   /// Joins one spilled (build, probe) file pair, recursively repartitioning
@@ -199,6 +204,9 @@ class GraceHashJoin {
   /// mutate it. Probe-phase state is frozen, read lock-free.
   std::mutex mu_;
   std::vector<Partition> partitions_;
+  /// AddBuild's split of each build batch (see EmitBuild); released at
+  /// FinishBuild.
+  std::optional<BatchScatter> build_scatter_;
   /// First error hit inside the governor spill callback (which cannot
   /// return a Status); re-raised by FinishBuild.
   Status callback_status_ = Status::OK();

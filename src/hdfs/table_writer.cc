@@ -5,7 +5,6 @@
 #include <condition_variable>
 #include <memory>
 #include <mutex>
-#include <numeric>
 #include <utility>
 
 namespace hybridjoin {
@@ -29,20 +28,6 @@ Status HdfsTableWriter::Open() {
   return Status::OK();
 }
 
-namespace {
-
-/// Appends `n` rows of `src` from `offset` to `dst`.
-void AppendRows(const RecordBatch& src, size_t offset, size_t n,
-                RecordBatch* dst) {
-  std::vector<uint32_t> rows(n);
-  std::iota(rows.begin(), rows.end(), static_cast<uint32_t>(offset));
-  for (size_t c = 0; c < src.num_columns(); ++c) {
-    dst->mutable_column(c).GatherAppendFrom(src.column(c), rows.data(), n);
-  }
-}
-
-}  // namespace
-
 Status HdfsTableWriter::Append(const RecordBatch& batch) {
   if (!open_ || closed_) return Status::Internal("writer not open");
   if (!(*batch.schema() == *schema_)) {
@@ -60,7 +45,7 @@ Status HdfsTableWriter::Append(const RecordBatch& batch) {
       continue;
     }
     const size_t take = std::min(left, block_rows - pending_.num_rows());
-    AppendRows(batch, at, take, &pending_);
+    pending_.AppendRange(batch, at, take);
     at += take;
     if (pending_.num_rows() == block_rows) HoldPending();
     if (full_.size() >= hold) HJ_RETURN_IF_ERROR(FlushBlocks());
@@ -100,10 +85,8 @@ Status HdfsTableWriter::FlushBlocks() {
       chunk = EncodeColumnChunk(column, options_.columnar);
       return;
     }
-    std::vector<uint32_t> rows(full.rows);
-    std::iota(rows.begin(), rows.end(), static_cast<uint32_t>(full.offset));
     ColumnVector part(column.type());
-    part.GatherAppendFrom(column, rows.data(), rows.size());
+    part.AppendRange(column, full.offset, full.rows);
     chunk = EncodeColumnChunk(part, options_.columnar);
   };
   // The caller and up to one pool task per further task take tasks in turn

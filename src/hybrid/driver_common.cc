@@ -218,11 +218,6 @@ uint32_t DbPartition(int64_t key, uint32_t workers) {
       HashInt64(static_cast<uint64_t>(key), kDbRepartitionSeed) % workers);
 }
 
-int64_t KeyAt(const ColumnVector& key, uint32_t row) {
-  return key.physical_type() == PhysicalType::kInt32 ? key.i32()[row]
-                                                     : key.i64()[row];
-}
-
 /// The hot-key agreement's fold result: the hot set for an exchange over
 /// `route_workers` destinations (PickHotKeys with the SkewConfig constants),
 /// recorded in the event log. One coordinator decides, so every sender
@@ -287,11 +282,15 @@ Exchange::Sender::Sender(Exchange* exchange, NodeId self,
     reach_ = {spec_.receivers[spec_.owner[sender]]};
   }
   if (spec_.route == Route::kAgreedHash || spec_.route == Route::kDbHash) {
-    pending_.assign(threads, std::vector<RecordBatch>(
-                                 spec_.receivers.size() + 1,
-                                 RecordBatch(spec_.schema)));
+    for (uint32_t t = 0; t < threads; ++t) {
+      scatters_.emplace_back(spec_.schema, spec_.receivers.size() + 1,
+                             spec_.flush_rows,
+                             [this, t](size_t slot, RecordBatch& rows) {
+                               Emit(t, slot, rows);
+                               return Status::OK();
+                             });
+    }
     kept_.resize(threads);
-    routing_.resize(threads);
   }
   HJ_CHECK_GT(spec_.send_threads, 0u);
   send_threads_.reserve(spec_.send_threads);
@@ -351,53 +350,19 @@ void Exchange::Sender::Append(uint32_t thread, const RecordBatch& batch) {
     Ship(reach_, batch);
     return;
   }
-  std::vector<RecordBatch>& pending = pending_[thread];
-  Routing& routing = routing_[thread];
   const auto parts = static_cast<uint32_t>(spec_.receivers.size());
-  const auto rows = static_cast<uint32_t>(batch.num_rows());
-  // Each row's slot, then the rows grouped by slot in row order.
-  const ColumnVector& key = batch.column(spec_.key_column);
-  routing.slot.resize(rows);
-  routing.start.assign(pending.size() + 1, 0);
-  for (uint32_t r = 0; r < rows; ++r) {
-    const int64_t k = KeyAt(key, r);
-    const uint32_t slot = hot_ != nullptr && hot_->Contains(k) ? parts
-                          : spec_.route == Route::kAgreedHash
-                              ? AgreedPartition(k, parts)
-                              : DbPartition(k, parts);
-    routing.slot[r] = slot;
-    ++routing.start[slot + 1];
-  }
-  std::partial_sum(routing.start.begin(), routing.start.end(),
-                   routing.start.begin());
-  routing.cursor.assign(routing.start.begin(), routing.start.end() - 1);
-  routing.rows.resize(rows);
-  for (uint32_t r = 0; r < rows; ++r) {
-    routing.rows[routing.cursor[routing.slot[r]]++] = r;
-  }
-  // Each slot's rows in runs that end where its pending batch reaches
-  // flush_rows, so every emitted batch holds the rows, in the order, that
-  // row-at-a-time routing would give it.
-  const size_t flush_rows = std::max<size_t>(spec_.flush_rows, 1);
-  for (size_t slot = 0; slot < pending.size(); ++slot) {
-    const uint32_t* run = routing.rows.data() + routing.start[slot];
-    size_t left = routing.start[slot + 1] - routing.start[slot];
-    while (left > 0) {
-      const size_t take = std::min(left, flush_rows - pending[slot].num_rows());
-      pending[slot].GatherAppendFrom(batch, run, take);
-      run += take;
-      left -= take;
-      if (pending[slot].num_rows() >= flush_rows) Emit(thread, slot);
-    }
-  }
+  // Emit cannot fail.
+  (void)scatters_[thread].Append(batch, spec_.key_column, [&](int64_t key) {
+    if (hot_ != nullptr && hot_->Contains(key)) return parts;
+    return spec_.route == Route::kAgreedHash ? AgreedPartition(key, parts)
+                                             : DbPartition(key, parts);
+  });
 }
 
-void Exchange::Sender::Emit(uint32_t thread, size_t slot) {
-  RecordBatch& batch = pending_[thread][slot];
+void Exchange::Sender::Emit(uint32_t thread, size_t slot, RecordBatch& batch) {
   if (slot < spec_.receivers.size()) {
     trace::Span span(tracer_, spec_.send_span, trace::span::kCatExchange);
     SendTo(static_cast<uint32_t>(slot), batch);
-    batch.Clear();
     return;
   }
   // A hot row took the hybrid route: the hot set shaped this exchange.
@@ -410,10 +375,9 @@ void Exchange::Sender::Emit(uint32_t thread, size_t slot) {
                 static_cast<int64_t>(batch.ByteSize() *
                                      spec_.receivers.size()));
     Ship(spec_.receivers, batch);
-    batch.Clear();
   } else {
     exchange_->governor_->Reserve(batch.ByteSize());
-    kept_[thread].push_back(std::exchange(batch, RecordBatch(spec_.schema)));
+    kept_[thread].push_back(std::move(batch));
   }
 }
 
@@ -429,10 +393,8 @@ void Exchange::Sender::SendPayload(uint32_t receiver,
 Status Exchange::Sender::Finish() {
   HJ_CHECK(!finished_) << "Exchange::Sender::Finish called twice";
   finished_ = true;
-  for (uint32_t t = 0; t < pending_.size(); ++t) {
-    for (size_t slot = 0; slot < pending_[t].size(); ++slot) {
-      if (pending_[t][slot].num_rows() > 0) Emit(t, slot);
-    }
+  for (uint32_t t = 0; t < scatters_.size(); ++t) {
+    (void)scatters_[t].FlushAll();
     if (!kept_[t].empty()) exchange_->Keep(local_, std::move(kept_[t]));
   }
   // The send threads drain the closed queue before they exit.
@@ -685,24 +647,20 @@ void SemijoinFilter::Ship(uint32_t worker, std::vector<RecordBatch> t_prime,
   const size_t key_idx = prepared_.db_key_idx;
   Status& st = *status;
   if (!st.ok()) t_prime.clear();
-  std::vector<RecordBatch> parts;
-  parts.reserve(n);
-  for (uint32_t p = 0; p < n; ++p) parts.emplace_back(prepared_.db_proj_schema);
+  // Whole parts: nothing is emitted before the bitmaps come back.
+  BatchScatter parts(prepared_.db_proj_schema, n, BatchScatter::kNoFlush,
+                     nullptr);
   for (const RecordBatch& batch : t_prime) {
-    const ColumnVector& key = batch.column(key_idx);
-    for (uint32_t r = 0; r < batch.num_rows(); ++r) {
-      parts[AgreedPartition(KeyAt(key, r), n)].AppendRowFrom(batch, r);
-    }
+    (void)parts.Append(batch, key_idx,
+                       [n](int64_t key) { return AgreedPartition(key, n); });
   }
   Exchange::Sender key_lists = keys_.Open(self);
   for (uint32_t p = 0; p < n && st.ok(); ++p) {
-    const ColumnVector& key = parts[p].column(key_idx);
     BinaryWriter keys;
-    keys.PutVarint(parts[p].num_rows());
-    for (uint32_t r = 0; r < parts[p].num_rows(); ++r) {
-      keys.PutI64(KeyAt(key, r));
-    }
-    ctx->metrics().Add("semijoin.key_bytes_sent",
+    keys.PutVarint(parts.pending(p).num_rows());
+    ForEachIntKey(parts.pending(p).column(key_idx),
+                  [&keys](size_t, int64_t key) { keys.PutI64(key); });
+    ctx->metrics().Add(metric::kSemijoinKeyBytesSent,
                        static_cast<int64_t>(keys.size()));
     key_lists.SendPayload(p, keys.Release());
   }
@@ -717,12 +675,12 @@ void SemijoinFilter::Ship(uint32_t worker, std::vector<RecordBatch> t_prime,
   Exchange::Sender sender = out->Open(self);
   for (uint32_t p = 0; p < n && st.ok(); ++p) {
     std::vector<uint32_t> keep;
-    for (uint32_t r = 0; r < parts[p].num_rows(); ++r) {
+    for (uint32_t r = 0; r < parts.pending(p).num_rows(); ++r) {
       if (r / 8 < bitmaps[p].size() && (bitmaps[p][r / 8] >> (r % 8)) & 1) {
         keep.push_back(r);
       }
     }
-    if (!keep.empty()) sender.SendTo(p, parts[p].Gather(keep));
+    if (!keep.empty()) sender.SendTo(p, parts.pending(p).Gather(keep));
   }
   if (worker == 0) exec_->Mark("semijoin_applied");
   st.Update(sender.Finish());

@@ -42,6 +42,7 @@
 #include "hybrid/query.h"
 #include "hybrid/report.h"
 #include "jen/exchange.h"
+#include "types/batch_scatter.h"
 
 namespace hybridjoin {
 namespace driver {
@@ -221,9 +222,9 @@ class Exchange {
 
     Sender(Exchange* exchange, NodeId self, const HotKeySet* hot,
            uint32_t threads);
-    /// Ships producer `thread`'s pending batch in `slot`: receiver `slot`'s
+    /// Ships producer `thread`'s full `batch` of `slot`: receiver `slot`'s
     /// partition, or past the last receiver the hot rows.
-    void Emit(uint32_t thread, size_t slot);
+    void Emit(uint32_t thread, size_t slot, RecordBatch& batch);
     /// Serializes `batch` once and queues it for every node of `dests`.
     void Ship(std::span<const NodeId> dests, const RecordBatch& batch);
     /// Queues `payload` for every node of `dests` (shared, not copied).
@@ -238,20 +239,10 @@ class Exchange {
     trace::Tracer* tracer_;      ///< for spec_.send_span
     std::vector<NodeId> reach_;  ///< the receivers this sender streams to
     size_t local_;               ///< self's receiver index, if any
-    /// Hash routes, per producer thread: a pending batch per receiver,
-    /// then one of hot rows; and the hot rows kept local.
-    std::vector<std::vector<RecordBatch>> pending_;
+    /// Hash routes, per producer thread: a scatter with a slot per
+    /// receiver, then one of hot rows; and the hot rows kept local.
+    std::vector<BatchScatter> scatters_;
     std::vector<std::vector<RecordBatch>> kept_;
-    /// Append's scratch per producer thread: each row's slot, where each
-    /// slot's rows start in `rows` (one past the last slot: the row count),
-    /// a fill cursor per slot, and the rows grouped by slot in row order.
-    struct Routing {
-      std::vector<uint32_t> slot;
-      std::vector<uint32_t> start;
-      std::vector<uint32_t> cursor;
-      std::vector<uint32_t> rows;
-    };
-    std::vector<Routing> routing_;
     std::shared_ptr<BufferPool> pool_;
     /// Queued payloads are in-flight memory of the query, charged to its
     /// governor per destination (each Item pins the payload) and released

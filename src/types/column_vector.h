@@ -19,6 +19,7 @@
 #include <new>
 #include <string>
 #include <string_view>
+#include <type_traits>
 #include <utility>
 #include <variant>
 #include <vector>
@@ -139,6 +140,23 @@ class StringColumn {
     }
     char* dst = BeginWrite(total, 0);
     for (size_t j = 0; j < n; ++j) dst = WriteRow(dst, src[rows[j]]);
+  }
+
+  /// Appends rows [offset, offset + n) of `src`, another column, as one
+  /// byte range; grows like GatherAppendFrom.
+  void AppendRange(const StringColumn& src, size_t offset, size_t n) {
+    if (n == 0) return;
+    const uint32_t lo = src.offsets_[offset];
+    const uint32_t hi = src.offsets_[offset + n];
+    if (size() + n + 1 > offsets_.capacity()) {
+      reserve(std::max(size() + n, 2 * size()));
+    }
+    char* dst = BeginWrite(hi - lo, 0);
+    if (hi > lo) std::memcpy(dst, src.bytes_.data() + lo, hi - lo);
+    const uint32_t base = static_cast<uint32_t>(dst - bytes_.data()) - lo;
+    for (size_t i = 1; i <= n; ++i) {
+      offsets_.push_back(src.offsets_[offset + i] + base);
+    }
   }
 
   // In-place appends, for writers that know the byte total of the rows
@@ -307,6 +325,21 @@ class ColumnVector {
         mutable_str().GatherAppendFrom(src.str(), rows, n);
         break;
     }
+  }
+
+  /// Appends rows [offset, offset + n) of `src` (same physical type,
+  /// another column): one copy of the values or of the string bytes.
+  void AppendRange(const ColumnVector& src, size_t offset, size_t n) {
+    std::visit(
+        [&](auto& out) {
+          const auto& in = std::get<std::decay_t<decltype(out)>>(src.data_);
+          if constexpr (std::is_same_v<decltype(in), const StringColumn&>) {
+            out.AppendRange(in, offset, n);
+          } else {
+            out.insert(out.end(), in.begin() + offset, in.begin() + offset + n);
+          }
+        },
+        data_);
   }
 
   /// Returns a new column with only the rows whose indexes appear in `sel`.

@@ -120,9 +120,7 @@ RecordBatch ConcatBatches(const SchemaPtr& schema,
   size_t total = 0;
   for (const auto& b : batches) total += b.num_rows();
   out.Reserve(total);
-  for (const auto& b : batches) {
-    for (size_t r = 0; r < b.num_rows(); ++r) out.AppendRowFrom(b, r);
-  }
+  for (const auto& b : batches) out.AppendRange(b, 0, b.num_rows());
   return out;
 }
 

@@ -50,11 +50,12 @@ class RecordBatch {
     for (auto& c : columns_) c.Reserve(n);
   }
 
-  /// Appends row `row` of `src` (same layout) to this batch.
-  void AppendRowFrom(const RecordBatch& src, size_t row) {
+  /// Appends rows [offset, offset + n) of `src` (same layout, another
+  /// batch), a column at a time.
+  void AppendRange(const RecordBatch& src, size_t offset, size_t n) {
     HJ_DCHECK(src.num_columns() == columns_.size());
     for (size_t c = 0; c < columns_.size(); ++c) {
-      columns_[c].AppendFrom(src.column(c), row);
+      columns_[c].AppendRange(src.column(c), offset, n);
     }
   }
 
@@ -110,9 +111,12 @@ class RecordBatch {
     return RecordBatch(schema_->Project(indices), std::move(cols));
   }
 
+  /// What ByteSize counts for a batch beyond its columns.
+  static constexpr size_t kHeaderBytes = 8;
+
   /// Approximate wire footprint.
   size_t ByteSize() const {
-    size_t total = 8;
+    size_t total = kHeaderBytes;
     for (const auto& c : columns_) total += c.ByteSize();
     return total;
   }

@@ -255,17 +255,7 @@ Result<Workload> Workload::Generate(const WorkloadConfig& config,
       // Concatenate, corPred-sort, re-chunk: the HDFS blocks written from
       // these batches inherit the clustered order, so any single-block
       // sample misestimates sigma_L (see WorkloadConfig::cluster_l_by_pred).
-      RecordBatch all(LSchema());
-      all.Reserve(config.l_rows);
-      std::vector<uint32_t> ident;
-      for (const RecordBatch& b : w.l_) {
-        ident.resize(b.num_rows());
-        std::iota(ident.begin(), ident.end(), 0u);
-        for (size_t c = 0; c < all.num_columns(); ++c) {
-          all.mutable_column(c).GatherAppendFrom(b.column(c), ident.data(),
-                                                 ident.size());
-        }
-      }
+      const RecordBatch all = ConcatBatches(LSchema(), w.l_);
       const std::vector<uint32_t> perm = SortedByColumn(all, 1);
       std::vector<RecordBatch> clustered;
       for (size_t off = 0; off < perm.size(); off += config.batch_rows) {

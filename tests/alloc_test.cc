@@ -1,8 +1,8 @@
 // Allocation-count regression tests: building a string row must not
-// allocate, nor may a filtered block scan allocate per row. Each case
-// counts the calls to the global operator new that one operation makes on
-// a 1K-row and on a 16K-row input; the counts must be equal, so no step
-// allocates per row, nor per doubling of a growing buffer.
+// allocate, nor may a filtered block scan or a warmed scatter allocate per
+// row. Each case counts the calls to the global operator new that one
+// operation makes on a 1K-row and on a 16K-row input; the counts must be
+// equal, so no step allocates per row, nor per doubling of a growing buffer.
 
 #include <gtest/gtest.h>
 
@@ -19,6 +19,7 @@
 #include "exec/join_hash_table.h"
 #include "exec/join_prober.h"
 #include "hdfs/format.h"
+#include "types/batch_scatter.h"
 #include "types/record_batch.h"
 #include "workload/generator.h"
 
@@ -261,6 +262,34 @@ int64_t GatherAllocations(size_t rows) {
 
 TEST(AllocationTest, GatherDoesNotAllocatePerRow) {
   EXPECT_EQ(GatherAllocations(kLarge), GatherAllocations(kSmall));
+}
+
+/// A warmed scatter's split of `rows` rows into four hashed slots and a hot
+/// one, emitting at 1000 rows, and its flush.
+int64_t ScatterAllocations(size_t rows) {
+  const RecordBatch batch = StringBatch(rows);
+  size_t emitted = 0;
+  BatchScatter scatter(batch.schema(), 5, 1000,
+                       [&](size_t, RecordBatch& out) {
+                         emitted += out.num_rows();
+                         return Status::OK();
+                       });
+  auto slot_of = [](int64_t key) -> uint32_t {
+    return key % 10 == 0 ? 4 : (static_cast<uint64_t>(key) * 7919) % 4;
+  };
+  // The first pass sizes the scratch and every pending batch.
+  EXPECT_TRUE(scatter.Append(batch, 0, slot_of).ok());
+  EXPECT_TRUE(scatter.FlushAll().ok());
+  const int64_t n = Allocations([&] {
+    EXPECT_TRUE(scatter.Append(batch, 0, slot_of).ok());
+    EXPECT_TRUE(scatter.FlushAll().ok());
+  });
+  EXPECT_EQ(emitted, 2 * rows);
+  return n;
+}
+
+TEST(AllocationTest, ScatterDoesNotAllocatePerRow) {
+  EXPECT_EQ(ScatterAllocations(kLarge), ScatterAllocations(kSmall));
 }
 
 /// A warmed prober's probe and flush of `rows` rows, each joining one build

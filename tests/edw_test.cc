@@ -5,6 +5,7 @@
 
 #include <set>
 
+#include "common/hash.h"
 #include "common/random.h"
 #include "edw/db_cluster.h"
 
@@ -55,20 +56,38 @@ TEST_F(DbClusterTest, CatalogBasics) {
   EXPECT_EQ(meta->distribution_column, "uniqKey");
 }
 
+// Each worker holds exactly the rows the distribution hash sends it, in
+// source order, in batches of exactly batch_rows but the last.
 TEST_F(DbClusterTest, PartitioningIsCompleteAndDisjoint) {
   EXPECT_EQ(cluster_->TableRows("T").value(), 5000u);
   std::set<int64_t> seen;
   size_t total = 0;
   for (uint32_t w = 0; w < 4; ++w) {
+    SCOPED_TRACE(w);
     auto part = cluster_->worker(w)->Partition("T");
     ASSERT_TRUE(part.ok());
-    for (const RecordBatch& batch : **part) {
+    std::vector<int64_t> keys;
+    for (size_t b = 0; b < (*part)->size(); ++b) {
+      const RecordBatch& batch = (**part)[b];
+      if (b + 1 < (*part)->size()) {
+        EXPECT_EQ(batch.num_rows(), 256u);
+      } else {
+        EXPECT_GE(batch.num_rows(), 1u);
+        EXPECT_LE(batch.num_rows(), 256u);
+      }
       total += batch.num_rows();
       for (int64_t k : batch.column(0).i64()) {
         EXPECT_TRUE(seen.insert(k).second) << "duplicate row " << k;
+        keys.push_back(k);
       }
     }
-    // Partitions are reasonably balanced (hash distribution).
+    std::vector<int64_t> want;
+    for (int64_t k : rows_.column(0).i64()) {
+      if (HashInt64(static_cast<uint64_t>(k), 0xd157ULL) % 4 == w) {
+        want.push_back(k);
+      }
+    }
+    EXPECT_EQ(keys, want);
   }
   EXPECT_EQ(total, 5000u);
   EXPECT_EQ(seen.size(), 5000u);

@@ -350,7 +350,7 @@ TEST(DriverStageTest, SemijoinRoundEndsWhenADbWorkerFailsBeforeItsKeys) {
   EXPECT_EQ(st.code(), StatusCode::kInternal) << st;
   for (const Status& s : jen_status) EXPECT_TRUE(s.ok()) << s;
   EXPECT_EQ(shipped.load(), 0);
-  EXPECT_GT(ctx->metrics().Get("semijoin.key_bytes_sent"), 0);
+  EXPECT_GT(ctx->metrics().Get(metric::kSemijoinKeyBytesSent), 0);
   EXPECT_LT(wall.ElapsedSeconds(), 5.0);
   EXPECT_EQ(ctx->network().num_channels(), channels_before);
 }
@@ -702,7 +702,7 @@ TEST(SemijoinFilterTest, MatchesBloomZigzagWithFewerOrEqualTuples) {
   EXPECT_LE(with_semi->report.Counter(metric::kDbTuplesSent),
             with_bloom->report.Counter(metric::kDbTuplesSent));
   // But the key lists themselves crossed the interconnect.
-  EXPECT_GT(with_semi->report.Counter("semijoin.key_bytes_sent"), 0);
+  EXPECT_GT(with_semi->report.Counter(metric::kSemijoinKeyBytesSent), 0);
 
   // Invalid combinations are rejected up front.
   JoinDriverOptions bad = semi_opts;

@@ -3,6 +3,7 @@
 
 #include <gtest/gtest.h>
 
+#include "types/batch_scatter.h"
 #include "types/record_batch.h"
 
 namespace hybridjoin {
@@ -96,13 +97,6 @@ TEST(RecordBatchTest, ProjectReordersColumns) {
   EXPECT_EQ(p.column(1).i32()[0], 1);
 }
 
-TEST(RecordBatchTest, AppendRowFromAnotherBatch) {
-  RecordBatch src = MakeBatch();
-  RecordBatch dst(src.schema());
-  dst.AppendRowFrom(src, 1);
-  ASSERT_EQ(dst.num_rows(), 1u);
-  EXPECT_EQ(dst.column(2).str()[0], "two");
-}
 
 TEST(RecordBatchTest, SerdeRoundTrip) {
   RecordBatch b = MakeBatch();
@@ -279,6 +273,20 @@ TEST(StringLayoutTest, ClearKeepsTheColumnUsable) {
   EXPECT_EQ(c.ByteSize(), 4u);
 }
 
+TEST(RecordBatchTest, AppendRangeFromAnotherBatch) {
+  const RecordBatch src = GoldenBatch();
+  RecordBatch dst = GoldenBatch();
+  dst.AppendRange(src, 1, 3);
+  dst.AppendRange(src, 0, 0);
+  dst.AppendRange(src, 4, 1);
+  ASSERT_EQ(dst.num_rows(), 9u);
+  const std::vector<size_t> from = {0, 1, 2, 3, 4, 1, 2, 3, 4};
+  for (size_t r = 0; r < from.size(); ++r) {
+    EXPECT_EQ(dst.column(0).i32()[r], src.column(0).i32()[from[r]]);
+    EXPECT_EQ(dst.column(1).str()[r], src.column(1).str()[from[r]]);
+  }
+}
+
 TEST(RecordBatchTest, RvalueProjectMovesColumns) {
   RecordBatch b = MakeBatch();
   const RecordBatch copied = b.Project({2, 0, 2});
@@ -295,6 +303,147 @@ TEST(RecordBatchTest, RvalueProjectMovesColumns) {
   // The last use of a column takes its buffer; an earlier one copies.
   EXPECT_NE(moved.column(0).str()[0].data(), bytes);
   EXPECT_EQ(moved.column(2).str()[0].data(), bytes);
+}
+
+// ------------------------------- BatchScatter ------------------------------
+
+/// Rows with keys `keys` (as `key_type`) and strings "r<first + i>".
+RecordBatch KeyedRows(DataType key_type, const std::vector<int64_t>& keys,
+                      size_t first) {
+  RecordBatch b(Schema::Make({{"k", key_type}, {"s", DataType::kString}}));
+  for (size_t i = 0; i < keys.size(); ++i) {
+    b.AppendRow({key_type == DataType::kInt32
+                     ? Value(static_cast<int32_t>(keys[i]))
+                     : Value(keys[i]),
+                 Value("r" + std::to_string(first + i))});
+  }
+  return b;
+}
+
+/// Every batch a scatter emitted, in emit order.
+using Emitted = std::vector<std::pair<size_t, RecordBatch>>;
+
+BatchScatter::Emit Collect(Emitted* out) {
+  return [out](size_t slot, RecordBatch& rows) {
+    out->emplace_back(slot, rows);
+    return Status::OK();
+  };
+}
+
+// Slots 0-3 take keys by key mod 4, slot 4 none, slot 5 the hot keys 3 and
+// 11. Every slot's rows arrive in source order, across batches (one of them
+// empty), in batches of exactly flush_rows but a slot's last.
+TEST(BatchScatterTest, EverySlotKeepsSourceOrderInFullBatches) {
+  constexpr size_t kFlush = 7;
+  auto slot_of = [](int64_t key) -> uint32_t {
+    return key == 3 || key == 11 ? 5 : static_cast<uint64_t>(key) % 4;
+  };
+  for (DataType key_type : {DataType::kInt32, DataType::kInt64}) {
+    SCOPED_TRACE(DataTypeName(key_type));
+    std::vector<int64_t> keys;
+    for (int64_t i = 0; i < 100; ++i) keys.push_back((i * 7919) % 23 - 5);
+    Emitted emitted;
+    BatchScatter scatter(KeyedRows(key_type, {}, 0).schema(), 6, kFlush,
+                         Collect(&emitted));
+    size_t first = 0;
+    for (size_t n : {40, 0, 60}) {
+      const std::vector<int64_t> part(keys.begin() + first,
+                                      keys.begin() + first + n);
+      ASSERT_TRUE(
+          scatter.Append(KeyedRows(key_type, part, first), 0, slot_of).ok());
+      first += n;
+    }
+    ASSERT_TRUE(scatter.FlushAll().ok());
+    for (size_t slot = 0; slot < 6; ++slot) {
+      SCOPED_TRACE(slot);
+      std::vector<std::string> want;
+      for (size_t r = 0; r < keys.size(); ++r) {
+        if (slot_of(keys[r]) == slot) want.push_back("r" + std::to_string(r));
+      }
+      std::vector<std::string> got;
+      std::vector<size_t> sizes;
+      for (const auto& [s, rows] : emitted) {
+        if (s != slot) continue;
+        sizes.push_back(rows.num_rows());
+        for (size_t r = 0; r < rows.num_rows(); ++r) {
+          EXPECT_EQ(slot_of(rows.column(0).GetValue(r).AsInt64Lenient()),
+                    slot);
+          got.emplace_back(rows.column(1).str()[r]);
+        }
+      }
+      EXPECT_EQ(got, want);
+      if (slot == 4) EXPECT_TRUE(sizes.empty());
+      for (size_t i = 0; i + 1 < sizes.size(); ++i) {
+        EXPECT_EQ(sizes[i], kFlush);
+      }
+      if (!sizes.empty()) {
+        EXPECT_GE(sizes.back(), 1u);
+        EXPECT_LE(sizes.back(), kFlush);
+      }
+    }
+  }
+}
+
+TEST(BatchScatterTest, SplitsExactlyAtFlushRows) {
+  Emitted emitted;
+  BatchScatter scatter(KeyedRows(DataType::kInt64, {}, 0).schema(), 2, 4,
+                       Collect(&emitted));
+  auto to_zero = [](int64_t) -> uint32_t { return 0; };
+  auto ones = [](size_t n, size_t first) {
+    return KeyedRows(DataType::kInt64, std::vector<int64_t>(n, 1), first);
+  };
+  // One batch three flushes long, then one that tops the rest up.
+  ASSERT_TRUE(scatter.Append(ones(13, 0), 0, to_zero).ok());
+  EXPECT_EQ(scatter.routed(0), 13u);
+  EXPECT_EQ(scatter.routed(1), 0u);
+  ASSERT_EQ(emitted.size(), 3u);
+  EXPECT_EQ(scatter.pending(0).num_rows(), 1u);
+  ASSERT_TRUE(scatter.Append(ones(3, 13), 0, to_zero).ok());
+  ASSERT_TRUE(scatter.Append(ones(0, 16), 0, to_zero).ok());
+  EXPECT_EQ(scatter.routed(0), 0u);
+  ASSERT_TRUE(scatter.FlushAll().ok());
+  ASSERT_EQ(emitted.size(), 4u);
+  for (size_t b = 0; b < 4; ++b) {
+    EXPECT_EQ(emitted[b].first, 0u);
+    const RecordBatch& rows = emitted[b].second;
+    ASSERT_EQ(rows.num_rows(), 4u);
+    for (size_t r = 0; r < 4; ++r) {
+      EXPECT_EQ(rows.column(1).str()[r], "r" + std::to_string(4 * b + r));
+    }
+  }
+}
+
+// An emit may move the batch out (the slot starts over with the schema);
+// its first error ends the Append.
+TEST(BatchScatterTest, EmitMayTakeTheBatchOrFail) {
+  const RecordBatch rows =
+      KeyedRows(DataType::kInt32, {0, 1, 0, 1, 0, 1, 0}, 0);
+  auto by_key = [](int64_t key) { return static_cast<uint32_t>(key); };
+  std::vector<RecordBatch> taken;
+  BatchScatter scatter(rows.schema(), 2, 2,
+                       [&](size_t, RecordBatch& batch) {
+                         taken.push_back(std::move(batch));
+                         return Status::OK();
+                       });
+  ASSERT_TRUE(scatter.Append(rows, 0, by_key).ok());
+  ASSERT_TRUE(scatter.Append(rows, 0, by_key).ok());
+  ASSERT_TRUE(scatter.FlushAll().ok());
+  size_t total = 0;
+  for (const RecordBatch& b : taken) {
+    EXPECT_EQ(b.schema(), rows.schema());
+    EXPECT_LE(b.num_rows(), 2u);
+    total += b.num_rows();
+  }
+  EXPECT_EQ(total, 14u);
+  EXPECT_EQ(scatter.pending(0).schema(), rows.schema());
+
+  int calls = 0;
+  BatchScatter failing(rows.schema(), 2, 2, [&](size_t, RecordBatch&) {
+    ++calls;
+    return Status::IOError("disk full");
+  });
+  EXPECT_EQ(failing.Append(rows, 0, by_key).code(), StatusCode::kIOError);
+  EXPECT_EQ(calls, 1);
 }
 
 }  // namespace
