@@ -16,6 +16,7 @@
 #include <cstdio>
 #include <cstring>
 #include <numeric>
+#include <optional>
 #include <string>
 
 #include "bloom/bloom_filter.h"
@@ -229,9 +230,14 @@ BENCHMARK(BM_DecodePaperLColumn)
     ->ArgNames({"col", "sel"});
 
 void BM_HashTableBuild(benchmark::State& state) {
+  // Args: rows, shards, and whether the table is ordered by the date band
+  // (the zigzag join's L' table: 16 shards, a 30-day band).
   RecordBatch batch = LogBatch(static_cast<size_t>(state.range(0)));
+  const auto shards = static_cast<uint32_t>(state.range(1));
+  const std::optional<size_t> band =
+      state.range(2) != 0 ? std::optional<size_t>(2) : std::nullopt;
   for (auto _ : state) {
-    JoinHashTable table(0);
+    JoinHashTable table(0, shards, /*governor=*/nullptr, band);
     RecordBatch copy = batch;
     benchmark::DoNotOptimize(table.AddBatch(std::move(copy)));
     table.Finalize();
@@ -239,7 +245,51 @@ void BM_HashTableBuild(benchmark::State& state) {
   }
   state.SetItemsProcessed(state.iterations() * state.range(0));
 }
-BENCHMARK(BM_HashTableBuild)->Arg(10000)->Arg(100000);
+BENCHMARK(BM_HashTableBuild)
+    ->Args({10000, 1, 0})
+    ->Args({100000, 1, 0})
+    ->Args({100000, 16, 1})
+    ->ArgNames({"rows", "shards", "band"});
+
+void BM_ProbeAggregate(benchmark::State& state) {
+  // The JEN back half of the paper's query: T' probes the band-ordered L'
+  // table, DiffRange(T.date - L.date, 0, 1) keeps the band, and every
+  // survivor folds into COUNT(*) by extract_group(L.grp). Items are probe
+  // rows.
+  constexpr size_t kBuildRows = 100000;
+  constexpr size_t kProbeRows = 1 << 15;
+  constexpr size_t kBatchRows = 4096;
+  const RecordBatch build = LogBatch(kBuildRows);
+  JoinHashTable table(0, 16, /*governor=*/nullptr, /*band_column=*/2);
+  HJ_CHECK_OK(table.AddBatch(build));
+  table.Finalize();
+  auto probe_schema =
+      Schema::Make({{"joinKey", DataType::kInt32}, {"date", DataType::kDate}});
+  Rng rng(106);
+  std::vector<RecordBatch> probe;
+  for (size_t i = 0; i < kProbeRows; ++i) {
+    if (i % kBatchRows == 0) probe.emplace_back(probe_schema);
+    probe.back().mutable_column(0).mutable_i32().push_back(
+        static_cast<int32_t>(rng.Uniform(10000)));
+    probe.back().mutable_column(1).mutable_i32().push_back(
+        static_cast<int32_t>(16000 + rng.Uniform(30)));
+  }
+  const PredicatePtr band = DiffRange("T.date", "L.date", 0, 1);
+  const AggSpec spec = AggSpec::CountStar("L.grp", /*extract_group=*/true);
+  int64_t rows = 0;
+  for (auto _ : state) {
+    HashAggregator agg(spec);
+    JoinProber prober(&table, build.schema(), "L", probe_schema, "T", 0, band,
+                      &agg, nullptr);
+    for (const RecordBatch& b : probe) HJ_CHECK_OK(prober.ProbeBatch(b));
+    HJ_CHECK_OK(prober.Flush());
+    rows = prober.output_rows();
+    benchmark::DoNotOptimize(agg.num_groups());
+  }
+  state.counters["joined_rows"] = static_cast<double>(rows);
+  state.SetItemsProcessed(state.iterations() * kProbeRows);
+}
+BENCHMARK(BM_ProbeAggregate);
 
 void BM_HashTableProbe(benchmark::State& state) {
   RecordBatch batch = LogBatch(100000);
@@ -420,7 +470,7 @@ KernelResult CompareBloomProbe() {
 KernelResult CompareHtProbeMaterialize() {
   // One 1M-row build batch (int64 key + two numeric payloads), 2M probe
   // keys at ~50% hit rate, materialized in 4096-row output chunks the way
-  // JoinProber does.
+  // JoinProber gathers a residual's columns.
   constexpr size_t kBuildRows = 1 << 20;
   constexpr size_t kProbeKeys = 2 << 20;
   constexpr size_t kChunk = 4096;

@@ -721,9 +721,10 @@ std::vector<Panel> PaperTable(const BenchConfig& bench) {
   // rather than overshoot, so what passes the budget is state that cannot
   // spill and that MemoryGovernor::Reserve admits over budget by design:
   // exchange payloads in flight, morsel queue slots and aggregation groups.
-  // The last dominates here: 200 groups at 64 B (HashAggregator's per-group
-  // charge) in each of the 4 JEN partials, the final merge and DB worker
-  // 0's result is ~77 KiB when they coexist.
+  // The last dominates here: 200 groups take 6 KiB of HashAggregator
+  // arrays (a 512-slot index, 256 groups and their counts) in each of the
+  // 4 JEN partials, the final merge and DB worker 0's result, ~36 KiB when
+  // they coexist.
   constexpr int64_t kRunwayBytes = 128 * 1024;
   std::vector<Arm> budgets = {Arm("zigzag, unlimited", kZz)};
   for (double x : {8.0, 4.0, 2.0, 1.0, 1.0 / 2, 1.0 / 4, 1.0 / 8}) {

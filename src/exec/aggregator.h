@@ -6,10 +6,11 @@
 #ifndef HYBRIDJOIN_EXEC_AGGREGATOR_H_
 #define HYBRIDJOIN_EXEC_AGGREGATOR_H_
 
+#include <algorithm>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
+#include "common/hash.h"
 #include "common/result.h"
 #include "exec/memory_governor.h"
 #include "types/record_batch.h"
@@ -54,15 +55,32 @@ struct AggSpec {
 };
 
 /// Accumulates grouped aggregates. Not thread-safe; one per worker thread.
+///
+/// Flat state: the groups, in the order they first arrived, in one int64
+/// array; their accumulators (one int64 per item) row by row in another;
+/// and an open-addressing index of uint32 slots (group index + 1, 0 =
+/// empty) at most half full, probed linearly. Any int64 is a valid group.
 class HashAggregator {
  public:
-  explicit HashAggregator(AggSpec spec) : spec_(std::move(spec)) {}
+  explicit HashAggregator(AggSpec spec);
 
   const AggSpec& spec() const { return spec_; }
   size_t num_groups() const { return groups_.size(); }
 
   /// Folds the selected rows of a joined batch into the aggregate state.
   Status Update(const RecordBatch& batch, const std::vector<uint32_t>& sel);
+
+  /// Folds one row into `group`'s state, for callers that read the row's
+  /// inputs in place: value_of(i) returns item i's input as int64 (it is
+  /// not called for a COUNT(*) item).
+  template <typename ValueOf>
+  void Fold(int64_t group, ValueOf&& value_of) {
+    int64_t* acc = Accumulators(group);
+    for (size_t i = 0; i < spec_.items.size(); ++i) {
+      const AggOp op = spec_.items[i].op;
+      FoldValue(op, op == AggOp::kCountStar ? 1 : value_of(i), &acc[i]);
+    }
+  }
 
   /// Folds a partial-state batch (produced by Partial()) into this one.
   Status Merge(const RecordBatch& partial);
@@ -80,33 +98,52 @@ class HashAggregator {
   RecordBatch Finish() const { return Partial(); }
 
  private:
-  struct State {
-    std::vector<int64_t> acc;
-    bool initialized = false;
-  };
-
-  /// Approximate heap bytes per group (hash-map node + accumulator vector);
-  /// charged against the MemoryGovernor in whole-group steps as the state
-  /// grows. Aggregation state has no spillable representation, so the
-  /// charge goes through the never-failing Reserve path.
-  static constexpr uint64_t kApproxGroupBytes = 64;
-
-  void ChargeNewGroups() {
-    if (groups_.size() > groups_charged_) {
-      reservation_.Grow((groups_.size() - groups_charged_) *
-                        kApproxGroupBytes);
-      groups_charged_ = groups_.size();
+  /// Folds `v` into one accumulator: a count or a partial count adds (a
+  /// COUNT(*) row folds 1), a sum adds with two's-complement wrap, min and
+  /// max keep the extreme.
+  static void FoldValue(AggOp op, int64_t v, int64_t* acc) {
+    switch (op) {
+      case AggOp::kCountStar:
+      case AggOp::kSum:
+        *acc = static_cast<int64_t>(static_cast<uint64_t>(*acc) +
+                                    static_cast<uint64_t>(v));
+        break;
+      case AggOp::kMin:
+        *acc = std::min(*acc, v);
+        break;
+      case AggOp::kMax:
+        *acc = std::max(*acc, v);
+        break;
     }
   }
 
-  Status FoldRow(int64_t group, const std::vector<const ColumnVector*>& cols,
-                 uint32_t row);
+  /// `group`'s accumulators, created at each op's identity when new.
+  int64_t* Accumulators(int64_t group) {
+    if (!index_.empty()) {
+      const size_t mask = index_.size() - 1;
+      for (size_t slot = SlotOf(group, mask);; slot = (slot + 1) & mask) {
+        const uint32_t g = index_[slot];
+        if (g == 0) break;
+        if (groups_[g - 1] == group) return acc_.data() + (g - 1) * width();
+      }
+    }
+    return AddGroup(group);
+  }
+  int64_t* AddGroup(int64_t group);
+
+  size_t width() const { return spec_.items.size(); }
+  static size_t SlotOf(int64_t group, size_t mask) {
+    return HashInt64(static_cast<uint64_t>(group), kIndexSeed) & mask;
+  }
+  static constexpr uint64_t kIndexSeed = 0xa66e9ULL;
 
   AggSpec spec_;
-  /// Update's aggregate input columns, kept to reuse the allocation.
-  std::vector<const ColumnVector*> agg_cols_;
-  std::unordered_map<int64_t, State> groups_;
-  size_t groups_charged_ = 0;
+  std::vector<int64_t> groups_;
+  std::vector<int64_t> acc_;     ///< groups_.size() x width(), row-major
+  std::vector<uint32_t> index_;  ///< power of two, or empty before a group
+  /// Every byte of the three arrays' capacity is charged, on each growth.
+  /// Aggregation state has no spillable representation, so the charge goes
+  /// through the never-failing Reserve path.
   MemoryReservation reservation_;
 };
 

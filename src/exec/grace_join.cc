@@ -21,10 +21,11 @@ uint64_t SaltedSeed(uint32_t depth) {
   return 0x9eaceULL + static_cast<uint64_t>(depth) * 0x9e3779b97f4a7c15ULL;
 }
 
-/// What a one-shard JoinHashTable holds for `rows` rows of `batch_bytes`.
+/// What a one-shard JoinHashTable holds for `rows` rows of `batch_bytes`,
+/// with the scratch its serial Finalize scatters through.
 uint64_t TableBytes(uint64_t batch_bytes, size_t rows) {
   return batch_bytes + JoinHashTable::EntryBytes(rows) +
-         JoinHashTable::BucketBytes(rows);
+         JoinHashTable::BucketBytes(rows) + JoinHashTable::ScratchBytes(rows);
 }
 
 }  // namespace

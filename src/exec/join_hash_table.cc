@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <limits>
 #include <tuple>
+#include <utility>
 
 namespace hybridjoin {
 
@@ -10,6 +11,43 @@ namespace {
 // Probe pipeline depth: how many keys are hashed and prefetched before the
 // first run walk. Matches the Bloom kernels' window.
 constexpr size_t kProbeWindow = 32;
+
+/// Finalize's band scatters take this many bits of the band per pass.
+constexpr int kBandDigitBits = 8;
+constexpr uint32_t kBandDigits = 1u << kBandDigitBits;
+
+/// Runs at most this long are sorted by insertion; longer ones merge.
+constexpr size_t kInsertionRun = 16;
+
+/// Stable sort of `a[0, n)` by key, with `buf[0, n)` as scratch: insertion
+/// sort of kInsertionRun-entry blocks, then bottom-up merge passes that
+/// alternate between the two arrays. Allocates nothing.
+void StableSortByKey(JoinHashTable::Entry* a, size_t n,
+                     JoinHashTable::Entry* buf) {
+  using Entry = JoinHashTable::Entry;
+  auto by_key = [](const Entry& x, const Entry& y) { return x.key < y.key; };
+  for (size_t lo = 0; lo < n; lo += kInsertionRun) {
+    const size_t hi = std::min(n, lo + kInsertionRun);
+    for (size_t i = lo + 1; i < hi; ++i) {
+      const Entry e = a[i];
+      size_t j = i;
+      for (; j > lo && by_key(e, a[j - 1]); --j) a[j] = a[j - 1];
+      a[j] = e;
+    }
+  }
+  Entry* from = a;
+  Entry* to = buf;
+  for (size_t width = kInsertionRun; width < n; width *= 2) {
+    for (size_t lo = 0; lo < n; lo += 2 * width) {
+      const size_t mid = std::min(n, lo + width);
+      const size_t hi = std::min(n, lo + 2 * width);
+      std::merge(from + lo, from + mid, from + mid, from + hi, to + lo,
+                 by_key);
+    }
+    std::swap(from, to);
+  }
+  if (from != a) std::copy(from, from + n, a);
+}
 
 /// p + offset, saturating at the int64 range.
 int64_t SatAdd(int64_t p, int64_t offset) {
@@ -87,7 +125,7 @@ Status JoinHashTable::AddBatch(RecordBatch batch) {
   }
   HJ_RETURN_IF_ERROR(ExtractEntries(
       batch, batch_index,
-      [this](uint32_t s) -> std::vector<Entry>& { return shards_[s].entries; }));
+      [this](uint32_t s) -> EntryVector& { return shards_[s].entries; }));
   reservation_.Grow(batch.ByteSize() + EntryBytes(batch.num_rows()));
   batches_.push_back(std::move(batch));
   return Status::OK();
@@ -105,7 +143,7 @@ Status JoinHashTable::AddBatchesParallel(std::vector<RecordBatch> batches,
     ++added;
   }
   if (added == 0) return Status::OK();
-  auto shard_entries = [this](uint32_t s) -> std::vector<Entry>& {
+  auto shard_entries = [this](uint32_t s) -> EntryVector& {
     return shards_[s].entries;
   };
   if (pool == nullptr || pool->num_threads() <= 1 || added == 1) {
@@ -123,8 +161,8 @@ Status JoinHashTable::AddBatchesParallel(std::vector<RecordBatch> batches,
       std::min(added, std::max<size_t>(pool->num_threads() * 2, 1));
   const size_t per_range = (added + ranges - 1) / ranges;
   // runs[r][s]: range r's entries for shard s, in batch order.
-  std::vector<std::vector<std::vector<Entry>>> runs(
-      ranges, std::vector<std::vector<Entry>>(shards_.size()));
+  std::vector<std::vector<EntryVector>> runs(
+      ranges, std::vector<EntryVector>(shards_.size()));
   HJ_RETURN_IF_ERROR(pool->ParallelFor(
       0, ranges, 1, [&](size_t r) -> Status {
         const size_t lo = r * per_range;
@@ -132,7 +170,7 @@ Status JoinHashTable::AddBatchesParallel(std::vector<RecordBatch> batches,
         for (size_t b = lo; b < hi; ++b) {
           HJ_RETURN_IF_ERROR(ExtractEntries(
               batches_[base + b], static_cast<uint32_t>(base + b),
-              [&](uint32_t s) -> std::vector<Entry>& { return runs[r][s]; }));
+              [&](uint32_t s) -> EntryVector& { return runs[r][s]; }));
         }
         return Status::OK();
       }));
@@ -153,58 +191,72 @@ Status JoinHashTable::AddBatchesParallel(std::vector<RecordBatch> batches,
 
 void JoinHashTable::FinalizeShard(uint32_t shard) {
   Shard& s = shards_[shard];
-  std::vector<Entry>& entries = s.entries;
-  const size_t n = entries.size();
+  const size_t n = s.entries.size();
   s.offsets.clear();
   s.bucket_mask = 0;
   s.max_run = 0;
   if (n == 0) return;
   const size_t num_buckets = BucketCount(n);
   s.bucket_mask = num_buckets - 1;
+  EntryVector scratch(n);
+  Entry* src = s.entries.data();
+  Entry* dst = scratch.data();
+
+  // Band digits, least significant first: each stable scatter orders the
+  // entries by one more digit of band - min, ties in their prior order.
+  if (band_column_.has_value()) {
+    int32_t lo = src[0].band;
+    int32_t hi = src[0].band;
+    for (size_t i = 1; i < n; ++i) {
+      lo = std::min(lo, src[i].band);
+      hi = std::max(hi, src[i].band);
+    }
+    const auto range = static_cast<uint32_t>(int64_t{hi} - lo);
+    for (int shift = 0; shift < 32 && (range >> shift) != 0;
+         shift += kBandDigitBits) {
+      auto digit = [lo, shift](const Entry& e) {
+        return (static_cast<uint32_t>(int64_t{e.band} - lo) >> shift) &
+               (kBandDigits - 1);
+      };
+      uint32_t cursor[kBandDigits] = {};
+      for (size_t i = 0; i < n; ++i) ++cursor[digit(src[i])];
+      uint32_t start = 0;
+      for (uint32_t& c : cursor) start += std::exchange(c, start);
+      for (size_t i = 0; i < n; ++i) dst[cursor[digit(src[i])]++] = src[i];
+      std::swap(src, dst);
+    }
+  }
+
+  // Then one stable scatter by bucket. offsets[b + 1] counts bucket b, the
+  // prefix sum turns offsets[b] into bucket b's start, the scatter advances
+  // it to the run's end, and shifting the array up one restores the starts.
   auto bucket_of = [&s](const Entry& e) {
     return HashInt64(static_cast<uint64_t>(e.key), kProbeSeed) & s.bucket_mask;
   };
-  // offsets[b] = end of bucket b's run (inclusive prefix sum of the counts);
-  // offsets[num_buckets] = n.
   s.offsets.assign(num_buckets + 1, 0);
-  for (const Entry& e : entries) ++s.offsets[bucket_of(e)];
+  for (size_t i = 0; i < n; ++i) ++s.offsets[bucket_of(src[i]) + 1];
   for (size_t b = 1; b < num_buckets; ++b) s.offsets[b] += s.offsets[b - 1];
-  s.offsets[num_buckets] = static_cast<uint32_t>(n);
-  // In-place counting sort by bucket: offsets[b] is bucket b's cursor,
-  // moving down from its run's end; [offsets[b], end) holds placed entries.
-  // Every position below i is placed, so an unplaced entry's cursor lies
-  // above i, and each cycle starting at i's hole closes back at i. Every
-  // cursor ends at its run's start.
-  for (size_t i = 0; i < n; ++i) {
-    uint64_t b = bucket_of(entries[i]);
-    if (s.offsets[b] <= i) continue;  // already placed
-    Entry held = entries[i];
-    while (true) {
-      const uint32_t pos = --s.offsets[b];
-      if (pos == i) {
-        entries[i] = held;
-        break;
-      }
-      std::swap(held, entries[pos]);
-      b = bucket_of(held);
-    }
-  }
-  // Within a run: key, then band, then insertion order — a total order, so
-  // the unstable sort is deterministic.
-  auto before = [](const Entry& x, const Entry& y) {
-    if (x.key != y.key) return x.key < y.key;
-    if (x.band != y.band) return x.band < y.band;
-    if (x.batch != y.batch) return x.batch < y.batch;
-    return x.row < y.row;
-  };
+  for (size_t i = 0; i < n; ++i) dst[s.offsets[bucket_of(src[i])]++] = src[i];
+  std::copy_backward(s.offsets.begin(), s.offsets.end() - 1,
+                     s.offsets.end());
+  s.offsets[0] = 0;
+  std::swap(src, dst);
+
+  // Runs are in (band, batch, row) order; one shared by several keys is
+  // stably sorted by key, through the other array's part at its place.
   for (size_t b = 0; b < num_buckets; ++b) {
-    const uint32_t lo = s.offsets[b];
-    const uint32_t hi = s.offsets[b + 1];
-    if (hi - lo > 1) {
-      std::sort(entries.begin() + lo, entries.begin() + hi, before);
+    const uint32_t first = s.offsets[b];
+    const uint32_t last = s.offsets[b + 1];
+    const size_t len = last - first;
+    s.max_run = std::max(s.max_run, len);
+    if (len > 1 && std::any_of(src + first + 1, src + last,
+                               [k = src[first].key](const Entry& e) {
+                                 return e.key != k;
+                               })) {
+      StableSortByKey(src + first, len, dst + first);
     }
-    s.max_run = std::max<size_t>(s.max_run, hi - lo);
   }
+  if (src != s.entries.data()) s.entries.swap(scratch);
 }
 
 void JoinHashTable::MarkFinalized() {

@@ -5,10 +5,16 @@
 // finalize parallelize across threads; a one-shard table is bit-compatible
 // with the historical unsharded layout.
 //
-// Layout: bucket-contiguous (CSR). Finalize permutes each shard's entries
-// in place so every bucket's entries are one run, ordered by
-// (key, band, batch, row), and `offsets` holds num_buckets + 1 run
-// boundaries. A key's build rows are therefore one contiguous run.
+// Layout: bucket-contiguous (CSR). Finalize lays each shard's entries out
+// so every bucket's entries are one run, ordered by (key, band, batch, row),
+// and `offsets` holds num_buckets + 1 run boundaries. A key's build rows are
+// therefore one contiguous run. A shard's entries arrive in (batch, row)
+// order, so stable scatters keep it as the last tie-break: a least-
+// significant-digit counting scatter over the band (in 8-bit digits of
+// band - the shard's smallest band; none when every band is equal), then
+// one by bucket, then a stable sort by key of the few runs that hold more
+// than one key. The scatters ping-pong between the entries and one scratch
+// array as large (ScratchBytes), freed before Finalize returns.
 //
 // Band: a table built with a band column stores that int32 column's value
 // in every entry, so each key's run is ordered by it and ProbeBand can
@@ -27,8 +33,10 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <memory>
 #include <optional>
 #include <span>
+#include <utility>
 #include <vector>
 
 #include "common/hash.h"
@@ -104,8 +112,14 @@ class JoinHashTable {
   /// Bytes the table holds for `rows` entries beyond the batches themselves.
   static uint64_t EntryBytes(size_t rows);
   /// Bytes of the run offsets Finalize builds over `entries` entries of one
-  /// shard. Finalize needs no other scratch: it permutes in place.
+  /// shard.
   static uint64_t BucketBytes(size_t entries);
+  /// Bytes of the scratch array FinalizeShard scatters a shard of `entries`
+  /// entries through, held only while that shard is laid out. The parallel
+  /// build already holds as much per shard (AddBatchesParallel's per-range
+  /// runs), so a table built that way peaks no higher; a caller that
+  /// finalizes a table serially charges it on top of the table.
+  static uint64_t ScratchBytes(size_t entries) { return EntryBytes(entries); }
 
   bool finalized() const { return finalized_; }
   size_t num_rows() const {
@@ -141,6 +155,25 @@ class JoinHashTable {
     size_t n = 0;
     for (const Shard& s : shards_) n = std::max(n, s.max_run);
     return n;
+  }
+
+  /// One indexed build row.
+  struct Entry {
+    int64_t key;
+    uint32_t batch;
+    uint32_t row;
+    int32_t band;  ///< the band column's value; 0 without one
+  };
+
+  /// The entries of bucket `bucket` of `shard` (< shard_buckets(shard)), in
+  /// layout order. Valid after Finalize; lets tests check the run order.
+  std::span<const Entry> BucketRun(uint32_t shard, size_t bucket) const {
+    const Shard& s = shards_[shard];
+    return {s.entries.data() + s.offsets[bucket],
+            s.entries.data() + s.offsets[bucket + 1]};
+  }
+  size_t shard_buckets(uint32_t shard) const {
+    return shards_[shard].num_buckets();
   }
 
   /// Invokes fn(batch_index, row_index) for every row whose key equals
@@ -202,19 +235,31 @@ class JoinHashTable {
  private:
   static constexpr uint64_t kProbeSeed = 0x7ab1eULL;
 
-  struct Entry {
-    int64_t key;
-    uint32_t batch;
-    uint32_t row;
-    int32_t band;  ///< the band column's value; 0 without one
-  };
   static_assert(sizeof(Entry) == 24, "entries must not grow");
+
+  /// Leaves elements that resize() adds uninitialized instead of zeroing
+  /// them: Finalize's scatters overwrite every one.
+  template <typename T>
+  struct UninitAllocator : std::allocator<T> {
+    UninitAllocator() = default;
+    template <typename U>
+    UninitAllocator(const UninitAllocator<U>&) {}
+    template <typename U>
+    void construct(U* p) {
+      ::new (static_cast<void*>(p)) U;
+    }
+    template <typename U, typename... Args>
+    void construct(U* p, Args&&... args) {
+      ::new (static_cast<void*>(p)) U(std::forward<Args>(args)...);
+    }
+  };
+  using EntryVector = std::vector<Entry, UninitAllocator<Entry>>;
 
   /// One key-space partition: its entries (global insertion order
   /// restricted to the shard until Finalize lays them out in bucket runs)
   /// and the runs' boundaries: bucket b is entries[offsets[b], offsets[b+1]).
   struct Shard {
-    std::vector<Entry> entries;
+    EntryVector entries;
     std::vector<uint32_t> offsets;
     uint64_t bucket_mask = 0;
     size_t max_run = 0;
@@ -235,8 +280,8 @@ class JoinHashTable {
   /// least 16; none for an empty shard.
   static size_t BucketCount(size_t entries);
 
-  /// Appends one batch's entries, in row order, to `shard_out(shard)` (a
-  /// std::vector<Entry>&); `batch_index` is the batch's index in batches_.
+  /// Appends one batch's entries, in row order, to `shard_out(shard)` (an
+  /// EntryVector&); `batch_index` is the batch's index in batches_.
   /// Appends nothing on error.
   template <typename ShardOut>
   Status ExtractEntries(const RecordBatch& batch, uint32_t batch_index,

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 
+#include "expr/scalar_functions.h"
+
 namespace hybridjoin {
 
 SchemaPtr MakeJoinedSchema(const SchemaPtr& build_schema,
@@ -33,8 +35,7 @@ JoinProber::JoinProber(const JoinHashTable* build, SchemaPtr build_schema,
       options_(options),
       joined_schema_(MakeJoinedSchema(build_schema, build_alias,
                                       probe_schema_, probe_alias)),
-      build_width_(build_schema->num_fields()),
-      pending_(joined_schema_) {
+      build_width_(build_schema->num_fields()) {
   HJ_CHECK(build_->finalized()) << "probe against non-finalized hash table";
   // The walk applies the band only when the table is ordered by its column.
   band_ = ExtractJoinBand(post_join_predicate, joined_schema_, build_width_);
@@ -44,8 +45,8 @@ JoinProber::JoinProber(const JoinHashTable* build, SchemaPtr build_schema,
     band_.reset();
     residual_ = std::move(post_join_predicate);
   }
-  // Split the joined columns into those the residual reads and the rest. A
-  // name the joined schema lacks is left to Filter to report.
+  // The joined columns the residual reads. A name the joined schema lacks
+  // is left to Filter to report.
   std::vector<std::string> read;
   if (residual_ != nullptr) residual_->CollectColumns(&read);
   for (const std::string& name : read) {
@@ -56,12 +57,6 @@ JoinProber::JoinProber(const JoinHashTable* build, SchemaPtr build_schema,
   filter_columns_.erase(
       std::unique(filter_columns_.begin(), filter_columns_.end()),
       filter_columns_.end());
-  for (size_t c = 0; c < joined_schema_->num_fields(); ++c) {
-    if (!std::binary_search(filter_columns_.begin(), filter_columns_.end(),
-                            c)) {
-      late_columns_.push_back(c);
-    }
-  }
   filter_batch_ = RecordBatch(joined_schema_->Project(filter_columns_));
 
   // The build side is frozen after Finalize, so the typed data pointers of
@@ -90,6 +85,46 @@ JoinProber::JoinProber(const JoinHashTable* build, SchemaPtr build_schema,
       }
     }
   }
+
+  const AggSpec& spec = aggregator_->spec();
+  auto group = ResolveAggInput(
+      spec.group_column, spec.extract_group,
+      spec.extract_group
+          ? "extract_group requires a string group column"
+          : "group column must be integer-typed (or use extract_group)");
+  if (group.ok()) {
+    group_input_ = *group;
+  } else {
+    fold_status_ = group.status();
+  }
+  item_inputs_.resize(spec.items.size());
+  for (size_t i = 0; i < spec.items.size(); ++i) {
+    if (spec.items[i].op == AggOp::kCountStar) continue;
+    auto input = ResolveAggInput(spec.items[i].column, /*string=*/false,
+                                 "aggregate input must be integer");
+    if (input.ok()) {
+      item_inputs_[i] = *input;
+    } else if (fold_status_.ok()) {
+      fold_status_ = input.status();
+    }
+  }
+}
+
+Result<JoinProber::AggInput> JoinProber::ResolveAggInput(
+    const std::string& name, bool string, const char* type_error) const {
+  HJ_ASSIGN_OR_RETURN(size_t c, joined_schema_->IndexOf(name));
+  AggInput in;
+  in.type = PhysicalTypeOf(joined_schema_->field(c).type);
+  const bool ok = string ? in.type == PhysicalType::kString
+                         : in.type == PhysicalType::kInt32 ||
+                               in.type == PhysicalType::kInt64;
+  if (!ok) return Status::InvalidArgument(type_error);
+  if (c < build_width_) {
+    in.build = build_sources_[c].per_batch.data();
+  } else {
+    in.probe_column = c - build_width_;
+  }
+  return in;
 }
 
 void JoinProber::GatherColumn(size_t c, const RecordBatch& probe_batch,
@@ -146,16 +181,13 @@ void JoinProber::GatherColumn(size_t c, const RecordBatch& probe_batch,
   }
 }
 
-Status JoinProber::AppendMatches(const RecordBatch& probe_batch,
-                                 const JoinMatch* m, size_t n) {
-  auto set_probe_rows = [this](const JoinMatch* rows, size_t count) {
-    probe_rows_.resize(count);
-    for (size_t j = 0; j < count; ++j) probe_rows_[j] = rows[j].probe_row;
-  };
+Status JoinProber::FoldMatches(const RecordBatch& probe_batch,
+                               const JoinMatch* m, size_t n) {
   if (residual_ != nullptr) {
-    // Filter on the residual's columns, gathered for every match; keep
-    // those columns for the survivors and narrow the match list to them.
-    set_probe_rows(m, n);
+    // Filter on the residual's columns, gathered for every match, and
+    // narrow the match list to the survivors.
+    probe_rows_.resize(n);
+    for (size_t j = 0; j < n; ++j) probe_rows_[j] = m[j].probe_row;
     for (size_t k = 0; k < filter_columns_.size(); ++k) {
       ColumnVector* col = &filter_batch_.mutable_column(k);
       col->Clear();
@@ -164,20 +196,54 @@ Status JoinProber::AppendMatches(const RecordBatch& probe_batch,
     sel_.resize(n);
     for (uint32_t j = 0; j < n; ++j) sel_[j] = j;
     HJ_RETURN_IF_ERROR(residual_->Filter(filter_batch_, &sel_));
-    for (size_t k = 0; k < filter_columns_.size(); ++k) {
-      pending_.mutable_column(filter_columns_[k])
-          .GatherAppendFrom(filter_batch_.column(k), sel_.data(), sel_.size());
-    }
     survivors_.resize(sel_.size());
     for (size_t j = 0; j < sel_.size(); ++j) survivors_[j] = m[sel_[j]];
     m = survivors_.data();
     n = survivors_.size();
   }
-  // The remaining columns, for the surviving matches only.
-  set_probe_rows(m, n);
-  for (size_t c : late_columns_) {
-    GatherColumn(c, probe_batch, m, n, &pending_.mutable_column(c));
+  if (n == 0) return Status::OK();
+  HJ_RETURN_IF_ERROR(fold_status_);
+  // Point the probe-side inputs at this batch's columns.
+  auto bind = [&probe_batch](AggInput* in) -> Status {
+    if (in->build != nullptr) return Status::OK();
+    if (in->probe_column >= probe_batch.num_columns() ||
+        probe_batch.column(in->probe_column).physical_type() != in->type) {
+      return Status::InvalidArgument(
+          "probe batch does not match the probe schema");
+    }
+    const ColumnVector& col = probe_batch.column(in->probe_column);
+    switch (in->type) {
+      case PhysicalType::kInt32:
+        in->probe = col.i32().data();
+        break;
+      case PhysicalType::kInt64:
+        in->probe = col.i64().data();
+        break;
+      default:
+        in->probe = &col.str();
+        break;
+    }
+    return Status::OK();
+  };
+  const AggSpec& spec = aggregator_->spec();
+  HJ_RETURN_IF_ERROR(bind(&group_input_));
+  for (size_t i = 0; i < spec.items.size(); ++i) {
+    if (spec.items[i].op != AggOp::kCountStar) {
+      HJ_RETURN_IF_ERROR(bind(&item_inputs_[i]));
+    }
   }
+  const AggInput& g = group_input_;
+  const bool extract = spec.extract_group;
+  for (size_t j = 0; j < n; ++j) {
+    const int64_t group =
+        extract ? ExtractGroup((*static_cast<const StringColumn*>(
+                      g.data(m[j])))[g.row(m[j])])
+                : g.Int(m[j]);
+    aggregator_->Fold(group,
+                      [&](size_t i) { return item_inputs_[i].Int(m[j]); });
+  }
+  output_rows_ += static_cast<int64_t>(n);
+  unpublished_rows_ += static_cast<int64_t>(n);
   return Status::OK();
 }
 
@@ -220,37 +286,30 @@ Status JoinProber::ProbeBatch(const RecordBatch& batch) {
       return Status::InvalidArgument("probe key must be integer-typed");
   }
 
-  // Filter the match list in chunks of output_batch_rows, aggregating the
-  // buffered survivors whenever a chunk's worth has accumulated.
-  for (size_t pos = 0; pos < matches_.size();) {
-    const size_t take =
-        std::min(options_.output_batch_rows, matches_.size() - pos);
-    HJ_RETURN_IF_ERROR(AppendMatches(batch, matches_.data() + pos, take));
-    pos += take;
-    if (pending_.num_rows() >= options_.output_batch_rows) {
-      HJ_RETURN_IF_ERROR(Flush());
-    }
+  // Fold the match list, filtered in chunks of output_batch_rows when a
+  // residual reads gathered columns.
+  const size_t chunk = residual_ != nullptr
+                           ? std::max<size_t>(options_.output_batch_rows, 1)
+                           : matches_.size();
+  for (size_t pos = 0; pos < matches_.size(); pos += chunk) {
+    HJ_RETURN_IF_ERROR(FoldMatches(
+        batch, matches_.data() + pos,
+        std::min(chunk, matches_.size() - pos)));
   }
   return Status::OK();
 }
 
 Status JoinProber::Flush() {
-  if (metrics_ != nullptr && band_visited_ > 0) {
-    metrics_->Add(metric::kJoinBandVisited, band_visited_);
+  if (metrics_ != nullptr) {
+    if (band_visited_ > 0) {
+      metrics_->Add(metric::kJoinBandVisited, band_visited_);
+    }
+    if (unpublished_rows_ > 0) {
+      metrics_->Add(metric::kJoinOutputTuples, unpublished_rows_);
+    }
   }
   band_visited_ = 0;
-  const size_t rows = pending_.num_rows();
-  if (rows == 0) return Status::OK();
-  output_rows_ += static_cast<int64_t>(rows);
-  if (metrics_ != nullptr) {
-    metrics_->Add(metric::kJoinOutputTuples, static_cast<int64_t>(rows));
-  }
-  sel_.resize(rows);
-  for (uint32_t i = 0; i < rows; ++i) sel_[i] = i;
-  HJ_RETURN_IF_ERROR(aggregator_->Update(pending_, sel_));
-  for (size_t c = 0; c < pending_.num_columns(); ++c) {
-    pending_.mutable_column(c).Clear();
-  }
+  unpublished_rows_ = 0;
   return Status::OK();
 }
 

@@ -1,5 +1,7 @@
 #include "testing/differential.h"
 
+#include <algorithm>
+#include <iterator>
 #include <sstream>
 
 #include "hdfs/format.h"
@@ -163,6 +165,73 @@ PredicatePtr RandomLPredicate(SplitMix* rng, const WorkloadConfig& workload) {
   }
 }
 
+/// The aggregate of a case: the paper's COUNT(*) by
+/// extract_group(L.groupByExtractCol), or a group by that UDF or by an
+/// integer column of either side, with one to three COUNT(*) / SUM / MIN /
+/// MAX items over integer columns of either side.
+AggSpec RandomAggSpec(SplitMix* rng) {
+  static const char* const kIntColumns[] = {
+      "T.uniqKey", "T.joinKey",       "T.corPred", "T.indPred",
+      "T.dummy2",  "T.predAfterJoin", "L.joinKey", "L.corPred",
+      "L.indPred", "L.predAfterJoin"};
+  constexpr uint64_t kLast = std::size(kIntColumns) - 1;
+  const uint64_t group = rng->Range(0, 3);
+  if (group == 0) {
+    return AggSpec::CountStar("L.groupByExtractCol", /*extract_group=*/true);
+  }
+  AggSpec spec;
+  if (group == 1) {
+    spec.group_column = "L.groupByExtractCol";
+    spec.extract_group = true;
+  } else {
+    // 2: an L column, 3: a T column (T.uniqKey groups almost every row).
+    spec.group_column = kIntColumns[group == 2 ? rng->Range(6, kLast)
+                                               : rng->Range(0, 5)];
+  }
+  const uint64_t items = rng->Range(1, 3);
+  for (uint64_t i = 0; i < items; ++i) {
+    AggSpec::Item item;
+    item.op = static_cast<AggOp>(rng->Range(0, 3));
+    if (item.op != AggOp::kCountStar) {
+      item.column = kIntColumns[rng->Range(0, kLast)];
+    }
+    item.result_name = "a" + std::to_string(i);
+    spec.items.push_back(std::move(item));
+  }
+  return spec;
+}
+
+std::string AggSpecToString(const AggSpec& spec) {
+  std::string out = spec.extract_group
+                        ? "extract_group(" + spec.group_column + ")"
+                        : spec.group_column;
+  for (const AggSpec::Item& item : spec.items) {
+    out += std::string(" ") + AggOpName(item.op) + "(" +
+           (item.op == AggOp::kCountStar ? "*" : item.column) + ")";
+  }
+  return out;
+}
+
+/// Points `query` at `agg`, projecting every column it reads on its side.
+void UseAggSpec(const AggSpec& agg, HybridQuery* query) {
+  std::vector<std::string> read = {agg.group_column};
+  for (const AggSpec::Item& item : agg.items) {
+    if (item.op != AggOp::kCountStar) read.push_back(item.column);
+  }
+  for (const std::string& name : read) {
+    const bool t_side = name.rfind(query->db.alias + ".", 0) == 0;
+    std::vector<std::string>& projection =
+        t_side ? query->db.projection : query->hdfs.projection;
+    const std::string column =
+        name.substr((t_side ? query->db.alias : query->hdfs.alias).size() + 1);
+    if (std::find(projection.begin(), projection.end(), column) ==
+        projection.end()) {
+      projection.push_back(column);
+    }
+  }
+  query->agg = agg;
+}
+
 }  // namespace
 
 const std::vector<std::string>& DifferentialVariants() {
@@ -279,6 +348,7 @@ DiffCase MakeRandomCase(uint64_t seed, bool full_key_windows) {
   c.rows_per_block = kBlockRows[rng.Range(0, 3)];
   c.post_join_predicate = RandomPostJoinPredicate(&rng, c.workload);
   c.l_predicate = RandomLPredicate(&rng, c.workload);
+  c.agg = RandomAggSpec(&rng);
 
   std::ostringstream os;
   os << "keys=" << c.workload.num_join_keys << " t=" << c.workload.t_rows
@@ -291,7 +361,8 @@ DiffCase MakeRandomCase(uint64_t seed, bool full_key_windows) {
                          ? c.post_join_predicate->ToString()
                          : "none")
      << " lpred="
-     << (c.l_predicate != nullptr ? c.l_predicate->ToString() : "workload");
+     << (c.l_predicate != nullptr ? c.l_predicate->ToString() : "workload")
+     << " agg=" << AggSpecToString(c.agg);
   c.summary = os.str();
   return c;
 }
@@ -390,6 +461,7 @@ DiffCaseReport RunDifferentialCase(uint64_t seed,
   HybridQuery query = workload->MakeQuery();
   query.post_join_predicate = c.post_join_predicate;
   if (c.l_predicate != nullptr) query.hdfs.predicate = c.l_predicate;
+  UseAggSpec(c.agg, &query);
 
   auto expected =
       RunReferenceJoin({workload->t_rows()}, workload->l_batches(), query);

@@ -40,7 +40,7 @@ std::optional<std::string> CompareBatches(const RecordBatch& expected,
 
 /// One seed-derived differential case: workload shape, selectivity targets
 /// (re-drawn until the solver accepts them), cluster sizes, HDFS layout,
-/// post-join predicate, L scan predicate.
+/// post-join predicate, L scan predicate, aggregate.
 struct DiffCase {
   WorkloadConfig workload;
   SelectivitySpec spec;
@@ -59,6 +59,12 @@ struct DiffCase {
   /// with a string-prefix, DiffRange or NOT residual; null keeps the
   /// workload's corPred < a AND indPred < b.
   PredicatePtr l_predicate;
+  /// The query's aggregate, drawn last of all: the paper's COUNT(*) by
+  /// extract_group(L.groupByExtractCol), or a group by that UDF or by an
+  /// integer column of either side with COUNT(*) / SUM / MIN / MAX items
+  /// over integer columns of either side. The query projects every column
+  /// it reads.
+  AggSpec agg;
   std::string summary;  ///< one line for logs
 };
 

@@ -1,8 +1,9 @@
 // Allocation-count regression tests: building a string row must not
-// allocate, nor may a filtered block scan or a warmed scatter allocate per
-// row. Each case counts the calls to the global operator new that one
-// operation makes on a 1K-row and on a 16K-row input; the counts must be
-// equal, so no step allocates per row, nor per doubling of a growing buffer.
+// allocate, nor may a filtered block scan, a warmed scatter, a warmed probe
+// or a hash table's finalize allocate per row. Each case counts the calls
+// to the global operator new that one operation makes on a 1K-row and on a
+// 16K-row input; the counts must be equal, so no step allocates per row,
+// nor per doubling of a growing buffer.
 
 #include <gtest/gtest.h>
 
@@ -290,6 +291,25 @@ int64_t ScatterAllocations(size_t rows) {
 
 TEST(AllocationTest, ScatterDoesNotAllocatePerRow) {
   EXPECT_EQ(ScatterAllocations(kLarge), ScatterAllocations(kSmall));
+}
+
+/// Finalize of a `rows`-row table of `shards` shards, ordered by its key as
+/// the band too (two band digits at both sizes).
+int64_t FinalizeAllocations(size_t rows, uint32_t shards) {
+  JoinHashTable table(0, shards, /*governor=*/nullptr, /*band_column=*/0);
+  EXPECT_TRUE(table.AddBatch(StringBatch(rows)).ok());
+  const int64_t n = Allocations([&] { table.Finalize(); });
+  EXPECT_EQ(table.num_rows(), rows);
+  EXPECT_TRUE(table.Contains(static_cast<int64_t>(rows - 1)));
+  return n;
+}
+
+TEST(AllocationTest, FinalizeDoesNotAllocatePerRow) {
+  for (uint32_t shards : {1u, 16u}) {
+    EXPECT_EQ(FinalizeAllocations(kLarge, shards),
+              FinalizeAllocations(kSmall, shards))
+        << "shards=" << shards;
+  }
 }
 
 /// A warmed prober's probe and flush of `rows` rows, each joining one build

@@ -125,6 +125,33 @@ TEST(DifferentialSuite, CasesDrawEveryPostJoinShape) {
                                            "paper", "swapped", "wide"}));
 }
 
+TEST(DifferentialSuite, CasesDrawEveryAggShape) {
+  // The aggregate comes from the case seed too: the sweeps group by the
+  // UDF or an integer column of either side and fold every op over inputs
+  // of either side, beside the paper's COUNT(*).
+  std::set<std::string> shapes;
+  for (uint64_t seed = 0; seed < 200; ++seed) {
+    const AggSpec agg = MakeRandomCase(seed).agg;
+    ASSERT_FALSE(agg.items.empty());
+    if (agg.extract_group && agg.items.size() == 1 &&
+        agg.items[0].op == AggOp::kCountStar) {
+      shapes.insert("paper");
+    }
+    shapes.insert(agg.extract_group ? "group extract"
+                                    : "group " + agg.group_column.substr(0, 1));
+    for (const AggSpec::Item& item : agg.items) {
+      shapes.insert(std::string(AggOpName(item.op)) +
+                    (item.op == AggOp::kCountStar
+                         ? ""
+                         : " " + item.column.substr(0, 1)));
+    }
+  }
+  EXPECT_EQ(shapes, (std::set<std::string>{
+                        "paper", "group extract", "group L", "group T",
+                        "count", "sum L", "sum T", "min L", "min T", "max L",
+                        "max T"}));
+}
+
 TEST(DifferentialSuite, SeedReproducesIdenticalOutcome) {
   // The reproduction workflow (fuzz_joins --seed=N): the same seed must
   // yield the same case and, under loss, the same per-variant verdicts.

@@ -338,6 +338,140 @@ TEST(HashAggregatorTest, ErrorsOnBadInputs) {
   EXPECT_FALSE(agg2.Update(sb, {0}).ok());
 }
 
+// A std::map oracle for the flat table: groups at the int64 extremes and 0,
+// thousands of groups (so the index rehashes many times), every op, both
+// merge orders, and every charged byte handed back.
+
+/// Rows (g int64, v int32, w int64): `groups` distinct groups including
+/// INT64_MIN, INT64_MAX and 0, values including the int32 and int64
+/// extremes, so sums wrap.
+RecordBatch OracleRows(size_t rows, uint64_t groups, uint64_t seed) {
+  RecordBatch b(Schema::Make({{"g", DataType::kInt64},
+                              {"v", DataType::kInt32},
+                              {"w", DataType::kInt64}}));
+  Rng rng(seed);
+  const int64_t kEdges[] = {std::numeric_limits<int64_t>::min(),
+                            std::numeric_limits<int64_t>::max(), 0, -1};
+  for (size_t r = 0; r < rows; ++r) {
+    const uint64_t pick = rng.Uniform(groups);
+    const int64_t g = pick < 4 ? kEdges[pick]
+                               : static_cast<int64_t>(pick * 0x9e3779b97f4a7c15ULL);
+    const auto v = static_cast<int32_t>(rng.Uniform(1u << 20)) -
+                   (1 << 19);
+    int64_t w = static_cast<int64_t>(rng.Uniform(1000)) - 500;
+    if (r % 97 == 0) w = std::numeric_limits<int64_t>::max();
+    if (r % 89 == 0) w = std::numeric_limits<int64_t>::min();
+    b.AppendRow({Value(g),
+                 Value(r % 83 == 0 ? std::numeric_limits<int32_t>::min() : v),
+                 Value(w)});
+  }
+  return b;
+}
+
+AggSpec OracleSpec() {
+  AggSpec spec;
+  spec.group_column = "g";
+  spec.items = {{AggOp::kCountStar, "", "n"},
+                {AggOp::kSum, "v", "sum_v"},
+                {AggOp::kSum, "w", "sum_w"},
+                {AggOp::kMin, "v", "min_v"},
+                {AggOp::kMax, "w", "max_w"},
+                {AggOp::kMin, "w", "min_w"}};
+  return spec;
+}
+
+/// COUNT(*), SUM(v), SUM(w) (wrapping), MIN(v), MAX(w), MIN(w) per group.
+std::map<int64_t, std::vector<int64_t>> MapOracle(const RecordBatch& b) {
+  std::map<int64_t, std::vector<int64_t>> out;
+  for (size_t r = 0; r < b.num_rows(); ++r) {
+    const int64_t v = b.column(1).i32()[r];
+    const int64_t w = b.column(2).i64()[r];
+    auto [it, fresh] = out.try_emplace(b.column(0).i64()[r]);
+    std::vector<int64_t>& acc = it->second;
+    if (fresh) {
+      acc = {0, 0, 0, std::numeric_limits<int64_t>::max(),
+             std::numeric_limits<int64_t>::min(),
+             std::numeric_limits<int64_t>::max()};
+    }
+    acc[0] += 1;
+    acc[1] = static_cast<int64_t>(static_cast<uint64_t>(acc[1]) +
+                                  static_cast<uint64_t>(v));
+    acc[2] = static_cast<int64_t>(static_cast<uint64_t>(acc[2]) +
+                                  static_cast<uint64_t>(w));
+    acc[3] = std::min(acc[3], v);
+    acc[4] = std::max(acc[4], w);
+    acc[5] = std::min(acc[5], w);
+  }
+  return out;
+}
+
+void ExpectEqualsOracle(const std::map<int64_t, std::vector<int64_t>>& want,
+                        const RecordBatch& got) {
+  ASSERT_EQ(got.num_rows(), want.size());
+  ASSERT_EQ(got.num_columns(), 7u);
+  size_t r = 0;
+  for (const auto& [group, acc] : want) {
+    ASSERT_EQ(got.column(0).i64()[r], group) << "row " << r;
+    for (size_t i = 0; i < acc.size(); ++i) {
+      ASSERT_EQ(got.column(i + 1).i64()[r], acc[i])
+          << "group " << group << " item " << i;
+    }
+    ++r;
+  }
+}
+
+std::vector<uint32_t> EveryRow(size_t rows) {
+  std::vector<uint32_t> sel(rows);
+  for (uint32_t i = 0; i < rows; ++i) sel[i] = i;
+  return sel;
+}
+
+TEST(HashAggregatorTest, FlatTableMatchesMapOracle) {
+  MemoryGovernor governor(0);
+  MemoryGovernor::Scope scope(&governor);
+  for (uint64_t groups : {1u, 5u, 300u, 6000u}) {
+    SCOPED_TRACE("groups=" + std::to_string(groups));
+    const RecordBatch rows = OracleRows(20000, groups, groups);
+    const auto want = MapOracle(rows);
+    {
+      HashAggregator agg(OracleSpec());
+      ASSERT_TRUE(agg.Update(rows, EveryRow(rows.num_rows())).ok());
+      EXPECT_EQ(agg.num_groups(), want.size());
+      ExpectEqualsOracle(want, agg.Finish());
+      EXPECT_GT(governor.used(), 0u);
+    }
+    EXPECT_EQ(governor.used(), 0u);
+  }
+}
+
+TEST(HashAggregatorTest, MergeOfPartialsMatchesMapOracleInEitherOrder) {
+  MemoryGovernor governor(0);
+  MemoryGovernor::Scope scope(&governor);
+  const RecordBatch rows = OracleRows(12000, 2500, 7);
+  const auto want = MapOracle(rows);
+  // Odd rows to one partial, even rows to the other.
+  std::vector<uint32_t> odd, even;
+  for (uint32_t r = 0; r < rows.num_rows(); ++r) {
+    (r % 2 != 0 ? odd : even).push_back(r);
+  }
+  {
+    HashAggregator a(OracleSpec()), b(OracleSpec());
+    ASSERT_TRUE(a.Update(rows, odd).ok());
+    ASSERT_TRUE(b.Update(rows, even).ok());
+    HashAggregator ab(OracleSpec()), ba(OracleSpec());
+    ASSERT_TRUE(ab.Merge(a).ok());
+    ASSERT_TRUE(ab.Merge(b).ok());
+    ASSERT_TRUE(ba.Merge(b.Partial()).ok());
+    ASSERT_TRUE(ba.Merge(a.Partial()).ok());
+    ExpectEqualsOracle(want, ab.Finish());
+    ExpectEqualsOracle(want, ba.Finish());
+    // Merging into a partial that already holds state, both ways.
+    ASSERT_TRUE(a.Merge(b).ok());
+    ExpectEqualsOracle(want, a.Finish());
+  }
+  EXPECT_EQ(governor.used(), 0u);
+}
+
 // ------------------------------- JoinProber -------------------------------
 
 TEST(JoinProberTest, JoinWithPostPredicateAndAggregation) {

@@ -2,17 +2,22 @@
 // Bloom Add/MayContain paths must be bit-identical to the scalar ones in
 // both layouts, ProbeBatch must reproduce the scalar ForEachMatch output in
 // exact order, ProbeBand must reproduce "every equi-match, then DiffRange"
-// in exact order, and the wire format must round-trip the layout and reject
-// inconsistent encodings.
+// in exact order, Finalize must lay every bucket run out in (key, band,
+// batch, row) order, and the wire format must round-trip the layout and
+// reject inconsistent encodings.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstring>
 #include <limits>
+#include <map>
+#include <optional>
+#include <tuple>
 
 #include "bloom/bloom_filter.h"
 #include "common/random.h"
+#include "common/thread_pool.h"
 #include "exec/join_hash_table.h"
 #include "expr/predicate.h"
 #include "jen/exchange.h"
@@ -538,6 +543,123 @@ TEST(ProbeBandTest, RejectsNonInt32BandColumn) {
   JoinHashTable missing(0, 1, /*governor=*/nullptr, /*band_column=*/5);
   EXPECT_FALSE(missing.AddBatch(KeyBatch({1, 2})).ok());
   EXPECT_EQ(missing.num_rows(), 0u);
+}
+
+// ----------------------------- Finalize order -----------------------------
+
+/// Build batches of (key, band) over `keys` distinct keys (so many buckets
+/// hold several keys and most keys several rows) with bands drawn from
+/// [band_lo, band_lo + band_span], plus a key whose rows all share one
+/// band. With `extremes`, the bands INT32_MIN and INT32_MAX appear too.
+std::vector<RecordBatch> FinalizeBatches(uint64_t keys, int32_t band_lo,
+                                         uint32_t band_span, bool extremes) {
+  Rng rng(keys + band_span);
+  std::vector<RecordBatch> batches;
+  for (int b = 0; b < 3; ++b) {
+    RecordBatch batch(BandBuildSchema());
+    for (int i = 0; i < 2000; ++i) {
+      const auto band = static_cast<int32_t>(
+          int64_t{band_lo} +
+          static_cast<int64_t>(rng.Uniform(uint64_t{band_span} + 1)));
+      batch.AppendRow(
+          {Value(static_cast<int64_t>(rng.Uniform(keys))), Value(band)});
+    }
+    batches.push_back(std::move(batch));
+  }
+  RecordBatch edges(BandBuildSchema());
+  for (int i = 0; i < 40; ++i) {
+    edges.AppendRow({Value(int64_t{-77}), Value(band_lo)});
+  }
+  if (extremes) {
+    for (int32_t x : {kI32Max, kI32Min, kI32Max, 0, kI32Min}) {
+      edges.AppendRow({Value(int64_t{5}), Value(x)});
+    }
+  }
+  batches.push_back(std::move(edges));
+  return batches;
+}
+
+TEST(FinalizeOrderTest, RunsAreInKeyBandBatchRowOrder) {
+  struct Bands {
+    const char* name;
+    int32_t lo;
+    uint32_t span;  ///< 0: every band equal
+    bool extremes;
+    bool banded = true;  ///< false: a table without a band column
+  };
+  const Bands kBands[] = {
+      {"one band", 12, 0, false},
+      {"under one digit", -100, 200, false},
+      {"two digits", 16000, 40000, false},
+      {"full int32", kI32Min, std::numeric_limits<uint32_t>::max(), true},
+      {"no band column", 16000, 40000, false, false},
+  };
+  using Entry = JoinHashTable::Entry;
+  auto before = [](const Entry& x, const Entry& y) {
+    return std::tie(x.key, x.band, x.batch, x.row) <
+           std::tie(y.key, y.band, y.batch, y.row);
+  };
+  ThreadPool pool(3);
+  for (const Bands& bands : kBands) {
+    for (uint32_t shards : {1u, 16u}) {
+      for (bool parallel : {false, true}) {
+        SCOPED_TRACE(std::string(bands.name) +
+                     " shards=" + std::to_string(shards) +
+                     (parallel ? " AddBatchesParallel" : " AddBatch"));
+        JoinHashTable table(0, shards, /*governor=*/nullptr,
+                            bands.banded ? std::optional<size_t>(1)
+                                         : std::nullopt);
+        std::vector<RecordBatch> batches =
+            FinalizeBatches(4000, bands.lo, bands.span, bands.extremes);
+        if (parallel) {
+          ASSERT_TRUE(
+              table.AddBatchesParallel(std::move(batches), &pool).ok());
+          ASSERT_TRUE(table.FinalizeParallel(&pool).ok());
+        } else {
+          for (RecordBatch& b : batches) {
+            ASSERT_TRUE(table.AddBatch(std::move(b)).ok());
+          }
+          table.Finalize();
+        }
+        // Every run is strictly ordered by the comparator, every entry
+        // names its own row, each row appears once and each key in one run.
+        size_t entries = 0;
+        size_t shared_runs = 0;
+        std::vector<std::vector<bool>> seen;
+        for (const RecordBatch& b : table.batches()) {
+          seen.emplace_back(b.num_rows(), false);
+        }
+        std::map<int64_t, std::pair<uint32_t, size_t>> run_of_key;
+        for (uint32_t s = 0; s < table.num_shards(); ++s) {
+          for (size_t bucket = 0; bucket < table.shard_buckets(s); ++bucket) {
+            const std::span<const Entry> run = table.BucketRun(s, bucket);
+            for (size_t i = 0; i < run.size(); ++i) {
+              const Entry& e = run[i];
+              if (i > 0) {
+                ASSERT_TRUE(before(run[i - 1], e))
+                    << "shard " << s << " bucket " << bucket << " at " << i;
+              }
+              const RecordBatch& b = table.batches()[e.batch];
+              ASSERT_EQ(e.key, b.column(0).i64()[e.row]);
+              ASSERT_EQ(e.band, bands.banded ? b.column(1).i32()[e.row] : 0);
+              ASSERT_FALSE(seen[e.batch][e.row]);
+              seen[e.batch][e.row] = true;
+              const auto [it, fresh] =
+                  run_of_key.try_emplace(e.key, s, bucket);
+              ASSERT_TRUE(fresh || it->second == std::make_pair(s, bucket))
+                  << "key " << e.key << " in two runs";
+            }
+            if (!run.empty() && run.front().key != run.back().key) {
+              ++shared_runs;
+            }
+            entries += run.size();
+          }
+        }
+        EXPECT_EQ(entries, table.num_rows());
+        EXPECT_GT(shared_runs, 0u) << "no bucket held two keys";
+      }
+    }
+  }
 }
 
 // ------------------------------ BufferPool --------------------------------

@@ -109,6 +109,8 @@ struct ProbeOutcome {
   int64_t join_matches = 0;
   int64_t output_rows = 0;
   std::map<int64_t, int64_t> counts;  // ExtractGroup(L.groupByExtractCol)
+  RecordBatch joined;                 // every equi-match, materialized
+  std::vector<uint32_t> survivors;    // its rows that pass `post`
 };
 
 /// Nested-loop join of L' (build) and T' (probe) into fully materialized
@@ -143,6 +145,8 @@ ProbeOutcome NestedLoopProbe(const std::vector<RecordBatch>& l_prime,
   }
   out.output_rows = static_cast<int64_t>(sel.size());
   for (uint32_t r : sel) out.counts[ExtractGroup(joined.column(4).str()[r])]++;
+  out.joined = std::move(joined);
+  out.survivors = std::move(sel);
   return out;
 }
 
@@ -238,6 +242,114 @@ TEST(ReferenceOracleTest, JoinProberMatchesNestedLoopForEveryPredicateShape) {
       EXPECT_EQ(result.column(1).i64()[i], count);
       ++i;
     }
+  }
+}
+
+TEST(ReferenceOracleTest, JoinProberFoldEqualsUpdateOnJoinedRows) {
+  // The prober folds each survivor into the aggregator from the build and
+  // probe batches in place; HashAggregator::Update over the materialized
+  // joined rows is its oracle, for a group and items on either side, with
+  // and without a residual.
+  WorkloadConfig wc;
+  wc.num_join_keys = 64;
+  wc.t_rows = 1500;
+  wc.l_rows = 4000;
+  wc.batch_rows = 700;
+  auto workload = Workload::Generate(wc, {0.3, 0.3, 0.5, 0.5});
+  ASSERT_TRUE(workload.ok());
+  const HybridQuery query = workload->MakeQuery();
+  const std::vector<RecordBatch> l_prime =
+      FilterBatches(workload->l_batches(), query.hdfs.predicate);
+  const RecordBatch t_prime =
+      FilterBatches({workload->t_rows()}, query.db.predicate).front();
+  const SchemaPtr l_schema = l_prime.front().schema();
+  const SchemaPtr t_schema = t_prime.schema();
+  const SchemaPtr joined_schema = MakeJoinedSchema(l_schema, "L", t_schema, "T");
+
+  auto spec = [](std::string group, bool extract,
+                 std::vector<AggSpec::Item> items) {
+    AggSpec s;
+    s.group_column = std::move(group);
+    s.extract_group = extract;
+    s.items = std::move(items);
+    return s;
+  };
+  const std::vector<AggSpec> specs = {
+      query.agg,
+      spec("L.groupByExtractCol", true,
+           {{AggOp::kSum, "T.uniqKey", "a"}, {AggOp::kMin, "L.indPred", "b"}}),
+      spec("T.uniqKey", false,
+           {{AggOp::kCountStar, "", "a"}, {AggOp::kMax, "L.corPred", "b"}}),
+      spec("L.corPred", false,
+           {{AggOp::kMax, "T.dummy2", "a"}, {AggOp::kSum, "L.joinKey", "b"},
+            {AggOp::kMin, "T.predAfterJoin", "c"}}),
+      spec("T.predAfterJoin", false, {{AggOp::kSum, "T.indPred", "a"}}),
+  };
+  const std::vector<PredicatePtr> posts = {
+      DiffRange("T.predAfterJoin", "L.predAfterJoin", 0, 1),
+      Cmp("T.indPred", CmpOp::kGe,
+          Value(int32_t{workload->solved().t_ind_lit / 2})),
+      nullptr};
+  for (const PredicatePtr& post : posts) {
+    SCOPED_TRACE(post != nullptr ? post->ToString() : "no predicate");
+    const ProbeOutcome expected =
+        NestedLoopProbe(l_prime, t_prime, joined_schema, post);
+    ASSERT_GT(expected.output_rows, 0);
+    const auto band =
+        ExtractJoinBand(post, joined_schema, l_schema->num_fields());
+    JoinHashTable table(/*key_column=*/0, 4, /*governor=*/nullptr,
+                        band.has_value()
+                            ? std::optional<size_t>(band->build_column)
+                            : std::nullopt);
+    for (const RecordBatch& b : l_prime) ASSERT_TRUE(table.AddBatch(b).ok());
+    table.Finalize();
+    for (const AggSpec& agg_spec : specs) {
+      SCOPED_TRACE(agg_spec.group_column);
+      HashAggregator want(agg_spec);
+      ASSERT_TRUE(want.Update(expected.joined, expected.survivors).ok());
+      HashAggregator got(agg_spec);
+      JoinProberOptions options;
+      options.output_batch_rows = 11;
+      JoinProber prober(&table, l_schema, "L", t_schema, "T",
+                        /*probe_key_column=*/1, post, &got, nullptr, options);
+      for (size_t begin = 0; begin < t_prime.num_rows(); begin += 131) {
+        std::vector<uint32_t> rows;
+        for (size_t r = begin; r < std::min(begin + 131, t_prime.num_rows());
+             ++r) {
+          rows.push_back(static_cast<uint32_t>(r));
+        }
+        ASSERT_TRUE(prober.ProbeBatch(t_prime.Gather(rows)).ok());
+      }
+      ASSERT_TRUE(prober.Flush().ok());
+      EXPECT_EQ(prober.output_rows(), expected.output_rows);
+      EXPECT_EQ(got.Finish().Serialize(), want.Finish().Serialize());
+    }
+  }
+}
+
+TEST(ReferenceOracleTest, JoinProberReportsBadAggColumnsOnFirstSurvivor) {
+  auto schema = Schema::Make({{"k", DataType::kInt32},
+                              {"s", DataType::kString}});
+  RecordBatch build(schema);
+  build.AppendRow({Value(int32_t{1}), Value("g1/x")});
+  JoinHashTable table(0);
+  ASSERT_TRUE(table.AddBatch(std::move(build)).ok());
+  table.Finalize();
+  RecordBatch miss(schema);
+  miss.AppendRow({Value(int32_t{2}), Value("g2/y")});
+  RecordBatch hit(schema);
+  hit.AppendRow({Value(int32_t{1}), Value("g3/z")});
+  AggSpec sum_of_string = AggSpec::CountStar("B.s", /*extract_group=*/true);
+  sum_of_string.items.push_back({AggOp::kSum, "P.s", "bad"});
+  for (const AggSpec& bad :
+       {AggSpec::CountStar("B.missing", false),
+        AggSpec::CountStar("B.s", /*extract_group=*/false),
+        AggSpec::CountStar("P.k", /*extract_group=*/true), sum_of_string}) {
+    HashAggregator agg(bad);
+    JoinProber prober(&table, schema, "B", schema, "P", 0, nullptr, &agg,
+                      nullptr);
+    EXPECT_TRUE(prober.ProbeBatch(miss).ok());  // no survivor, no fold
+    EXPECT_FALSE(prober.ProbeBatch(hit).ok());
   }
 }
 
